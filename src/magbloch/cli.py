@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -86,13 +87,28 @@ def _dump_json(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
-def _series_from_rows(rows, cutoff: int, name: str, real: bool = True) -> FourierSeries2D:
-    coeffs = {}
+def _check_rows(rows, name: str) -> list:
+    """Rows of a Fourier-mode table, each [int n, int m, real re, real im]."""
+    def is_int(x):
+        return isinstance(x, int) and not isinstance(x, bool)
+
+    def is_real_number(x):
+        return (isinstance(x, (int, float)) and not isinstance(x, bool)
+                and math.isfinite(x))
+
+    if not isinstance(rows, list):
+        raise ConfigError(f"{name} must be a list of [n, m, re, im] rows")
     for row in rows:
-        if len(row) != 4:
-            raise ConfigError(f"{name} rows must be [n, m, re, im]")
-        n, m, re, im = row
-        coeffs[(int(n), int(m))] = complex(float(re), float(im))
+        if not (isinstance(row, list) and len(row) == 4
+                and is_int(row[0]) and is_int(row[1])
+                and is_real_number(row[2]) and is_real_number(row[3])):
+            raise ConfigError(
+                f"{name} rows must be [int n, int m, real re, real im], got {row!r}")
+    return rows
+
+
+def _series_from_rows(rows, cutoff: int, name: str, real: bool = True) -> FourierSeries2D:
+    coeffs = {(n, m): complex(re, im) for n, m, re, im in rows}
     try:
         return FourierSeries2D(coeffs, is_real=real, cutoff=cutoff)
     except ValueError as exc:
@@ -123,15 +139,16 @@ def _build_inputs(cfg: dict):
         L = make_lattice(lat_cfg["a"], lat_cfg["b"])
     except GeometryError as exc:
         raise ConfigError(str(exc)) from exc
+    rows = {key: _check_rows(cfg.get(key, []), key) for key in ("V", "A1", "A2")}
     cutoff = 8
-    for key in ("V", "A1", "A2"):
-        for row in cfg.get(key, []):
-            cutoff = max(cutoff, abs(int(row[0])), abs(int(row[1])))
-    V = _series_from_rows(cfg.get("V", []), cutoff, "V")
+    for key in rows:
+        for row in rows[key]:
+            cutoff = max(cutoff, abs(row[0]), abs(row[1]))
+    V = _series_from_rows(rows["V"], cutoff, "V")
     A = None
-    if cfg.get("A1") or cfg.get("A2"):
-        f1 = _series_from_rows(cfg.get("A1", []), cutoff, "A1")
-        f2 = _series_from_rows(cfg.get("A2", []), cutoff, "A2")
+    if rows["A1"] or rows["A2"]:
+        f1 = _series_from_rows(rows["A1"], cutoff, "A1")
+        f2 = _series_from_rows(rows["A2"], cutoff, "A2")
         try:
             A = PeriodicVectorPotential(f1, f2, L)
         except GaugeError as exc:
@@ -195,8 +212,7 @@ def cmd_butterfly(cfg: dict, args) -> str:
         raise ResourceCapError(f"q_max={q_max} exceeds cap {Q_MAX_CAP}")
     grid = tuple(cfg.get("grid", [8, 16]))
     reports = quantize.butterfly(V, q_max, iota=args.iota,
-                                 convention="harper", grid=grid,
-                                 threads=args.threads)
+                                 convention="harper", grid=grid)
     if args.format == "csv":
         return _report_rows(reports)
     return _report_json(reports)
@@ -226,8 +242,7 @@ def cmd_effective(cfg: dict, args) -> str:
     reports = []
     for fx in fluxes:
         model = effective.single_band_model(V, L, band + 0.5, fx, iota=args.iota)
-        rep = quantize.spectrum(model.family, grid=grid, tol_band=args.tol_band,
-                                threads=args.threads)
+        rep = quantize.spectrum(model.family, grid=grid, tol_band=args.tol_band)
         rep.metadata["delta"] = model.delta
         rep.metadata["band"] = band
         reports.append(_rescale_report(rep, model.delta, args.units))
@@ -246,8 +261,7 @@ def cmd_two_band(cfg: dict, args) -> str:
     reports = []
     for fx in fluxes:
         model = effective.two_band_model(A, L, n_star, fx, iota=args.iota)
-        rep = quantize.spectrum(model.family, grid=grid, tol_band=args.tol_band,
-                                threads=args.threads)
+        rep = quantize.spectrum(model.family, grid=grid, tol_band=args.tol_band)
         via = effective.spectrum_via_GGdag(A, L, n_star, fx, grid=grid,
                                            iota=args.iota)
         disc = float(np.max(np.abs(np.sort(rep.samples, axis=1)
@@ -395,7 +409,6 @@ def _parser() -> argparse.ArgumentParser:
                     help="comma-separated flux fractions p/q (squared parameter)")
     ap.add_argument("--band", default=None, help="level index or N,N")
     ap.add_argument("--iota", type=int, choices=(1, -1), default=-1)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--tol-band", dest="tol_band", type=float, default=None)
     ap.add_argument("--units", choices=("cyclotron", "bare"),
                     default="cyclotron",

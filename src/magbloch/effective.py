@@ -17,7 +17,8 @@ import numpy as np
 from .lattice import (FourierSeries2D, Lattice2D, PeriodicVectorPotential,
                       laplacian_DzDzbar)
 from .quantize import (MagneticBlochFamily, RationalFlux, SpectrumReport,
-                       quantize_blocks, quantize_series, spectrum)
+                       _bloch_grid, _merge_branches, _weyl_modes, _weyl_sum,
+                       quantize_blocks, quantize_series)
 
 __all__ = [
     "EffectiveModel",
@@ -106,47 +107,21 @@ def spectrum_via_GGdag(A: PeriodicVectorPotential, L: Lattice2D, n_star: int,
     if A.is_zero():
         raise ValueError("spectrum_via_GGdag needs a non-zero vector potential")
     delta = delta_from_flux(flux)
-
-    gq = _complex_series_family(A.g, flux, iota)
+    modes = _weyl_modes(A.g, flux, iota, "harper")
     n1, n2 = grid
-    b1s = [2.0 * math.pi / flux.q * i / n1 for i in range(n1)]
-    b2s = [2.0 * math.pi * j / n2 for j in range(n2)]
     rows = []
-    for b1 in b1s:
-        for b2 in b2s:
-            G = gq(b1, b2)
-            lam = np.linalg.eigvalsh(G @ G.conj().T)
-            if lam.min() < -1e-10:
-                raise ValueError(
-                    f"G G^dag not positive semidefinite: min eigenvalue {lam.min()}")
-            lam = np.clip(lam, 0.0, None)
-            root = np.sqrt(0.25 + (delta ** 2) * (n_star + 1.0) * lam)
-            vals = np.concatenate([(n_star + 1.0) - root, (n_star + 1.0) + root])
-            rows.append(np.sort(vals))
+    for b1, b2 in _bloch_grid(flux, n1, n2):
+        G = _weyl_sum(modes, flux, iota, "harper", b1, b2)
+        lam = np.linalg.eigvalsh(G @ G.conj().T)
+        if lam.min() < -1e-10:
+            raise ValueError(
+                f"G G^dag not positive semidefinite: min eigenvalue {lam.min()}")
+        lam = np.clip(lam, 0.0, None)
+        root = np.sqrt(0.25 + (delta ** 2) * (n_star + 1.0) * lam)
+        vals = np.concatenate([(n_star + 1.0) - root, (n_star + 1.0) + root])
+        rows.append(np.sort(vals))
     samples = np.array(rows)
-    intervals = [(float(samples[:, k].min()), float(samples[:, k].max()))
-                 for k in range(samples.shape[1])]
-    width = float(samples.max() - samples.min())
-    tol = 1e-6 * max(width, 1e-300)
-    from .quantize import _merge_intervals
-    bands = _merge_intervals(intervals, tol)
+    bands, _ = _merge_branches(samples)
     return SpectrumReport(flux=flux, bands=bands, samples=samples,
                           metadata={"grid": [n1, n2], "route": "GGdag",
                                     "n_star": n_star, "delta": delta})
-
-
-def _complex_series_family(F: FourierSeries2D, flux: RationalFlux, iota: int):
-    """Quantization of a single (generally non-Hermitian) series block."""
-    from .quantize import _monomial, _phase, clock_shift
-
-    modes = [(nm, c) for nm, c in sorted(F.coeffs.items()) if c != 0]
-    theta = flux.theta
-
-    def build(beta1: float, beta2: float) -> np.ndarray:
-        U, V = clock_shift(flux, iota, beta1, beta2)
-        G = np.zeros((flux.q, flux.q), dtype=complex)
-        for (n, m), c in modes:
-            G += c * _phase("harper", iota, theta, n, m) * _monomial(U, V, "harper", n, m)
-        return G
-
-    return build

@@ -28,6 +28,7 @@ __all__ = [
     "alpha_coefficient",
     "M_generator",
     "displacement_exp",
+    "band_projector_matrix",
     "corner",
     "corner_norm",
     "hermiticity_residual",
@@ -129,6 +130,14 @@ def displacement_exp(t: float, n: int, m: int, L: Lattice2D,
     gen = I_generator(n, m, L, T)
     w, v = np.linalg.eigh(gen)
     return (v * np.exp(1j * t * w)) @ v.conj().T
+
+
+def band_projector_matrix(T: FockTruncation, band_set) -> np.ndarray:
+    """Diagonal projector onto the Hermite states listed in band_set."""
+    P = np.zeros((T.dim, T.dim), dtype=complex)
+    for k in band_set:
+        P[k, k] = 1.0
+    return P
 
 
 def corner(M: np.ndarray, T: FockTruncation) -> np.ndarray:

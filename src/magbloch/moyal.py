@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationError
-from .fock import FockTruncation
+from .fock import FockTruncation, band_projector_matrix
 from .lattice import Lattice2D
 from .symbols import (ModeMap, OperatorSymbol, mode_add, mode_dagger,
                       mode_max_norm, mode_scale)
@@ -102,13 +102,6 @@ def star_grade(A_grades: dict, B_grades: dict, n: int, weight: int = 1) -> ModeM
                 continue
             out = mode_add(out, moyal_term(Ar, Bl, rem // weight))
     return out
-
-
-def band_projector_matrix(T: FockTruncation, band_set) -> np.ndarray:
-    P = np.zeros((T.dim, T.dim), dtype=complex)
-    for k in band_set:
-        P[k, k] = 1.0
-    return P
 
 
 def _check_bands(band_set) -> tuple:

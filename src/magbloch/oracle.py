@@ -30,7 +30,7 @@ from .errors import (CommensurabilityError, GapClosedError, NumericError,
 from .fock import FockTruncation
 from .lattice import (FourierSeries2D, Lattice2D, PeriodicVectorPotential,
                       TWO_PI)
-from .quantize import RationalFlux, sorted_list_distance
+from .quantize import RationalFlux, _add_weighted_shift, sorted_list_distance
 
 __all__ = [
     "OracleBasis",
@@ -90,13 +90,12 @@ def _slow_factor(basis: OracleBasis, flux: RationalFlux, iota: int,
     N = basis.slow_dim
     theta = flux.theta
     step = (flux.p * basis.n_grid) // flux.q
-    j = np.arange(N)
-    x = j / basis.n_grid
+    x = np.arange(N) / basis.n_grid
     diag = np.exp(1j * TWO_PI * m * x)
     out = np.zeros((N, N), dtype=complex)
     # (O psi)[j] = phase * e^{i 2 pi m x_j'} psi[j'],  j' = j + n*iota*step
-    src = (j + n * iota * step) % N
-    out[j, src] = np.exp(-1j * math.pi * n * m * iota * theta) * diag[src]
+    _add_weighted_shift(out, -n * iota * step,
+                        np.exp(-1j * math.pi * n * m * iota * theta) * diag)
     return out
 
 

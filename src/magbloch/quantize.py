@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -112,13 +111,6 @@ class MagneticBlochFamily:
             raise NumericError(f"quantized family lost Hermiticity: {resid}")
         return H
 
-    def sample_grid(self, n1: int, n2: int):
-        """(beta1, beta2) grid on [0, 2 pi / q) x [0, 2 pi)."""
-        q = self.flux.q
-        b1 = [2.0 * math.pi / q * i / n1 for i in range(n1)]
-        b2 = [2.0 * math.pi * j / n2 for j in range(n2)]
-        return b1, b2
-
 
 def _phase(convention: str, iota: int, theta: float, n: int, m: int) -> complex:
     if convention == "harper":
@@ -128,17 +120,48 @@ def _phase(convention: str, iota: int, theta: float, n: int, m: int) -> complex:
     raise ValueError(f"unknown convention {convention!r}")
 
 
-def _upower(M: np.ndarray, k: int) -> np.ndarray:
-    if k >= 0:
-        return np.linalg.matrix_power(M, k)
-    return np.linalg.matrix_power(M.conj().T, -k)
+def _power(z, k: int):
+    """z**k for unimodular z; negative powers conjugate, which is exact."""
+    return z ** k if k >= 0 else np.conj(z) ** -k
 
 
-def _monomial(U: np.ndarray, V: np.ndarray, convention: str,
-              n: int, m: int) -> np.ndarray:
-    if convention == "harper":
-        return _upower(V, n) @ _upower(U, m)
-    return _upower(U, n) @ _upower(V, m)
+def _add_weighted_shift(H: np.ndarray, shift: int, weights: np.ndarray) -> None:
+    """H[(j + shift) mod N, j] += weights[j] for j < N = len(weights).
+
+    Every Weyl monomial is such a weighted cyclic permutation, so this is
+    the one kernel behind all clock/shift quantizations.
+    """
+    j = np.arange(len(weights))
+    H[(j + shift) % len(weights), j] += weights
+
+
+def _weyl_modes(F: FourierSeries2D, flux: RationalFlux, iota: int,
+                convention: str) -> list:
+    """(n, m, f_{n,m} * symmetrization phase) of the non-zero modes of F,
+    in sorted mode order."""
+    return [(n, m, c * _phase(convention, iota, flux.theta, n, m))
+            for (n, m), c in sorted(F.coeffs.items()) if c != 0]
+
+
+def _weyl_sum(modes, flux: RationalFlux, iota: int, convention: str,
+              beta1: float, beta2: float) -> np.ndarray:
+    """Sum of w * V^n U^m ("harper") or w * U^n V^m ("hofstadter") over
+    ``modes`` from :func:`_weyl_modes`, at Bloch phases (beta1, beta2).
+
+    With U = diag(u_j) and V e_j = v e_{j+1} as in :func:`clock_shift`,
+    V^n U^m has entries [(j+n) mod q, j] = v^n u_j^m and U^n V^m has
+    entries [(j+m) mod q, j] = u_{j+m}^n v^m.
+    """
+    q = flux.q
+    u = np.exp(-1j * (beta1 + 2.0 * math.pi * iota * flux.theta * np.arange(q)))
+    v = np.exp(-1j * beta2)
+    H = np.zeros((q, q), dtype=complex)
+    for n, m, w in modes:
+        if convention == "harper":
+            _add_weighted_shift(H, n, w * (_power(v, n) * _power(u, m)))
+        else:
+            _add_weighted_shift(H, m, w * (np.roll(_power(u, n), -m) * _power(v, m)))
+    return H
 
 
 def quantize_series(F: FourierSeries2D, flux: RationalFlux, iota: int = -1,
@@ -150,15 +173,10 @@ def quantize_series(F: FourierSeries2D, flux: RationalFlux, iota: int = -1,
     """
     if not F.is_real:
         raise ValueError("quantize_series requires a real-valued series")
-    theta = flux.theta
-    modes = [(nm, c) for nm, c in sorted(F.coeffs.items()) if c != 0]
+    modes = _weyl_modes(F, flux, iota, convention)
 
     def build(beta1: float, beta2: float) -> np.ndarray:
-        U, V = clock_shift(flux, iota, beta1, beta2)
-        H = np.zeros((flux.q, flux.q), dtype=complex)
-        for (n, m), c in modes:
-            H += c * _phase(convention, iota, theta, n, m) * _monomial(U, V, convention, n, m)
-        return H
+        return _weyl_sum(modes, flux, iota, convention, beta1, beta2)
 
     return MagneticBlochFamily(flux=flux, iota=iota, convention=convention,
                                dim=flux.q, _build=build)
@@ -173,28 +191,20 @@ def quantize_blocks(blocks, flux: RationalFlux, iota: int = -1,
     Hermitian at every point.
     """
     m = len(blocks)
-    theta = flux.theta
+    q = flux.q
+    block_modes = [(i, k, _weyl_modes(blocks[i][k], flux, iota, convention))
+                   for i in range(m) for k in range(m)
+                   if blocks[i][k] is not None]
 
     def build(beta1: float, beta2: float) -> np.ndarray:
-        U, V = clock_shift(flux, iota, beta1, beta2)
-        q = flux.q
         H = np.zeros((m * q, m * q), dtype=complex)
-        for i in range(m):
-            for k in range(m):
-                Fik = blocks[i][k]
-                if Fik is None:
-                    continue
-                blk = np.zeros((q, q), dtype=complex)
-                for (n, mm), c in sorted(Fik.coeffs.items()):
-                    if c == 0:
-                        continue
-                    blk += c * _phase(convention, iota, theta, n, mm) \
-                        * _monomial(U, V, convention, n, mm)
-                H[i * q:(i + 1) * q, k * q:(k + 1) * q] = blk
+        for i, k, modes in block_modes:
+            H[i * q:(i + 1) * q, k * q:(k + 1) * q] = _weyl_sum(
+                modes, flux, iota, convention, beta1, beta2)
         return H
 
     return MagneticBlochFamily(flux=flux, iota=iota, convention=convention,
-                               dim=m * flux.q, _build=build)
+                               dim=m * q, _build=build)
 
 
 @dataclass(frozen=True)
@@ -210,86 +220,69 @@ class SpectrumReport:
         return np.sort(self.samples.ravel())
 
 
-def _merge_intervals(intervals, tol: float):
-    """Join intervals that overlap by more than tol or are contained in the
-    previous one at that resolution; bands merely touching at a point stay
-    distinct."""
+def _bloch_grid(flux: RationalFlux, n1: int, n2: int) -> list:
+    """(beta1, beta2) points of the n1 x n2 grid on [0, 2 pi / q) x [0, 2 pi)."""
+    b1s = [2.0 * math.pi / flux.q * i / n1 for i in range(n1)]
+    b2s = [2.0 * math.pi * j / n2 for j in range(n2)]
+    return [(b1, b2) for b1 in b1s for b2 in b2s]
+
+
+def _merge_branches(samples: np.ndarray, tol: float | None = None):
+    """Band intervals of the sorted eigenvalue branches (columns of
+    ``samples``) and the merge tolerance used.
+
+    Branches overlapping by more than ``tol`` (default 1e-6 of the spectral
+    width), or contained in the previous one at that resolution, join into
+    one interval; bands merely touching at a point stay distinct.
+    """
+    if tol is None:
+        width = float(samples.max() - samples.min()) if samples.size else 1.0
+        tol = 1e-6 * max(width, 1e-300)
     merged = []
-    for lo, hi in sorted(intervals):
+    for lo, hi in sorted((float(samples[:, k].min()), float(samples[:, k].max()))
+                         for k in range(samples.shape[1])):
         if merged and (lo < merged[-1][1] - tol or hi <= merged[-1][1] + tol):
             merged[-1][1] = max(merged[-1][1], hi)
         else:
             merged.append([lo, hi])
-    return [(lo, hi) for lo, hi in merged]
+    return [(lo, hi) for lo, hi in merged], tol
 
 
-def spectrum(fam: MagneticBlochFamily, grid=(16, 16), tol_band: float | None = None,
-             threads: int = 1, eigensolver: str = "lapack") -> SpectrumReport:
+def spectrum(fam: MagneticBlochFamily, grid=(16, 16),
+             tol_band: float | None = None) -> SpectrumReport:
     """Diagonalize over the Bloch grid and merge into band intervals.
 
     Band intervals come from tracking sorted eigenvalue branches over the
     grid; branches closer than ``tol_band`` (default 1e-6 of the spectral
-    width) merge into one interval.  ``eigensolver="jacobi"`` selects the
-    self-contained cyclic Jacobi path.
+    width) merge into one interval.
     """
     n1, n2 = grid
     if n1 < 8 or n2 < 8:
         raise ValueError("grid must be at least (8, 8)")
-    if eigensolver == "jacobi":
-        from .jacobi import jacobi_eigvalsh as eigvalsh
-    elif eigensolver == "lapack":
-        eigvalsh = np.linalg.eigvalsh
-    else:
-        raise ValueError(f"unknown eigensolver {eigensolver!r}")
-    b1s, b2s = fam.sample_grid(n1, n2)
-    points = [(b1, b2) for b1 in b1s for b2 in b2s]
-
-    def solve(pt):
+    rows = []
+    for pt in _bloch_grid(fam.flux, n1, n2):
         try:
-            return eigvalsh(fam.matrix_at(*pt))
+            rows.append(np.linalg.eigvalsh(fam.matrix_at(*pt)))
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"eigensolver failed at beta={pt}: {exc}") from exc
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(solve, points))
-    else:
-        rows = [solve(pt) for pt in points]
     samples = np.array(rows)
-    width = float(samples.max() - samples.min()) if samples.size else 1.0
-    if tol_band is None:
-        tol_band = 1e-6 * max(width, 1e-300)
-    intervals = [(float(samples[:, k].min()), float(samples[:, k].max()))
-                 for k in range(samples.shape[1])]
-    bands = _merge_intervals(intervals, tol_band)
+    bands, tol_band = _merge_branches(samples, tol_band)
     return SpectrumReport(flux=fam.flux, bands=bands, samples=samples,
                           metadata={"grid": [n1, n2], "tol_band": tol_band,
                                     "iota": fam.iota,
                                     "convention": fam.convention,
-                                    "eigensolver": eigensolver})
+                                    "eigensolver": "lapack"})
 
 
 def butterfly(F: FourierSeries2D, q_max: int, iota: int = -1,
-              convention: str = "harper", grid=(8, 16),
-              threads: int = 1) -> list:
+              convention: str = "harper", grid=(8, 16)) -> list:
     """One spectrum report per reduced flux p/q with q <= q_max,
     deterministically ordered by (q, p)."""
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
-    reports = []
-    fluxes = reduced_fractions(q_max)
-
-    def run(fx):
-        fam = quantize_series(F, fx, iota=iota, convention=convention)
-        g = (max(grid[0], 8), max(grid[1], 8))
-        return spectrum(fam, grid=g)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(run, fluxes))
-    else:
-        reports = [run(fx) for fx in fluxes]
-    return reports
+    g = (max(grid[0], 8), max(grid[1], 8))
+    return [spectrum(quantize_series(F, fx, iota=iota, convention=convention), grid=g)
+            for fx in reduced_fractions(q_max)]
 
 
 def band_measure(report: SpectrumReport) -> float:

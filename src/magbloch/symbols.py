@@ -220,13 +220,6 @@ def eval_exact(V: FourierSeries2D, A: PeriodicVectorPotential | None,
     return EvaluatedSymbol(point=tuple(point), matrix=H)
 
 
-def _band_projector(T: FockTruncation, bands) -> np.ndarray:
-    P = np.zeros((T.dim, T.dim), dtype=complex)
-    for k in bands:
-        P[k, k] = 1.0
-    return P
-
-
 def remainder_matrix(V, A, L, T: FockTruncation, delta: float, point) -> np.ndarray:
     """Exact symbol minus the evaluated truncated symbol at one point."""
     sym = assemble_truncated(V, A, L, T)
@@ -248,7 +241,7 @@ def remainder_norm(V, A, L, T: FockTruncation, delta: float, point,
     if projector_band is None:
         return corner_norm(R, T)
     bands = [projector_band] if isinstance(projector_band, int) else list(projector_band)
-    P = _band_projector(T, bands)
+    P = fock.band_projector_matrix(T, bands)
     return corner_norm(R @ P, T)
 
 

@@ -160,12 +160,17 @@ def test_units_flag_rescales(tmp_path):
         assert hi_b == pytest.approx(4.0 * hi_c)
 
 
-def test_threads_deterministic(tmp_path):
-    path = _write_cfg(tmp_path)
-    outs = []
-    for t in ("1", "3"):
-        out = tmp_path / f"t{t}.csv"
-        assert main(["butterfly", "--config", path, "--qmax", "3",
-                     "--threads", t, "--out", str(out)]) == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
+@pytest.mark.parametrize("extra", [
+    {"V": [None]},
+    {"A1": [None]},
+    {"A2": [[0, 1, 0.5, 0.0], None]},
+    {"V": [[1, 0, "x", 0]]},
+    {"V": [["a", 0, 1, 0]]},
+    {"V": [[1.5, 0, 1.0, 0.0]]},
+    {"V": [[1, 0, 1.0]]},
+    {"V": None},
+])
+def test_malformed_rows_are_config_errors(tmp_path, capsys, extra):
+    path = _write_cfg(tmp_path, extra)
+    assert main(["butterfly", "--config", path, "--qmax", "2"]) == 2
+    assert "config error" in capsys.readouterr().err

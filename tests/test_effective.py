@@ -93,17 +93,17 @@ def test_two_band_hermitian(square, one_mode_potential):
 
 def test_block_square_identity(square, one_mode_potential):
     # (H - (n*+1))^2 = 1/4 + d^2 (n*+1) blockdiag(GG+, G+G)
-    from magbloch.effective import _complex_series_family
+    from magbloch.quantize import _weyl_modes, _weyl_sum
     n_star = 0
     fx = RationalFlux(1, 5)
     d = delta_from_flux(fx)
     model = two_band_model(one_mode_potential, square, n_star, fx)
-    build_g = _complex_series_family(one_mode_potential.g, fx, 1)
+    modes = _weyl_modes(one_mode_potential.g, fx, 1, "harper")
     q = fx.q
     for b1, b2 in [(0.0, 0.0), (0.3, 1.1), (1.0, 4.4)]:
         H = model.family.matrix_at(b1, b2)
         B = H - (n_star + 1.0) * np.eye(2 * q)
-        G = d * math.sqrt(n_star + 1.0) * build_g(b1, b2)
+        G = d * math.sqrt(n_star + 1.0) * _weyl_sum(modes, fx, 1, "harper", b1, b2)
         block = np.zeros_like(H)
         block[:q, :q] = G @ G.conj().T
         block[q:, q:] = G.conj().T @ G

@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magbloch.errors import (CommensurabilityError, GapClosedError,
                              ResourceCapError)
 from magbloch.fock import FockTruncation
 from magbloch.lattice import FourierSeries2D, harper_potential
-from magbloch.oracle import (LinearCanonicalMap, OracleBasis, band_cluster,
+from magbloch.oracle import (LinearCanonicalMap, OracleBasis, _slow_factor,
+                             band_cluster,
                              build_full_matrix, ccr_table,
                              landau_variable_map, oracle_eigenvalues,
                              order_fit, fast_slow_variable_map, quantize_on_grid)
@@ -181,3 +184,24 @@ def test_order_fit_validation():
         order_fit([np.array([1.0])] * 2, [np.array([1.0])] * 2, [0.2, 0.1])
     with pytest.raises(ValueError):
         order_fit([np.array([1.0])] * 3, [np.array([1.0])] * 3, [0.1, 0.2, 0.05])
+
+
+@given(st.integers(1, 12).flatmap(
+           lambda q: st.sampled_from([RationalFlux(p, q) for p in range(q)
+                                      if math.gcd(p, q) == 1])),
+       st.integers(1, 3), st.integers(1, 2), st.sampled_from([1, -1]),
+       st.integers(-3, 3), st.integers(-3, 3))
+@settings(max_examples=100, deadline=None)
+def test_slow_factor_is_weighted_permutation(fx, per_q, n_cells, iota, n, m):
+    n_grid = fx.q * max(per_q, -(-4 // fx.q))
+    basis = OracleBasis(n_cells=n_cells, n_grid=n_grid,
+                        fock=FockTruncation(n_max=1, guard=0))
+    N = basis.slow_dim
+    step = fx.p * n_grid // fx.q
+    want = np.zeros((N, N), dtype=complex)
+    for j in range(N):
+        src = (j + n * iota * step) % N
+        want[j, src] = (np.exp(-1j * math.pi * n * m * iota * fx.theta)
+                        * np.exp(2j * math.pi * m * src / n_grid))
+    got = _slow_factor(basis, fx, iota, n, m)
+    assert np.max(np.abs(got - want)) < 1e-12

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from magbloch.lattice import FourierSeries2D, harper_potential
 from magbloch.quantize import (MagneticBlochFamily, RationalFlux,
+                               _weyl_modes, _weyl_sum,
                                almost_mathieu_spectrum, band_measure,
                                butterfly, clock_shift, hausdorff_distance,
-                               quantize_series, reduced_fractions, spectrum)
+                               quantize_blocks, quantize_series,
+                               reduced_fractions, spectrum)
 
 HARPER = harper_potential()
 
@@ -218,8 +220,50 @@ def test_zero_series_single_band():
     assert rep.bands == [(0.0, 0.0)]
 
 
-def test_jacobi_solver_matches_lapack():
-    fam = quantize_series(HARPER, RationalFlux(2, 7), iota=-1)
-    a = spectrum(fam, grid=(8, 8), eigensolver="lapack")
-    b = spectrum(fam, grid=(8, 8), eigensolver="jacobi")
-    assert np.max(np.abs(a.samples - b.samples)) < 1e-11
+def _dense_weyl_sum(F, fx, iota, convention, b1, b2):
+    """Reference quantization: sum of c * phase * V^n U^m (or U^n V^m) with
+    dense matrix powers of the clock/shift pair."""
+    U, V = clock_shift(fx, iota, b1, b2)
+    power = np.linalg.matrix_power
+    sign = -1 if convention == "harper" else 1
+    H = np.zeros((fx.q, fx.q), dtype=complex)
+    for (n, m), c in F.coeffs.items():
+        mono = power(V, n) @ power(U, m) if convention == "harper" \
+            else power(U, n) @ power(V, m)
+        H += c * np.exp(sign * 1j * math.pi * n * m * iota * fx.theta) * mono
+    return H
+
+
+_coeffs = st.dictionaries(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    max_size=6)
+_fluxes = st.integers(1, 12).flatmap(
+    lambda q: st.sampled_from([RationalFlux(p, q) for p in range(q)
+                               if math.gcd(p, q) == 1]))
+_phases = st.floats(0.0, 2.0 * math.pi)
+_conventions = st.sampled_from(["harper", "hofstadter"])
+
+
+@given(_coeffs, _fluxes, st.sampled_from([1, -1]), _conventions, _phases, _phases)
+@settings(max_examples=150, deadline=None)
+def test_weyl_kernel_matches_dense_powers(coeffs, fx, iota, convention, b1, b2):
+    F = FourierSeries2D(coeffs, cutoff=3)
+    got = _weyl_sum(_weyl_modes(F, fx, iota, convention), fx, iota,
+                    convention, b1, b2)
+    want = _dense_weyl_sum(F, fx, iota, convention, b1, b2)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+@given(_coeffs, _coeffs, _coeffs, _fluxes, st.sampled_from([1, -1]),
+       _conventions, _phases, _phases)
+@settings(max_examples=75, deadline=None)
+def test_block_family_matches_dense_powers(c00, c01, c11, fx, iota, convention,
+                                           b1, b2):
+    b01 = FourierSeries2D(c01, cutoff=3)
+    blocks = [[FourierSeries2D(c00, is_real=True, cutoff=3), b01],
+              [b01.conj_reflect(), FourierSeries2D(c11, is_real=True, cutoff=3)]]
+    got = quantize_blocks(blocks, fx, iota, convention).matrix_at(b1, b2)
+    want = np.block([[_dense_weyl_sum(F, fx, iota, convention, b1, b2)
+                      for F in row] for row in blocks])
+    assert np.max(np.abs(got - want)) < 1e-12
