@@ -14,7 +14,9 @@ Configuration file (JSON, unknown keys rejected)::
 
 ``delta`` entries are rational flux fractions p/q standing for the squared
 adiabatic parameter (the flux per unit cell over 2 pi); the parameter itself
-is derived as sqrt(p/q).  Flags override config values.  Numbers are emitted
+is derived as sqrt(p/q).  Flags override config values, which override the
+defaults (``iota`` -1, ``tol_band`` 1e-6 of the spectral width);
+``oracle-compare`` accepts only ``iota`` +1, its default.  Numbers are emitted
 with 17 significant digits and '\n' line endings; identical configs produce
 byte-identical files.
 
@@ -36,7 +38,7 @@ from .errors import (CommensurabilityError, ConfigError, GapClosedError,
                      GaugeError, GeometryError, MagblochError, NumericError,
                      ResourceCapError, TruncationError)
 from .fock import FockTruncation
-from .lattice import (FourierSeries2D, Lattice2D, PeriodicVectorPotential,
+from .lattice import (FourierSeries2D, PeriodicVectorPotential,
                       laplacian_DzDzbar, make_lattice)
 from .quantize import RationalFlux
 
@@ -87,21 +89,22 @@ def _dump_json(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
+def _is_real(x) -> bool:
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x))
+
+
 def _check_rows(rows, name: str) -> list:
     """Rows of a Fourier-mode table, each [int n, int m, real re, real im]."""
     def is_int(x):
         return isinstance(x, int) and not isinstance(x, bool)
-
-    def is_real_number(x):
-        return (isinstance(x, (int, float)) and not isinstance(x, bool)
-                and math.isfinite(x))
 
     if not isinstance(rows, list):
         raise ConfigError(f"{name} must be a list of [n, m, re, im] rows")
     for row in rows:
         if not (isinstance(row, list) and len(row) == 4
                 and is_int(row[0]) and is_int(row[1])
-                and is_real_number(row[2]) and is_real_number(row[3])):
+                and _is_real(row[2]) and _is_real(row[3])):
             raise ConfigError(
                 f"{name} rows must be [int n, int m, real re, real im], got {row!r}")
     return rows
@@ -126,7 +129,18 @@ def load_config(path: str) -> dict:
     unknown = set(raw) - _KNOWN_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    iota, tol_band = raw.get("iota", 1), raw.get("tol_band", 0.0)
+    if type(iota) is not int or iota not in (1, -1):
+        raise ConfigError(f"iota must be 1 or -1, got {iota!r}")
+    if not (_is_real(tol_band) and tol_band >= 0):
+        raise ConfigError(f"tol_band must be a finite number >= 0, got {tol_band!r}")
     return raw
+
+
+def _setting(args, cfg: dict, key: str, default):
+    """The flag value if given, else the config value, else the default."""
+    value = getattr(args, key)
+    return value if value is not None else cfg.get(key, default)
 
 
 def _build_inputs(cfg: dict):
@@ -207,12 +221,13 @@ def _report_json(reports) -> str:
 
 def cmd_butterfly(cfg: dict, args) -> str:
     L, V, A = _build_inputs(cfg)
-    q_max = args.qmax if args.qmax is not None else cfg.get("qmax", 10)
+    q_max = _setting(args, cfg, "qmax", 10)
     if q_max > Q_MAX_CAP:
         raise ResourceCapError(f"q_max={q_max} exceeds cap {Q_MAX_CAP}")
     grid = tuple(cfg.get("grid", [8, 16]))
-    reports = quantize.butterfly(V, q_max, iota=args.iota,
-                                 convention="harper", grid=grid)
+    reports = quantize.butterfly(V, q_max, iota=_setting(args, cfg, "iota", -1),
+                                 convention="harper", grid=grid,
+                                 tol_band=_setting(args, cfg, "tol_band", None))
     if args.format == "csv":
         return _report_rows(reports)
     return _report_json(reports)
@@ -239,10 +254,12 @@ def cmd_effective(cfg: dict, args) -> str:
     fluxes = _parse_flux_list(args.delta or cfg.get("delta", ["1/16"]))
     band = _bands(args.band or cfg.get("band"))[0]
     grid = tuple(cfg.get("grid", [16, 16]))
+    iota = _setting(args, cfg, "iota", -1)
+    tol_band = _setting(args, cfg, "tol_band", None)
     reports = []
     for fx in fluxes:
-        model = effective.single_band_model(V, L, band + 0.5, fx, iota=args.iota)
-        rep = quantize.spectrum(model.family, grid=grid, tol_band=args.tol_band)
+        model = effective.single_band_model(V, L, band + 0.5, fx, iota=iota)
+        rep = quantize.spectrum(model.family, grid=grid, tol_band=tol_band)
         rep.metadata["delta"] = model.delta
         rep.metadata["band"] = band
         reports.append(_rescale_report(rep, model.delta, args.units))
@@ -258,12 +275,14 @@ def cmd_two_band(cfg: dict, args) -> str:
     fluxes = _parse_flux_list(args.delta or cfg.get("delta", ["1/16"]))
     n_star = _bands(args.band or cfg.get("band"))[0]
     grid = tuple(cfg.get("grid", [16, 16]))
+    iota = _setting(args, cfg, "iota", -1)
+    tol_band = _setting(args, cfg, "tol_band", None)
     reports = []
     for fx in fluxes:
-        model = effective.two_band_model(A, L, n_star, fx, iota=args.iota)
-        rep = quantize.spectrum(model.family, grid=grid, tol_band=args.tol_band)
+        model = effective.two_band_model(A, L, n_star, fx, iota=iota)
+        rep = quantize.spectrum(model.family, grid=grid, tol_band=tol_band)
         via = effective.spectrum_via_GGdag(A, L, n_star, fx, grid=grid,
-                                           iota=args.iota)
+                                           iota=iota)
         disc = float(np.max(np.abs(np.sort(rep.samples, axis=1)
                                    - np.sort(via.samples, axis=1))))
         rep.metadata["delta"] = model.delta
@@ -330,6 +349,10 @@ def cmd_sapt(cfg: dict, args) -> str:
 
 def cmd_oracle_compare(cfg: dict, args) -> str:
     L, V, A = _build_inputs(cfg)
+    iota = _setting(args, cfg, "iota", 1)
+    if iota != 1:
+        raise ConfigError("oracle-compare supports iota = +1 only: the Fock "
+                          "factors fix the charge sign at +1")
     fluxes = (_parse_flux_list(args.delta) if args.delta
               else (_parse_flux_list(cfg["delta"]) if "delta" in cfg
                     else oracle.default_delta_sweep()))
@@ -343,37 +366,28 @@ def cmd_oracle_compare(cfg: dict, args) -> str:
     lam = band + 0.5
     T = FockTruncation(n_max=n_max, guard=guard)
     entries = []
-    deltas, model_specs, oracle_specs = [], [], []
+    deltas, dists = [], []
     for fx in fluxes:
         delta = effective.delta_from_flux(fx)
         n_modes = max((max(abs(n), abs(m)) for (n, m) in V.coeffs), default=1)
         per_cell = fx.q * max(1, -(-4 * n_modes // fx.q))
         basis = oracle.OracleBasis(n_cells=n_cells, n_grid=per_cell, fock=T)
-        Hfull = oracle.build_full_matrix(V, A, L, basis, fx, iota=1)
+        Hfull = oracle.build_full_matrix(V, A, L, basis, fx, iota=iota)
         cluster = oracle.band_cluster(oracle.oracle_eigenvalues(Hfull), lam)
         model = effective.single_band_model(
-            V, L, lam, fx, iota=1, fourth_order=(model_kind == "full"))
+            V, L, lam, fx, iota=iota, fourth_order=(model_kind == "full"))
         series = model.blocks[0][0]
         if model_kind == "order0":
             series = FourierSeries2D({(0, 0): lam}, is_real=True, cutoff=V.cutoff)
         elif model_kind == "order2":
             series = FourierSeries2D({(0, 0): lam}, is_real=True,
                                      cutoff=V.cutoff).plus(V.scaled(delta ** 2))
-        Hmod = oracle.quantize_on_grid(series, basis, fx, iota=1)
+        Hmod = oracle.quantize_on_grid(series, basis, fx, iota=iota)
         mspec = oracle.oracle_eigenvalues(Hmod)
-        deltas.append(delta)
-        model_specs.append(mspec)
-        oracle_specs.append(cluster)
         dist = quantize.sorted_list_distance(mspec, cluster)
-        slope = None
-        if len(deltas) >= 2:
-            pts = [(d, quantize.sorted_list_distance(m, o))
-                   for d, m, o in zip(deltas, model_specs, oracle_specs)]
-            pts = [(d, e) for d, e in pts if e >= 1e-12]
-            if len(pts) >= 2:
-                lx = np.log([p[0] for p in pts])
-                ly = np.log([p[1] for p in pts])
-                slope = float(np.polyfit(lx, ly, 1)[0])
+        deltas.append(delta)
+        dists.append(dist)
+        fit = oracle.log_slope(deltas, dists)
         entries.append({
             "delta": delta,
             "theta": f"{fx.p}/{fx.q}",
@@ -381,7 +395,7 @@ def cmd_oracle_compare(cfg: dict, args) -> str:
             "oracle_band": [float(x) for x in cluster],
             "model_band": [float(x) for x in np.sort(mspec)],
             "hausdorff": dist,
-            "slope_so_far": slope,
+            "slope_so_far": None if fit is None else fit[0],
         })
     return _dump_json(entries) + "\n"
 
@@ -408,7 +422,8 @@ def _parser() -> argparse.ArgumentParser:
     ap.add_argument("--delta", default=None,
                     help="comma-separated flux fractions p/q (squared parameter)")
     ap.add_argument("--band", default=None, help="level index or N,N")
-    ap.add_argument("--iota", type=int, choices=(1, -1), default=-1)
+    ap.add_argument("--iota", type=int, choices=(1, -1), default=None,
+                    help="charge sign (default -1; oracle-compare: +1 only)")
     ap.add_argument("--tol-band", dest="tol_band", type=float, default=None)
     ap.add_argument("--units", choices=("cyclotron", "bare"),
                     default="cyclotron",

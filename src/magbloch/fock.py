@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationError
-from .lattice import Lattice2D, PeriodicVectorPotential, TWO_PI
+from .lattice import Lattice2D
 
 __all__ = [
     "FockTruncation",
@@ -26,7 +26,6 @@ __all__ = [
     "p_fast",
     "I_generator",
     "alpha_coefficient",
-    "M_generator",
     "displacement_exp",
     "band_projector_matrix",
     "corner",
@@ -100,21 +99,6 @@ def I_generator(n: int, m: int, L: Lattice2D, T: FockTruncation) -> np.ndarray:
     a, ad = ladder(T)
     alpha = alpha_coefficient(n, m, L)
     return alpha * a + alpha.conjugate() * ad
-
-
-def M_generator(j: int, n: int, m: int, A: PeriodicVectorPotential,
-                L: Lattice2D, T: FockTruncation) -> np.ndarray:
-    """I_{n,m}^j (f1 Q_f + f2 P_f) for j in {0, 1}.
-
-    Higher powers are excluded here by the truncation policy; the assembled
-    models never need them and remainder studies build the product directly.
-    """
-    if j not in (0, 1):
-        raise ValueError("M_generator is defined for j in {0, 1} only")
-    lin = A.f1[(n, m)] * q_fast(T, L) + A.f2[(n, m)] * p_fast(T, L)
-    if j == 0:
-        return lin
-    return I_generator(n, m, L, T) @ lin
 
 
 def displacement_exp(t: float, n: int, m: int, L: Lattice2D,

@@ -113,6 +113,21 @@ def _check_bands(band_set) -> tuple:
     return bands
 
 
+def _block_masks(T: FockTruncation, bands) -> tuple:
+    """Entrywise masks for the band projector P = diag(p), p the 0/1 band
+    indicator: ``M * S = -P M P + (1-P) M (1-P)``; ``X = M * W`` solves
+    ``[Xi, X] = -M`` on the two block-off-diagonal blocks
+    (``W[i, j] = 1/(level_j - level_i)`` there, 0 elsewhere); ``M * D = [P, M]``.
+    """
+    p = np.isin(np.arange(T.dim), bands).astype(float)
+    D = p[:, None] - p[None, :]
+    S = np.outer(1.0 - p, 1.0 - p) - np.outer(p, p)
+    levels = np.arange(T.dim) + 0.5
+    with np.errstate(divide="ignore"):
+        W = np.where(D != 0, 1.0 / (levels[None, :] - levels[:, None]), 0.0)
+    return S, W, D
+
+
 def build_projection(H: OperatorSymbol, band_set, order: int,
                      weight: int = 1) -> MoyalSeries:
     """Recursive projection series onto a family of contiguous levels.
@@ -125,40 +140,18 @@ def build_projection(H: OperatorSymbol, band_set, order: int,
     bands = _check_bands(band_set)
     T.require(order, bands[-1])
 
-    P = band_projector_matrix(T, bands)
-    Q = np.eye(T.dim, dtype=complex) - P
-    levels = np.arange(T.dim) + 0.5
-    # diagonal resolvent (Xi - lambda_k)^{-1} restricted to the complement
-    resolvents = {}
-    for k in bands:
-        lam = k + 0.5
-        inv = np.zeros(T.dim)
-        for i in range(T.dim):
-            if i not in bands:
-                inv[i] = 1.0 / (levels[i] - lam)
-        resolvents[k] = np.diag(inv).astype(complex)
-
-    pi_grades: dict[int, ModeMap] = {0: {(0, 0): P}}
+    S, W, _ = _block_masks(T, bands)
+    pi_grades: dict[int, ModeMap] = {0: {(0, 0): band_projector_matrix(T, bands)}}
     for n in range(1, order + 1):
         # [pi # pi - pi]_n; the linear term has no grade-n piece yet
         G = star_grade(pi_grades, pi_grades, n, weight)
-        piD: ModeMap = {}
-        for nm, M in G.items():
-            piD[nm] = -P @ M @ P + Q @ M @ Q
+        piD = {nm: M * S for nm, M in G.items()}
         partial = dict(pi_grades)
         if piD:
             partial[n] = piD
         F = star_grade(H.grades, partial, n, weight)
         F = mode_add(F, mode_scale(star_grade(partial, H.grades, n, weight), -1.0))
-        piOD: ModeMap = {}
-        for nm, M in F.items():
-            acc = np.zeros_like(M)
-            for k in bands:
-                ek = np.zeros((T.dim, T.dim), dtype=complex)
-                ek[k, k] = 1.0
-                R = resolvents[k]
-                acc += ek @ M @ (R @ Q) - (Q @ R) @ M @ ek
-            piOD[nm] = acc
+        piOD = {nm: M * W for nm, M in F.items()}
         pi_n = mode_add(piD, piOD)
         if pi_n:
             pi_grades[n] = pi_n
@@ -172,7 +165,7 @@ def build_intertwiner(pi: MoyalSeries, order: int, weight: int = 1) -> MoyalSeri
     if pi.order_built < order:
         raise TruncationError("projection series built to lower order than requested")
     T = pi.truncation
-    P = band_projector_matrix(T, pi.band_set)
+    _, _, D = _block_masks(T, pi.band_set)
     eye = np.eye(T.dim, dtype=complex)
     u_grades: dict[int, ModeMap] = {0: {(0, 0): eye}}
     for n in range(1, order + 1):
@@ -186,7 +179,7 @@ def build_intertwiner(pi: MoyalSeries, order: int, weight: int = 1) -> MoyalSeri
         # [w # pi # w_dag]_n, associating left to right
         upi = {j: star_grade(w, pi.grades, j, weight) for j in range(n + 1)}
         B_n = star_grade(upi, w_dag, n, weight)
-        b_n = {nm: P @ M - M @ P for nm, M in B_n.items()}
+        b_n = {nm: M * D for nm, M in B_n.items()}
         u_n = mode_add(a_n, b_n)
         if u_n:
             u_grades[n] = u_n

@@ -30,7 +30,8 @@ from .errors import (CommensurabilityError, GapClosedError, NumericError,
 from .fock import FockTruncation
 from .lattice import (FourierSeries2D, Lattice2D, PeriodicVectorPotential,
                       TWO_PI)
-from .quantize import RationalFlux, _add_weighted_shift, sorted_list_distance
+from .quantize import (RationalFlux, _add_weighted_shift, _require_hermitian,
+                       sorted_list_distance)
 
 __all__ = [
     "OracleBasis",
@@ -39,6 +40,7 @@ __all__ = [
     "band_cluster",
     "OrderFit",
     "order_fit",
+    "log_slope",
     "LinearCanonicalMap",
     "ccr_table",
     "fast_slow_variable_map",
@@ -81,35 +83,33 @@ class OracleBasis:
 
 
 def _slow_factor(basis: OracleBasis, flux: RationalFlux, iota: int,
-                 n: int, m: int) -> np.ndarray:
-    """Symmetrized slow Weyl factor of mode (n, m): phase * shift * diagonal."""
+                 n: int, m: int) -> tuple:
+    """Symmetrized slow Weyl factor of mode (n, m) as the ``(shift,
+    weights)`` of one weighted cyclic shift: phase * shift * diagonal."""
     if (flux.p * basis.n_grid) % flux.q:
         raise CommensurabilityError(
             f"flux {flux.p}/{flux.q} incommensurate with n_grid={basis.n_grid}: "
             f"q must divide the per-cell resolution")
-    N = basis.slow_dim
-    theta = flux.theta
     step = (flux.p * basis.n_grid) // flux.q
-    x = np.arange(N) / basis.n_grid
-    diag = np.exp(1j * TWO_PI * m * x)
-    out = np.zeros((N, N), dtype=complex)
+    diag = np.exp(1j * TWO_PI * m * (np.arange(basis.slow_dim) / basis.n_grid))
     # (O psi)[j] = phase * e^{i 2 pi m x_j'} psi[j'],  j' = j + n*iota*step
-    _add_weighted_shift(out, -n * iota * step,
-                        np.exp(-1j * math.pi * n * m * iota * theta) * diag)
-    return out
+    return -n * iota * step, np.exp(-1j * math.pi * n * m * iota * flux.theta) * diag
 
 
 def build_full_matrix(V: FourierSeries2D, A: PeriodicVectorPotential | None,
                       L: Lattice2D, basis: OracleBasis, flux: RationalFlux,
                       iota: int = 1) -> np.ndarray:
-    """Hermitian matrix of the full strong-field Hamiltonian on
-    slow grid x Fock basis, at delta = sqrt(theta)."""
+    """Hermitian matrix of the full strong-field Hamiltonian on slow grid x
+    Fock basis, at delta = sqrt(theta), added term by term: each term is a
+    slow weighted cyclic shift tensored with a Fock block."""
     basis.check_resolves(V, *( (A.f1, A.f2) if A is not None else () ))
     T = basis.fock
     delta = math.sqrt(flux.theta)
     N = basis.slow_dim
-    D = N * T.dim
-    H = np.kron(np.eye(N, dtype=complex), fock.xi_matrix(T))
+    H = np.zeros((N * T.dim, N * T.dim), dtype=complex)
+    # Hb[a, b] is the Fock block H[a*dim:(a+1)*dim, b*dim:(b+1)*dim]
+    Hb = H.reshape(N, T.dim, N, T.dim).transpose(0, 2, 1, 3)
+    _add_weighted_shift(Hb, 0, np.broadcast_to(fock.xi_matrix(T), Hb.shape[1:]))
     if A is not None and not A.is_zero():
         qf = fock.q_fast(T, L)
         pf = fock.p_fast(T, L)
@@ -118,16 +118,15 @@ def build_full_matrix(V: FourierSeries2D, A: PeriodicVectorPotential | None,
             if not np.any(lin):
                 continue
             E = fock.displacement_exp(TWO_PI * delta, n, m, L, T)
-            H += delta * np.kron(_slow_factor(basis, flux, iota, n, m), E @ lin)
+            shift, w = _slow_factor(basis, flux, iota, n, m)
+            _add_weighted_shift(Hb, shift, delta * (w[:, None, None] * (E @ lin)))
     for (n, m), v in sorted(V.coeffs.items()):
         if v == 0:
             continue
         E = fock.displacement_exp(TWO_PI * delta, n, m, L, T)
-        H += (delta ** 2) * v * np.kron(_slow_factor(basis, flux, iota, n, m), E)
-    resid = float(np.max(np.abs(H - H.conj().T)))
-    if resid > 1e-10 * max(1.0, float(np.max(np.abs(H)))):
-        raise NumericError(f"oracle matrix lost Hermiticity: residual {resid}")
-    return H
+        shift, w = _slow_factor(basis, flux, iota, n, m)
+        _add_weighted_shift(Hb, shift, (delta ** 2) * v * (w[:, None, None] * E))
+    return _require_hermitian(H, 1e-10, "oracle matrix")
 
 
 def quantize_on_grid(blocks, basis: OracleBasis, flux: RationalFlux,
@@ -135,7 +134,8 @@ def quantize_on_grid(blocks, basis: OracleBasis, flux: RationalFlux,
     """Quantize an effective symbol on the oracle's slow grid.
 
     ``blocks`` is either a single real series or an m x m nested list of
-    series.  Using the same grid operators as the oracle means both spectra
+    series; block (i, k) of the result is the slow quantization of series
+    (i, k).  Using the same grid operators as the oracle means both spectra
     sample identical Bloch phases.
     """
     if isinstance(blocks, FourierSeries2D):
@@ -143,21 +143,17 @@ def quantize_on_grid(blocks, basis: OracleBasis, flux: RationalFlux,
     m = len(blocks)
     N = basis.slow_dim
     H = np.zeros((m * N, m * N), dtype=complex)
-    for i in range(m):
-        for k in range(m):
-            F = blocks[i][k]
+    for i, row in enumerate(blocks):
+        for k, F in enumerate(row):
             if F is None:
                 continue
-            blk = np.zeros((N, N), dtype=complex)
             for (n, mm), c in sorted(F.coeffs.items()):
                 if c == 0:
                     continue
-                blk += c * _slow_factor(basis, flux, iota, n, mm)
-            H[i * N:(i + 1) * N, k * N:(k + 1) * N] = blk
-    resid = float(np.max(np.abs(H - H.conj().T)))
-    if resid > 1e-10 * max(1.0, float(np.max(np.abs(H)))):
-        raise NumericError(f"quantized model lost Hermiticity: residual {resid}")
-    return H
+                shift, w = _slow_factor(basis, flux, iota, n, mm)
+                _add_weighted_shift(H[i * N:(i + 1) * N, k * N:(k + 1) * N],
+                                    shift, c * w)
+    return _require_hermitian(H, 1e-10, "quantized model")
 
 
 def oracle_eigenvalues(H: np.ndarray) -> np.ndarray:
@@ -190,33 +186,42 @@ class OrderFit:
     censored: tuple
 
 
+CENSOR_FLOOR = 1e-12
+
+
+def log_slope(deltas, dists):
+    """(slope, rms residual) of the least-squares line through
+    (log delta, log dist) over the distances at or above ``CENSOR_FLOOR``,
+    or None when fewer than two remain."""
+    pts = [(d, e) for d, e in zip(deltas, dists) if e >= CENSOR_FLOOR]
+    if len(pts) < 2:
+        return None
+    lx, ly = np.log([d for d, _ in pts]), np.log([e for _, e in pts])
+    coef, res, *_ = np.polyfit(lx, ly, 1, full=True)
+    residual = float(math.sqrt(res[0] / len(lx))) if res.size else 0.0
+    return float(coef[0]), residual
+
+
 def order_fit(model_spectra, oracle_spectra, delta_list) -> OrderFit:
     """Least-squares slope of log(distance) against log(delta).
 
     Distances are sup distances of sorted spectra (set Hausdorff when the
-    counts differ); values below the 1e-12 floor are censored from the fit.
+    counts differ); values below ``CENSOR_FLOOR`` are censored from the fit
+    (see :func:`log_slope`).
     """
     deltas = [float(d) for d in delta_list]
     if len(deltas) < 3:
         raise ValueError("order fit needs at least 3 delta values")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("delta list must be strictly decreasing")
-    dists, censored = [], []
-    for mod, orc, d in zip(model_spectra, oracle_spectra, deltas):
-        dist = sorted_list_distance(mod, orc)
-        dists.append(dist)
-        censored.append(dist < 1e-12)
-    pts = [(d, e) for d, e, c in zip(deltas, dists, censored) if not c]
-    if len(pts) < 2:
+    dists = [sorted_list_distance(mod, orc)
+             for mod, orc, _ in zip(model_spectra, oracle_spectra, deltas)]
+    fit = log_slope(deltas, dists)
+    if fit is None:
         raise NumericError("too few uncensored distances for a slope fit")
-    lx = np.log([p[0] for p in pts])
-    ly = np.log([p[1] for p in pts])
-    Amat = np.vstack([lx, np.ones_like(lx)]).T
-    coef, res, *_ = np.linalg.lstsq(Amat, ly, rcond=None)
-    residual = float(math.sqrt(res[0] / len(lx))) if res.size else 0.0
-    return OrderFit(slope=float(coef[0]), residual=residual,
-                    deltas=tuple(deltas), distances=tuple(dists),
-                    censored=tuple(censored))
+    return OrderFit(slope=fit[0], residual=fit[1], deltas=tuple(deltas),
+                    distances=tuple(dists),
+                    censored=tuple(e < CENSOR_FLOOR for e in dists))
 
 
 def default_delta_sweep():

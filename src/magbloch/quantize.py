@@ -84,11 +84,12 @@ def clock_shift(flux: RationalFlux, iota: int, beta1: float, beta2: float):
     """Clock/shift pair at Bloch phases (beta1, beta2):
 
     U = diag(exp(-i(beta1 + 2 pi iota theta j))),  V e_j = e^{-i beta2} e_{j+1 mod q};
-    then U V = exp(-i 2 pi iota theta) V U exactly.
+    then U V = exp(-i 2 pi iota theta) V U exactly.  The clock phase is taken
+    from the exact residue (iota p j) mod q, so its rounding does not grow with j.
     """
     q = flux.q
     j = np.arange(q)
-    U = np.diag(np.exp(-1j * (beta1 + 2.0 * math.pi * iota * flux.theta * j)))
+    U = np.diag(np.exp(-1j * (beta1 + 2.0 * math.pi * ((iota * flux.p * j) % q) / q)))
     V = np.zeros((q, q), dtype=complex)
     V[(j + 1) % q, j] = np.exp(-1j * beta2)
     return U, V
@@ -105,11 +106,16 @@ class MagneticBlochFamily:
     _build: object = field(repr=False)
 
     def matrix_at(self, beta1: float, beta2: float) -> np.ndarray:
-        H = self._build(beta1, beta2)
-        resid = float(np.max(np.abs(H - H.conj().T)))
-        if resid > 1e-12 * max(1.0, float(np.max(np.abs(H)))):
-            raise NumericError(f"quantized family lost Hermiticity: {resid}")
-        return H
+        return _require_hermitian(self._build(beta1, beta2), 1e-12,
+                                  "quantized family")
+
+
+def _require_hermitian(H: np.ndarray, rtol: float, what: str) -> np.ndarray:
+    """H itself, after checking max|H - H^dag| <= rtol * max(1, max|H|)."""
+    resid = float(np.max(np.abs(H - H.conj().T)))
+    if resid > rtol * max(1.0, float(np.max(np.abs(H)))):
+        raise NumericError(f"{what} lost Hermiticity: residual {resid}")
+    return H
 
 
 def _phase(convention: str, iota: int, theta: float, n: int, m: int) -> complex:
@@ -275,13 +281,15 @@ def spectrum(fam: MagneticBlochFamily, grid=(16, 16),
 
 
 def butterfly(F: FourierSeries2D, q_max: int, iota: int = -1,
-              convention: str = "harper", grid=(8, 16)) -> list:
+              convention: str = "harper", grid=(8, 16),
+              tol_band: float | None = None) -> list:
     """One spectrum report per reduced flux p/q with q <= q_max,
-    deterministically ordered by (q, p)."""
+    deterministically ordered by (q, p); ``tol_band`` as in :func:`spectrum`."""
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
     g = (max(grid[0], 8), max(grid[1], 8))
-    return [spectrum(quantize_series(F, fx, iota=iota, convention=convention), grid=g)
+    return [spectrum(quantize_series(F, fx, iota=iota, convention=convention),
+                     grid=g, tol_band=tol_band)
             for fx in reduced_fractions(q_max)]
 
 

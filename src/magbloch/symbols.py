@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import fock
-from .errors import GaugeError
 from .fock import FockTruncation, corner_norm
 from .lattice import (FourierSeries2D, Lattice2D, PeriodicVectorPotential,
                       TWO_PI)
@@ -241,8 +240,9 @@ def remainder_norm(V, A, L, T: FockTruncation, delta: float, point,
     if projector_band is None:
         return corner_norm(R, T)
     bands = [projector_band] if isinstance(projector_band, int) else list(projector_band)
-    P = fock.band_projector_matrix(T, bands)
-    return corner_norm(R @ P, T)
+    in_band = np.zeros(T.dim, dtype=bool)
+    in_band[bands] = True
+    return corner_norm(R * in_band, T)
 
 
 def default_points(k: int = 4):

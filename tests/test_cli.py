@@ -174,3 +174,53 @@ def test_malformed_rows_are_config_errors(tmp_path, capsys, extra):
     path = _write_cfg(tmp_path, extra)
     assert main(["butterfly", "--config", path, "--qmax", "2"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def _output(tmp_path, argv, extra=None, name="out"):
+    path = _write_cfg(tmp_path, extra, name=f"{name}.json")
+    out = tmp_path / f"{name}.txt"
+    assert main(argv + ["--config", path, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def test_iota_precedence_flag_over_config_over_default(tmp_path):
+    argv = ["effective", "--delta", "2/7"]
+    default = _output(tmp_path, argv, name="default")
+    config = _output(tmp_path, argv, {"iota": 1}, name="config")
+    flag = _output(tmp_path, argv + ["--iota", "1"], name="flag")
+    both = _output(tmp_path, argv + ["--iota", "-1"], {"iota": 1}, name="both")
+    assert config == flag != default
+    assert both == default
+
+
+def test_butterfly_honours_tol_band(tmp_path):
+    argv = ["butterfly", "--qmax", "3"]
+    default = _output(tmp_path, argv, name="default")
+    config = _output(tmp_path, argv, {"tol_band": 3.0}, name="config")
+    flag = _output(tmp_path, argv + ["--tol-band", "3"], name="flag")
+    both = _output(tmp_path, argv + ["--tol-band", "3"], {"tol_band": 1e-9},
+                   name="both")
+    assert config == flag == both != default
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["--iota", "-1"], None),
+    ([], {"iota": -1}),
+])
+def test_oracle_compare_rejects_iota_minus_one(tmp_path, capsys, argv, extra):
+    # the Fock factors fix the charge sign at +1; a silent swap to +1 would
+    # report a comparison that was not asked for
+    path = _write_cfg(tmp_path, dict(extra or {}, n_max=12))
+    assert main(["oracle-compare", "--config", path, "--delta", "1/16",
+                 "--band", "0"] + argv) == 2
+    assert "iota" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [
+    {"iota": 2}, {"iota": True}, {"iota": 1.0}, {"iota": "1"},
+    {"tol_band": -1.0}, {"tol_band": "x"}, {"tol_band": None},
+])
+def test_bad_iota_and_tol_band_are_config_errors(tmp_path, capsys, extra):
+    path = _write_cfg(tmp_path, extra)
+    assert main(["butterfly", "--config", path, "--qmax", "2"]) == 2
+    assert "config error" in capsys.readouterr().err

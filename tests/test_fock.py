@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from magbloch.errors import TruncationError
-from magbloch.fock import (FockTruncation, I_generator, M_generator,
-                           alpha_coefficient, corner, displacement_exp,
-                           hermiticity_residual, ladder, q_fast, p_fast,
-                           xi_matrix)
-from magbloch.lattice import FourierSeries2D, PeriodicVectorPotential
+from magbloch.fock import (FockTruncation, I_generator, alpha_coefficient,
+                           displacement_exp, hermiticity_residual, ladder,
+                           q_fast, p_fast, xi_matrix)
 
 
 def test_ladder_small():
@@ -69,48 +67,6 @@ def test_I_generator(square):
     for _ in range(10):
         n, m = rng.integers(-5, 6, size=2)
         assert hermiticity_residual(I_generator(int(n), int(m), square, T)) < 1e-14
-
-
-def test_M_generator_zero_and_linear(square, one_mode_potential):
-    T = FockTruncation(n_max=12, guard=3)
-    A0 = PeriodicVectorPotential(FourierSeries2D({}, is_real=True),
-                                 FourierSeries2D({}, is_real=True), square)
-    assert np.max(np.abs(M_generator(0, 0, 1, A0, square, T))) == 0.0
-    A = one_mode_potential
-    a, ad = ladder(T)
-    g = A.g[(0, 1)]
-    gbar = (square.z_a.conjugate() * A.f1[(0, 1)]
-            + square.z_b.conjugate() * A.f2[(0, 1)]) / math.sqrt(2)
-    got = M_generator(0, 0, 1, A, square, T)
-    assert np.max(np.abs(got - (g * a + gbar * ad))) < 1e-14
-
-
-def test_M_generator_normal_ordered_form(square):
-    # j=1 against c a^2 + conj(c) ad^2 + 2 Re(d) Xi + i Im(d), with complex
-    # mode coefficients; equality inside the guard corner
-    T = FockTruncation(n_max=20, guard=6)
-    f1 = FourierSeries2D({(0, 1): 0.3 + 0.2j, (0, -1): 0.3 - 0.2j}, is_real=True)
-    f2 = FourierSeries2D({}, is_real=True)
-    A = PeriodicVectorPotential(f1, f2, square)
-    n, m = 0, 1
-    alpha = alpha_coefficient(n, m, square)
-    g = (square.z_a * f1[(n, m)]) / math.sqrt(2)
-    g_up = (square.z_a.conjugate() * f1[(n, m)]) / math.sqrt(2)
-    a, ad = ladder(T)
-    X = xi_matrix(T)
-    # normal ordering: I (g a + g' ad) = (alpha g) a^2 + (alpha' g') ad^2
-    #   + (alpha g' + alpha' g) Xi + (alpha g' - alpha' g)/2, primes = conj
-    closed = (alpha * g * a @ a + np.conj(alpha) * g_up * ad @ ad
-              + (alpha * g_up + np.conj(alpha) * g) * X
-              + (alpha * g_up - np.conj(alpha) * g) / 2.0 * np.eye(T.dim))
-    got = M_generator(1, n, m, A, square, T)
-    assert np.max(np.abs(corner(got - closed, T))) < 1e-12
-
-
-def test_M_generator_rejects_higher_power(square, one_mode_potential):
-    T = FockTruncation(n_max=8, guard=2)
-    with pytest.raises(ValueError):
-        M_generator(2, 0, 1, one_mode_potential, square, T)
 
 
 def test_displacement_identity_cases(square):

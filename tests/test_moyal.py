@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magbloch.errors import TruncationError
 from magbloch.fock import FockTruncation, xi_matrix
 from magbloch.lattice import (FourierSeries2D, PeriodicVectorPotential,
                               laplacian_DzDzbar)
-from magbloch.moyal import (band_projector_matrix, build_intertwiner,
-                            build_projection, effective_symbol,
-                            intertwiner_residuals, moyal_term,
-                            projection_residuals, star_grade)
+from magbloch.moyal import (_block_masks, band_projector_matrix,
+                            build_intertwiner, build_projection,
+                            effective_symbol, intertwiner_residuals,
+                            moyal_term, projection_residuals, star_grade)
 from magbloch.symbols import assemble_truncated, mode_max_norm
 
 T = FockTruncation(n_max=24, guard=6)
@@ -175,3 +177,32 @@ def test_odd_orders_vanish_without_vector_potential(square, harper):
     for j in (1, 3, 5):
         assert mode_max_norm(hs[j], Tb) < 1e-12
     assert mode_max_norm(hs[6], Tb) > 1.0
+
+
+@given(st.integers(2, 12).flatmap(
+           lambda n_max: st.tuples(st.just(n_max), st.integers(0, n_max - 1),
+                                   st.integers(1, 2))),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_block_masks_match_projector_products(shape, seed):
+    # each mask against the dense products of P, 1 - P, the complement
+    # resolvents R_k and the unit matrices e_k
+    n_max, first, count = shape
+    Tm = FockTruncation(n_max=n_max, guard=0)
+    bands = list(range(first, first + count))
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(Tm.dim, Tm.dim)) + 1j * rng.normal(size=(Tm.dim, Tm.dim))
+    P = band_projector_matrix(Tm, bands)
+    Q = np.eye(Tm.dim) - P
+    levels = np.arange(Tm.dim) + 0.5
+    want_od = np.zeros_like(M)
+    for k in bands:
+        R = np.diag([0.0 if i in bands else 1.0 / (levels[i] - levels[k])
+                     for i in range(Tm.dim)])
+        ek = np.zeros((Tm.dim, Tm.dim))
+        ek[k, k] = 1.0
+        want_od += ek @ M @ (R @ Q) - (Q @ R) @ M @ ek
+    S, W, D = _block_masks(Tm, bands)
+    assert np.max(np.abs(M * S - (-P @ M @ P + Q @ M @ Q))) < 1e-13
+    assert np.max(np.abs(M * W - want_od)) < 1e-13
+    assert np.max(np.abs(M * D - (P @ M - M @ P))) < 1e-13

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from magbloch.errors import (CommensurabilityError, GapClosedError,
                              ResourceCapError)
-from magbloch.fock import FockTruncation
-from magbloch.lattice import FourierSeries2D, harper_potential
+from magbloch.fock import (FockTruncation, displacement_exp, p_fast, q_fast,
+                           xi_matrix)
+from magbloch.lattice import (FourierSeries2D, PeriodicVectorPotential,
+                              make_lattice)
 from magbloch.oracle import (LinearCanonicalMap, OracleBasis, _slow_factor,
                              band_cluster,
                              build_full_matrix, ccr_table,
@@ -186,10 +188,25 @@ def test_order_fit_validation():
         order_fit([np.array([1.0])] * 3, [np.array([1.0])] * 3, [0.1, 0.2, 0.05])
 
 
-@given(st.integers(1, 12).flatmap(
-           lambda q: st.sampled_from([RationalFlux(p, q) for p in range(q)
-                                      if math.gcd(p, q) == 1])),
-       st.integers(1, 3), st.integers(1, 2), st.sampled_from([1, -1]),
+def _fluxes(q_max):
+    return st.integers(1, q_max).flatmap(
+        lambda q: st.sampled_from([RationalFlux(p, q) for p in range(q)
+                                   if math.gcd(p, q) == 1]))
+
+
+def _dense_slow_factor(basis, fx, iota, n, m):
+    """The slow Weyl factor of mode (n, m) written out as an N x N matrix."""
+    N = basis.slow_dim
+    step = fx.p * basis.n_grid // fx.q
+    out = np.zeros((N, N), dtype=complex)
+    for j in range(N):
+        src = (j + n * iota * step) % N
+        out[j, src] = (np.exp(-1j * math.pi * n * m * iota * fx.theta)
+                       * np.exp(2j * math.pi * m * src / basis.n_grid))
+    return out
+
+
+@given(_fluxes(12), st.integers(1, 3), st.integers(1, 2), st.sampled_from([1, -1]),
        st.integers(-3, 3), st.integers(-3, 3))
 @settings(max_examples=100, deadline=None)
 def test_slow_factor_is_weighted_permutation(fx, per_q, n_cells, iota, n, m):
@@ -197,11 +214,77 @@ def test_slow_factor_is_weighted_permutation(fx, per_q, n_cells, iota, n, m):
     basis = OracleBasis(n_cells=n_cells, n_grid=n_grid,
                         fock=FockTruncation(n_max=1, guard=0))
     N = basis.slow_dim
-    step = fx.p * n_grid // fx.q
-    want = np.zeros((N, N), dtype=complex)
-    for j in range(N):
-        src = (j + n * iota * step) % N
-        want[j, src] = (np.exp(-1j * math.pi * n * m * iota * fx.theta)
-                        * np.exp(2j * math.pi * m * src / n_grid))
-    got = _slow_factor(basis, fx, iota, n, m)
+    shift, w = _slow_factor(basis, fx, iota, n, m)
+    got = np.zeros((N, N), dtype=complex)
+    got[(np.arange(N) + shift) % N, np.arange(N)] = w
+    assert np.max(np.abs(got - _dense_slow_factor(basis, fx, iota, n, m))) < 1e-12
+
+
+MODES = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+AMPLITUDES = st.floats(-1.0, 1.0)
+
+
+def _oracle_basis(fx, n_cells, n_max):
+    return OracleBasis(n_cells=n_cells, n_grid=fx.q * max(1, -(-8 // fx.q)),
+                       fock=FockTruncation(n_max=n_max, guard=0))
+
+
+@given(_fluxes(6), st.sampled_from([1, -1]), st.integers(1, 2),
+       st.lists(st.tuples(MODES, AMPLITUDES), min_size=1, max_size=3),
+       st.none() | st.tuples(MODES.filter(lambda nm: nm != (0, 0)),
+                             AMPLITUDES, AMPLITUDES))
+@settings(max_examples=40, deadline=None)
+def test_full_matrix_matches_kron_reference(fx, iota, n_cells, v_modes, a_mode):
+    square = make_lattice([1.0, 0.0], [0.0, 1.0])
+    V = FourierSeries2D({nm: c for nm, c in v_modes}, is_real=True)
+    A = None
+    if a_mode is not None:
+        # f1 = m c, f2 = -n c on the mode pair satisfies the gauge condition
+        (n, m), re, im = a_mode
+        c = complex(re, im)
+        A = PeriodicVectorPotential(
+            FourierSeries2D({(n, m): m * c, (-n, -m): -m * c.conjugate()},
+                            is_real=True),
+            FourierSeries2D({(n, m): -n * c, (-n, -m): n * c.conjugate()},
+                            is_real=True), square)
+    basis = _oracle_basis(fx, n_cells, 5)
+    T = basis.fock
+    delta = math.sqrt(fx.theta)
+    terms = []
+    if A is not None:
+        for nm in sorted(set(A.f1.coeffs) | set(A.f2.coeffs)):
+            lin = A.f1[nm] * q_fast(T, square) + A.f2[nm] * p_fast(T, square)
+            E = displacement_exp(2 * math.pi * delta, *nm, square, T)
+            terms.append((delta, nm, E @ lin))
+    for nm, v in sorted(V.coeffs.items()):
+        E = displacement_exp(2 * math.pi * delta, *nm, square, T)
+        terms.append(((delta ** 2) * v, nm, E))
+    want = np.kron(np.eye(basis.slow_dim), xi_matrix(T))
+    for scalar, nm, F in terms:
+        want += scalar * np.kron(_dense_slow_factor(basis, fx, iota, *nm), F)
+    got = build_full_matrix(V, A, square, basis, fx, iota=iota)
+    assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+@given(_fluxes(6), st.sampled_from([1, -1]), st.integers(1, 2),
+       st.lists(st.tuples(MODES, AMPLITUDES), min_size=1, max_size=3),
+       st.lists(st.tuples(MODES, AMPLITUDES, AMPLITUDES), max_size=2),
+       st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_quantize_on_grid_matches_dense_sum(fx, iota, n_cells, diag_modes,
+                                            coupling_modes, two_blocks):
+    F = FourierSeries2D({nm: c for nm, c in diag_modes}, is_real=True)
+    if two_blocks:
+        G = FourierSeries2D({nm: complex(re, im)
+                             for nm, re, im in coupling_modes})
+        blocks = [[F, G], [G.conj_reflect(), F.scaled(-1.0)]]
+    else:
+        blocks = [[F]]
+    basis = _oracle_basis(fx, n_cells, 1)
+    N = basis.slow_dim
+    want = np.block([[sum((c * _dense_slow_factor(basis, fx, iota, *nm)
+                           for nm, c in sorted(B.coeffs.items())),
+                          np.zeros((N, N), dtype=complex))
+                      for B in row] for row in blocks])
+    got = quantize_on_grid(blocks if two_blocks else F, basis, fx, iota=iota)
     assert np.max(np.abs(got - want)) < 1e-12
