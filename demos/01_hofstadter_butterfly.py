@@ -11,7 +11,7 @@ from magbloch import butterfly, harper_potential
 
 Q_MAX = 12
 
-reports = butterfly(harper_potential(), Q_MAX, iota=-1, grid=(8, 16))
+reports = butterfly(harper_potential(), Q_MAX, grid=(8, 16))
 print("p,q,theta,band_index,E_min,E_max")
 for rep in reports:
     for k, (lo, hi) in enumerate(rep.bands):

@@ -16,7 +16,7 @@ T = FockTruncation(n_max=40, guard=6)
 basis = OracleBasis(n_cells=1, n_grid=16, fock=T)
 flux = RationalFlux(1, 16)
 
-H0 = build_full_matrix(FourierSeries2D({}, is_real=True), None, L, basis, flux, iota=1)
+H0 = build_full_matrix(FourierSeries2D({}, is_real=True), None, L, basis, flux)
 eigs = oracle_eigenvalues(H0)
 print("free case: lowest clusters")
 for n in range(5):
@@ -24,7 +24,7 @@ for n in range(5):
     print(f"  level {n}: {cluster.size} states, "
           f"max |E - (n+1/2)| = {np.max(np.abs(cluster - (n + 0.5))):.2e}")
 
-HV = build_full_matrix(harper_potential(), None, L, basis, flux, iota=1)
+HV = build_full_matrix(harper_potential(), None, L, basis, flux)
 cluster = band_cluster(oracle_eigenvalues(HV), 0.5)
 print(f"\nwith the 2cos+2cos potential at theta=1/16:")
 print(f"  lowest cluster spans [{cluster.min():.6f}, {cluster.max():.6f}]"

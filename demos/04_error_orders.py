@@ -28,7 +28,7 @@ for fx in default_delta_sweep():
     d = delta_from_flux(fx)
     deltas.append(d)
     basis = OracleBasis(n_cells=1, n_grid=fx.q, fock=T)
-    Hf = build_full_matrix(V, None, L, basis, fx, iota=1)
+    Hf = build_full_matrix(V, None, L, basis, fx)
     clusters.append(band_cluster(oracle_eigenvalues(Hf), LAM))
     for kind in models:
         if kind == "level only":
@@ -39,7 +39,7 @@ for fx in default_delta_sweep():
         else:
             series = single_band_model(V, L, LAM, fx, iota=1).blocks[0][0]
         models[kind].append(
-            oracle_eigenvalues(quantize_on_grid(series, basis, fx, iota=1)))
+            oracle_eigenvalues(quantize_on_grid(series, basis, fx)))
     print(f"theta = 1/{fx.q}  (delta = {d:.4f}): cluster of "
           f"{clusters[-1].size} states computed")
 

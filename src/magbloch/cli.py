@@ -12,13 +12,17 @@ Configuration file (JSON, unknown keys rejected)::
       "order": 4, "n_max": 30, "guard": 6, "n_cells": 1
     }
 
-``delta`` entries are rational flux fractions p/q standing for the squared
-adiabatic parameter (the flux per unit cell over 2 pi); the parameter itself
-is derived as sqrt(p/q).  Flags override config values, which override the
-defaults (``iota`` -1, ``tol_band`` 1e-6 of the spectral width);
-``oracle-compare`` accepts only ``iota`` +1, its default.  Numbers are emitted
-with 17 significant digits and '\n' line endings; identical configs produce
-byte-identical files.
+``delta`` entries are rational flux fractions p/q >= 0 standing for the
+squared adiabatic parameter (the flux per unit cell over 2 pi); the parameter
+itself is derived as sqrt(p/q).  Flags override config values, which override
+the defaults (``iota`` -1, ``tol_band`` 1e-6 of the spectral width);
+``oracle-compare`` accepts only ``iota`` +1, its default.  Every key, from the
+file or from a flag, is checked when the config is loaded: integers must be
+JSON integers (``qmax``, ``n_cells`` and ``n_max`` >= 1, ``order`` and
+``guard`` >= 0), ``grid`` two integers >= 8, ``band`` a level index >= 0 or
+a list of contiguous ones; any other value is a config error.  Numbers are
+emitted with 17 significant digits and '\n' line endings; identical configs
+produce byte-identical files.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 resource cap.
 """
@@ -45,20 +49,11 @@ from .quantize import RationalFlux
 __all__ = ["main", "cmd_butterfly", "cmd_effective", "cmd_two_band",
            "cmd_sapt", "cmd_oracle_compare", "load_config"]
 
-_KNOWN_KEYS = {
-    "lattice", "V", "A1", "A2", "qmax", "delta", "band", "iota", "grid",
-    "tol_band", "model", "order", "n_max", "guard", "n_cells",
-}
-
 Q_MAX_CAP = 200
 
 
-def _fmt(x) -> str:
+def _fmt(x: float) -> str:
     """17 significant digits, '.' decimal separator."""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     return format(float(x), ".17g")
 
 
@@ -94,31 +89,78 @@ def _is_real(x) -> bool:
             and math.isfinite(x))
 
 
-def _check_rows(rows, name: str) -> list:
-    """Rows of a Fourier-mode table, each [int n, int m, real re, real im]."""
-    def is_int(x):
-        return isinstance(x, int) and not isinstance(x, bool)
+def _is_int(lo: int):
+    return lambda x: type(x) is int and x >= lo
 
+
+def _is_vector(x) -> bool:
+    return isinstance(x, list) and len(x) == 2 and all(map(_is_real, x))
+
+
+# Each plain config key: the test its value must pass, and what it must be.
+_SETTINGS = {
+    "lattice": (lambda x: (isinstance(x, dict) and set(x) == {"a", "b"}
+                           and all(map(_is_vector, x.values()))),
+                'an object {"a": [real, real], "b": [real, real]}'),
+    "qmax": (_is_int(1), "an integer >= 1"),
+    "iota": (lambda x: type(x) is int and x in (1, -1), "1 or -1"),
+    "tol_band": (lambda x: _is_real(x) and x >= 0, "a finite number >= 0"),
+    "grid": (lambda x: (isinstance(x, list) and len(x) == 2
+                        and all(map(_is_int(8), x))),
+             "a list of two integers >= 8"),
+    "model": (lambda x: x in ("order0", "order2", "full"),
+              "one of 'order0', 'order2', 'full'"),
+    "order": (_is_int(0), "an integer >= 0"),
+    "n_max": (_is_int(1), "an integer >= 1"),
+    "guard": (_is_int(0), "an integer >= 0"),
+    "n_cells": (_is_int(1), "an integer >= 1"),
+}
+_KNOWN_KEYS = {"V", "A1", "A2", "band", "delta", *_SETTINGS}
+
+
+def _check_rows(rows, name: str) -> None:
+    """Rows of a Fourier-mode table, each [int n, int m, real re, real im]."""
     if not isinstance(rows, list):
         raise ConfigError(f"{name} must be a list of [n, m, re, im] rows")
     for row in rows:
         if not (isinstance(row, list) and len(row) == 4
-                and is_int(row[0]) and is_int(row[1])
+                and type(row[0]) is int and type(row[1]) is int
                 and _is_real(row[2]) and _is_real(row[3])):
             raise ConfigError(
                 f"{name} rows must be [int n, int m, real re, real im], got {row!r}")
-    return rows
 
 
-def _series_from_rows(rows, cutoff: int, name: str, real: bool = True) -> FourierSeries2D:
-    coeffs = {(n, m): complex(re, im) for n, m, re, im in rows}
-    try:
-        return FourierSeries2D(coeffs, is_real=real, cutoff=cutoff)
-    except ValueError as exc:
-        raise ConfigError(f"bad {name} series: {exc}") from exc
+def _band_list(value) -> list:
+    """A level index, or a list of contiguous ones, as a list."""
+    bands = [value] if type(value) is int else value
+    if not (isinstance(bands, list) and bands and all(map(_is_int(0), bands))
+            and sorted(bands) == list(range(min(bands), min(bands) + len(bands)))):
+        raise ConfigError(f"band must be a level index >= 0 or a list of "
+                          f"contiguous ones, got {value!r}")
+    return bands
 
 
-def load_config(path: str) -> dict:
+def _flux_list(values) -> list:
+    """Flux fractions p/q >= 0 as RationalFlux."""
+    if not (isinstance(values, list) and values):
+        raise ConfigError(
+            f"delta must be a non-empty list of flux fractions p/q, got {values!r}")
+    out = []
+    for v in values:
+        try:
+            f = Fraction(str(v))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"bad flux fraction {v!r}: {exc}") from exc
+        if f < 0:
+            raise ConfigError(f"flux fraction {v!r} is negative")
+        out.append(RationalFlux.from_fraction(f))
+    return out
+
+
+def load_config(path: str, flags: dict | None = None) -> dict:
+    """The JSON config at ``path``, with ``flags`` in place of the keys they
+    name, after checking every key: ``band`` comes back as a list of level
+    indices and ``delta`` as a list of :class:`RationalFlux`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -129,65 +171,45 @@ def load_config(path: str) -> dict:
     unknown = set(raw) - _KNOWN_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    iota, tol_band = raw.get("iota", 1), raw.get("tol_band", 0.0)
-    if type(iota) is not int or iota not in (1, -1):
-        raise ConfigError(f"iota must be 1 or -1, got {iota!r}")
-    if not (_is_real(tol_band) and tol_band >= 0):
-        raise ConfigError(f"tol_band must be a finite number >= 0, got {tol_band!r}")
-    return raw
+    cfg = dict(raw, **(flags or {}))
+    if "lattice" not in cfg:
+        raise ConfigError("config needs a 'lattice' section")
+    for key in ("V", "A1", "A2"):
+        _check_rows(cfg.get(key, []), key)
+    for key, (ok, what) in _SETTINGS.items():
+        if key in cfg and not ok(cfg[key]):
+            raise ConfigError(f"{key} must be {what}, got {cfg[key]!r}")
+    if "band" in cfg:
+        cfg["band"] = _band_list(cfg["band"])
+    if "delta" in cfg:
+        cfg["delta"] = _flux_list(cfg["delta"])
+    return cfg
 
 
-def _setting(args, cfg: dict, key: str, default):
-    """The flag value if given, else the config value, else the default."""
-    value = getattr(args, key)
-    return value if value is not None else cfg.get(key, default)
+def _flag_settings(args) -> dict:
+    """The config keys given as flags, parsed like their config values."""
+    flags = {key: getattr(args, key) for key in ("qmax", "iota", "tol_band")
+             if getattr(args, key) is not None}
+    if args.delta is not None:
+        flags["delta"] = [s for s in args.delta.split(",") if s]
+    if args.band is not None:
+        try:
+            flags["band"] = [int(s) for s in args.band.split(",") if s]
+        except ValueError:
+            raise ConfigError(f"--band must be N or N,N, got {args.band!r}") from None
+    return flags
 
 
 def _build_inputs(cfg: dict):
-    if "lattice" not in cfg:
-        raise ConfigError("config needs a 'lattice' section")
-    lat_cfg = cfg["lattice"]
-    if set(lat_cfg) != {"a", "b"}:
-        raise ConfigError("lattice section must have exactly keys 'a' and 'b'")
-    try:
-        L = make_lattice(lat_cfg["a"], lat_cfg["b"])
-    except GeometryError as exc:
-        raise ConfigError(str(exc)) from exc
-    rows = {key: _check_rows(cfg.get(key, []), key) for key in ("V", "A1", "A2")}
-    cutoff = 8
-    for key in rows:
-        for row in rows[key]:
-            cutoff = max(cutoff, abs(row[0]), abs(row[1]))
-    V = _series_from_rows(rows["V"], cutoff, "V")
-    A = None
-    if rows["A1"] or rows["A2"]:
-        f1 = _series_from_rows(rows["A1"], cutoff, "A1")
-        f2 = _series_from_rows(rows["A2"], cutoff, "A2")
-        try:
-            A = PeriodicVectorPotential(f1, f2, L)
-        except GaugeError as exc:
-            raise ConfigError(str(exc)) from exc
+    """Lattice, potential and vector potential (None without A1/A2 rows) of
+    a checked config."""
+    L = make_lattice(cfg["lattice"]["a"], cfg["lattice"]["b"])
+    V, f1, f2 = (FourierSeries2D({(n, m): complex(re, im)
+                                  for n, m, re, im in cfg.get(key, [])},
+                                 is_real=True)
+                 for key in ("V", "A1", "A2"))
+    A = PeriodicVectorPotential(f1, f2, L) if cfg.get("A1") or cfg.get("A2") else None
     return L, V, A
-
-
-def _parse_flux_list(values) -> list:
-    out = []
-    for v in values:
-        try:
-            out.append(RationalFlux.from_fraction(Fraction(str(v))))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad flux fraction {v!r}: {exc}") from exc
-    if not out:
-        raise ConfigError("empty flux list")
-    return out
-
-
-def _bands(cfg_band) -> list:
-    if cfg_band is None:
-        return [0]
-    if isinstance(cfg_band, int):
-        return [cfg_band]
-    return [int(b) for b in cfg_band]
 
 
 def _write(out_path: str | None, text: str) -> None:
@@ -221,13 +243,12 @@ def _report_json(reports) -> str:
 
 def cmd_butterfly(cfg: dict, args) -> str:
     L, V, A = _build_inputs(cfg)
-    q_max = _setting(args, cfg, "qmax", 10)
+    q_max = cfg.get("qmax", 10)
     if q_max > Q_MAX_CAP:
         raise ResourceCapError(f"q_max={q_max} exceeds cap {Q_MAX_CAP}")
-    grid = tuple(cfg.get("grid", [8, 16]))
-    reports = quantize.butterfly(V, q_max, iota=_setting(args, cfg, "iota", -1),
-                                 convention="harper", grid=grid,
-                                 tol_band=_setting(args, cfg, "tol_band", None))
+    reports = quantize.butterfly(V, q_max, iota=cfg.get("iota", -1),
+                                 grid=tuple(cfg.get("grid", [8, 16])),
+                                 tol_band=cfg.get("tol_band"))
     if args.format == "csv":
         return _report_rows(reports)
     return _report_json(reports)
@@ -251,13 +272,12 @@ def _rescale_report(rep, delta: float, units: str):
 
 def cmd_effective(cfg: dict, args) -> str:
     L, V, A = _build_inputs(cfg)
-    fluxes = _parse_flux_list(args.delta or cfg.get("delta", ["1/16"]))
-    band = _bands(args.band or cfg.get("band"))[0]
+    band = cfg.get("band", [0])[0]
     grid = tuple(cfg.get("grid", [16, 16]))
-    iota = _setting(args, cfg, "iota", -1)
-    tol_band = _setting(args, cfg, "tol_band", None)
+    iota = cfg.get("iota", -1)
+    tol_band = cfg.get("tol_band")
     reports = []
-    for fx in fluxes:
+    for fx in cfg.get("delta", [RationalFlux(1, 16)]):
         model = effective.single_band_model(V, L, band + 0.5, fx, iota=iota)
         rep = quantize.spectrum(model.family, grid=grid, tol_band=tol_band)
         rep.metadata["delta"] = model.delta
@@ -272,13 +292,12 @@ def cmd_two_band(cfg: dict, args) -> str:
     L, V, A = _build_inputs(cfg)
     if A is None or A.is_zero():
         raise ConfigError("two-band command needs a non-zero vector potential")
-    fluxes = _parse_flux_list(args.delta or cfg.get("delta", ["1/16"]))
-    n_star = _bands(args.band or cfg.get("band"))[0]
+    n_star = cfg.get("band", [0])[0]
     grid = tuple(cfg.get("grid", [16, 16]))
-    iota = _setting(args, cfg, "iota", -1)
-    tol_band = _setting(args, cfg, "tol_band", None)
+    iota = cfg.get("iota", -1)
+    tol_band = cfg.get("tol_band")
     reports = []
-    for fx in fluxes:
+    for fx in cfg.get("delta", [RationalFlux(1, 16)]):
         model = effective.two_band_model(A, L, n_star, fx, iota=iota)
         rep = quantize.spectrum(model.family, grid=grid, tol_band=tol_band)
         via = effective.spectrum_via_GGdag(A, L, n_star, fx, grid=grid,
@@ -305,10 +324,10 @@ def _mode_blocks_payload(h):
 
 def cmd_sapt(cfg: dict, args) -> str:
     L, V, A = _build_inputs(cfg)
-    bands = _bands(args.band or cfg.get("band"))
-    order = int(cfg.get("order", 4))
-    guard = int(cfg.get("guard", 6))
-    n_max = int(cfg.get("n_max", 2 * order + max(bands) + guard + 12))
+    bands = cfg.get("band", [0])
+    order = cfg.get("order", 4)
+    guard = cfg.get("guard", 6)
+    n_max = cfg.get("n_max", 2 * order + max(bands) + guard + 12)
     T = FockTruncation(n_max=n_max, guard=guard)
     H = symbols.assemble_truncated(V, A, L, T)
     pi = moyal.build_projection(H, bands, order)
@@ -349,40 +368,31 @@ def cmd_sapt(cfg: dict, args) -> str:
 
 def cmd_oracle_compare(cfg: dict, args) -> str:
     L, V, A = _build_inputs(cfg)
-    iota = _setting(args, cfg, "iota", 1)
-    if iota != 1:
+    if cfg.get("iota", 1) != 1:
         raise ConfigError("oracle-compare supports iota = +1 only: the Fock "
                           "factors fix the charge sign at +1")
-    fluxes = (_parse_flux_list(args.delta) if args.delta
-              else (_parse_flux_list(cfg["delta"]) if "delta" in cfg
-                    else oracle.default_delta_sweep()))
-    band = _bands(args.band or cfg.get("band"))[0]
     model_kind = cfg.get("model", "full")
-    if model_kind not in ("order0", "order2", "full"):
-        raise ConfigError(f"unknown model {model_kind!r}")
-    guard = int(cfg.get("guard", 6))
-    n_max = int(cfg.get("n_max", 30))
-    n_cells = int(cfg.get("n_cells", 1))
-    lam = band + 0.5
-    T = FockTruncation(n_max=n_max, guard=guard)
+    n_cells = cfg.get("n_cells", 1)
+    lam = cfg.get("band", [0])[0] + 0.5
+    T = FockTruncation(n_max=cfg.get("n_max", 30), guard=cfg.get("guard", 6))
     entries = []
     deltas, dists = [], []
-    for fx in fluxes:
+    for fx in cfg.get("delta") or oracle.default_delta_sweep():
         delta = effective.delta_from_flux(fx)
         n_modes = max((max(abs(n), abs(m)) for (n, m) in V.coeffs), default=1)
         per_cell = fx.q * max(1, -(-4 * n_modes // fx.q))
         basis = oracle.OracleBasis(n_cells=n_cells, n_grid=per_cell, fock=T)
-        Hfull = oracle.build_full_matrix(V, A, L, basis, fx, iota=iota)
+        Hfull = oracle.build_full_matrix(V, A, L, basis, fx)
         cluster = oracle.band_cluster(oracle.oracle_eigenvalues(Hfull), lam)
         model = effective.single_band_model(
-            V, L, lam, fx, iota=iota, fourth_order=(model_kind == "full"))
+            V, L, lam, fx, iota=1, fourth_order=(model_kind == "full"))
         series = model.blocks[0][0]
         if model_kind == "order0":
-            series = FourierSeries2D({(0, 0): lam}, is_real=True, cutoff=V.cutoff)
+            series = FourierSeries2D({(0, 0): lam}, is_real=True)
         elif model_kind == "order2":
-            series = FourierSeries2D({(0, 0): lam}, is_real=True,
-                                     cutoff=V.cutoff).plus(V.scaled(delta ** 2))
-        Hmod = oracle.quantize_on_grid(series, basis, fx, iota=iota)
+            series = FourierSeries2D({(0, 0): lam}, is_real=True).plus(
+                V.scaled(delta ** 2))
+        Hmod = oracle.quantize_on_grid(series, basis, fx)
         mspec = oracle.oracle_eigenvalues(Hmod)
         dist = quantize.sorted_list_distance(mspec, cluster)
         deltas.append(delta)
@@ -433,12 +443,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.delta is not None:
-        args.delta = [s for s in str(args.delta).split(",") if s]
-    if args.band is not None:
-        args.band = [int(s) for s in str(args.band).split(",") if s]
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, _flag_settings(args))
         text = _COMMANDS[args.command](cfg, args)
         _write(args.out, text)
         return 0

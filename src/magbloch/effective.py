@@ -57,14 +57,14 @@ def single_band_model(V: FourierSeries2D, L: Lattice2D, lam_star: float,
     ``fourth_order=False`` drops the d^4 term (useful for order fits).
     """
     delta = delta_from_flux(flux)
-    symbol = FourierSeries2D({(0, 0): lam_star}, is_real=True, cutoff=V.cutoff)
+    symbol = FourierSeries2D({(0, 0): lam_star}, is_real=True)
     symbol = symbol.plus(V.scaled(delta ** 2))
     if fourth_order:
         Y = laplacian_DzDzbar(V, L)
         symbol = symbol.plus(
-            FourierSeries2D(Y.coeffs, is_real=True, cutoff=V.cutoff)
+            FourierSeries2D(Y.coeffs, is_real=True)
             .scaled((delta ** 4) * lam_star / 2.0))
-    fam = quantize_series(symbol, flux, iota=iota, convention="harper")
+    fam = quantize_series(symbol, flux, iota=iota)
     n_star = int(round(lam_star - 0.5))
     return EffectiveModel(band_set=(n_star,), delta=delta, flux=flux,
                           blocks=[[symbol]], family=fam)
@@ -84,13 +84,12 @@ def two_band_model(A: PeriodicVectorPotential, L: Lattice2D, n_star: int,
                          "with A = 0 the levels decouple")
     delta = delta_from_flux(flux)
     c = delta * math.sqrt(n_star + 1.0)
-    cut = A.g.cutoff
-    b00 = FourierSeries2D({(0, 0): n_star + 0.5}, is_real=True, cutoff=cut)
-    b11 = FourierSeries2D({(0, 0): n_star + 1.5}, is_real=True, cutoff=cut)
+    b00 = FourierSeries2D({(0, 0): n_star + 0.5}, is_real=True)
+    b11 = FourierSeries2D({(0, 0): n_star + 1.5}, is_real=True)
     b01 = A.g.scaled(c)
     b10 = b01.conj_reflect()
     blocks = [[b00, b01], [b10, b11]]
-    fam = quantize_blocks(blocks, flux, iota=iota, convention="harper")
+    fam = quantize_blocks(blocks, flux, iota=iota)
     return EffectiveModel(band_set=(n_star, n_star + 1), delta=delta,
                           flux=flux, blocks=blocks, family=fam)
 

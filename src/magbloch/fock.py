@@ -30,7 +30,6 @@ __all__ = [
     "band_projector_matrix",
     "corner",
     "corner_norm",
-    "hermiticity_residual",
 ]
 
 
@@ -135,7 +134,3 @@ def corner_norm(M: np.ndarray, T: FockTruncation) -> float:
     if c.size == 0:
         return 0.0
     return float(np.linalg.norm(c, 2))
-
-
-def hermiticity_residual(M: np.ndarray) -> float:
-    return float(np.max(np.abs(M - M.conj().T)))

@@ -9,7 +9,9 @@ Conventions used throughout the library:
   ``F(p, x) = sum_{n,m} c_{n,m} exp(i 2 pi (n p + m x))``
   stored sparsely as ``{(n, m): c}``.  The first slot of the argument pair is
   the momentum-like variable, the second the position-like one; every
-  derivative multiplier below is derived from this single convention;
+  derivative multiplier below is derived from this single convention.
+  A series declares no mode cutoff: whatever samples it on a grid checks
+  the modes it actually holds;
 * the complexified frame ``z_a = (a1 - i a2)/ell``, ``z_b = (b1 - i b2)/ell``
   with ``ell = sqrt(area)`` satisfies ``|Im(z_a conj(z_b))| = 1``.
 """
@@ -89,21 +91,16 @@ class FourierSeries2D:
     ``is_real`` declares that the series represents a real-valued function;
     the constructor then symmetrizes the coefficients,
     ``c_{n,m} <- (c_{n,m} + conj(c_{-n,-m}))/2``, so the reality invariant
-    holds exactly afterwards.  All modes must satisfy ``|n|, |m| <= cutoff``.
+    holds exactly afterwards.
     """
 
     coeffs: dict = field(default_factory=dict)
     is_real: bool = False
-    cutoff: int = 8
 
     def __post_init__(self):
         clean: dict[tuple[int, int], complex] = {}
         for (n, m), c in self.coeffs.items():
             n, m = int(n), int(m)
-            if abs(n) > self.cutoff or abs(m) > self.cutoff:
-                raise ValueError(
-                    f"mode {(n, m)} exceeds declared cutoff {self.cutoff}"
-                )
             clean[(n, m)] = clean.get((n, m), 0j) + complex(c)
         if self.is_real:
             sym = {}
@@ -124,20 +121,19 @@ class FourierSeries2D:
         """Series of the complex-conjugate function: c_{n,m} -> conj(c_{-n,-m})."""
         return FourierSeries2D(
             {(-n, -m): c.conjugate() for (n, m), c in self.coeffs.items()},
-            is_real=self.is_real, cutoff=self.cutoff)
+            is_real=self.is_real)
 
     def scaled(self, s: complex) -> "FourierSeries2D":
         real = self.is_real and complex(s).imag == 0.0
         return FourierSeries2D(
             {nm: s * c for nm, c in self.coeffs.items()},
-            is_real=real, cutoff=self.cutoff)
+            is_real=real)
 
     def plus(self, other: "FourierSeries2D") -> "FourierSeries2D":
         out = dict(self.coeffs)
         for nm, c in other.coeffs.items():
             out[nm] = out.get(nm, 0j) + c
-        return FourierSeries2D(out, is_real=self.is_real and other.is_real,
-                               cutoff=max(self.cutoff, other.cutoff))
+        return FourierSeries2D(out, is_real=self.is_real and other.is_real)
 
     def max_abs(self) -> float:
         return max((abs(c) for c in self.coeffs.values()), default=0.0)
@@ -164,7 +160,7 @@ def eval_series(F: FourierSeries2D, x1: float, x2: float):
 def _mode_multiplied(F: FourierSeries2D, mult) -> FourierSeries2D:
     return FourierSeries2D(
         {(n, m): mult(n, m) * c for (n, m), c in F.coeffs.items()},
-        is_real=False, cutoff=F.cutoff)
+        is_real=False)
 
 
 def directional_derivative_Dz(F: FourierSeries2D, L: Lattice2D) -> FourierSeries2D:
@@ -192,7 +188,7 @@ def laplacian_DzDzbar(F: FourierSeries2D, L: Lattice2D) -> FourierSeries2D:
         F,
         lambda n, m: -(TWO_PI ** 2) / L.area * (aa * m * m - 2.0 * ab * n * m + bb * n * n),
     )
-    return FourierSeries2D(out.coeffs, is_real=F.is_real, cutoff=F.cutoff)
+    return FourierSeries2D(out.coeffs, is_real=F.is_real)
 
 
 @dataclass(frozen=True)
@@ -224,17 +220,13 @@ class PeriodicVectorPotential:
         for (n, m) in set(self.f1.coeffs) | set(self.f2.coeffs):
             g[(n, m)] = (self.lattice.z_a * self.f1[(n, m)]
                          + self.lattice.z_b * self.f2[(n, m)]) / math.sqrt(2.0)
-        object.__setattr__(
-            self, "g",
-            FourierSeries2D(g, is_real=False,
-                            cutoff=max(self.f1.cutoff, self.f2.cutoff)))
+        object.__setattr__(self, "g", FourierSeries2D(g, is_real=False))
 
     def is_zero(self) -> bool:
         return self.f1.max_abs() == 0.0 and self.f2.max_abs() == 0.0
 
 
-def harper_potential(cutoff: int = 8) -> FourierSeries2D:
+def harper_potential() -> FourierSeries2D:
     """The standard potential 2 cos(2 pi p) + 2 cos(2 pi x)."""
     return FourierSeries2D(
-        {(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0, (0, -1): 1.0},
-        is_real=True, cutoff=cutoff)
+        {(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0, (0, -1): 1.0}, is_real=True)

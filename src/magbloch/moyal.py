@@ -10,11 +10,9 @@ bracket:
         = (2 i pi^2 (m1 n2 - n1 m2))^k / k! * A_(n1,m1) B_(n2,m2)
 
 with the product landing on mode (n1+n2, m1+m2).  Each derivative pair
-contributes ``moyal_weight`` grades of the adiabatic parameter: weight 1
-follows the expansion bookkeeping used to derive the recursions, weight 2
-matches a grading in which only even powers carry phase-space corrections.
-Both are exposed; every closed form checked in the tests is insensitive to
-the choice because the corrections vanish on phase-space-constant factors.
+carries one grade of the adiabatic parameter, the expansion bookkeeping used
+to derive the recursions: the grade-n piece of a product of grades r and l
+is the (n - r - l)-th correction.
 
 The recursions take a truncated symbol H with constant principal part and a
 set of contiguous fast-space levels, and produce order by order:
@@ -92,15 +90,15 @@ def moyal_term(A: ModeMap, B: ModeMap, k: int) -> ModeMap:
     return out
 
 
-def star_grade(A_grades: dict, B_grades: dict, n: int, weight: int = 1) -> ModeMap:
+def star_grade(A_grades: dict, B_grades: dict, n: int) -> ModeMap:
     """Grade-n piece of the star product of two graded symbols."""
     out: ModeMap = {}
     for r, Ar in A_grades.items():
         for l, Bl in B_grades.items():
             rem = n - r - l
-            if rem < 0 or rem % weight:
+            if rem < 0:
                 continue
-            out = mode_add(out, moyal_term(Ar, Bl, rem // weight))
+            out = mode_add(out, moyal_term(Ar, Bl, rem))
     return out
 
 
@@ -128,8 +126,7 @@ def _block_masks(T: FockTruncation, bands) -> tuple:
     return S, W, D
 
 
-def build_projection(H: OperatorSymbol, band_set, order: int,
-                     weight: int = 1) -> MoyalSeries:
+def build_projection(H: OperatorSymbol, band_set, order: int) -> MoyalSeries:
     """Recursive projection series onto a family of contiguous levels.
 
     The principal part is the spectral projector of the constant grade-0
@@ -144,13 +141,13 @@ def build_projection(H: OperatorSymbol, band_set, order: int,
     pi_grades: dict[int, ModeMap] = {0: {(0, 0): band_projector_matrix(T, bands)}}
     for n in range(1, order + 1):
         # [pi # pi - pi]_n; the linear term has no grade-n piece yet
-        G = star_grade(pi_grades, pi_grades, n, weight)
+        G = star_grade(pi_grades, pi_grades, n)
         piD = {nm: M * S for nm, M in G.items()}
         partial = dict(pi_grades)
         if piD:
             partial[n] = piD
-        F = star_grade(H.grades, partial, n, weight)
-        F = mode_add(F, mode_scale(star_grade(partial, H.grades, n, weight), -1.0))
+        F = star_grade(H.grades, partial, n)
+        F = mode_add(F, mode_scale(star_grade(partial, H.grades, n), -1.0))
         piOD = {nm: M * W for nm, M in F.items()}
         pi_n = mode_add(piD, piOD)
         if pi_n:
@@ -159,7 +156,7 @@ def build_projection(H: OperatorSymbol, band_set, order: int,
                        lattice=H.lattice, band_set=bands)
 
 
-def build_intertwiner(pi: MoyalSeries, order: int, weight: int = 1) -> MoyalSeries:
+def build_intertwiner(pi: MoyalSeries, order: int) -> MoyalSeries:
     """Unitarizing series u with u_0 = 1, fixed by the canonical choice
     ``a_n = -A_n/2``, ``b_n = [P, B_n]`` (the series is not unique)."""
     if pi.order_built < order:
@@ -170,15 +167,15 @@ def build_intertwiner(pi: MoyalSeries, order: int, weight: int = 1) -> MoyalSeri
     u_grades: dict[int, ModeMap] = {0: {(0, 0): eye}}
     for n in range(1, order + 1):
         u_dag = {j: mode_dagger(mm) for j, mm in u_grades.items()}
-        A_n = star_grade(u_grades, u_dag, n, weight)
+        A_n = star_grade(u_grades, u_dag, n)
         a_n = mode_scale(A_n, -0.5)
         w = dict(u_grades)
         if a_n:
             w[n] = a_n
         w_dag = {j: mode_dagger(mm) for j, mm in w.items()}
         # [w # pi # w_dag]_n, associating left to right
-        upi = {j: star_grade(w, pi.grades, j, weight) for j in range(n + 1)}
-        B_n = star_grade(upi, w_dag, n, weight)
+        upi = {j: star_grade(w, pi.grades, j) for j in range(n + 1)}
+        B_n = star_grade(upi, w_dag, n)
         b_n = {nm: M * D for nm, M in B_n.items()}
         u_n = mode_add(a_n, b_n)
         if u_n:
@@ -188,7 +185,7 @@ def build_intertwiner(pi: MoyalSeries, order: int, weight: int = 1) -> MoyalSeri
 
 
 def effective_symbol(H: OperatorSymbol, pi: MoyalSeries, u: MoyalSeries,
-                     order: int, weight: int = 1) -> list:
+                     order: int) -> list:
     """Band-block effective symbols h_0..h_order.
 
     Each h_j is returned as a mode map of (len(band_set) x len(band_set))
@@ -199,11 +196,11 @@ def effective_symbol(H: OperatorSymbol, pi: MoyalSeries, u: MoyalSeries,
     T = u.truncation
     bands = list(u.band_set)
     idx = np.ix_(bands, bands)
-    uH = {j: star_grade(u.grades, H.grades, j, weight) for j in range(order + 1)}
+    uH = {j: star_grade(u.grades, H.grades, j) for j in range(order + 1)}
     chi: dict[int, ModeMap] = {}
     out = []
     for m in range(order + 1):
-        correction = star_grade(chi, u.grades, m, weight)
+        correction = star_grade(chi, u.grades, m)
         chi_m = mode_add(uH.get(m, {}), mode_scale(correction, -1.0))
         chi[m] = chi_m
         h_m = {}
@@ -214,38 +211,36 @@ def effective_symbol(H: OperatorSymbol, pi: MoyalSeries, u: MoyalSeries,
     return out
 
 
-def projection_residuals(H: OperatorSymbol, pi: MoyalSeries, order: int,
-                         weight: int = 1) -> dict:
+def projection_residuals(H: OperatorSymbol, pi: MoyalSeries, order: int) -> dict:
     """Gradewise defects of the defining properties of the projection:
     idempotency, symbol Hermiticity, commutation with H."""
     T = pi.truncation
     idem, herm, comm = [], [], []
     for j in range(order + 1):
-        pp = star_grade(pi.grades, pi.grades, j, weight)
+        pp = star_grade(pi.grades, pi.grades, j)
         d = mode_add(pp, mode_scale(pi.grade(j), -1.0))
         idem.append(mode_max_norm(d, T))
         dag = mode_dagger(pi.grade(j))
         herm.append(mode_max_norm(mode_add(dag, mode_scale(pi.grade(j), -1.0)), T))
-        c = star_grade(H.grades, pi.grades, j, weight)
-        c = mode_add(c, mode_scale(star_grade(pi.grades, H.grades, j, weight), -1.0))
+        c = star_grade(H.grades, pi.grades, j)
+        c = mode_add(c, mode_scale(star_grade(pi.grades, H.grades, j), -1.0))
         comm.append(mode_max_norm(c, T))
     return {"idempotency": idem, "hermiticity": herm, "commutator": comm}
 
 
-def intertwiner_residuals(pi: MoyalSeries, u: MoyalSeries, order: int,
-                          weight: int = 1) -> dict:
+def intertwiner_residuals(pi: MoyalSeries, u: MoyalSeries, order: int) -> dict:
     """Gradewise defects of unitarity and of u # pi # u_dag = P."""
     T = u.truncation
     P = band_projector_matrix(T, u.band_set)
     u_dag = {j: mode_dagger(mm) for j, mm in u.grades.items()}
     unit, intw = [], []
     for j in range(order + 1):
-        uu = star_grade(u.grades, u_dag, j, weight)
+        uu = star_grade(u.grades, u_dag, j)
         if j == 0:
             uu = mode_add(uu, {(0, 0): -np.eye(T.dim, dtype=complex)})
         unit.append(mode_max_norm(uu, T))
-        upi = {k: star_grade(u.grades, pi.grades, k, weight) for k in range(j + 1)}
-        s = star_grade(upi, u_dag, j, weight)
+        upi = {k: star_grade(u.grades, pi.grades, k) for k in range(j + 1)}
+        s = star_grade(upi, u_dag, j)
         if j == 0:
             s = mode_add(s, {(0, 0): -P})
         intw.append(mode_max_norm(s, T))

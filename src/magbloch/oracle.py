@@ -5,7 +5,9 @@ basis).  Slow translations are realized pseudospectrally: at flux
 theta = p/q = delta^2 the elementary translation moves the grid by an exact
 number of sites whenever q divides the per-cell resolution, so the slow
 Weyl factors are exact circular shifts times diagonal phases.  Fast factors
-are the displacement exponentials of the truncated ladder algebra.
+are the displacement exponentials of the truncated ladder algebra.  The
+charge sign is +1 throughout: the Fock factors carry that sign, so the slow
+factors carry it too.
 
 Effective models are re-quantized on the *same* slow grid
 (:func:`quantize_on_grid`), so oracle/model eigenvalue comparisons sample
@@ -48,7 +50,12 @@ __all__ = [
     "default_delta_sweep",
 ]
 
-DEFAULT_DIM_BUDGET = 6000
+# Largest oracle dimension (slow grid size times Fock dimension) accepted.
+DIM_BUDGET = 6000
+# A level cluster is the eigenvalues within HALF_GAP of the level; it must
+# stay narrower than HALF_GAP, half the unit gap between Landau levels less
+# a margin.
+HALF_GAP = 0.45
 
 
 @dataclass(frozen=True)
@@ -59,15 +66,14 @@ class OracleBasis:
     n_cells: int
     n_grid: int
     fock: FockTruncation
-    dim_budget: int = DEFAULT_DIM_BUDGET
 
     def __post_init__(self):
         if self.n_cells < 1 or self.n_grid < 4:
             raise ValueError("need n_cells >= 1 and n_grid >= 4")
-        if self.slow_dim * self.fock.dim > self.dim_budget:
+        if self.slow_dim * self.fock.dim > DIM_BUDGET:
             raise ResourceCapError(
                 f"oracle dimension {self.slow_dim * self.fock.dim} exceeds "
-                f"budget {self.dim_budget}")
+                f"budget {DIM_BUDGET}")
 
     @property
     def slow_dim(self) -> int:
@@ -82,8 +88,7 @@ class OracleBasis:
                 f"need n_grid >= {4 * n_modes}")
 
 
-def _slow_factor(basis: OracleBasis, flux: RationalFlux, iota: int,
-                 n: int, m: int) -> tuple:
+def _slow_factor(basis: OracleBasis, flux: RationalFlux, n: int, m: int) -> tuple:
     """Symmetrized slow Weyl factor of mode (n, m) as the ``(shift,
     weights)`` of one weighted cyclic shift: phase * shift * diagonal."""
     if (flux.p * basis.n_grid) % flux.q:
@@ -92,13 +97,13 @@ def _slow_factor(basis: OracleBasis, flux: RationalFlux, iota: int,
             f"q must divide the per-cell resolution")
     step = (flux.p * basis.n_grid) // flux.q
     diag = np.exp(1j * TWO_PI * m * (np.arange(basis.slow_dim) / basis.n_grid))
-    # (O psi)[j] = phase * e^{i 2 pi m x_j'} psi[j'],  j' = j + n*iota*step
-    return -n * iota * step, np.exp(-1j * math.pi * n * m * iota * flux.theta) * diag
+    # (O psi)[j] = phase * e^{i 2 pi m x_j'} psi[j'],  j' = j + n*step
+    return -n * step, np.exp(-1j * math.pi * n * m * flux.theta) * diag
 
 
 def build_full_matrix(V: FourierSeries2D, A: PeriodicVectorPotential | None,
-                      L: Lattice2D, basis: OracleBasis, flux: RationalFlux,
-                      iota: int = 1) -> np.ndarray:
+                      L: Lattice2D, basis: OracleBasis,
+                      flux: RationalFlux) -> np.ndarray:
     """Hermitian matrix of the full strong-field Hamiltonian on slow grid x
     Fock basis, at delta = sqrt(theta), added term by term: each term is a
     slow weighted cyclic shift tensored with a Fock block."""
@@ -118,19 +123,18 @@ def build_full_matrix(V: FourierSeries2D, A: PeriodicVectorPotential | None,
             if not np.any(lin):
                 continue
             E = fock.displacement_exp(TWO_PI * delta, n, m, L, T)
-            shift, w = _slow_factor(basis, flux, iota, n, m)
+            shift, w = _slow_factor(basis, flux, n, m)
             _add_weighted_shift(Hb, shift, delta * (w[:, None, None] * (E @ lin)))
     for (n, m), v in sorted(V.coeffs.items()):
         if v == 0:
             continue
         E = fock.displacement_exp(TWO_PI * delta, n, m, L, T)
-        shift, w = _slow_factor(basis, flux, iota, n, m)
+        shift, w = _slow_factor(basis, flux, n, m)
         _add_weighted_shift(Hb, shift, (delta ** 2) * v * (w[:, None, None] * E))
     return _require_hermitian(H, 1e-10, "oracle matrix")
 
 
-def quantize_on_grid(blocks, basis: OracleBasis, flux: RationalFlux,
-                     iota: int = 1) -> np.ndarray:
+def quantize_on_grid(blocks, basis: OracleBasis, flux: RationalFlux) -> np.ndarray:
     """Quantize an effective symbol on the oracle's slow grid.
 
     ``blocks`` is either a single real series or an m x m nested list of
@@ -150,7 +154,7 @@ def quantize_on_grid(blocks, basis: OracleBasis, flux: RationalFlux,
             for (n, mm), c in sorted(F.coeffs.items()):
                 if c == 0:
                     continue
-                shift, w = _slow_factor(basis, flux, iota, n, mm)
+                shift, w = _slow_factor(basis, flux, n, mm)
                 _add_weighted_shift(H[i * N:(i + 1) * N, k * N:(k + 1) * N],
                                     shift, c * w)
     return _require_hermitian(H, 1e-10, "quantized model")
@@ -160,20 +164,20 @@ def oracle_eigenvalues(H: np.ndarray) -> np.ndarray:
     return scipy.linalg.eigvalsh(H, check_finite=False)
 
 
-def band_cluster(eigs, lam_star: float, half_gap: float = 0.45) -> np.ndarray:
-    """Eigenvalues within half_gap of the target level.
+def band_cluster(eigs, lam_star: float) -> np.ndarray:
+    """Eigenvalues within ``HALF_GAP`` of the target level.
 
     Raises :class:`GapClosedError` when the cluster diameter reaches
-    half_gap, i.e. when neighbouring level clusters have merged.
+    ``HALF_GAP``, i.e. when neighbouring level clusters have merged.
     """
     eigs = np.asarray(eigs, dtype=float)
-    sel = eigs[np.abs(eigs - lam_star) <= half_gap]
+    sel = eigs[np.abs(eigs - lam_star) <= HALF_GAP]
     if sel.size == 0:
-        raise GapClosedError(f"no eigenvalues within {half_gap} of {lam_star}")
-    if sel.max() - sel.min() >= half_gap:
+        raise GapClosedError(f"no eigenvalues within {HALF_GAP} of {lam_star}")
+    if sel.max() - sel.min() >= HALF_GAP:
         raise GapClosedError(
             f"gap closed at this delta: cluster diameter "
-            f"{sel.max() - sel.min():.3g} >= half_gap {half_gap}")
+            f"{sel.max() - sel.min():.3g} >= half gap {HALF_GAP}")
     return np.sort(sel)
 
 

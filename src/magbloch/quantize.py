@@ -110,10 +110,20 @@ class MagneticBlochFamily:
                                   "quantized family")
 
 
+# Rows per slice of the Hermiticity check: a Bloch matrix (q <= 256) is one
+# slice, and a large oracle matrix is never copied whole.
+_HERMITIAN_ROWS = 256
+
+
 def _require_hermitian(H: np.ndarray, rtol: float, what: str) -> np.ndarray:
-    """H itself, after checking max|H - H^dag| <= rtol * max(1, max|H|)."""
-    resid = float(np.max(np.abs(H - H.conj().T)))
-    if resid > rtol * max(1.0, float(np.max(np.abs(H)))):
+    """H itself, after checking max|H - H^dag| <= rtol * max(1, max|H|),
+    one slice of ``_HERMITIAN_ROWS`` rows at a time."""
+    slices = [slice(i, i + _HERMITIAN_ROWS)
+              for i in range(0, H.shape[0], _HERMITIAN_ROWS)]
+    resid = max(float(np.max(np.abs(H[s] - H[:, s].conj().T))) for s in slices)
+    # max|H| matters only once the residual exceeds rtol itself
+    if resid > rtol and resid > rtol * max(float(np.max(np.abs(H[s])))
+                                           for s in slices):
         raise NumericError(f"{what} lost Hermiticity: residual {resid}")
     return H
 
@@ -188,9 +198,9 @@ def quantize_series(F: FourierSeries2D, flux: RationalFlux, iota: int = -1,
                                dim=flux.q, _build=build)
 
 
-def quantize_blocks(blocks, flux: RationalFlux, iota: int = -1,
-                    convention: str = "harper") -> MagneticBlochFamily:
-    """Blockwise quantization of an m x m array of Fourier series.
+def quantize_blocks(blocks, flux: RationalFlux,
+                    iota: int = -1) -> MagneticBlochFamily:
+    """Blockwise strong-field quantization of an m x m array of Fourier series.
 
     The block symbol must be Hermitian (block (i,j) the conjugate-reflected
     series of block (j,i)); the assembled (m q) x (m q) family is then
@@ -198,7 +208,7 @@ def quantize_blocks(blocks, flux: RationalFlux, iota: int = -1,
     """
     m = len(blocks)
     q = flux.q
-    block_modes = [(i, k, _weyl_modes(blocks[i][k], flux, iota, convention))
+    block_modes = [(i, k, _weyl_modes(blocks[i][k], flux, iota, "harper"))
                    for i in range(m) for k in range(m)
                    if blocks[i][k] is not None]
 
@@ -206,10 +216,10 @@ def quantize_blocks(blocks, flux: RationalFlux, iota: int = -1,
         H = np.zeros((m * q, m * q), dtype=complex)
         for i, k, modes in block_modes:
             H[i * q:(i + 1) * q, k * q:(k + 1) * q] = _weyl_sum(
-                modes, flux, iota, convention, beta1, beta2)
+                modes, flux, iota, "harper", beta1, beta2)
         return H
 
-    return MagneticBlochFamily(flux=flux, iota=iota, convention=convention,
+    return MagneticBlochFamily(flux=flux, iota=iota, convention="harper",
                                dim=m * q, _build=build)
 
 
@@ -280,16 +290,15 @@ def spectrum(fam: MagneticBlochFamily, grid=(16, 16),
                                     "eigensolver": "lapack"})
 
 
-def butterfly(F: FourierSeries2D, q_max: int, iota: int = -1,
-              convention: str = "harper", grid=(8, 16),
+def butterfly(F: FourierSeries2D, q_max: int, iota: int = -1, grid=(8, 16),
               tol_band: float | None = None) -> list:
-    """One spectrum report per reduced flux p/q with q <= q_max,
-    deterministically ordered by (q, p); ``tol_band`` as in :func:`spectrum`."""
+    """One strong-field spectrum report per reduced flux p/q with
+    q <= q_max, deterministically ordered by (q, p); ``grid`` and
+    ``tol_band`` as in :func:`spectrum`."""
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
-    g = (max(grid[0], 8), max(grid[1], 8))
-    return [spectrum(quantize_series(F, fx, iota=iota, convention=convention),
-                     grid=g, tol_band=tol_band)
+    return [spectrum(quantize_series(F, fx, iota=iota), grid=grid,
+                     tol_band=tol_band)
             for fx in reduced_fractions(q_max)]
 
 

@@ -27,7 +27,6 @@ from .lattice import (FourierSeries2D, Lattice2D, PeriodicVectorPotential,
 
 __all__ = [
     "OperatorSymbol",
-    "EvaluatedSymbol",
     "V_term",
     "W_term",
     "assemble_truncated",
@@ -95,15 +94,6 @@ class OperatorSymbol:
 
     def grade(self, j: int) -> ModeMap:
         return self.grades.get(j, {})
-
-    def max_grade(self) -> int:
-        return max(self.grades, default=0)
-
-
-@dataclass(frozen=True)
-class EvaluatedSymbol:
-    point: tuple
-    matrix: np.ndarray
 
 
 def V_term(j: int, V: FourierSeries2D, L: Lattice2D, T: FockTruncation) -> ModeMap:
@@ -194,7 +184,7 @@ def symbol_hermiticity_residual(sym: OperatorSymbol, T: FockTruncation) -> float
 
 def eval_exact(V: FourierSeries2D, A: PeriodicVectorPotential | None,
                L: Lattice2D, T: FockTruncation, delta: float,
-               point) -> EvaluatedSymbol:
+               point) -> np.ndarray:
     """Exact symbol at one point: harmonic part plus the displacement-dressed
     potential terms; Hermitian inside the guard band when the gauge
     condition holds."""
@@ -216,13 +206,13 @@ def eval_exact(V: FourierSeries2D, A: PeriodicVectorPotential | None,
             continue
         E = fock.displacement_exp(TWO_PI * delta, n, m, L, T)
         H = H + (delta ** 2) * v * cmath.exp(1j * TWO_PI * (n * p + m * x)) * E
-    return EvaluatedSymbol(point=tuple(point), matrix=H)
+    return H
 
 
 def remainder_matrix(V, A, L, T: FockTruncation, delta: float, point) -> np.ndarray:
     """Exact symbol minus the evaluated truncated symbol at one point."""
     sym = assemble_truncated(V, A, L, T)
-    return eval_exact(V, A, L, T, delta, point).matrix - eval_symbol(sym, point, delta)
+    return eval_exact(V, A, L, T, delta, point) - eval_symbol(sym, point, delta)
 
 
 def remainder_norm(V, A, L, T: FockTruncation, delta: float, point,

@@ -39,7 +39,7 @@ def test_criterion_1_landau_levels():
     T = FockTruncation(n_max=40, guard=6)
     basis = oracle.OracleBasis(n_cells=1, n_grid=8, fock=T)
     H = oracle.build_full_matrix(FourierSeries2D({}, is_real=True), None,
-                                 SQUARE, basis, RationalFlux(1, 16), iota=1)
+                                 SQUARE, basis, RationalFlux(1, 16))
     eigs = oracle.oracle_eigenvalues(H)
     dev = 0.0
     counts_ok = True
@@ -86,7 +86,7 @@ def test_criterion_3_error_orders():
         delta = effective.delta_from_flux(fx)
         deltas.append(delta)
         basis = oracle.OracleBasis(n_cells=1, n_grid=fx.q, fock=T)
-        Hf = oracle.build_full_matrix(HARPER, None, SQUARE, basis, fx, iota=1)
+        Hf = oracle.build_full_matrix(HARPER, None, SQUARE, basis, fx)
         clusters.append(oracle.band_cluster(oracle.oracle_eigenvalues(Hf), lam))
         for kind in sweeps:
             if kind == "order0":
@@ -97,7 +97,7 @@ def test_criterion_3_error_orders():
             else:
                 series = effective.single_band_model(
                     HARPER, SQUARE, lam, fx, iota=1).blocks[0][0]
-            Hm = oracle.quantize_on_grid(series, basis, fx, iota=1)
+            Hm = oracle.quantize_on_grid(series, basis, fx)
             sweeps[kind].append(oracle.oracle_eigenvalues(Hm))
     slopes = {}
     for kind, specs in sweeps.items():
@@ -154,11 +154,11 @@ def test_criterion_5_two_band_reduction():
     for fx in fluxes:
         deltas.append(effective.delta_from_flux(fx))
         basis = oracle.OracleBasis(n_cells=1, n_grid=fx.q, fock=T)
-        Hf = oracle.build_full_matrix(V0, A, SQUARE, basis, fx, iota=1)
+        Hf = oracle.build_full_matrix(V0, A, SQUARE, basis, fx)
         eigs = oracle.oracle_eigenvalues(Hf)
         clusters.append(eigs[np.abs(eigs - (n_star + 1.0)) <= 0.95])
         model = effective.two_band_model(A, SQUARE, n_star, fx, iota=1)
-        Hm = oracle.quantize_on_grid(model.blocks, basis, fx, iota=1)
+        Hm = oracle.quantize_on_grid(model.blocks, basis, fx)
         model_specs.append(oracle.oracle_eigenvalues(Hm))
     fit = oracle.order_fit(model_specs, clusters, deltas)
     elapsed = time.time() - t0

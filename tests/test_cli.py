@@ -224,3 +224,35 @@ def test_bad_iota_and_tol_band_are_config_errors(tmp_path, capsys, extra):
     path = _write_cfg(tmp_path, extra)
     assert main(["butterfly", "--config", path, "--qmax", "2"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["butterfly"], {"qmax": "5"}),
+    (["butterfly"], {"qmax": 0}),
+    (["butterfly", "--qmax", "0"], None),
+    (["butterfly"], {"grid": [4]}),
+    (["effective"], {"grid": "x"}),
+    (["butterfly"], {"grid": [4, 4]}),
+    (["effective"], {"band": []}),
+    (["effective"], {"band": 1.5}),
+    (["effective"], {"band": "x"}),
+    (["effective"], {"band": [-1]}),
+    (["sapt"], {"band": [0, 2]}),
+    (["effective", "--band", "x"], None),
+    (["sapt"], {"order": None}),
+    (["sapt"], {"order": 2.7}),
+    (["sapt"], {"order": "2"}),
+    (["effective"], {"delta": 5}),
+    (["effective"], {"delta": ["-1/3"]}),
+    (["oracle-compare"], {"n_cells": 0}),
+    (["oracle-compare"], {"guard": -1}),
+    (["effective"], {"model": "fifth"}),
+    (["butterfly"], {"lattice": 5}),
+    (["butterfly"], {"lattice": {"a": [1, "x"], "b": [0, 1]}}),
+    (["butterfly", "--tol-band", "nan"], None),
+])
+def test_bad_config_values_are_config_errors(tmp_path, capsys, argv, extra):
+    path = _write_cfg(tmp_path, extra)
+    assert main(argv + ["--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1

@@ -15,7 +15,7 @@ from magbloch.symbols import assemble_truncated
 
 def test_zero_flux_constant_spectrum(square, harper):
     model = single_band_model(
-        FourierSeries2D({}, is_real=True, cutoff=8), square, 0.5,
+        FourierSeries2D({}, is_real=True), square, 0.5,
         RationalFlux(0, 1))
     rep = spectrum(model.family, grid=(8, 8))
     assert rep.bands == [(pytest.approx(0.5), pytest.approx(0.5))]

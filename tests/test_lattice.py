@@ -87,11 +87,6 @@ def test_real_symmetrization():
     assert F[(-1, -2)] == pytest.approx(0.5 - 0.5j)
 
 
-def test_cutoff_enforced():
-    with pytest.raises(ValueError):
-        FourierSeries2D({(9, 0): 1.0}, cutoff=8)
-
-
 def test_dz_constant_and_single_mode(square):
     const = FourierSeries2D({(0, 0): 2.0}, is_real=True)
     assert directional_derivative_Dz(const, square).max_abs() == 0.0

@@ -155,7 +155,7 @@ def test_cluster_width_tracks_model(square, harper):
     cl = band_cluster(oracle_eigenvalues(H), 0.5)
     width = cl.max() - cl.min()
     model = single_band_model(harper, square, 0.5, fx, iota=1)
-    Hm = quantize_on_grid(model.blocks[0][0], basis, fx, iota=1)
+    Hm = quantize_on_grid(model.blocks[0][0], basis, fx)
     ms = oracle_eigenvalues(Hm)
     model_width = ms.max() - ms.min()
     assert abs(width - model_width) / model_width < 0.2
@@ -194,30 +194,30 @@ def _fluxes(q_max):
                                    if math.gcd(p, q) == 1]))
 
 
-def _dense_slow_factor(basis, fx, iota, n, m):
+def _dense_slow_factor(basis, fx, n, m):
     """The slow Weyl factor of mode (n, m) written out as an N x N matrix."""
     N = basis.slow_dim
     step = fx.p * basis.n_grid // fx.q
     out = np.zeros((N, N), dtype=complex)
     for j in range(N):
-        src = (j + n * iota * step) % N
-        out[j, src] = (np.exp(-1j * math.pi * n * m * iota * fx.theta)
+        src = (j + n * step) % N
+        out[j, src] = (np.exp(-1j * math.pi * n * m * fx.theta)
                        * np.exp(2j * math.pi * m * src / basis.n_grid))
     return out
 
 
-@given(_fluxes(12), st.integers(1, 3), st.integers(1, 2), st.sampled_from([1, -1]),
+@given(_fluxes(12), st.integers(1, 3), st.integers(1, 2),
        st.integers(-3, 3), st.integers(-3, 3))
 @settings(max_examples=100, deadline=None)
-def test_slow_factor_is_weighted_permutation(fx, per_q, n_cells, iota, n, m):
+def test_slow_factor_is_weighted_permutation(fx, per_q, n_cells, n, m):
     n_grid = fx.q * max(per_q, -(-4 // fx.q))
     basis = OracleBasis(n_cells=n_cells, n_grid=n_grid,
                         fock=FockTruncation(n_max=1, guard=0))
     N = basis.slow_dim
-    shift, w = _slow_factor(basis, fx, iota, n, m)
+    shift, w = _slow_factor(basis, fx, n, m)
     got = np.zeros((N, N), dtype=complex)
     got[(np.arange(N) + shift) % N, np.arange(N)] = w
-    assert np.max(np.abs(got - _dense_slow_factor(basis, fx, iota, n, m))) < 1e-12
+    assert np.max(np.abs(got - _dense_slow_factor(basis, fx, n, m))) < 1e-12
 
 
 MODES = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
@@ -229,12 +229,12 @@ def _oracle_basis(fx, n_cells, n_max):
                        fock=FockTruncation(n_max=n_max, guard=0))
 
 
-@given(_fluxes(6), st.sampled_from([1, -1]), st.integers(1, 2),
+@given(_fluxes(6), st.integers(1, 2),
        st.lists(st.tuples(MODES, AMPLITUDES), min_size=1, max_size=3),
        st.none() | st.tuples(MODES.filter(lambda nm: nm != (0, 0)),
                              AMPLITUDES, AMPLITUDES))
 @settings(max_examples=40, deadline=None)
-def test_full_matrix_matches_kron_reference(fx, iota, n_cells, v_modes, a_mode):
+def test_full_matrix_matches_kron_reference(fx, n_cells, v_modes, a_mode):
     square = make_lattice([1.0, 0.0], [0.0, 1.0])
     V = FourierSeries2D({nm: c for nm, c in v_modes}, is_real=True)
     A = None
@@ -261,17 +261,17 @@ def test_full_matrix_matches_kron_reference(fx, iota, n_cells, v_modes, a_mode):
         terms.append(((delta ** 2) * v, nm, E))
     want = np.kron(np.eye(basis.slow_dim), xi_matrix(T))
     for scalar, nm, F in terms:
-        want += scalar * np.kron(_dense_slow_factor(basis, fx, iota, *nm), F)
-    got = build_full_matrix(V, A, square, basis, fx, iota=iota)
+        want += scalar * np.kron(_dense_slow_factor(basis, fx, *nm), F)
+    got = build_full_matrix(V, A, square, basis, fx)
     assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
-@given(_fluxes(6), st.sampled_from([1, -1]), st.integers(1, 2),
+@given(_fluxes(6), st.integers(1, 2),
        st.lists(st.tuples(MODES, AMPLITUDES), min_size=1, max_size=3),
        st.lists(st.tuples(MODES, AMPLITUDES, AMPLITUDES), max_size=2),
        st.booleans())
 @settings(max_examples=40, deadline=None)
-def test_quantize_on_grid_matches_dense_sum(fx, iota, n_cells, diag_modes,
+def test_quantize_on_grid_matches_dense_sum(fx, n_cells, diag_modes,
                                             coupling_modes, two_blocks):
     F = FourierSeries2D({nm: c for nm, c in diag_modes}, is_real=True)
     if two_blocks:
@@ -282,9 +282,9 @@ def test_quantize_on_grid_matches_dense_sum(fx, iota, n_cells, diag_modes,
         blocks = [[F]]
     basis = _oracle_basis(fx, n_cells, 1)
     N = basis.slow_dim
-    want = np.block([[sum((c * _dense_slow_factor(basis, fx, iota, *nm)
+    want = np.block([[sum((c * _dense_slow_factor(basis, fx, *nm)
                            for nm, c in sorted(B.coeffs.items())),
                           np.zeros((N, N), dtype=complex))
                       for B in row] for row in blocks])
-    got = quantize_on_grid(blocks if two_blocks else F, basis, fx, iota=iota)
+    got = quantize_on_grid(blocks if two_blocks else F, basis, fx)
     assert np.max(np.abs(got - want)) < 1e-12

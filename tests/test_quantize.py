@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magbloch.errors import NumericError
 from magbloch.lattice import FourierSeries2D, harper_potential
 from magbloch.quantize import (MagneticBlochFamily, RationalFlux,
+                               _HERMITIAN_ROWS, _require_hermitian,
                                _weyl_modes, _weyl_sum,
                                almost_mathieu_spectrum, band_measure,
                                butterfly, clock_shift, hausdorff_distance,
@@ -248,7 +250,7 @@ _conventions = st.sampled_from(["harper", "hofstadter"])
 @given(_coeffs, _fluxes, st.sampled_from([1, -1]), _conventions, _phases, _phases)
 @settings(max_examples=150, deadline=None)
 def test_weyl_kernel_matches_dense_powers(coeffs, fx, iota, convention, b1, b2):
-    F = FourierSeries2D(coeffs, cutoff=3)
+    F = FourierSeries2D(coeffs)
     got = _weyl_sum(_weyl_modes(F, fx, iota, convention), fx, iota,
                     convention, b1, b2)
     want = _dense_weyl_sum(F, fx, iota, convention, b1, b2)
@@ -256,14 +258,26 @@ def test_weyl_kernel_matches_dense_powers(coeffs, fx, iota, convention, b1, b2):
 
 
 @given(_coeffs, _coeffs, _coeffs, _fluxes, st.sampled_from([1, -1]),
-       _conventions, _phases, _phases)
+       _phases, _phases)
 @settings(max_examples=75, deadline=None)
-def test_block_family_matches_dense_powers(c00, c01, c11, fx, iota, convention,
-                                           b1, b2):
-    b01 = FourierSeries2D(c01, cutoff=3)
-    blocks = [[FourierSeries2D(c00, is_real=True, cutoff=3), b01],
-              [b01.conj_reflect(), FourierSeries2D(c11, is_real=True, cutoff=3)]]
-    got = quantize_blocks(blocks, fx, iota, convention).matrix_at(b1, b2)
-    want = np.block([[_dense_weyl_sum(F, fx, iota, convention, b1, b2)
+def test_block_family_matches_dense_powers(c00, c01, c11, fx, iota, b1, b2):
+    b01 = FourierSeries2D(c01)
+    blocks = [[FourierSeries2D(c00, is_real=True), b01],
+              [b01.conj_reflect(), FourierSeries2D(c11, is_real=True)]]
+    got = quantize_blocks(blocks, fx, iota).matrix_at(b1, b2)
+    want = np.block([[_dense_weyl_sum(F, fx, iota, "harper", b1, b2)
                       for F in row] for row in blocks])
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_hermiticity_check_reads_every_slice():
+    # more rows than one slice of the check: the scale and the residual come
+    # from every slice, the last one included
+    n = _HERMITIAN_ROWS + 40
+    H = np.zeros((n, n), dtype=complex)
+    H[n - 1, n - 1] = 1e6
+    H[n - 1, 3] = 1e-7
+    assert _require_hermitian(H, 1e-12, "matrix") is H
+    H[n - 1, n - 1] = 1.0
+    with pytest.raises(NumericError, match="residual 1e-07"):
+        _require_hermitian(H, 1e-12, "matrix")

@@ -105,12 +105,12 @@ def test_eval_definition_consistency(square, harper):
 
 def test_eval_exact_delta0_and_hermitian(square, harper, one_mode_potential):
     out = eval_exact(harper, None, square, T, 0.0, (0.2, 0.9))
-    assert np.max(np.abs(out.matrix - xi_matrix(T))) < 1e-14
+    assert np.max(np.abs(out - xi_matrix(T))) < 1e-14
     rng = np.random.default_rng(11)
     for _ in range(6):
         pt = tuple(rng.uniform(0, 1, 2))
         d = rng.uniform(0, 0.3)
-        M = eval_exact(harper, one_mode_potential, square, T, d, pt).matrix
+        M = eval_exact(harper, one_mode_potential, square, T, d, pt)
         c = T.corner_dim
         assert np.max(np.abs((M - M.conj().T)[:c, :c])) < 1e-10
 
@@ -121,7 +121,7 @@ def test_eval_exact_landau_shift(square, harper):
     Tbig = FockTruncation(n_max=40, guard=8)
     d = 0.003
     E = np.sort(np.linalg.eigvalsh(
-        eval_exact(harper, None, square, Tbig, d, (0.0, 0.0)).matrix))
+        eval_exact(harper, None, square, Tbig, d, (0.0, 0.0))))
     for n in range(8):
         fd = (E[n] - (n + 0.5)) / d ** 2
         assert abs(fd - 4.0) < 1e-2
