@@ -21,9 +21,8 @@ from .symbols import (OperatorSymbol, V_term, W_term, assemble_truncated,
 from .moyal import (MoyalSeries, build_intertwiner, build_projection,
                     effective_symbol, moyal_term)
 from .quantize import (MagneticBlochFamily, RationalFlux, SpectrumReport,
-                       almost_mathieu_spectrum, butterfly, band_measure,
-                       clock_shift, hausdorff_distance, quantize_series,
-                       spectrum)
+                       almost_mathieu_spectrum, butterfly, clock_shift,
+                       hausdorff_distance, quantize_series, spectrum)
 from .effective import (EffectiveModel, single_band_model, spectrum_via_GGdag,
                         two_band_model)
 from .oracle import (LinearCanonicalMap, OracleBasis, band_cluster,

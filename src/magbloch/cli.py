@@ -19,8 +19,10 @@ the defaults (``iota`` -1, ``tol_band`` 1e-6 of the spectral width);
 ``oracle-compare`` accepts only ``iota`` +1, its default.  Every key, from the
 file or from a flag, is checked when the config is loaded: integers must be
 JSON integers (``qmax``, ``n_cells`` and ``n_max`` >= 1, ``order`` and
-``guard`` >= 0), ``grid`` two integers >= 8, ``band`` a level index >= 0 or
-a list of contiguous ones; any other value is a config error.  Numbers are
+``guard`` >= 0, ``guard`` (default 6) at most a given ``n_max``), ``grid``
+two integers >= 8, ``band`` a level index >= 0 or a list of contiguous ones
+(``effective``, ``two-band`` and ``oracle-compare`` model one level and take
+one index); any other value is a config error.  Numbers are
 emitted with 17 significant digits and '\n' line endings; identical configs
 produce byte-identical files.
 
@@ -179,11 +181,22 @@ def load_config(path: str, flags: dict | None = None) -> dict:
     for key, (ok, what) in _SETTINGS.items():
         if key in cfg and not ok(cfg[key]):
             raise ConfigError(f"{key} must be {what}, got {cfg[key]!r}")
+    if cfg.get("guard", 6) > cfg.get("n_max", math.inf):
+        raise ConfigError(f"guard must be <= n_max, got guard "
+                          f"{cfg.get('guard', 6)} and n_max {cfg['n_max']}")
     if "band" in cfg:
         cfg["band"] = _band_list(cfg["band"])
     if "delta" in cfg:
         cfg["delta"] = _flux_list(cfg["delta"])
     return cfg
+
+
+def _one_level(cfg: dict, command: str) -> int:
+    """The level index of a command that models a single level."""
+    bands = cfg.get("band", [0])
+    if len(bands) != 1:
+        raise ConfigError(f"{command} takes one level index, got band {bands}")
+    return bands[0]
 
 
 def _flag_settings(args) -> dict:
@@ -272,7 +285,7 @@ def _rescale_report(rep, delta: float, units: str):
 
 def cmd_effective(cfg: dict, args) -> str:
     L, V, A = _build_inputs(cfg)
-    band = cfg.get("band", [0])[0]
+    band = _one_level(cfg, "effective")
     grid = tuple(cfg.get("grid", [16, 16]))
     iota = cfg.get("iota", -1)
     tol_band = cfg.get("tol_band")
@@ -292,7 +305,7 @@ def cmd_two_band(cfg: dict, args) -> str:
     L, V, A = _build_inputs(cfg)
     if A is None or A.is_zero():
         raise ConfigError("two-band command needs a non-zero vector potential")
-    n_star = cfg.get("band", [0])[0]
+    n_star = _one_level(cfg, "two-band")
     grid = tuple(cfg.get("grid", [16, 16]))
     iota = cfg.get("iota", -1)
     tol_band = cfg.get("tol_band")
@@ -373,7 +386,7 @@ def cmd_oracle_compare(cfg: dict, args) -> str:
                           "factors fix the charge sign at +1")
     model_kind = cfg.get("model", "full")
     n_cells = cfg.get("n_cells", 1)
-    lam = cfg.get("band", [0])[0] + 0.5
+    lam = _one_level(cfg, "oracle-compare") + 0.5
     T = FockTruncation(n_max=cfg.get("n_max", 30), guard=cfg.get("guard", 6))
     entries = []
     deltas, dists = [], []

@@ -17,7 +17,7 @@ import numpy as np
 from .lattice import (FourierSeries2D, Lattice2D, PeriodicVectorPotential,
                       laplacian_DzDzbar)
 from .quantize import (MagneticBlochFamily, RationalFlux, SpectrumReport,
-                       _bloch_grid, _merge_branches, _weyl_modes, _weyl_sum,
+                       _grid_spectrum, _weyl_modes, _weyl_sum,
                        quantize_blocks, quantize_series)
 
 __all__ = [
@@ -42,10 +42,6 @@ class EffectiveModel:
     flux: RationalFlux
     blocks: list                       # m x m nested list of FourierSeries2D
     family: MagneticBlochFamily
-
-    @property
-    def dim(self) -> int:
-        return self.family.dim
 
 
 def single_band_model(V: FourierSeries2D, L: Lattice2D, lam_star: float,
@@ -107,20 +103,17 @@ def spectrum_via_GGdag(A: PeriodicVectorPotential, L: Lattice2D, n_star: int,
         raise ValueError("spectrum_via_GGdag needs a non-zero vector potential")
     delta = delta_from_flux(flux)
     modes = _weyl_modes(A.g, flux, iota, "harper")
-    n1, n2 = grid
-    rows = []
-    for b1, b2 in _bloch_grid(flux, n1, n2):
+
+    def solve(b1, b2):
         G = _weyl_sum(modes, flux, iota, "harper", b1, b2)
-        lam = np.linalg.eigvalsh(G @ G.conj().T)
+        lam = np.linalg.eigvalsh(G @ G.conj().swapaxes(-1, -2))
         if lam.min() < -1e-10:
             raise ValueError(
                 f"G G^dag not positive semidefinite: min eigenvalue {lam.min()}")
         lam = np.clip(lam, 0.0, None)
         root = np.sqrt(0.25 + (delta ** 2) * (n_star + 1.0) * lam)
-        vals = np.concatenate([(n_star + 1.0) - root, (n_star + 1.0) + root])
-        rows.append(np.sort(vals))
-    samples = np.array(rows)
-    bands, _ = _merge_branches(samples)
-    return SpectrumReport(flux=flux, bands=bands, samples=samples,
-                          metadata={"grid": [n1, n2], "route": "GGdag",
-                                    "n_star": n_star, "delta": delta})
+        return np.sort(np.concatenate([(n_star + 1.0) - root,
+                                       (n_star + 1.0) + root], axis=-1))
+
+    return _grid_spectrum(flux, flux.q, solve, grid, route="GGdag",
+                          n_star=n_star, delta=delta)

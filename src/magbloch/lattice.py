@@ -111,9 +111,6 @@ class FourierSeries2D:
             clean = sym
         object.__setattr__(self, "coeffs", clean)
 
-    def modes(self):
-        return sorted(self.coeffs)
-
     def __getitem__(self, key) -> complex:
         return self.coeffs.get(tuple(key), 0j)
 

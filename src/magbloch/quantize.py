@@ -39,7 +39,6 @@ __all__ = [
     "almost_mathieu_spectrum",
     "hausdorff_distance",
     "sorted_list_distance",
-    "band_measure",
 ]
 
 
@@ -59,10 +58,6 @@ class RationalFlux:
     @property
     def theta(self) -> float:
         return self.p / self.q
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.p, self.q)
 
     @classmethod
     def from_fraction(cls, f) -> "RationalFlux":
@@ -97,17 +92,25 @@ def clock_shift(flux: RationalFlux, iota: int, beta1: float, beta2: float):
 
 @dataclass(frozen=True)
 class MagneticBlochFamily:
-    """q*m x q*m Hermitian-matrix-valued function of the Bloch phases."""
+    """q*m x q*m Hermitian-matrix-valued function of the Bloch phases: block
+    (i, k) is the Weyl sum of ``modes`` for each (i, k, modes) in
+    ``block_modes``, and every other block is zero."""
 
     flux: RationalFlux
     iota: int
     convention: str
     dim: int
-    _build: object = field(repr=False)
+    block_modes: tuple = field(repr=False)
 
-    def matrix_at(self, beta1: float, beta2: float) -> np.ndarray:
-        return _require_hermitian(self._build(beta1, beta2), 1e-12,
-                                  "quantized family")
+    def matrix_at(self, beta1, beta2) -> np.ndarray:
+        """The matrix at a Bloch point; the (*S, dim, dim) stack at arrays."""
+        q = self.flux.q
+        H = np.zeros(np.broadcast(beta1, beta2).shape + (self.dim, self.dim),
+                     dtype=complex)
+        for i, k, modes in self.block_modes:
+            H[..., i * q:(i + 1) * q, k * q:(k + 1) * q] = _weyl_sum(
+                modes, self.flux, self.iota, self.convention, beta1, beta2)
+        return _require_hermitian(H, 1e-12, "quantized family")
 
 
 # Rows per slice of the Hermiticity check: a Bloch matrix (q <= 256) is one
@@ -116,15 +119,20 @@ _HERMITIAN_ROWS = 256
 
 
 def _require_hermitian(H: np.ndarray, rtol: float, what: str) -> np.ndarray:
-    """H itself, after checking max|H - H^dag| <= rtol * max(1, max|H|),
-    one slice of ``_HERMITIAN_ROWS`` rows at a time."""
+    """H itself, after checking max|H - H^dag| <= rtol * max(1, max|H|) for
+    H or each matrix of a stack, one slice of ``_HERMITIAN_ROWS`` rows at a time."""
     slices = [slice(i, i + _HERMITIAN_ROWS)
-              for i in range(0, H.shape[0], _HERMITIAN_ROWS)]
-    resid = max(float(np.max(np.abs(H[s] - H[:, s].conj().T))) for s in slices)
-    # max|H| matters only once the residual exceeds rtol itself
-    if resid > rtol and resid > rtol * max(float(np.max(np.abs(H[s])))
-                                           for s in slices):
-        raise NumericError(f"{what} lost Hermiticity: residual {resid}")
+              for i in range(0, H.shape[-2], _HERMITIAN_ROWS)]
+
+    def per_matrix_max(f):
+        return np.max([np.max(f(s), axis=(-2, -1)) for s in slices], axis=0)
+
+    resid = per_matrix_max(
+        lambda s: np.abs(H[..., s, :] - H[..., :, s].conj().swapaxes(-1, -2)))
+    # max|H| matters only once a residual exceeds rtol itself
+    if np.any(resid > rtol) and np.any(resid > rtol * np.maximum(
+            1.0, per_matrix_max(lambda s: np.abs(H[..., s, :])))):
+        raise NumericError(f"{what} lost Hermiticity: residual {np.max(resid)}")
     return H
 
 
@@ -137,8 +145,9 @@ def _phase(convention: str, iota: int, theta: float, n: int, m: int) -> complex:
 
 
 def _power(z, k: int):
-    """z**k for unimodular z; negative powers conjugate, which is exact."""
-    return z ** k if k >= 0 else np.conj(z) ** -k
+    """z**k for unimodular z; negative powers conjugate, which is exact.
+    ``**`` would square an array as z * z, rounded unlike a scalar power."""
+    return np.power(z, k) if k >= 0 else np.power(np.conj(z), -k)
 
 
 def _add_weighted_shift(H: np.ndarray, shift: int, weights: np.ndarray) -> None:
@@ -160,23 +169,29 @@ def _weyl_modes(F: FourierSeries2D, flux: RationalFlux, iota: int,
 
 
 def _weyl_sum(modes, flux: RationalFlux, iota: int, convention: str,
-              beta1: float, beta2: float) -> np.ndarray:
+              beta1, beta2) -> np.ndarray:
     """Sum of w * V^n U^m ("harper") or w * U^n V^m ("hofstadter") over
-    ``modes`` from :func:`_weyl_modes`, at Bloch phases (beta1, beta2).
+    ``modes`` from :func:`_weyl_modes`, at Bloch phases (beta1, beta2): one
+    q x q matrix, or the (*S, q, q) stack for phase arrays of shape S.
 
     With U = diag(u_j) and V e_j = v e_{j+1} as in :func:`clock_shift`,
     V^n U^m has entries [(j+n) mod q, j] = v^n u_j^m and U^n V^m has
     entries [(j+m) mod q, j] = u_{j+m}^n v^m.
     """
     q = flux.q
-    u = np.exp(-1j * (beta1 + 2.0 * math.pi * iota * flux.theta * np.arange(q)))
+    beta1, beta2 = np.broadcast_arrays(beta1, beta2)
+    # j runs along the first axis of u and the weights, the points after it
+    j = np.arange(q).reshape((q,) + (1,) * beta1.ndim)
+    u = np.exp(-1j * (beta1 + 2.0 * math.pi * iota * flux.theta * j))
     v = np.exp(-1j * beta2)
-    H = np.zeros((q, q), dtype=complex)
+    H = np.zeros(beta1.shape + (q, q), dtype=complex)
+    Hj = np.moveaxis(H, (-2, -1), (0, 1))   # matrix axes first, for the kernel
     for n, m, w in modes:
         if convention == "harper":
-            _add_weighted_shift(H, n, w * (_power(v, n) * _power(u, m)))
+            _add_weighted_shift(Hj, n, w * (_power(v, n) * _power(u, m)))
         else:
-            _add_weighted_shift(H, m, w * (np.roll(_power(u, n), -m) * _power(v, m)))
+            _add_weighted_shift(
+                Hj, m, w * (np.roll(_power(u, n), -m, axis=0) * _power(v, m)))
     return H
 
 
@@ -189,13 +204,9 @@ def quantize_series(F: FourierSeries2D, flux: RationalFlux, iota: int = -1,
     """
     if not F.is_real:
         raise ValueError("quantize_series requires a real-valued series")
-    modes = _weyl_modes(F, flux, iota, convention)
-
-    def build(beta1: float, beta2: float) -> np.ndarray:
-        return _weyl_sum(modes, flux, iota, convention, beta1, beta2)
-
-    return MagneticBlochFamily(flux=flux, iota=iota, convention=convention,
-                               dim=flux.q, _build=build)
+    return MagneticBlochFamily(
+        flux=flux, iota=iota, convention=convention, dim=flux.q,
+        block_modes=((0, 0, _weyl_modes(F, flux, iota, convention)),))
 
 
 def quantize_blocks(blocks, flux: RationalFlux,
@@ -207,20 +218,11 @@ def quantize_blocks(blocks, flux: RationalFlux,
     Hermitian at every point.
     """
     m = len(blocks)
-    q = flux.q
-    block_modes = [(i, k, _weyl_modes(blocks[i][k], flux, iota, "harper"))
-                   for i in range(m) for k in range(m)
-                   if blocks[i][k] is not None]
-
-    def build(beta1: float, beta2: float) -> np.ndarray:
-        H = np.zeros((m * q, m * q), dtype=complex)
-        for i, k, modes in block_modes:
-            H[i * q:(i + 1) * q, k * q:(k + 1) * q] = _weyl_sum(
-                modes, flux, iota, "harper", beta1, beta2)
-        return H
-
+    block_modes = tuple((i, k, _weyl_modes(blocks[i][k], flux, iota, "harper"))
+                        for i in range(m) for k in range(m)
+                        if blocks[i][k] is not None)
     return MagneticBlochFamily(flux=flux, iota=iota, convention="harper",
-                               dim=m * q, _build=build)
+                               dim=m * flux.q, block_modes=block_modes)
 
 
 @dataclass(frozen=True)
@@ -234,13 +236,6 @@ class SpectrumReport:
 
     def all_eigenvalues(self) -> np.ndarray:
         return np.sort(self.samples.ravel())
-
-
-def _bloch_grid(flux: RationalFlux, n1: int, n2: int) -> list:
-    """(beta1, beta2) points of the n1 x n2 grid on [0, 2 pi / q) x [0, 2 pi)."""
-    b1s = [2.0 * math.pi / flux.q * i / n1 for i in range(n1)]
-    b2s = [2.0 * math.pi * j / n2 for j in range(n2)]
-    return [(b1, b2) for b1 in b1s for b2 in b2s]
 
 
 def _merge_branches(samples: np.ndarray, tol: float | None = None):
@@ -264,6 +259,36 @@ def _merge_branches(samples: np.ndarray, tol: float | None = None):
     return [(lo, hi) for lo, hi in merged], tol
 
 
+# Bytes of matrices per stack of Bloch points: 36 points at q = 30, and one
+# at 2q = 254, so a large family never holds more than one matrix at once.
+_STACK_BYTES = 512 * 1024
+
+
+def _grid_spectrum(flux: RationalFlux, dim: int, solve, grid,
+                   tol_band: float | None = None, **metadata) -> SpectrumReport:
+    """Report of ``solve``, sorted eigenvalues at arrays of Bloch phases, on
+    the n1 x n2 grid over [0, 2 pi / q) x [0, 2 pi), beta1-major, in stacks
+    of at most ``_STACK_BYTES`` of dim x dim matrices (or of one point)."""
+    n1, n2 = grid
+    if n1 < 8 or n2 < 8:
+        raise ValueError("grid must be at least (8, 8)")
+    b1 = np.repeat(2.0 * math.pi / flux.q * np.arange(n1) / n1, n2)
+    b2 = np.tile(2.0 * math.pi * np.arange(n2) / n2, n1)
+    step = max(1, _STACK_BYTES // (16 * dim * dim))
+    rows = []
+    for s in range(0, b1.size, step):
+        try:
+            rows.append(solve(b1[s:s + step], b2[s:s + step]))
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"eigensolver failed from beta=({b1[s]}, "
+                               f"{b2[s]}) on: {exc}") from exc
+    samples = np.concatenate(rows)
+    bands, tol_band = _merge_branches(samples, tol_band)
+    return SpectrumReport(flux=flux, bands=bands, samples=samples,
+                          metadata={"grid": [n1, n2], "tol_band": tol_band,
+                                    **metadata})
+
+
 def spectrum(fam: MagneticBlochFamily, grid=(16, 16),
              tol_band: float | None = None) -> SpectrumReport:
     """Diagonalize over the Bloch grid and merge into band intervals.
@@ -272,22 +297,11 @@ def spectrum(fam: MagneticBlochFamily, grid=(16, 16),
     grid; branches closer than ``tol_band`` (default 1e-6 of the spectral
     width) merge into one interval.
     """
-    n1, n2 = grid
-    if n1 < 8 or n2 < 8:
-        raise ValueError("grid must be at least (8, 8)")
-    rows = []
-    for pt in _bloch_grid(fam.flux, n1, n2):
-        try:
-            rows.append(np.linalg.eigvalsh(fam.matrix_at(*pt)))
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"eigensolver failed at beta={pt}: {exc}") from exc
-    samples = np.array(rows)
-    bands, tol_band = _merge_branches(samples, tol_band)
-    return SpectrumReport(flux=fam.flux, bands=bands, samples=samples,
-                          metadata={"grid": [n1, n2], "tol_band": tol_band,
-                                    "iota": fam.iota,
-                                    "convention": fam.convention,
-                                    "eigensolver": "lapack"})
+    return _grid_spectrum(
+        fam.flux, fam.dim,
+        lambda b1, b2: np.linalg.eigvalsh(fam.matrix_at(b1, b2)), grid,
+        tol_band, iota=fam.iota, convention=fam.convention,
+        eigensolver="lapack")
 
 
 def butterfly(F: FourierSeries2D, q_max: int, iota: int = -1, grid=(8, 16),
@@ -300,10 +314,6 @@ def butterfly(F: FourierSeries2D, q_max: int, iota: int = -1, grid=(8, 16),
     return [spectrum(quantize_series(F, fx, iota=iota), grid=grid,
                      tol_band=tol_band)
             for fx in reduced_fractions(q_max)]
-
-
-def band_measure(report: SpectrumReport) -> float:
-    return float(sum(hi - lo for lo, hi in report.bands))
 
 
 def almost_mathieu_spectrum(flux: RationalFlux, beta: float, N: int) -> np.ndarray:

@@ -250,9 +250,18 @@ def test_bad_iota_and_tol_band_are_config_errors(tmp_path, capsys, extra):
     (["butterfly"], {"lattice": 5}),
     (["butterfly"], {"lattice": {"a": [1, "x"], "b": [0, 1]}}),
     (["butterfly", "--tol-band", "nan"], None),
+    (["oracle-compare"], {"guard": 40, "n_max": 30}),
+    (["sapt"], {"guard": 40, "n_max": 30}),
+    (["sapt"], {"n_max": 3}),
+    # single-level commands would read the first index and drop the rest
+    (["effective", "--delta", "1/7"], {"band": [0, 1]}),
+    (["two-band", "--delta", "1/7"],
+     {"band": [0, 1], "A1": [[0, 1, 0.5, 0.0], [0, -1, 0.5, 0.0]]}),
+    (["oracle-compare", "--delta", "1/7"], {"band": [0, 1], "n_max": 12}),
 ])
 def test_bad_config_values_are_config_errors(tmp_path, capsys, argv, extra):
     path = _write_cfg(tmp_path, extra)
     assert main(argv + ["--config", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+

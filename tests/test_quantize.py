@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magbloch import quantize
+from magbloch.effective import spectrum_via_GGdag
 from magbloch.errors import NumericError
-from magbloch.lattice import FourierSeries2D, harper_potential
+from magbloch.lattice import (FourierSeries2D, PeriodicVectorPotential,
+                              harper_potential, make_lattice)
 from magbloch.quantize import (MagneticBlochFamily, RationalFlux,
                                _HERMITIAN_ROWS, _require_hermitian,
                                _weyl_modes, _weyl_sum,
-                               almost_mathieu_spectrum, band_measure,
-                               butterfly, clock_shift, hausdorff_distance,
+                               almost_mathieu_spectrum, butterfly,
+                               clock_shift, hausdorff_distance,
                                quantize_blocks, quantize_series,
                                reduced_fractions, spectrum)
 
@@ -172,9 +175,9 @@ def test_butterfly_ordering_and_symmetry():
 
 def test_band_measure_decreases():
     reports = butterfly(HARPER, 2, iota=-1, grid=(32, 32))
-    by_q = {r.flux.q: r for r in reports}
-    assert band_measure(by_q[1]) == pytest.approx(8.0)
-    assert band_measure(by_q[2]) < 8.0 - 1e-3
+    measure = {r.flux.q: sum(hi - lo for lo, hi in r.bands) for r in reports}
+    assert measure[1] == pytest.approx(8.0)
+    assert measure[2] < 8.0 - 1e-3
 
 
 def test_almost_mathieu_zero_flux_circulant():
@@ -281,3 +284,65 @@ def test_hermiticity_check_reads_every_slice():
     H[n - 1, n - 1] = 1.0
     with pytest.raises(NumericError, match="residual 1e-07"):
         _require_hermitian(H, 1e-12, "matrix")
+
+
+@given(_coeffs, _coeffs, _coeffs, _fluxes, st.sampled_from([1, -1]),
+       _conventions, st.lists(st.tuples(_phases, _phases), min_size=1,
+                              max_size=6))
+@settings(max_examples=75, deadline=None)
+def test_stack_matches_single_points(c00, c01, c11, fx, iota, convention,
+                                     points):
+    b01 = FourierSeries2D(c01)
+    blocks = [[FourierSeries2D(c00, is_real=True), b01],
+              [b01.conj_reflect(), FourierSeries2D(c11, is_real=True)]]
+    b1, b2 = np.array(points).T
+    for fam in (quantize_series(blocks[0][0], fx, iota, convention),
+                quantize_blocks(blocks, fx, iota)):
+        stack = fam.matrix_at(b1, b2)
+        assert stack.shape == (len(points), fam.dim, fam.dim)
+        for H, (a, b) in zip(stack, points):
+            assert np.max(np.abs(H - fam.matrix_at(a, b))) < 1e-12
+
+
+def test_hermiticity_check_scales_each_matrix_of_a_stack():
+    H = np.zeros((3, 4, 4), dtype=complex)
+    H[0, 0, 0] = 1e6
+    H[0, 1, 2] = 1e-7   # within rtol of max|H| of its own matrix
+    assert _require_hermitian(H, 1e-12, "stack") is H
+    H[2, 1, 2] = 1e-7   # the same residual in a matrix of norm below 1
+    with pytest.raises(NumericError, match="residual 1e-07"):
+        _require_hermitian(H, 1e-12, "stack")
+
+
+def test_spectrum_does_not_depend_on_the_stack_size(monkeypatch):
+    fx = RationalFlux(2, 7)
+    L = make_lattice([1, 0], [0, 1])
+    A = PeriodicVectorPotential(
+        FourierSeries2D({(0, 1): 0.5, (0, -1): 0.5}, is_real=True),
+        FourierSeries2D({}, is_real=True), L)
+    fam = quantize_series(HARPER, fx, iota=-1)
+    one = spectrum(fam, grid=(8, 16))
+    one_via = spectrum_via_GGdag(A, L, 0, fx, grid=(8, 16))
+    # 5 points per stack: the 128 points in 26 stacks, the last one short
+    monkeypatch.setattr(quantize, "_STACK_BYTES", 16 * 7 * 7 * 5)
+    many = spectrum(fam, grid=(8, 16))
+    many_via = spectrum_via_GGdag(A, L, 0, fx, grid=(8, 16))
+    assert one.samples.tobytes() == many.samples.tobytes()
+    assert one.bands == many.bands
+    assert one_via.samples.tobytes() == many_via.samples.tobytes()
+    assert one_via.bands == many_via.bands
+
+
+@pytest.mark.parametrize("grid", [(8, 16), (16, 16)])
+@pytest.mark.parametrize("p, q", [(1, 3), (2, 7), (3, 11)])
+def test_band_edges_lie_at_chambers_points(p, q, grid):
+    # Chambers' relation: the characteristic polynomial of Harper depends on
+    # the phases only through cos(q beta1) + cos(q beta2), so every band edge
+    # lies at q beta1, q beta2 in {0, pi}; an even grid samples them at odd q
+    fam = quantize_series(HARPER, RationalFlux(p, q), iota=-1)
+    rep = spectrum(fam, grid=grid)
+    corners = np.array([np.linalg.eigvalsh(fam.matrix_at(b1, b2))
+                        for b1 in (0.0, math.pi / q) for b2 in (0.0, math.pi / q)])
+    assert len(rep.bands) == q
+    edges = np.array([corners.min(axis=0), corners.max(axis=0)]).T
+    assert np.max(np.abs(np.array(rep.bands) - edges)) < 1e-13
