@@ -14,7 +14,7 @@ import numpy as np
 from magbloch import FockTruncation, OracleBasis, build_full_matrix
 from magbloch.effective import delta_from_flux, single_band_model
 from magbloch.lattice import FourierSeries2D, harper_potential, make_lattice
-from magbloch.oracle import (band_cluster, default_delta_sweep, order_fit,
+from magbloch.oracle import (default_delta_sweep, level_cluster, order_fit,
                              oracle_eigenvalues, quantize_on_grid)
 
 L = make_lattice([1, 0], [0, 1])
@@ -29,7 +29,7 @@ for fx in default_delta_sweep():
     deltas.append(d)
     basis = OracleBasis(n_cells=1, n_grid=fx.q, fock=T)
     Hf = build_full_matrix(V, None, L, basis, fx)
-    clusters.append(band_cluster(oracle_eigenvalues(Hf), LAM))
+    clusters.append(level_cluster(Hf, LAM, basis.slow_dim))
     for kind in models:
         if kind == "level only":
             series = FourierSeries2D({(0, 0): LAM}, is_real=True)

@@ -19,10 +19,11 @@ the defaults (``iota`` -1, ``tol_band`` 1e-6 of the spectral width);
 ``oracle-compare`` accepts only ``iota`` +1, its default.  Every key, from the
 file or from a flag, is checked when the config is loaded: integers must be
 JSON integers (``qmax``, ``n_cells`` and ``n_max`` >= 1, ``order`` and
-``guard`` >= 0, ``guard`` (default 6) at most a given ``n_max``), ``grid``
-two integers >= 8, ``band`` a level index >= 0 or a list of contiguous ones
-(``effective``, ``two-band`` and ``oracle-compare`` model one level and take
-one index); any other value is a config error.  Numbers are
+``guard`` >= 0), ``grid`` two integers >= 8, ``band`` a level index >= 0 or
+a list of contiguous ones (``effective``, ``two-band`` and ``oracle-compare``
+model one level and take one index); ``sapt`` and ``oracle-compare`` also
+need ``guard`` (default 6) at most ``n_max`` or their default for it.  Any
+other value is a config error.  Numbers are
 emitted with 17 significant digits and '\n' line endings; identical configs
 produce byte-identical files.
 
@@ -181,9 +182,6 @@ def load_config(path: str, flags: dict | None = None) -> dict:
     for key, (ok, what) in _SETTINGS.items():
         if key in cfg and not ok(cfg[key]):
             raise ConfigError(f"{key} must be {what}, got {cfg[key]!r}")
-    if cfg.get("guard", 6) > cfg.get("n_max", math.inf):
-        raise ConfigError(f"guard must be <= n_max, got guard "
-                          f"{cfg.get('guard', 6)} and n_max {cfg['n_max']}")
     if "band" in cfg:
         cfg["band"] = _band_list(cfg["band"])
     if "delta" in cfg:
@@ -197,6 +195,15 @@ def _one_level(cfg: dict, command: str) -> int:
     if len(bands) != 1:
         raise ConfigError(f"{command} takes one level index, got band {bands}")
     return bands[0]
+
+
+def _truncation(cfg: dict, n_max: int) -> FockTruncation:
+    """The Fock truncation of a command, with ``n_max`` as its default."""
+    n_max, guard = cfg.get("n_max", n_max), cfg.get("guard", 6)
+    if guard > n_max:
+        raise ConfigError(f"guard must be <= n_max, got guard {guard} and "
+                          f"n_max {n_max}")
+    return FockTruncation(n_max=n_max, guard=guard)
 
 
 def _flag_settings(args) -> dict:
@@ -339,9 +346,7 @@ def cmd_sapt(cfg: dict, args) -> str:
     L, V, A = _build_inputs(cfg)
     bands = cfg.get("band", [0])
     order = cfg.get("order", 4)
-    guard = cfg.get("guard", 6)
-    n_max = cfg.get("n_max", 2 * order + max(bands) + guard + 12)
-    T = FockTruncation(n_max=n_max, guard=guard)
+    T = _truncation(cfg, 2 * order + max(bands) + cfg.get("guard", 6) + 12)
     H = symbols.assemble_truncated(V, A, L, T)
     pi = moyal.build_projection(H, bands, order)
     u = moyal.build_intertwiner(pi, order)
@@ -387,7 +392,7 @@ def cmd_oracle_compare(cfg: dict, args) -> str:
     model_kind = cfg.get("model", "full")
     n_cells = cfg.get("n_cells", 1)
     lam = _one_level(cfg, "oracle-compare") + 0.5
-    T = FockTruncation(n_max=cfg.get("n_max", 30), guard=cfg.get("guard", 6))
+    T = _truncation(cfg, 30)
     entries = []
     deltas, dists = [], []
     for fx in cfg.get("delta") or oracle.default_delta_sweep():
@@ -396,7 +401,7 @@ def cmd_oracle_compare(cfg: dict, args) -> str:
         per_cell = fx.q * max(1, -(-4 * n_modes // fx.q))
         basis = oracle.OracleBasis(n_cells=n_cells, n_grid=per_cell, fock=T)
         Hfull = oracle.build_full_matrix(V, A, L, basis, fx)
-        cluster = oracle.band_cluster(oracle.oracle_eigenvalues(Hfull), lam)
+        cluster = oracle.level_cluster(Hfull, lam, basis.slow_dim)
         model = effective.single_band_model(
             V, L, lam, fx, iota=1, fourth_order=(model_kind == "full"))
         series = model.blocks[0][0]

@@ -40,6 +40,7 @@ __all__ = [
     "build_full_matrix",
     "quantize_on_grid",
     "band_cluster",
+    "level_cluster",
     "OrderFit",
     "order_fit",
     "log_slope",
@@ -56,6 +57,11 @@ DIM_BUDGET = 6000
 # stay narrower than HALF_GAP, half the unit gap between Landau levels less
 # a margin.
 HALF_GAP = 0.45
+# level_cluster asks for _CLUSTER_MARGIN eigenvalues beyond the cluster, at a
+# shift _SHIFT_OFFSET from the level: at V = 0 every level sits exactly at
+# n + 1/2, where the shifted matrix would be singular.
+_CLUSTER_MARGIN = 4
+_SHIFT_OFFSET = 1e-3
 
 
 @dataclass(frozen=True)
@@ -103,18 +109,30 @@ def _slow_factor(basis: OracleBasis, flux: RationalFlux, n: int, m: int) -> tupl
 
 def build_full_matrix(V: FourierSeries2D, A: PeriodicVectorPotential | None,
                       L: Lattice2D, basis: OracleBasis,
-                      flux: RationalFlux) -> np.ndarray:
+                      flux: RationalFlux):
     """Hermitian matrix of the full strong-field Hamiltonian on slow grid x
-    Fock basis, at delta = sqrt(theta), added term by term: each term is a
-    slow weighted cyclic shift tensored with a Fock block."""
+    Fock basis, at delta = sqrt(theta), as a ``scipy.sparse`` CSR matrix.
+
+    Each term is a slow weighted cyclic shift tensored with a Fock block, so
+    the matrix is a sum of block diagonals: the terms are added, in order,
+    into the ``(N, dim, dim)`` diagonal of their shift mod N, where
+    ``diagonal[j]`` is the block at (block row (j + shift) mod N, block
+    column j).  Only those diagonals are stored.
+    """
+    import scipy.sparse
+
     basis.check_resolves(V, *( (A.f1, A.f2) if A is not None else () ))
     T = basis.fock
     delta = math.sqrt(flux.theta)
     N = basis.slow_dim
-    H = np.zeros((N * T.dim, N * T.dim), dtype=complex)
-    # Hb[a, b] is the Fock block H[a*dim:(a+1)*dim, b*dim:(b+1)*dim]
-    Hb = H.reshape(N, T.dim, N, T.dim).transpose(0, 2, 1, 3)
-    _add_weighted_shift(Hb, 0, np.broadcast_to(fock.xi_matrix(T), Hb.shape[1:]))
+    diagonals = {}
+
+    def add(shift, weights):
+        d = diagonals.setdefault(shift % N,
+                                 np.zeros((N, T.dim, T.dim), dtype=complex))
+        d += weights
+
+    add(0, fock.xi_matrix(T))
     if A is not None and not A.is_zero():
         qf = fock.q_fast(T, L)
         pf = fock.p_fast(T, L)
@@ -124,13 +142,21 @@ def build_full_matrix(V: FourierSeries2D, A: PeriodicVectorPotential | None,
                 continue
             E = fock.displacement_exp(TWO_PI * delta, n, m, L, T)
             shift, w = _slow_factor(basis, flux, n, m)
-            _add_weighted_shift(Hb, shift, delta * (w[:, None, None] * (E @ lin)))
+            add(shift, delta * (w[:, None, None] * (E @ lin)))
     for (n, m), v in sorted(V.coeffs.items()):
         if v == 0:
             continue
         E = fock.displacement_exp(TWO_PI * delta, n, m, L, T)
         shift, w = _slow_factor(basis, flux, n, m)
-        _add_weighted_shift(Hb, shift, (delta ** 2) * v * (w[:, None, None] * E))
+        add(shift, (delta ** 2) * v * (w[:, None, None] * E))
+    # block row a holds diagonal s at block column (a - s) mod N
+    shifts = np.array(sorted(diagonals))
+    cols = (np.arange(N)[:, None] - shifts) % N
+    blocks = np.stack([diagonals[s] for s in shifts])[np.arange(len(shifts)), cols]
+    H = scipy.sparse.bsr_matrix(
+        (blocks.reshape(-1, T.dim, T.dim), cols.ravel(),
+         np.arange(N + 1) * len(shifts)),
+        shape=(N * T.dim, N * T.dim)).tocsr()
     return _require_hermitian(H, 1e-10, "oracle matrix")
 
 
@@ -160,8 +186,55 @@ def quantize_on_grid(blocks, basis: OracleBasis, flux: RationalFlux) -> np.ndarr
     return _require_hermitian(H, 1e-10, "quantized model")
 
 
-def oracle_eigenvalues(H: np.ndarray) -> np.ndarray:
+def oracle_eigenvalues(H) -> np.ndarray:
+    """Full spectrum of a Hermitian matrix, dense or ``scipy.sparse`` (which
+    is densified): the reference for :func:`level_cluster`."""
+    if not isinstance(H, np.ndarray):
+        H = H.toarray()
     return scipy.linalg.eigvalsh(H, check_finite=False)
+
+
+def level_cluster(H, lam_star: float, count: int) -> np.ndarray:
+    """The cluster of ``count`` eigenvalues of the sparse Hermitian H around
+    the level ``lam_star``, by shift-invert Lanczos (ARPACK).
+
+    The ``count + _CLUSTER_MARGIN`` eigenvalues nearest the shift are
+    computed from a fixed start vector, so the result is reproducible bit
+    for bit.  They hold every eigenvalue within ``HALF_GAP`` of the level
+    only if the farthest of them lies beyond it; otherwise neighbouring
+    levels have merged and :class:`GapClosedError` is raised, as it is for a
+    cluster that :func:`band_cluster` rejects.  A Krylov space grown from
+    one vector can hold fewer copies of an exactly degenerate level than
+    the level has, so a cluster short of ``count`` is taken from the dense
+    :func:`oracle_eigenvalues` instead; if that one does not hold ``count``
+    levels either, :class:`GapClosedError` is raised.  ARPACK failures raise
+    :class:`NumericError`.
+    """
+    import scipy.sparse.linalg
+
+    D = H.shape[0]
+    # eigs, which eigsh calls for complex H, needs k < D - 1
+    k = min(count + _CLUSTER_MARGIN, D - 2)
+    sigma = lam_star + _SHIFT_OFFSET
+    v0 = np.random.default_rng(0).standard_normal(D).astype(H.dtype)
+    try:
+        eigs = scipy.sparse.linalg.eigsh(H, k=k, sigma=sigma, v0=v0,
+                                         return_eigenvectors=False)
+    except RuntimeError as exc:  # ArpackError, or SuperLU's singular factor
+        raise NumericError(f"shift-invert solve at {sigma} failed: {exc}") from exc
+    # the k nearest the shift fill [sigma - r, sigma + r], r the largest
+    # distance; that holds the HALF_GAP window only if r > HALF_GAP + offset
+    if np.max(np.abs(eigs - sigma)) <= HALF_GAP + _SHIFT_OFFSET:
+        raise GapClosedError(
+            f"the {k} eigenvalues nearest {lam_star} all lie within "
+            f"{HALF_GAP} of it: neighbouring levels have merged")
+    cluster = band_cluster(eigs, lam_star)
+    if cluster.size != count:
+        cluster = band_cluster(oracle_eigenvalues(H), lam_star)
+    if cluster.size != count:
+        raise GapClosedError(f"level {lam_star} has {cluster.size} eigenvalues "
+                             f"within {HALF_GAP}, not {count}")
+    return cluster
 
 
 def band_cluster(eigs, lam_star: float) -> np.ndarray:

@@ -113,25 +113,22 @@ class MagneticBlochFamily:
         return _require_hermitian(H, 1e-12, "quantized family")
 
 
-# Rows per slice of the Hermiticity check: a Bloch matrix (q <= 256) is one
-# slice, and a large oracle matrix is never copied whole.
-_HERMITIAN_ROWS = 256
-
-
-def _require_hermitian(H: np.ndarray, rtol: float, what: str) -> np.ndarray:
+def _require_hermitian(H, rtol: float, what: str):
     """H itself, after checking max|H - H^dag| <= rtol * max(1, max|H|) for
-    H or each matrix of a stack, one slice of ``_HERMITIAN_ROWS`` rows at a time."""
-    slices = [slice(i, i + _HERMITIAN_ROWS)
-              for i in range(0, H.shape[-2], _HERMITIAN_ROWS)]
+    H or each matrix of a stack; for a ``scipy.sparse`` H, H - H^dag is
+    formed sparse."""
+    if isinstance(H, np.ndarray):
+        def size():
+            return np.max(np.abs(H), axis=(-2, -1))
 
-    def per_matrix_max(f):
-        return np.max([np.max(f(s), axis=(-2, -1)) for s in slices], axis=0)
+        resid = np.max(np.abs(H - H.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    else:
+        def size():
+            return abs(H).max()
 
-    resid = per_matrix_max(
-        lambda s: np.abs(H[..., s, :] - H[..., :, s].conj().swapaxes(-1, -2)))
+        resid = abs(H - H.conj().T).max()
     # max|H| matters only once a residual exceeds rtol itself
-    if np.any(resid > rtol) and np.any(resid > rtol * np.maximum(
-            1.0, per_matrix_max(lambda s: np.abs(H[..., s, :])))):
+    if np.any(resid > rtol) and np.any(resid > rtol * np.maximum(1.0, size())):
         raise NumericError(f"{what} lost Hermiticity: residual {np.max(resid)}")
     return H
 
@@ -154,7 +151,8 @@ def _add_weighted_shift(H: np.ndarray, shift: int, weights: np.ndarray) -> None:
     """H[(j + shift) mod N, j] += weights[j] for j < N = len(weights).
 
     Every Weyl monomial is such a weighted cyclic permutation, so this is
-    the one kernel behind all clock/shift quantizations.
+    the one kernel behind all dense clock/shift quantizations;
+    ``oracle.build_full_matrix`` stores the same rule as block diagonals.
     """
     j = np.arange(len(weights))
     H[(j + shift) % len(weights), j] += weights

@@ -145,6 +145,17 @@ def test_oracle_compare_gap_closed(tmp_path):
     assert rc == 3
 
 
+def test_oracle_compare_degenerate_level(tmp_path):
+    # V = 0: the level is slow_dim-fold degenerate, and every copy is reported
+    path = _write_cfg(tmp_path, {"V": [], "n_max": 12})
+    out = tmp_path / "oc.json"
+    assert main(["oracle-compare", "--config", path, "--delta", "1/34",
+                 "--band", "1", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert len(payload[0]["oracle_band"]) == 34
+    assert max(abs(x - 1.5) for x in payload[0]["oracle_band"]) < 1e-10
+
+
 def test_units_flag_rescales(tmp_path):
     path = _write_cfg(tmp_path)
     out_c = tmp_path / "c.json"
@@ -251,6 +262,7 @@ def test_bad_iota_and_tol_band_are_config_errors(tmp_path, capsys, extra):
     (["butterfly"], {"lattice": {"a": [1, "x"], "b": [0, 1]}}),
     (["butterfly", "--tol-band", "nan"], None),
     (["oracle-compare"], {"guard": 40, "n_max": 30}),
+    (["oracle-compare"], {"guard": 40}),
     (["sapt"], {"guard": 40, "n_max": 30}),
     (["sapt"], {"n_max": 3}),
     # single-level commands would read the first index and drop the rest

@@ -13,10 +13,10 @@ from magbloch.fock import (FockTruncation, displacement_exp, p_fast, q_fast,
 from magbloch.lattice import (FourierSeries2D, PeriodicVectorPotential,
                               make_lattice)
 from magbloch.oracle import (LinearCanonicalMap, OracleBasis, _slow_factor,
-                             band_cluster,
-                             build_full_matrix, ccr_table,
-                             landau_variable_map, oracle_eigenvalues,
-                             order_fit, fast_slow_variable_map, quantize_on_grid)
+                             band_cluster, build_full_matrix, ccr_table,
+                             landau_variable_map, level_cluster,
+                             oracle_eigenvalues, order_fit,
+                             fast_slow_variable_map, quantize_on_grid)
 from magbloch.quantize import RationalFlux
 
 EMPTY = FourierSeries2D({}, is_real=True)
@@ -76,6 +76,18 @@ def test_landau_levels_degenerate(square):
         assert np.max(np.abs(cluster - (n + 0.5))) < 1e-10
 
 
+def test_level_cluster_completes_degenerate_levels(square):
+    # at V = 0 each level is slow_dim-fold degenerate; one start vector can
+    # leave the shift-invert solve short of copies (at 1/34, n_max 12, level
+    # 1), and the cluster must still come out complete
+    basis = OracleBasis(n_cells=1, n_grid=34, fock=_fock(12))
+    H = build_full_matrix(EMPTY, None, square, basis, RationalFlux(1, 34))
+    for n in (0, 1, 3):
+        cluster = level_cluster(H, n + 0.5, basis.slow_dim)
+        assert cluster.size == basis.slow_dim
+        assert np.max(np.abs(cluster - (n + 0.5))) < 1e-10
+
+
 def test_mean_level_shift(square, harper):
     # lowest cluster mean moves by delta^2 * (mean of the potential)
     V = harper.plus(FourierSeries2D({(0, 0): 1.0}, is_real=True))
@@ -94,6 +106,7 @@ def test_oracle_hermitian(square, harper, one_mode_potential):
     basis = OracleBasis(n_cells=1, n_grid=16, fock=_fock(20))
     H = build_full_matrix(harper, one_mode_potential, square, basis,
                           RationalFlux(1, 16))
+    H = H.toarray()
     assert np.max(np.abs(H - H.conj().T)) < 1e-10
 
 
@@ -143,6 +156,8 @@ def test_band_cluster_exact_and_overlap(square, harper):
     H = build_full_matrix(strong, None, square, basis, fx)
     with pytest.raises(GapClosedError):
         band_cluster(oracle_eigenvalues(H), 0.5)
+    with pytest.raises(GapClosedError):
+        level_cluster(H, 0.5, basis.slow_dim)
 
 
 def test_cluster_width_tracks_model(square, harper):
@@ -262,7 +277,7 @@ def test_full_matrix_matches_kron_reference(fx, n_cells, v_modes, a_mode):
     want = np.kron(np.eye(basis.slow_dim), xi_matrix(T))
     for scalar, nm, F in terms:
         want += scalar * np.kron(_dense_slow_factor(basis, fx, *nm), F)
-    got = build_full_matrix(V, A, square, basis, fx)
+    got = build_full_matrix(V, A, square, basis, fx).toarray()
     assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
@@ -288,3 +303,37 @@ def test_quantize_on_grid_matches_dense_sum(fx, n_cells, diag_modes,
                       for B in row] for row in blocks])
     got = quantize_on_grid(blocks if two_blocks else F, basis, fx)
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+NEAREST = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+
+
+@given(st.integers(2, 24), st.lists(st.floats(0.5, 1.5), min_size=2, max_size=2),
+       st.none() | st.floats(0.25, 0.75), st.integers(8, 12), st.integers(0, 1))
+@settings(max_examples=30, deadline=None)
+def test_level_cluster_matches_dense(q, amps, a, n_max, band):
+    # nearest-neighbour V, with or without the one-mode A; the shift-invert
+    # cluster equals the dense one, or both find the gap closed
+    square = make_lattice([1.0, 0.0], [0.0, 1.0])
+    V = FourierSeries2D({nm: amps[i // 2] for i, nm in enumerate(NEAREST)},
+                        is_real=True)
+    A = None if a is None else PeriodicVectorPotential(
+        FourierSeries2D({(0, 1): a, (0, -1): a}, is_real=True), EMPTY, square)
+    fx = RationalFlux(1, q)
+    basis = OracleBasis(n_cells=1, n_grid=q * max(1, -(-4 // q)),
+                        fock=FockTruncation(n_max=n_max, guard=0))
+    H = build_full_matrix(V, A, square, basis, fx)
+    lam = band + 0.5
+    try:
+        want = band_cluster(oracle_eigenvalues(H.toarray()), lam)
+    except GapClosedError:
+        want = None
+    if want is None or want.size != basis.slow_dim:
+        with pytest.raises(GapClosedError):
+            level_cluster(H, lam, basis.slow_dim)
+        return
+    got = level_cluster(H, lam, basis.slow_dim)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) < 1e-12
+    # the fixed start vector makes a repeated solve bit-identical
+    assert level_cluster(H, lam, basis.slow_dim).tobytes() == got.tobytes()

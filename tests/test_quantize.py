@@ -11,7 +11,7 @@ from magbloch.errors import NumericError
 from magbloch.lattice import (FourierSeries2D, PeriodicVectorPotential,
                               harper_potential, make_lattice)
 from magbloch.quantize import (MagneticBlochFamily, RationalFlux,
-                               _HERMITIAN_ROWS, _require_hermitian,
+                               _require_hermitian,
                                _weyl_modes, _weyl_sum,
                                almost_mathieu_spectrum, butterfly,
                                clock_shift, hausdorff_distance,
@@ -274,9 +274,9 @@ def test_block_family_matches_dense_powers(c00, c01, c11, fx, iota, b1, b2):
 
 
 def test_hermiticity_check_reads_every_slice():
-    # more rows than one slice of the check: the scale and the residual come
-    # from every slice, the last one included
-    n = _HERMITIAN_ROWS + 40
+    # the scale and the residual come from the whole matrix, its last row
+    # included
+    n = 296
     H = np.zeros((n, n), dtype=complex)
     H[n - 1, n - 1] = 1e6
     H[n - 1, 3] = 1e-7
