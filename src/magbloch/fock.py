@@ -6,14 +6,25 @@ rows/columns are considered unreliable; every scalar reported by higher
 modules is extracted from the ``(dim - guard)`` corner.  The ladder sign
 convention is fixed once (charge sign +1); the opposite sign enters only
 through the quantization phases in :mod:`magbloch.quantize`.
+
+Every mode generator ``I_{n,m} = alpha a + conj(alpha) a_dag`` is a phase
+conjugate of one real matrix: ``I = |alpha| D J D^*`` with the Hermite
+Jacobi matrix ``J = a + a_dag`` and ``D = diag(e^{-i k arg alpha})``.  By
+the Golub-Welsch identity the eigenvalues of ``J`` are the Gauss-Hermite
+nodes (roots of the probabilists' Hermite polynomial He_dim).  Its
+eigendecomposition is computed once per basis size and cached, so every
+displacement exponential, for any mode, time or point, reuses it.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import TruncationError
 from .lattice import Lattice2D
@@ -100,19 +111,39 @@ def I_generator(n: int, m: int, L: Lattice2D, T: FockTruncation) -> np.ndarray:
     return alpha * a + alpha.conjugate() * ad
 
 
+@functools.lru_cache(maxsize=8)
+def _hermite_jacobi_eigh(dim: int):
+    """Read-only (x, U) with J = U diag(x) U^T for the Hermite Jacobi matrix
+    J = a + a_dag of size dim; x are the Gauss-Hermite nodes."""
+    x, U = scipy.linalg.eigh_tridiagonal(np.zeros(dim),
+                                         np.sqrt(np.arange(1.0, dim)))
+    x.setflags(write=False)
+    U.setflags(write=False)
+    return x, U
+
+
 def displacement_exp(t: float, n: int, m: int, L: Lattice2D,
                      T: FockTruncation) -> np.ndarray:
-    """exp(i t I_{n,m}) through the Hermitian eigendecomposition of I.
+    """exp(i t I_{n,m}) from the cached Hermite Jacobi eigendecomposition.
 
+    With ``I = |alpha| D J D^*`` and ``J = U diag(x) U^T`` (real U),
+
+        exp(i t I) = D [U diag(cos(t|alpha|x)) U^T
+                        + i U diag(sin(t|alpha|x)) U^T] D^*,
+
+    two real matrix products and a diagonal phase scaling per call.
     Unconditionally stable in t, unitary on the truncated space by
     construction; the guard band controls the distance to the
     untruncated operator.
     """
     if n == 0 and m == 0:
         return np.eye(T.dim, dtype=complex)
-    gen = I_generator(n, m, L, T)
-    w, v = np.linalg.eigh(gen)
-    return (v * np.exp(1j * t * w)) @ v.conj().T
+    alpha = alpha_coefficient(n, m, L)
+    x, U = _hermite_jacobi_eigh(T.dim)
+    theta = t * abs(alpha) * x
+    E = (U * np.cos(theta)) @ U.T + 1j * ((U * np.sin(theta)) @ U.T)
+    d = np.exp(-1j * cmath.phase(alpha) * np.arange(T.dim))
+    return E * np.outer(d, d.conj())
 
 
 def band_projector_matrix(T: FockTruncation, band_set) -> np.ndarray:

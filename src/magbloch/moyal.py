@@ -84,7 +84,7 @@ def moyal_term(A: ModeMap, B: ModeMap, k: int) -> ModeMap:
             key = (n1 + n2, m1 + m2)
             term = coef * (MA @ MB)
             if key in out:
-                out[key] = out[key] + term
+                out[key] += term    # an array created here, never an input
             else:
                 out[key] = term
     return out
@@ -98,7 +98,11 @@ def star_grade(A_grades: dict, B_grades: dict, n: int) -> ModeMap:
             rem = n - r - l
             if rem < 0:
                 continue
-            out = mode_add(out, moyal_term(Ar, Bl, rem))
+            for key, M in moyal_term(Ar, Bl, rem).items():
+                if key in out:
+                    out[key] += M    # moyal_term's arrays, never an input
+                else:
+                    out[key] = M
     return out
 
 

@@ -75,16 +75,22 @@ def reduced_fractions(q_max: int):
     return out
 
 
+def _clock_angle(flux: RationalFlux, iota: int, j: np.ndarray) -> np.ndarray:
+    """2 pi iota theta j reduced mod 2 pi through the exact integer residue
+    (iota p j) mod q, so its rounding does not grow with j."""
+    return 2.0 * math.pi * ((iota * flux.p * j) % flux.q) / flux.q
+
+
 def clock_shift(flux: RationalFlux, iota: int, beta1: float, beta2: float):
     """Clock/shift pair at Bloch phases (beta1, beta2):
 
     U = diag(exp(-i(beta1 + 2 pi iota theta j))),  V e_j = e^{-i beta2} e_{j+1 mod q};
-    then U V = exp(-i 2 pi iota theta) V U exactly.  The clock phase is taken
-    from the exact residue (iota p j) mod q, so its rounding does not grow with j.
+    then U V = exp(-i 2 pi iota theta) V U exactly.  The clock phase comes
+    from :func:`_clock_angle`, as in :func:`_weyl_sum`.
     """
     q = flux.q
     j = np.arange(q)
-    U = np.diag(np.exp(-1j * (beta1 + 2.0 * math.pi * ((iota * flux.p * j) % q) / q)))
+    U = np.diag(np.exp(-1j * (beta1 + _clock_angle(flux, iota, j))))
     V = np.zeros((q, q), dtype=complex)
     V[(j + 1) % q, j] = np.exp(-1j * beta2)
     return U, V
@@ -180,7 +186,7 @@ def _weyl_sum(modes, flux: RationalFlux, iota: int, convention: str,
     beta1, beta2 = np.broadcast_arrays(beta1, beta2)
     # j runs along the first axis of u and the weights, the points after it
     j = np.arange(q).reshape((q,) + (1,) * beta1.ndim)
-    u = np.exp(-1j * (beta1 + 2.0 * math.pi * iota * flux.theta * j))
+    u = np.exp(-1j * (beta1 + _clock_angle(flux, iota, j)))
     v = np.exp(-1j * beta2)
     H = np.zeros(beta1.shape + (q, q), dtype=complex)
     Hj = np.moveaxis(H, (-2, -1), (0, 1))   # matrix axes first, for the kernel

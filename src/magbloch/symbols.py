@@ -47,12 +47,12 @@ ModeMap = dict
 
 
 def mode_add(A: ModeMap, B: ModeMap) -> ModeMap:
-    out = {nm: M.copy() for nm, M in A.items()}
+    """A + B as a new map.  A mode held by one side only keeps that side's
+    array uncopied, so a returned mode map's arrays are never written in
+    place."""
+    out = dict(A)
     for nm, M in B.items():
-        if nm in out:
-            out[nm] = out[nm] + M
-        else:
-            out[nm] = M.copy()
+        out[nm] = out[nm] + M if nm in out else M
     return out
 
 
@@ -222,14 +222,20 @@ def remainder_norm(V, A, L, T: FockTruncation, delta: float, point,
 
     With ``projector_band`` given the reported quantity is ``|R P_band|``
     (the remainder tested against band states); this is the object whose
-    scaling order improves by one power over the unprojected norm.
+    scaling order improves by one power over the unprojected norm.  Every
+    band index must be an integer in the guard corner ``[0, T.corner_dim)``.
     """
     if delta < 0:
         raise ValueError("delta must be non-negative")
+    if projector_band is not None:
+        bands = [projector_band] if np.ndim(projector_band) == 0 else list(projector_band)
+        if not all(isinstance(k, (int, np.integer)) and 0 <= k < T.corner_dim
+                   for k in bands):
+            raise ValueError(f"projector_band {projector_band} is not a set of "
+                             f"integers in the guard corner [0, {T.corner_dim})")
     R = remainder_matrix(V, A, L, T, delta, point)
     if projector_band is None:
         return corner_norm(R, T)
-    bands = [projector_band] if isinstance(projector_band, int) else list(projector_band)
     in_band = np.zeros(T.dim, dtype=bool)
     in_band[bands] = True
     return corner_norm(R * in_band, T)

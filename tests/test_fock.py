@@ -2,12 +2,18 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magbloch.errors import TruncationError
-from magbloch.fock import (FockTruncation, I_generator, alpha_coefficient,
-                           displacement_exp, ladder, q_fast, p_fast,
-                           xi_matrix)
+from magbloch.fock import (FockTruncation, I_generator, _hermite_jacobi_eigh,
+                           alpha_coefficient, displacement_exp, ladder,
+                           q_fast, p_fast, xi_matrix)
+from magbloch.lattice import make_lattice
 from magbloch.quantize import _require_hermitian
+
+SKEWED = make_lattice([1.0, 0.0], [0.35, 1.2])
 
 
 def test_ladder_small():
@@ -100,6 +106,32 @@ def test_displacement_gaussian_overlap(square):
         term = term @ (1j * t * gen) / k
         taylor += term
     assert abs(taylor[0, 0] - U[0, 0]) < 1e-10
+
+
+@given(st.integers(-3, 3), st.integers(-3, 3), st.floats(0.0, math.pi),
+       st.sampled_from([12, 40, 200]))
+@settings(max_examples=40, deadline=None)
+def test_displacement_matches_expm(n, m, t, n_max):
+    # the Hermite-Jacobi route against a dense Pade exponential of the
+    # complex generator, on a skewed lattice, over the whole matrix
+    T = FockTruncation(n_max=n_max, guard=6)
+    U = displacement_exp(t, n, m, SKEWED, T)
+    want = scipy.linalg.expm(1j * t * I_generator(n, m, SKEWED, T))
+    assert np.max(np.abs(U - want)) < 1e-12
+    assert np.max(np.abs(U @ U.conj().T - np.eye(T.dim))) < 1e-12
+
+
+def test_hermite_jacobi_nodes_are_gauss_hermite():
+    x, U = _hermite_jacobi_eigh(60)
+    nodes = np.polynomial.hermite_e.hermegauss(60)[0]
+    # relative to the node: the outer nodes (|x| ~ 14) differ by 3 ulp
+    assert np.all(np.abs(x - nodes) <= 5e-15 * np.maximum(1.0, np.abs(nodes)))
+    J = np.diag(np.sqrt(np.arange(1.0, 60)), 1)
+    J = J + J.T
+    assert np.max(np.abs((U * x) @ U.T - J)) < 1e-12
+    # one cached, read-only eigendecomposition per basis size
+    assert _hermite_jacobi_eigh(60)[1] is U
+    assert not x.flags.writeable and not U.flags.writeable
 
 
 def test_truncation_stability(square):

@@ -191,3 +191,72 @@ def test_block_masks_match_projector_products(shape, seed):
     assert np.max(np.abs(M * S - (-P @ M @ P + Q @ M @ Q))) < 1e-13
     assert np.max(np.abs(M * W - want_od)) < 1e-13
     assert np.max(np.abs(M * D - (P @ M - M @ P))) < 1e-13
+
+
+def _moyal_reference(A, B, k):
+    """moyal_term written out as the double loop over mode pairs."""
+    out = {}
+    for (n1, m1), MA in A.items():
+        for (n2, m2), MB in B.items():
+            br = m1 * n2 - n1 * m2
+            if k > 0 and br == 0:
+                continue
+            coef = (2j * math.pi ** 2 * br) ** k / math.factorial(k) if k else 1.0
+            key = (n1 + n2, m1 + m2)
+            if key in out:
+                out[key] = out[key] + coef * (MA @ MB)
+            else:
+                out[key] = coef * (MA @ MB)
+    return out
+
+
+_mode_keys = st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                      min_size=1, max_size=6, unique=True)
+
+
+def _modes(seed, keys, dim=5):
+    rng = np.random.default_rng(seed)
+    return {nm: rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            for nm in keys}
+
+
+def _snapshot(graded):
+    return {j: {nm: M.copy() for nm, M in mm.items()} for j, mm in graded.items()}
+
+
+def _assert_unchanged(graded, snap):
+    assert set(graded) == set(snap)
+    for j, mm in graded.items():
+        assert set(mm) == set(snap[j])
+        for nm, M in mm.items():
+            assert np.array_equal(M, snap[j][nm])
+
+
+@given(_mode_keys, _mode_keys, st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_moyal_term_matches_double_loop(keys_a, keys_b, k, seed):
+    A = _modes(seed, keys_a)
+    B = _modes(seed + 1, keys_b)
+    snap = _snapshot({0: A, 1: B})
+    got = moyal_term(A, B, k)
+    want = _moyal_reference(A, B, k)
+    assert set(got) == set(want)
+    for key in want:
+        assert got[key].tobytes() == want[key].tobytes()
+    _assert_unchanged({0: A, 1: B}, snap)
+
+
+@given(st.lists(_mode_keys, min_size=3, max_size=3), st.integers(0, 4),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_star_grade_leaves_inputs_alone(keys, n, seed):
+    # grades 0..2 on both sides, the same graded symbol on both sides too
+    A = {j: _modes(seed + j, kk) for j, kk in enumerate(keys)}
+    B = {j: _modes(seed + 7 + j, kk) for j, kk in enumerate(keys)}
+    snap_a, snap_b = _snapshot(A), _snapshot(B)
+    for left, right in ((A, B), (A, A)):
+        out = star_grade(left, right, n)
+        for M in out.values():
+            M *= 0.0    # writing the result must not reach an input either
+    _assert_unchanged(A, snap_a)
+    _assert_unchanged(B, snap_b)

@@ -239,6 +239,21 @@ def _dense_weyl_sum(F, fx, iota, convention, b1, b2):
     return H
 
 
+def test_harper_family_matches_clock_shift_products_at_q97():
+    # every mode |n|, |m| <= 3 of a real series: the clock phase of the
+    # family and of clock_shift come from one exact residue, so the two
+    # agree at roundoff even where 2 pi iota theta j reaches ~600
+    F = FourierSeries2D({(n, m): 1.0 / (1 + abs(n) + 2 * abs(m))
+                         for n in range(-3, 4) for m in range(-3, 4)},
+                        is_real=True)
+    for p, iota in ((1, -1), (35, 1), (96, -1)):
+        fx = RationalFlux(p, 97)
+        fam = quantize_series(F, fx, iota, "harper")
+        for b1, b2 in ((0.0, 0.0), (0.4, 2.9), (5.1, 1.3)):
+            want = _dense_weyl_sum(F, fx, iota, "harper", b1, b2)
+            assert np.max(np.abs(fam.matrix_at(b1, b2) - want)) < 1e-14
+
+
 _coeffs = st.dictionaries(
     st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
     st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),

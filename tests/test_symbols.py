@@ -8,8 +8,9 @@ from magbloch.lattice import (FourierSeries2D, PeriodicVectorPotential,
                               directional_derivative_Dz,
                               directional_derivative_Dzbar)
 from magbloch.symbols import (V_term, W_term, assemble_truncated, eval_exact,
-                              eval_symbol, default_points, mode_max_norm,
-                              remainder_norm, symbol_hermiticity_residual)
+                              eval_symbol, default_points, mode_add,
+                              mode_max_norm, mode_scale, remainder_norm,
+                              symbol_hermiticity_residual)
 
 T = FockTruncation(n_max=20, guard=6)
 
@@ -149,3 +150,40 @@ def test_remainder_slope_natural1_projected(square, harper):
               for pt in pts) for d in deltas]
     slope = np.polyfit(np.log(deltas), np.log(ds), 1)[0]
     assert abs(slope - 5.0) < 0.5
+
+
+def test_remainder_band_outside_corner_rejected(square, harper):
+    # n_max 30, guard 6: the corner holds states 0..24; -1 (numpy would wrap
+    # it to the top guard state), 29 (inside the guard) and 40 (outside the
+    # basis) are all rejected, as is a non-integer index
+    Tb = FockTruncation(n_max=30, guard=6)
+    for band in (-1, 29, 40, [0, 25], 0.5):
+        with pytest.raises(ValueError, match="projector_band"):
+            remainder_norm(harper, None, square, Tb, 0.1, (0.1, 0.2),
+                           projector_band=band)
+    norms = [remainder_norm(harper, None, square, Tb, 0.1, (0.1, 0.2),
+                            projector_band=band)
+             for band in (24, np.int64(24), [24], (np.int64(24),))]
+    assert norms[0] > 0.0 and len(set(norms)) == 1
+
+
+def _random_modes(rng, dim, keys):
+    return {nm: rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            for nm in keys}
+
+
+def test_mode_add_and_scale_leave_inputs_alone():
+    rng = np.random.default_rng(5)
+    A = _random_modes(rng, 4, [(0, 0), (1, 0), (0, -1)])
+    B = _random_modes(rng, 4, [(1, 0), (2, 1)])
+    before = {k: {nm: M.copy() for nm, M in X.items()}
+              for k, X in (("A", A), ("B", B))}
+    out = mode_add(A, B)
+    assert set(out) == {(0, 0), (1, 0), (0, -1), (2, 1)}
+    assert np.array_equal(out[(1, 0)], before["A"][(1, 0)] + before["B"][(1, 0)])
+    mode_scale(out, -1.0)
+    mode_add(out, mode_scale(A, 2.0))
+    for k, X in (("A", A), ("B", B)):
+        assert set(X) == set(before[k])
+        for nm, M in X.items():
+            assert np.array_equal(M, before[k][nm])
