@@ -14,11 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericError
 from .lattice import (FourierSeries2D, Lattice2D, PeriodicVectorPotential,
                       laplacian_DzDzbar)
 from .quantize import (MagneticBlochFamily, RationalFlux, SpectrumReport,
-                       _grid_spectrum, _weyl_modes, _weyl_sum,
-                       quantize_blocks, quantize_series)
+                       _eigvalsh_solver, _grid_spectrum, _require_hermitian,
+                       _shift_sum, _weyl_modes, _weyl_terms, quantize_blocks,
+                       quantize_series)
 
 __all__ = [
     "EffectiveModel",
@@ -97,23 +99,41 @@ def spectrum_via_GGdag(A: PeriodicVectorPotential, L: Lattice2D, n_star: int,
 
     At every Bloch point the eigenvalues are (n*+1) +/- sqrt(1/4 +
     d^2 (n*+1) lam) over lam in the spectrum of G G^dag, which is positive
-    semidefinite; a negative lam beyond roundoff signals a Hermiticity bug.
+    semidefinite; a negative lam beyond roundoff signals a Hermiticity bug
+    and raises :class:`NumericError`.
+
+    G is the sum of the weighted shifts T_a of the Weyl monomials of g, so
+    G G^dag is the sum over mode pairs of T_a T_b^dag, the weighted shift
+    by n_a - n_b with weights roll(d_a conj(d_b), n_b): it is assembled and
+    solved like a Bloch family, banded when narrow, with no dense product.
     """
     if A.is_zero():
         raise ValueError("spectrum_via_GGdag needs a non-zero vector potential")
     delta = delta_from_flux(flux)
+    q = flux.q
     modes = _weyl_modes(A.g, flux, iota, "harper")
 
+    def pairs_at(b1, b2):
+        terms = list(_weyl_terms(modes, flux, iota, "harper", b1, b2))
+        return [(na - nb, np.roll(da * db.conj(), nb, axis=0))
+                for na, da in terms for nb, db in terms]
+
+    eigvalsh, point_bytes, solver = _eigvalsh_solver(
+        q, q, [(0, 0, na - nb) for na, _, _ in modes for nb, _, _ in modes],
+        lambda b1, b2: [(0, 0, pairs_at(b1, b2))],
+        lambda b1, b2: _require_hermitian(
+            _shift_sum(pairs_at(b1, b2), q, b1.shape), 1e-12, "G G^dag"),
+        "G G^dag")
+
     def solve(b1, b2):
-        G = _weyl_sum(modes, flux, iota, "harper", b1, b2)
-        lam = np.linalg.eigvalsh(G @ G.conj().swapaxes(-1, -2))
+        lam = eigvalsh(b1, b2)
         if lam.min() < -1e-10:
-            raise ValueError(
+            raise NumericError(
                 f"G G^dag not positive semidefinite: min eigenvalue {lam.min()}")
         lam = np.clip(lam, 0.0, None)
         root = np.sqrt(0.25 + (delta ** 2) * (n_star + 1.0) * lam)
         return np.sort(np.concatenate([(n_star + 1.0) - root,
                                        (n_star + 1.0) + root], axis=-1))
 
-    return _grid_spectrum(flux, flux.q, solve, grid, route="GGdag",
-                          n_star=n_star, delta=delta)
+    return _grid_spectrum(flux, point_bytes, solve, grid, route="GGdag",
+                          n_star=n_star, delta=delta, **solver)

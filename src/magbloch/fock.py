@@ -105,10 +105,14 @@ def alpha_coefficient(n: int, m: int, L: Lattice2D) -> complex:
 
 
 def I_generator(n: int, m: int, L: Lattice2D, T: FockTruncation) -> np.ndarray:
-    """Hermitian generator alpha a + conj(alpha) a_dag of the mode (n, m)."""
-    a, ad = ladder(T)
+    """Hermitian generator alpha a + conj(alpha) a_dag of the mode (n, m):
+    alpha sqrt(k) at [k-1, k] and conj(alpha) sqrt(k) at [k, k-1]."""
     alpha = alpha_coefficient(n, m, L)
-    return alpha * a + alpha.conjugate() * ad
+    k = np.arange(1, T.dim)
+    I = np.zeros((T.dim, T.dim), dtype=complex)
+    I[k - 1, k] = alpha * np.sqrt(k)
+    I[k, k - 1] = alpha.conjugate() * np.sqrt(k)
+    return I
 
 
 @functools.lru_cache(maxsize=8)

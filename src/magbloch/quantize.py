@@ -17,11 +17,13 @@ against misreading the phase bookkeeping.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+import scipy.linalg
 
 from .errors import NumericError
 from .lattice import FourierSeries2D
@@ -118,6 +120,17 @@ class MagneticBlochFamily:
                 modes, self.flux, self.iota, self.convention, beta1, beta2)
         return _require_hermitian(H, 1e-12, "quantized family")
 
+    def _shifts(self) -> list:
+        """(i, k, shift) of every monomial of every block."""
+        return [(i, k, _weyl_shift(self.convention, n, m))
+                for i, k, modes in self.block_modes for n, m, _ in modes]
+
+    def _terms_at(self, beta1, beta2) -> list:
+        """(i, k, :func:`_weyl_terms` of the block) for every block."""
+        return [(i, k, _weyl_terms(modes, self.flux, self.iota,
+                                   self.convention, beta1, beta2))
+                for i, k, modes in self.block_modes]
+
 
 def _require_hermitian(H, rtol: float, what: str):
     """H itself, after checking max|H - H^dag| <= rtol * max(1, max|H|) for
@@ -133,10 +146,15 @@ def _require_hermitian(H, rtol: float, what: str):
             return abs(H).max()
 
         resid = abs(H - H.conj().T).max()
+    _check_hermitian(resid, size, rtol, what)
+    return H
+
+
+def _check_hermitian(resid, size, rtol: float, what: str) -> None:
+    """Raise NumericError where a residual exceeds rtol * max(1, size())."""
     # max|H| matters only once a residual exceeds rtol itself
     if np.any(resid > rtol) and np.any(resid > rtol * np.maximum(1.0, size())):
         raise NumericError(f"{what} lost Hermiticity: residual {np.max(resid)}")
-    return H
 
 
 def _phase(convention: str, iota: int, theta: float, n: int, m: int) -> complex:
@@ -172,15 +190,25 @@ def _weyl_modes(F: FourierSeries2D, flux: RationalFlux, iota: int,
             for (n, m), c in sorted(F.coeffs.items()) if c != 0]
 
 
-def _weyl_sum(modes, flux: RationalFlux, iota: int, convention: str,
-              beta1, beta2) -> np.ndarray:
-    """Sum of w * V^n U^m ("harper") or w * U^n V^m ("hofstadter") over
-    ``modes`` from :func:`_weyl_modes`, at Bloch phases (beta1, beta2): one
-    q x q matrix, or the (*S, q, q) stack for phase arrays of shape S.
+def _weyl_shift(convention: str, n: int, m: int) -> int:
+    """The cyclic shift of the monomial of mode (n, m): V^n shifts by n,
+    and U^n V^m by m."""
+    return n if convention == "harper" else m
+
+
+def _weyl_terms(modes, flux: RationalFlux, iota: int, convention: str,
+                beta1, beta2):
+    """(shift, weights) of each monomial w * V^n U^m ("harper") or
+    w * U^n V^m ("hofstadter") of ``modes`` from :func:`_weyl_modes`, in
+    their order, at Bloch phases (beta1, beta2): the monomial is the
+    weighted cyclic shift [(j + shift) mod q, j] = weights[j], with the
+    weights of shape (q, *S) for phase arrays of shape S.
 
     With U = diag(u_j) and V e_j = v e_{j+1} as in :func:`clock_shift`,
     V^n U^m has entries [(j+n) mod q, j] = v^n u_j^m and U^n V^m has
-    entries [(j+m) mod q, j] = u_{j+m}^n v^m.
+    entries [(j+m) mod q, j] = u_{j+m}^n v^m.  The dense sum
+    :func:`_weyl_sum` and the band assembly of :func:`spectrum` both
+    consume this one generator.
     """
     q = flux.q
     beta1, beta2 = np.broadcast_arrays(beta1, beta2)
@@ -188,15 +216,29 @@ def _weyl_sum(modes, flux: RationalFlux, iota: int, convention: str,
     j = np.arange(q).reshape((q,) + (1,) * beta1.ndim)
     u = np.exp(-1j * (beta1 + _clock_angle(flux, iota, j)))
     v = np.exp(-1j * beta2)
-    H = np.zeros(beta1.shape + (q, q), dtype=complex)
-    Hj = np.moveaxis(H, (-2, -1), (0, 1))   # matrix axes first, for the kernel
     for n, m, w in modes:
         if convention == "harper":
-            _add_weighted_shift(Hj, n, w * (_power(v, n) * _power(u, m)))
+            yield n, w * (_power(v, n) * _power(u, m))
         else:
-            _add_weighted_shift(
-                Hj, m, w * (np.roll(_power(u, n), -m, axis=0) * _power(v, m)))
+            yield m, w * (np.roll(_power(u, n), -m, axis=0) * _power(v, m))
+
+
+def _shift_sum(terms, q: int, shape: tuple) -> np.ndarray:
+    """The (*shape, q, q) stack summing weighted shifts (shift, weights),
+    in their order, through :func:`_add_weighted_shift`."""
+    H = np.zeros(shape + (q, q), dtype=complex)
+    Hj = np.moveaxis(H, (-2, -1), (0, 1))   # matrix axes first, for the kernel
+    for shift, weights in terms:
+        _add_weighted_shift(Hj, shift, weights)
     return H
+
+
+def _weyl_sum(modes, flux: RationalFlux, iota: int, convention: str,
+              beta1, beta2) -> np.ndarray:
+    """Sum of the monomials of :func:`_weyl_terms`: one q x q matrix, or the
+    (*S, q, q) stack for phase arrays of shape S."""
+    return _shift_sum(_weyl_terms(modes, flux, iota, convention, beta1, beta2),
+                      flux.q, np.broadcast(beta1, beta2).shape)
 
 
 def quantize_series(F: FourierSeries2D, flux: RationalFlux, iota: int = -1,
@@ -263,22 +305,127 @@ def _merge_branches(samples: np.ndarray, tol: float | None = None):
     return [(lo, hi) for lo, hi in merged], tol
 
 
-# Bytes of matrices per stack of Bloch points: 36 points at q = 30, and one
-# at 2q = 254, so a large family never holds more than one matrix at once.
+# Bytes per stack of Bloch points: of dim x dim matrices on the dense path
+# (36 points at q = 30, one at 2q = 254, so a large dense family never holds
+# more than one matrix at once), of the two (b + 1) x dim bands on the band
+# path (32 points of the two-band family at 2q = 254, b = 1).
 _STACK_BYTES = 512 * 1024
 
+_ZHBEVD = scipy.linalg.get_lapack_funcs("hbevd", dtype=complex)
 
-def _grid_spectrum(flux: RationalFlux, dim: int, solve, grid,
+
+def _fold(q: int) -> np.ndarray:
+    """Position of each clock index j in the band layout 0, q-1, 1, q-2, ...,
+    where j and (j + s) mod q lie within 2|s| of each other."""
+    j = np.arange(q)
+    return np.where(2 * j < q, 2 * j, 2 * (q - j) - 1)
+
+
+@functools.lru_cache(maxsize=1024)
+def _band_slots(q: int, m: int, i: int, k: int, shift: int):
+    """Where block (i, k)'s entries [(j + shift) mod q, j] lie in the band
+    layout of m interleaved q x q blocks, pos(i, j) = fold(j) * m + i.
+
+    Returns (j, d, c) for the entries on or below the diagonal, stored at
+    band[d, c] (LAPACK's lower band storage: row c + d, column c), and the
+    same for the entries on or above it, stored at mirror[d, c] (row c,
+    column c + d); diagonal entries go to both.
+    """
+    f = _fold(q) * m
+    j = np.arange(q)
+    row = f[(j + shift) % q] + i
+    col = f + k
+    lower, upper = row >= col, row <= col
+    slots = ((j[lower], (row - col)[lower], col[lower]),
+             (j[upper], (col - row)[upper], row[upper]))
+    for a in slots[0] + slots[1]:
+        a.setflags(write=False)
+    return slots
+
+
+def _bandwidth(q: int, dim: int, shifts) -> int:
+    """Half bandwidth of the band layout for the (i, k, shift) table: it
+    comes from where the monomials lie, never from their values."""
+    return max((int(d.max(initial=0)) for i, k, s in shifts
+                for _, d, _ in _band_slots(q, dim // q, i, k, s)), default=0)
+
+
+def _band_stack(q: int, dim: int, b: int, blocks, points: int):
+    """(band, mirror), each (points, b + 1, dim), of the Hermitian matrices
+    with blocks (i, k) the sums of the weighted shifts (shift, weights) of
+    each (i, k, terms) of ``blocks``, laid out as in :func:`_band_slots`
+    with half bandwidth b.  Each entry has the bits of the dense matrix:
+    the same terms are summed in the same order."""
+    band = np.zeros((points, b + 1, dim), dtype=complex)
+    mirror = np.zeros_like(band)
+    # band axes first, for the fancy indexing below
+    band_j, mirror_j = np.moveaxis(band, 0, -1), np.moveaxis(mirror, 0, -1)
+    for i, k, terms in blocks:
+        for shift, weights in terms:
+            (jl, dl, cl), (ju, du, cu) = _band_slots(q, dim // q, i, k, shift)
+            band_j[dl, cl] += weights[jl]
+            mirror_j[du, cu] += weights[ju]
+    return band, mirror
+
+
+def _band_eigvalsh(q: int, dim: int, b: int, blocks, beta1, beta2,
+                   what: str) -> np.ndarray:
+    """Sorted eigenvalues at 1-D phase arrays of the matrices of
+    :func:`_band_stack`, after the Hermiticity check of
+    :func:`_require_hermitian` on the band and its mirror, by LAPACK zhbevd
+    at each point."""
+    band, mirror = _band_stack(q, dim, b, blocks, len(beta1))
+
+    def size():
+        return np.maximum(np.max(np.abs(band), axis=(-2, -1)),
+                          np.max(np.abs(mirror), axis=(-2, -1)))
+
+    _check_hermitian(np.max(np.abs(band - mirror.conj()), axis=(-2, -1)),
+                     size, 1e-12, what)
+    out = np.empty((len(beta1), dim))
+    for s in range(len(beta1)):
+        out[s], _, info = _ZHBEVD(band[s], compute_v=0, lower=1)
+        if info != 0:
+            raise NumericError(f"banded eigensolver failed at beta=("
+                               f"{beta1[s]}, {beta2[s]}): LAPACK info {info}")
+    return out
+
+
+def _eigvalsh_solver(q: int, dim: int, shifts, terms_at, dense_at, what: str):
+    """(solve, bytes per Bloch point, metadata naming the solver) for the
+    sorted eigenvalues of Hermitian matrices of dim / q blocks of size q
+    at 1-D phase arrays.
+
+    ``shifts`` is the (i, k, shift) table of the blocks' weighted shifts,
+    ``terms_at(b1, b2)`` their (i, k, terms) for :func:`_band_eigvalsh`,
+    ``dense_at(b1, b2)`` the dense stack.  A family whose half bandwidth b
+    in the band layout has 8 b <= dim is solved banded; a wider one (a
+    wide hofstadter shift, many modes, or q too small) by the stacked
+    dense ``eigvalsh``, which is then the faster of the two.
+    """
+    b = _bandwidth(q, dim, shifts)
+    if 8 * b <= dim:
+        def solve(b1, b2):
+            return _band_eigvalsh(q, dim, b, terms_at(b1, b2), b1, b2, what)
+
+        return solve, 32 * (b + 1) * dim, {"eigensolver": "lapack-banded",
+                                           "bandwidth": b}
+    return (lambda b1, b2: np.linalg.eigvalsh(dense_at(b1, b2)),
+            16 * dim * dim, {"eigensolver": "lapack-dense"})
+
+
+def _grid_spectrum(flux: RationalFlux, point_bytes: int, solve, grid,
                    tol_band: float | None = None, **metadata) -> SpectrumReport:
     """Report of ``solve``, sorted eigenvalues at arrays of Bloch phases, on
     the n1 x n2 grid over [0, 2 pi / q) x [0, 2 pi), beta1-major, in stacks
-    of at most ``_STACK_BYTES`` of dim x dim matrices (or of one point)."""
+    of at most ``_STACK_BYTES`` at ``point_bytes`` per point (or of one
+    point)."""
     n1, n2 = grid
     if n1 < 8 or n2 < 8:
         raise ValueError("grid must be at least (8, 8)")
     b1 = np.repeat(2.0 * math.pi / flux.q * np.arange(n1) / n1, n2)
     b2 = np.tile(2.0 * math.pi * np.arange(n2) / n2, n1)
-    step = max(1, _STACK_BYTES // (16 * dim * dim))
+    step = max(1, _STACK_BYTES // point_bytes)
     rows = []
     for s in range(0, b1.size, step):
         try:
@@ -299,13 +446,14 @@ def spectrum(fam: MagneticBlochFamily, grid=(16, 16),
 
     Band intervals come from tracking sorted eigenvalue branches over the
     grid; branches closer than ``tol_band`` (default 1e-6 of the spectral
-    width) merge into one interval.
+    width) merge into one interval.  The metadata names the eigensolver
+    that ran (see :func:`_eigvalsh_solver`).
     """
-    return _grid_spectrum(
-        fam.flux, fam.dim,
-        lambda b1, b2: np.linalg.eigvalsh(fam.matrix_at(b1, b2)), grid,
-        tol_band, iota=fam.iota, convention=fam.convention,
-        eigensolver="lapack")
+    solve, point_bytes, solver = _eigvalsh_solver(
+        fam.flux.q, fam.dim, fam._shifts(), fam._terms_at, fam.matrix_at,
+        "quantized family")
+    return _grid_spectrum(fam.flux, point_bytes, solve, grid, tol_band,
+                          iota=fam.iota, convention=fam.convention, **solver)
 
 
 def butterfly(F: FourierSeries2D, q_max: int, iota: int = -1, grid=(8, 16),

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magbloch import quantize
-from magbloch.effective import spectrum_via_GGdag
+from magbloch import effective, quantize
+from magbloch.effective import spectrum_via_GGdag, two_band_model
 from magbloch.errors import NumericError
 from magbloch.lattice import (FourierSeries2D, PeriodicVectorPotential,
                               harper_potential, make_lattice)
 from magbloch.quantize import (MagneticBlochFamily, RationalFlux,
-                               _require_hermitian,
+                               _band_eigvalsh, _band_stack, _bandwidth,
+                               _fold, _require_hermitian,
                                _weyl_modes, _weyl_sum,
                                almost_mathieu_spectrum, butterfly,
                                clock_shift, hausdorff_distance,
@@ -361,3 +362,148 @@ def test_band_edges_lie_at_chambers_points(p, q, grid):
     assert len(rep.bands) == q
     edges = np.array([corners.min(axis=0), corners.max(axis=0)]).T
     assert np.max(np.abs(np.array(rep.bands) - edges)) < 1e-13
+
+
+def _random_series(rng, modes, real=True):
+    """A series on +-pairs of ``modes`` (conjugate amplitudes when real)."""
+    coeffs = {(0, 0): rng.normal()}
+    for n, m in modes:
+        c = complex(rng.normal(), rng.normal())
+        coeffs[(n, m)] = c
+        coeffs[(-n, -m)] = c.conjugate() if real else complex(rng.normal(),
+                                                              rng.normal())
+    return FourierSeries2D(coeffs, is_real=real)
+
+
+def _random_blocks(rng, m, modes):
+    """A Hermitian m x m block symbol: real diagonal series, each upper
+    block reflected into the lower one."""
+    blocks = [[None] * m for _ in range(m)]
+    for i in range(m):
+        blocks[i][i] = _random_series(rng, modes)
+        for k in range(i + 1, m):
+            blocks[i][k] = _random_series(rng, modes, real=False)
+            blocks[k][i] = blocks[i][k].conj_reflect()
+    return blocks
+
+
+_NEAR = [(1, 0), (0, 1)]
+_WIDE = [(1, 0), (0, 1), (3, 2), (2, -3), (-1, 3)]
+
+
+def _families():
+    rng = np.random.default_rng(11)
+    for q in (1, 2, 3, 16, 50):
+        fx = RationalFlux(1 if q > 1 else 0, q)
+        for convention in ("harper", "hofstadter"):
+            for modes in (_NEAR, _WIDE):
+                yield quantize_series(_random_series(rng, modes), fx, -1,
+                                      convention)
+        for m in (2, 3):
+            yield quantize_blocks(_random_blocks(rng, m, _NEAR), fx, 1)
+    # 8 b > dim: the hofstadter shifts +-3 of a q = 40 family
+    yield quantize_series(_random_series(rng, [(1, 3), (2, 1)]),
+                          RationalFlux(3, 40), 1, "hofstadter")
+
+
+@pytest.mark.parametrize("fam", list(_families()),
+                         ids=lambda f: f"{f.convention}-q{f.flux.q}-dim{f.dim}"
+                         f"-modes{sum(len(t[2]) for t in f.block_modes)}")
+def test_band_path_matches_dense(fam):
+    q, dim = fam.flux.q, fam.dim
+    b1 = np.array([0.0, 0.3, 1.7, 5.9])
+    b2 = np.array([0.0, 2.2, 4.1, 0.8])
+    b = _bandwidth(q, dim, fam._shifts())
+    dense = fam.matrix_at(b1, b2)
+    # the band and its mirror hold the dense entries bit for bit
+    band, mirror = _band_stack(q, dim, b, fam._terms_at(b1, b2), len(b1))
+    m = dim // q
+    orig = np.empty(dim, dtype=int)        # original index at each position
+    i, j = np.divmod(np.arange(dim), q)
+    orig[_fold(q)[j] * m + i] = np.arange(dim)
+    for d in range(b + 1):
+        c = np.arange(dim - d)
+        assert np.array_equal(band[:, d, c], dense[:, orig[c + d], orig[c]])
+        assert np.array_equal(mirror[:, d, c], dense[:, orig[c], orig[c + d]])
+        assert not band[:, d, dim - d:].any() and not mirror[:, d, dim - d:].any()
+    want = np.linalg.eigvalsh(dense)
+    got = _band_eigvalsh(q, dim, b, fam._terms_at(b1, b2), b1, b2, "family")
+    assert np.max(np.abs(got - want)) < 1e-12
+    # spectrum takes the band path exactly when 8 b <= dim
+    rep = spectrum(fam, grid=(8, 8))
+    if 8 * b <= dim:
+        assert rep.metadata["eigensolver"] == "lapack-banded"
+        assert rep.metadata["bandwidth"] == b
+    else:
+        assert rep.metadata["eigensolver"] == "lapack-dense"
+        assert "bandwidth" not in rep.metadata
+    n1, n2 = 8, 8
+    g1 = np.repeat(2.0 * math.pi / q * np.arange(n1) / n1, n2)
+    g2 = np.tile(2.0 * math.pi * np.arange(n2) / n2, n1)
+    assert np.max(np.abs(rep.samples
+                         - np.linalg.eigvalsh(fam.matrix_at(g1, g2)))) < 1e-12
+
+
+def test_band_layout_bounds_a_shift():
+    # a shift by s moves a clock index at most 2|s| positions in the fold
+    for q in (1, 2, 5, 16, 17):
+        f = _fold(q)
+        assert sorted(f) == list(range(q))
+        j = np.arange(q)
+        for s in range(-3, 4):
+            assert np.max(np.abs(f[(j + s) % q] - f)) <= 2 * abs(s)
+
+
+def test_band_path_rejects_a_non_hermitian_block_table():
+    fx = RationalFlux(1, 50)
+    c = FourierSeries2D({(0, 0): 1.0}, is_real=True)
+    g = FourierSeries2D({(0, 1): 0.5j, (0, -1): 0.25})
+    fam = quantize_blocks([[c, g], [g, c]], fx)   # (1, 0) should reflect g
+    assert 8 * _bandwidth(50, fam.dim, fam._shifts()) <= fam.dim
+    with pytest.raises(NumericError, match="lost Hermiticity"):
+        spectrum(fam, grid=(8, 8))
+
+
+def test_band_solver_failure_names_the_bloch_point(monkeypatch):
+    fam = quantize_series(HARPER, RationalFlux(1, 16), iota=-1)
+    monkeypatch.setattr(quantize, "_ZHBEVD", lambda ab, compute_v, lower: (
+        np.zeros(ab.shape[1]), None, 3))
+    with pytest.raises(NumericError, match=r"beta=\(0.0, 0.0\).*info 3"):
+        spectrum(fam, grid=(8, 8))
+
+
+def _a2_potential(L):
+    """f2 = cos(2 pi y): g has the modes (+-1, 0), so G shifts by +-1."""
+    return PeriodicVectorPotential(
+        FourierSeries2D({}, is_real=True),
+        FourierSeries2D({(1, 0): 0.5, (-1, 0): 0.5}, is_real=True), L)
+
+
+@pytest.mark.parametrize("q", [3, 5, 40])
+def test_ggdag_with_shifting_G_matches_dense_two_band(q):
+    L = make_lattice([1, 0], [0, 1])
+    A = _a2_potential(L)
+    fx = RationalFlux(1, q)
+    via = spectrum_via_GGdag(A, L, 1, fx, grid=(8, 8))
+    # G G^dag shifts by 0 and +-2: band width 4, banded from q = 32
+    assert via.metadata["eigensolver"] == ("lapack-banded" if q >= 32
+                                           else "lapack-dense")
+    fam = two_band_model(A, L, 1, fx).family
+    b1 = np.repeat(2.0 * math.pi / q * np.arange(8) / 8, 8)
+    b2 = np.tile(2.0 * math.pi * np.arange(8) / 8, 8)
+    dense = np.linalg.eigvalsh(fam.matrix_at(b1, b2))
+    assert np.max(np.abs(via.samples - dense)) < 1e-12
+
+
+def test_ggdag_negative_eigenvalue_is_a_numeric_error(monkeypatch):
+    L = make_lattice([1, 0], [0, 1])
+    real = effective._eigvalsh_solver
+
+    def shifted(*args):
+        solve, point_bytes, solver = real(*args)
+        return (lambda b1, b2: solve(b1, b2) - 1.0), point_bytes, solver
+
+    monkeypatch.setattr(effective, "_eigvalsh_solver", shifted)
+    with pytest.raises(NumericError, match="not positive semidefinite"):
+        spectrum_via_GGdag(_a2_potential(L), L, 0, RationalFlux(1, 40),
+                           grid=(8, 8))
