@@ -74,8 +74,17 @@ def _dump_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [f"{pad}  {_dump_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        # The brackets go into the one join or format, so the body, up to
+        # the whole report, is not copied once more to wrap it.
+        sep = f",\n{pad}  "
+        if all(isinstance(v, (float, np.floating)) for v in obj):
+            # a flat list of floats, the bulk of every report, in one pass
+            return (f"[\n{pad}  " + sep.join(["%.17g"] * len(obj))
+                    + f"\n{pad}]") % tuple(obj)
+        items = [_dump_json(v, indent + 1) for v in obj]
+        items[0] = f"[\n{pad}  " + items[0]
+        items[-1] += f"\n{pad}]"
+        return sep.join(items)
     if obj is None:
         return "null"
     if isinstance(obj, bool):

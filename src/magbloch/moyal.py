@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,27 +67,121 @@ class MoyalSeries:
         return self.grades.get(j, {})
 
 
+# The edges of a trimmed product's row and column ranges are rounded out to
+# this grid, which the GEMM tiles of OpenBLAS's kernels share, so each kept
+# entry is accumulated by the same kernel, in the same order, as in the full
+# product.  The tests hold the trimmed products equal to the full ones, entry
+# for entry.  From a width of about 150, where GEMM blocks the full product
+# differently, an entry may differ from it by a rounding.
+_TILE = 8
+
+
+class _Box(NamedTuple):
+    """Bounding box ``[r0, r1) x [c0, c1)`` of a matrix's nonzero entries,
+    with its row and column ranges rounded out to the tile grid."""
+
+    r0: int
+    r1: int
+    c0: int
+    c1: int
+    rows: slice
+    cols: slice
+
+
+def _tile_slice(lo: int, hi: int, size: int) -> slice:
+    """[lo, hi) rounded out to the tile grid, and at least two wide when the
+    axis is: a single row or column takes a vector kernel."""
+    lo -= lo % _TILE
+    hi = min(size, hi + -hi % _TILE)
+    if hi - lo == 1 and lo:
+        lo -= _TILE
+    return slice(lo, hi)
+
+
+def _box(M: np.ndarray) -> _Box | None:
+    """The nonzero block of M, None for a zero matrix."""
+    rows = np.flatnonzero(M.any(axis=1))
+    if not rows.size:
+        return None
+    cols = np.flatnonzero(M.any(axis=0))
+    r0, r1 = int(rows[0]), int(rows[-1]) + 1
+    c0, c1 = int(cols[0]), int(cols[-1]) + 1
+    return _Box(r0, r1, c0, c1, _tile_slice(r0, r1, M.shape[0]),
+                _tile_slice(c0, c1, M.shape[1]))
+
+
+class _Stored(dict):
+    """Mode map that also holds ``boxes``, the nonzero block of each mode's
+    matrix.  The builders wrap each mode map once, when they store it, so no
+    star product scans a matrix."""
+
+    __slots__ = ("boxes",)
+
+    def __init__(self, mm: ModeMap, boxes: dict | None = None):
+        super().__init__(mm)
+        self.boxes = ({nm: _box(M) for nm, M in mm.items()}
+                      if boxes is None else boxes)
+
+
+def _stored_grades(grades: dict) -> dict:
+    return {j: mm if isinstance(mm, _Stored) else _Stored(mm)
+            for j, mm in grades.items()}
+
+
+def _dagger(mm: _Stored) -> _Stored:
+    """mode_dagger, with the boxes transposed instead of rescanned."""
+    return _Stored(mode_dagger(mm),
+                   {(-n, -m): box and _Box(box.c0, box.c1, box.r0, box.r1,
+                                           box.cols, box.rows)
+                    for (n, m), box in mm.boxes.items()})
+
+
 def moyal_term(A: ModeMap, B: ModeMap, k: int) -> ModeMap:
     """k-th star-product correction of two mode maps (k = 0 is the
-    mode-convolution product)."""
+    mode-convolution product).
+
+    Each mode-pair product multiplies only the nonzero blocks,
+    ``MA[rows_A, inner] @ MB[inner, cols_B]`` with ``inner`` the overlap of
+    A's nonzero columns and B's nonzero rows; every mode pair still lands
+    in a dense matrix of its mode.
+    """
     out: ModeMap = {}
     if not A or not B:
         return out
+    boxes_a = A.boxes if isinstance(A, _Stored) else _Stored(A).boxes
+    boxes_b = B.boxes if isinstance(B, _Stored) else _Stored(B).boxes
+    dtype = np.result_type(*{M.dtype for M in A.values()},
+                           *{M.dtype for M in B.values()}, 1j if k else 1.0)
+    coefs: dict[int, complex] = {}
     for (n1, m1), MA in A.items():
+        box_a = boxes_a[(n1, m1)]
         for (n2, m2), MB in B.items():
             if k > 0:
                 br = m1 * n2 - n1 * m2
                 if br == 0:
                     continue
-                coef = (2j * math.pi ** 2 * br) ** k / math.factorial(k)
-            else:
-                coef = 1.0
             key = (n1 + n2, m1 + m2)
-            term = coef * (MA @ MB)
-            if key in out:
-                out[key] += term    # an array created here, never an input
-            else:
-                out[key] = term
+            acc = out.get(key)
+            if acc is None:
+                acc = out[key] = np.zeros((MA.shape[0], MB.shape[1]), dtype)
+            box_b = boxes_b[(n2, m2)]
+            if box_a is None or box_b is None:
+                continue
+            lo, hi = max(box_a.c0, box_b.r0), min(box_a.c1, box_b.r1)
+            if lo >= hi:
+                continue
+            if hi - lo == 1 and MA.shape[1] > 1:
+                # an inner extent of one takes another kernel too
+                lo, hi = (lo, hi + 1) if hi < MA.shape[1] else (lo - 1, hi)
+            rows, cols = box_a.rows, box_b.cols
+            term = MA[rows, lo:hi] @ MB[lo:hi, cols]
+            if k > 0:
+                coef = coefs.get(br)
+                if coef is None:
+                    coef = coefs[br] = ((2j * math.pi ** 2 * br) ** k
+                                        / math.factorial(k))
+                np.multiply(coef, term, out=term)
+            acc[rows, cols] += term
     return out
 
 
@@ -142,20 +237,22 @@ def build_projection(H: OperatorSymbol, band_set, order: int) -> MoyalSeries:
     T.require(order, bands[-1])
 
     S, W, _ = _block_masks(T, bands)
-    pi_grades: dict[int, ModeMap] = {0: {(0, 0): band_projector_matrix(T, bands)}}
+    Hg = _stored_grades(H.grades)
+    pi_grades: dict[int, ModeMap] = {
+        0: _Stored({(0, 0): band_projector_matrix(T, bands)})}
     for n in range(1, order + 1):
         # [pi # pi - pi]_n; the linear term has no grade-n piece yet
         G = star_grade(pi_grades, pi_grades, n)
-        piD = {nm: M * S for nm, M in G.items()}
+        piD = _Stored({nm: M * S for nm, M in G.items()})
         partial = dict(pi_grades)
         if piD:
             partial[n] = piD
-        F = star_grade(H.grades, partial, n)
-        F = mode_add(F, mode_scale(star_grade(partial, H.grades, n), -1.0))
+        F = star_grade(Hg, partial, n)
+        F = mode_add(F, mode_scale(star_grade(partial, Hg, n), -1.0))
         piOD = {nm: M * W for nm, M in F.items()}
         pi_n = mode_add(piD, piOD)
         if pi_n:
-            pi_grades[n] = pi_n
+            pi_grades[n] = _Stored(pi_n)
     return MoyalSeries(grades=pi_grades, order_built=order, truncation=T,
                        lattice=H.lattice, band_set=bands)
 
@@ -167,23 +264,28 @@ def build_intertwiner(pi: MoyalSeries, order: int) -> MoyalSeries:
         raise TruncationError("projection series built to lower order than requested")
     T = pi.truncation
     _, _, D = _block_masks(T, pi.band_set)
-    eye = np.eye(T.dim, dtype=complex)
-    u_grades: dict[int, ModeMap] = {0: {(0, 0): eye}}
+    pig = _stored_grades(pi.grades)
+    u_grades: dict[int, ModeMap] = {0: _Stored({(0, 0): np.eye(T.dim, dtype=complex)})}
+    u_dag = {0: _dagger(u_grades[0])}
+    upi: dict[int, ModeMap] = {}    # [u # pi]_j of the finished grades of u
     for n in range(1, order + 1):
-        u_dag = {j: mode_dagger(mm) for j, mm in u_grades.items()}
         A_n = star_grade(u_grades, u_dag, n)
-        a_n = mode_scale(A_n, -0.5)
-        w = dict(u_grades)
+        a_n = _Stored(mode_scale(A_n, -0.5))
+        w, w_dag = dict(u_grades), dict(u_dag)
         if a_n:
             w[n] = a_n
-        w_dag = {j: mode_dagger(mm) for j, mm in w.items()}
-        # [w # pi # w_dag]_n, associating left to right
-        upi = {j: star_grade(w, pi.grades, j) for j in range(n + 1)}
-        B_n = star_grade(upi, w_dag, n)
+            w_dag[n] = _dagger(a_n)
+        # [w # pi # w_dag]_n, associating left to right; grades below n of
+        # w # pi are those of u # pi, and grade n - 1 of u is final now
+        upi[n - 1] = _Stored(star_grade(u_grades, pig, n - 1))
+        wpi = dict(upi)
+        wpi[n] = _Stored(star_grade(w, pig, n))
+        B_n = star_grade(wpi, w_dag, n)
         b_n = {nm: M * D for nm, M in B_n.items()}
         u_n = mode_add(a_n, b_n)
         if u_n:
-            u_grades[n] = u_n
+            u_grades[n] = _Stored(u_n)
+            u_dag[n] = _dagger(u_grades[n])
     return MoyalSeries(grades=u_grades, order_built=order, truncation=T,
                        lattice=pi.lattice, band_set=pi.band_set)
 
@@ -197,21 +299,16 @@ def effective_symbol(H: OperatorSymbol, pi: MoyalSeries, u: MoyalSeries,
     """
     if pi.order_built < order or u.order_built < order:
         raise TruncationError("series not built to the requested order")
-    T = u.truncation
     bands = list(u.band_set)
     idx = np.ix_(bands, bands)
-    uH = {j: star_grade(u.grades, H.grades, j) for j in range(order + 1)}
+    Hg, ug = _stored_grades(H.grades), _stored_grades(u.grades)
     chi: dict[int, ModeMap] = {}
     out = []
     for m in range(order + 1):
-        correction = star_grade(chi, u.grades, m)
-        chi_m = mode_add(uH.get(m, {}), mode_scale(correction, -1.0))
-        chi[m] = chi_m
-        h_m = {}
-        for nm, M in chi_m.items():
-            blk = M[idx]
-            h_m[nm] = blk
-        out.append(h_m)
+        correction = star_grade(chi, ug, m)
+        chi_m = mode_add(star_grade(ug, Hg, m), mode_scale(correction, -1.0))
+        chi[m] = _Stored(chi_m)
+        out.append({nm: M[idx] for nm, M in chi_m.items()})
     return out
 
 
@@ -219,15 +316,16 @@ def projection_residuals(H: OperatorSymbol, pi: MoyalSeries, order: int) -> dict
     """Gradewise defects of the defining properties of the projection:
     idempotency, symbol Hermiticity, commutation with H."""
     T = pi.truncation
+    Hg, pig = _stored_grades(H.grades), _stored_grades(pi.grades)
     idem, herm, comm = [], [], []
     for j in range(order + 1):
-        pp = star_grade(pi.grades, pi.grades, j)
+        pp = star_grade(pig, pig, j)
         d = mode_add(pp, mode_scale(pi.grade(j), -1.0))
         idem.append(mode_max_norm(d, T))
         dag = mode_dagger(pi.grade(j))
         herm.append(mode_max_norm(mode_add(dag, mode_scale(pi.grade(j), -1.0)), T))
-        c = star_grade(H.grades, pi.grades, j)
-        c = mode_add(c, mode_scale(star_grade(pi.grades, H.grades, j), -1.0))
+        c = star_grade(Hg, pig, j)
+        c = mode_add(c, mode_scale(star_grade(pig, Hg, j), -1.0))
         comm.append(mode_max_norm(c, T))
     return {"idempotency": idem, "hermiticity": herm, "commutator": comm}
 
@@ -236,14 +334,16 @@ def intertwiner_residuals(pi: MoyalSeries, u: MoyalSeries, order: int) -> dict:
     """Gradewise defects of unitarity and of u # pi # u_dag = P."""
     T = u.truncation
     P = band_projector_matrix(T, u.band_set)
-    u_dag = {j: mode_dagger(mm) for j, mm in u.grades.items()}
+    ug, pig = _stored_grades(u.grades), _stored_grades(pi.grades)
+    u_dag = {j: _dagger(mm) for j, mm in ug.items()}
+    upi: dict[int, ModeMap] = {}
     unit, intw = [], []
     for j in range(order + 1):
-        uu = star_grade(u.grades, u_dag, j)
+        uu = star_grade(ug, u_dag, j)
         if j == 0:
             uu = mode_add(uu, {(0, 0): -np.eye(T.dim, dtype=complex)})
         unit.append(mode_max_norm(uu, T))
-        upi = {k: star_grade(u.grades, pi.grades, k) for k in range(j + 1)}
+        upi[j] = _Stored(star_grade(ug, pig, j))
         s = star_grade(upi, u_dag, j)
         if j == 0:
             s = mode_add(s, {(0, 0): -P})

@@ -236,9 +236,11 @@ def remainder_norm(V, A, L, T: FockTruncation, delta: float, point,
     R = remainder_matrix(V, A, L, T, delta, point)
     if projector_band is None:
         return corner_norm(R, T)
-    in_band = np.zeros(T.dim, dtype=bool)
-    in_band[bands] = True
-    return corner_norm(R * in_band, T)
+    # R P_band is zero outside the band columns: take the norm of those alone
+    cols = sorted(set(map(int, bands)))
+    if not cols:
+        return 0.0
+    return float(np.linalg.norm(R[:T.corner_dim, cols], 2))
 
 
 def default_points(k: int = 4):

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from magbloch.cli import main
+from magbloch.cli import _dump_json, main
 
 HARPER_CFG = {
     "lattice": {"a": [1.0, 0.0], "b": [0.0, 1.0]},
@@ -277,3 +279,62 @@ def test_bad_config_values_are_config_errors(tmp_path, capsys, argv, extra):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
 
+
+
+def _dump_json_recursive(obj, indent: int = 0) -> str:
+    """The report writer as it was: one recursive call per value."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for k in obj:
+            items.append(f'{pad}  {json.dumps(str(k))}: '
+                         f'{_dump_json_recursive(obj[k], indent + 1)}')
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [f"{pad}  {_dump_json_recursive(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format(float(obj), ".17g")
+    return json.dumps(obj)
+
+
+_json_floats = st.one_of(
+    st.floats(), st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64), st.sampled_from([0.0, -0.0, 1e-300, 1e300]))
+_json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2 ** 62, 2 ** 62).map(np.int64),
+    st.text(max_size=5), _json_floats)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5), st.lists(_json_floats, max_size=5),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=4), st.integers()), inner,
+                        max_size=4)),
+    max_leaves=30)
+
+
+@given(_json_values)
+@settings(max_examples=300, deadline=None)
+def test_report_writer_matches_recursive_writer(obj):
+    assert _dump_json(obj) == _dump_json_recursive(obj)
+
+
+def test_report_writer_on_a_report_shape():
+    obj = [{"p": 1, "q": np.int64(7), "theta": 1 / 7, "ok": True, "none": None,
+            "name": "lapack-banded", "empty": [], "nothing": {},
+            "bands": [[-1.5, np.float64(0.25)], [np.float32(0.1), 2.0]],
+            "samples": [[0.1, -0.0, 1e-17], [float("nan"), float("inf"), 3.0]],
+            "mixed": [1, 2.5, True, None, "x", np.float64(4.0)],
+            "nested": {"a": {"b": [[]], "c": ()}}}]
+    assert _dump_json(obj) == _dump_json_recursive(obj)

@@ -5,15 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magbloch import moyal
 from magbloch.errors import TruncationError
 from magbloch.fock import FockTruncation, xi_matrix
 from magbloch.lattice import (FourierSeries2D, PeriodicVectorPotential,
                               laplacian_DzDzbar)
-from magbloch.moyal import (_block_masks, band_projector_matrix,
-                            build_intertwiner, build_projection,
-                            effective_symbol, intertwiner_residuals,
-                            moyal_term, projection_residuals, star_grade)
-from magbloch.symbols import assemble_truncated, mode_max_norm
+from magbloch.moyal import (_block_masks, _dagger, _Stored,
+                            band_projector_matrix, build_intertwiner,
+                            build_projection, effective_symbol,
+                            intertwiner_residuals, moyal_term,
+                            projection_residuals, star_grade)
+from magbloch.symbols import (assemble_truncated, mode_add, mode_dagger,
+                              mode_max_norm, mode_scale)
 
 T = FockTruncation(n_max=24, guard=6)
 
@@ -260,3 +263,145 @@ def test_star_grade_leaves_inputs_alone(keys, n, seed):
             M *= 0.0    # writing the result must not reach an input either
     _assert_unchanged(A, snap_a)
     _assert_unchanged(B, snap_b)
+
+
+# --- trimmed products against the dense double loop -------------------------
+
+@st.composite
+def _block_modes(draw, dim):
+    """Mode map whose matrices are nonzero, sparsely, inside one random
+    block each; an empty block gives an all-zero matrix."""
+    keys = draw(_mode_keys)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    out = {}
+    for nm in keys:
+        r0 = draw(st.integers(0, dim))
+        r1 = draw(st.integers(r0, dim))
+        c0 = draw(st.integers(0, dim))
+        c1 = draw(st.integers(c0, dim))
+        shape = (r1 - r0, c1 - c0)
+        M = np.zeros((dim, dim), dtype=complex)
+        M[r0:r1, c0:c1] = ((rng.normal(size=shape) + 1j * rng.normal(size=shape))
+                           * (rng.random(shape) < draw(st.sampled_from([0.3, 1.0]))))
+        out[nm] = M
+    return out
+
+
+def _star_reference(A_grades, B_grades, n):
+    """star_grade on the dense double loop."""
+    out = {}
+    for r, Ar in A_grades.items():
+        for l, Bl in B_grades.items():
+            if n - r - l >= 0:
+                for key, M in _moyal_reference(Ar, Bl, n - r - l).items():
+                    out[key] = out[key] + M if key in out else M
+    return out
+
+
+def _assert_modes_equal(got, want):
+    assert list(got) == list(want)
+    for key in want:
+        assert np.array_equal(got[key], want[key]), key
+
+
+def _assert_graded_equal(got, want):
+    assert list(got) == list(want)
+    for j in want:
+        _assert_modes_equal(got[j], want[j])
+
+
+_block_pair = st.integers(1, 40).flatmap(
+    lambda dim: st.tuples(_block_modes(dim), _block_modes(dim)))
+
+
+@given(_block_pair, st.integers(0, 3))
+@settings(max_examples=150, deadline=None)
+def test_trimmed_moyal_term_matches_dense_loop(pair, k):
+    A, B = pair
+    want = _moyal_reference(A, B, k)
+    # plain maps, maps carrying their boxes, and adjoints with transposed boxes
+    _assert_modes_equal(moyal_term(A, B, k), want)
+    _assert_modes_equal(moyal_term(_Stored(A), _Stored(B), k), want)
+    Ad, Bd = mode_dagger(A), mode_dagger(B)
+    _assert_modes_equal(moyal_term(_dagger(_Stored(B)), _dagger(_Stored(A)), k),
+                        _moyal_reference(Bd, Ad, k))
+
+
+@given(st.integers(1, 30).flatmap(
+           lambda dim: st.lists(_block_modes(dim), min_size=3, max_size=3)),
+       st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_trimmed_star_grade_matches_dense_loop(maps, n):
+    A = {0: _Stored(maps[0]), 1: _Stored(maps[1])}
+    B = {0: maps[2], 2: _dagger(_Stored(maps[1]))}
+    _assert_modes_equal(star_grade(A, B, n), _star_reference(A, B, n))
+
+
+def test_trimmed_products_without_overlap_keep_their_modes():
+    # A's nonzero columns and B's nonzero rows are disjoint, one matrix is
+    # zero: every product vanishes but each mode pair still lands somewhere
+    dim = 12
+    MA = np.zeros((dim, dim), dtype=complex)
+    MA[2:5, 0:3] = 1.0 + 2.0j
+    MB = np.zeros((dim, dim), dtype=complex)
+    MB[6:9, 4:11] = 3.0 - 1.0j
+    A = {(1, 0): MA, (0, 0): np.zeros((dim, dim), dtype=complex)}
+    B = {(0, 1): MB, (1, 1): MB}
+    for k in (0, 1):
+        got = moyal_term(_Stored(A), _Stored(B), k)
+        _assert_modes_equal(got, _moyal_reference(A, B, k))
+        assert all(not M.any() for M in got.values())
+
+
+def _intertwiner_reference(pi, order):
+    """build_intertwiner as it was: dense products, and every grade of
+    w # pi and every adjoint recomputed at every step."""
+    _, _, D = _block_masks(pi.truncation, pi.band_set)
+    u = {0: {(0, 0): np.eye(pi.truncation.dim, dtype=complex)}}
+    for n in range(1, order + 1):
+        u_dag = {j: mode_dagger(mm) for j, mm in u.items()}
+        a_n = mode_scale(_star_reference(u, u_dag, n), -0.5)
+        w = dict(u)
+        if a_n:
+            w[n] = a_n
+        w_dag = {j: mode_dagger(mm) for j, mm in w.items()}
+        upi = {j: _star_reference(w, pi.grades, j) for j in range(n + 1)}
+        b_n = {nm: M * D for nm, M in _star_reference(upi, w_dag, n).items()}
+        u_n = mode_add(a_n, b_n)
+        if u_n:
+            u[n] = u_n
+    return u
+
+
+def _intertwining_reference(pi, u, order):
+    P = band_projector_matrix(u.truncation, u.band_set)
+    u_dag = {j: mode_dagger(mm) for j, mm in u.grades.items()}
+    out = []
+    for j in range(order + 1):
+        upi = {k: _star_reference(u.grades, pi.grades, k) for k in range(j + 1)}
+        s = _star_reference(upi, u_dag, j)
+        if j == 0:
+            s = mode_add(s, {(0, 0): -P})
+        out.append(mode_max_norm(s, u.truncation))
+    return out
+
+
+@pytest.mark.parametrize("bands", [(0, 1), (3, 4)])
+def test_recursion_matches_dense_reference(square, harper, one_mode_potential,
+                                           bands, monkeypatch):
+    order = 3
+    H = assemble_truncated(harper, one_mode_potential, square, T)
+    pi = build_projection(H, bands, order)
+    u = build_intertwiner(pi, order)
+    hs = effective_symbol(H, pi, u, order)
+    pres = projection_residuals(H, pi, order)
+    ures = intertwiner_residuals(pi, u, order)
+    _assert_graded_equal(u.grades, _intertwiner_reference(pi, order))
+    assert ures["intertwining"] == _intertwining_reference(pi, u, order)
+
+    monkeypatch.setattr(moyal, "moyal_term", _moyal_reference)
+    _assert_graded_equal(pi.grades, build_projection(H, bands, order).grades)
+    for got, want in zip(hs, effective_symbol(H, pi, u, order), strict=True):
+        _assert_modes_equal(got, want)
+    assert projection_residuals(H, pi, order) == pres
+    assert intertwiner_residuals(pi, u, order) == ures

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from magbloch.fock import FockTruncation, I_generator, ladder, xi_matrix
+from magbloch.fock import (FockTruncation, I_generator, corner_norm, ladder,
+                          xi_matrix)
 from magbloch.lattice import (FourierSeries2D, PeriodicVectorPotential,
                               directional_derivative_Dz,
                               directional_derivative_Dzbar)
 from magbloch.symbols import (V_term, W_term, assemble_truncated, eval_exact,
                               eval_symbol, default_points, mode_add,
-                              mode_max_norm, mode_scale, remainder_norm,
+                              mode_max_norm, mode_scale, remainder_matrix,
+                              remainder_norm,
                               symbol_hermiticity_residual)
 
 T = FockTruncation(n_max=20, guard=6)
@@ -165,6 +167,23 @@ def test_remainder_band_outside_corner_rejected(square, harper):
                             projector_band=band)
              for band in (24, np.int64(24), [24], (np.int64(24),))]
     assert norms[0] > 0.0 and len(set(norms)) == 1
+
+
+@pytest.mark.parametrize("with_a", [False, True])
+def test_projected_remainder_is_norm_of_band_columns(square, harper,
+                                                     one_mode_potential, with_a):
+    # the band columns alone against the whole masked corner, R * in_band
+    A = one_mode_potential if with_a else None
+    Tb = FockTruncation(n_max=40, guard=6)
+    for band in (0, [0, 1], [2, 4, 4], (np.int64(3),), []):
+        for delta, point in ((0.2, (0.1, 0.2)), (0.05, (0.5, 0.75))):
+            R = remainder_matrix(harper, A, square, Tb, delta, point)
+            in_band = np.zeros(Tb.dim, dtype=bool)
+            in_band[band] = True
+            want = corner_norm(R * in_band, Tb)
+            got = remainder_norm(harper, A, square, Tb, delta, point,
+                                 projector_band=band)
+            assert abs(got - want) <= 1e-13 * want, (band, delta)
 
 
 def _random_modes(rng, dim, keys):
