@@ -402,11 +402,11 @@ def cmd_oracle_compare(cfg: dict, args) -> str:
     n_cells = cfg.get("n_cells", 1)
     lam = _one_level(cfg, "oracle-compare") + 0.5
     T = _truncation(cfg, 30)
+    n_modes = max(1, oracle.max_mode(V, A))
     entries = []
     deltas, dists = [], []
     for fx in cfg.get("delta") or oracle.default_delta_sweep():
         delta = effective.delta_from_flux(fx)
-        n_modes = max((max(abs(n), abs(m)) for (n, m) in V.coeffs), default=1)
         per_cell = fx.q * max(1, -(-4 * n_modes // fx.q))
         basis = oracle.OracleBasis(n_cells=n_cells, n_grid=per_cell, fock=T)
         Hfull = oracle.build_full_matrix(V, A, L, basis, fx)

@@ -49,7 +49,6 @@ __all__ = [
     "effective_symbol",
     "projection_residuals",
     "intertwiner_residuals",
-    "band_projector_matrix",
 ]
 
 

@@ -4,14 +4,16 @@ The full Hamiltonian is quantized on (periodic slow grid) x (truncated fast
 basis).  Slow translations are realized pseudospectrally: at flux
 theta = p/q = delta^2 the elementary translation moves the grid by an exact
 number of sites whenever q divides the per-cell resolution, so the slow
-Weyl factors are exact circular shifts times diagonal phases.  Fast factors
-are the displacement exponentials of the truncated ladder algebra.  The
-charge sign is +1 throughout: the Fock factors carry that sign, so the slow
-factors carry it too.
+Weyl factors are exact circular shifts times diagonal phases.  The fast
+blocks are the modes of :func:`symbols.exact_symbol`, built from the
+displacement exponentials of the truncated ladder algebra.  The charge sign
+is +1 throughout: the Fock factors carry that sign, so the slow factors
+carry it too.
 
-Effective models are re-quantized on the *same* slow grid
-(:func:`quantize_on_grid`), so oracle/model eigenvalue comparisons sample
-identical Bloch phases and the measured distance isolates the model error.
+Effective models are re-quantized on the *same* slow grid by the same
+quantizer (:func:`quantize_on_grid`), so oracle/model eigenvalue comparisons
+sample identical Bloch phases and the measured distance isolates the model
+error.
 
 The module also carries the linear-symplectic bookkeeping of the fast/slow
 variable maps: commutator tables in exact rational arithmetic.
@@ -26,17 +28,17 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from . import fock
+from . import symbols
 from .errors import (CommensurabilityError, GapClosedError, NumericError,
                      ResourceCapError)
 from .fock import FockTruncation
 from .lattice import (FourierSeries2D, Lattice2D, PeriodicVectorPotential,
                       TWO_PI)
-from .quantize import (RationalFlux, _add_weighted_shift, _require_hermitian,
-                       sorted_list_distance)
+from .quantize import RationalFlux, _require_hermitian, sorted_list_distance
 
 __all__ = [
     "OracleBasis",
+    "max_mode",
     "build_full_matrix",
     "quantize_on_grid",
     "band_cluster",
@@ -64,6 +66,14 @@ _CLUSTER_MARGIN = 4
 _SHIFT_OFFSET = 1e-3
 
 
+def max_mode(V: FourierSeries2D, A: PeriodicVectorPotential | None) -> int:
+    """Largest |n| or |m| over the modes of V and of A's components; 0
+    without modes."""
+    series = (V,) if A is None else (V, A.f1, A.f2)
+    return max((max(abs(n), abs(m)) for F in series for (n, m) in F.coeffs),
+               default=0)
+
+
 @dataclass(frozen=True)
 class OracleBasis:
     """Slow periodic grid (n_cells periods, n_grid points per period)
@@ -85,9 +95,9 @@ class OracleBasis:
     def slow_dim(self) -> int:
         return self.n_cells * self.n_grid
 
-    def check_resolves(self, *series: FourierSeries2D) -> None:
-        n_modes = max((max(abs(n) for nm in F.coeffs for n in nm)
-                       for F in series if F.coeffs), default=0)
+    def check_resolves(self, V: FourierSeries2D,
+                       A: PeriodicVectorPotential | None) -> None:
+        n_modes = max_mode(V, A)
         if self.n_grid < 4 * n_modes:
             raise ValueError(
                 f"n_grid={self.n_grid} under-resolves modes up to {n_modes}; "
@@ -96,8 +106,9 @@ class OracleBasis:
 
 def _slow_factor(basis: OracleBasis, flux: RationalFlux, n: int, m: int) -> tuple:
     """Symmetrized slow Weyl factor of mode (n, m) as the ``(shift,
-    weights)`` of one weighted cyclic shift: phase * shift * diagonal."""
-    if (flux.p * basis.n_grid) % flux.q:
+    weights)`` of one weighted cyclic shift: phase * shift * diagonal.
+    Mode (0, 0) is the identity, which every grid carries."""
+    if (n, m) != (0, 0) and (flux.p * basis.n_grid) % flux.q:
         raise CommensurabilityError(
             f"flux {flux.p}/{flux.q} incommensurate with n_grid={basis.n_grid}: "
             f"q must divide the per-cell resolution")
@@ -107,56 +118,44 @@ def _slow_factor(basis: OracleBasis, flux: RationalFlux, n: int, m: int) -> tupl
     return -n * step, np.exp(-1j * math.pi * n * m * flux.theta) * diag
 
 
-def build_full_matrix(V: FourierSeries2D, A: PeriodicVectorPotential | None,
-                      L: Lattice2D, basis: OracleBasis,
-                      flux: RationalFlux):
-    """Hermitian matrix of the full strong-field Hamiltonian on slow grid x
-    Fock basis, at delta = sqrt(theta), as a ``scipy.sparse`` CSR matrix.
+def _slow_quantize(modes, basis: OracleBasis, flux: RationalFlux):
+    """sum over ``modes`` of (slow factor of (n, m)) x (block), as a
+    ``scipy.sparse`` CSR matrix with the slow index outermost.
 
-    Each term is a slow weighted cyclic shift tensored with a Fock block, so
-    the matrix is a sum of block diagonals: the terms are added, in order,
-    into the ``(N, dim, dim)`` diagonal of their shift mod N, where
-    ``diagonal[j]`` is the block at (block row (j + shift) mod N, block
-    column j).  Only those diagonals are stored.
+    Each slow factor is a weighted cyclic shift, so the sum is a set of
+    block diagonals: each term is added, in order, into the
+    ``(N, d, d)`` diagonal of its shift mod N, where ``diagonal[j]`` is the
+    block at (block row (j + shift) mod N, block column j).  Only those
+    diagonals are stored.
     """
     import scipy.sparse
 
-    basis.check_resolves(V, *( (A.f1, A.f2) if A is not None else () ))
-    T = basis.fock
-    delta = math.sqrt(flux.theta)
     N = basis.slow_dim
+    d = next(iter(modes.values())).shape[0]
     diagonals = {}
-
-    def add(shift, weights):
-        d = diagonals.setdefault(shift % N,
-                                 np.zeros((N, T.dim, T.dim), dtype=complex))
-        d += weights
-
-    add(0, fock.xi_matrix(T))
-    if A is not None and not A.is_zero():
-        qf = fock.q_fast(T, L)
-        pf = fock.p_fast(T, L)
-        for (n, m) in sorted(set(A.f1.coeffs) | set(A.f2.coeffs)):
-            lin = A.f1[(n, m)] * qf + A.f2[(n, m)] * pf
-            if not np.any(lin):
-                continue
-            E = fock.displacement_exp(TWO_PI * delta, n, m, L, T)
-            shift, w = _slow_factor(basis, flux, n, m)
-            add(shift, delta * (w[:, None, None] * (E @ lin)))
-    for (n, m), v in sorted(V.coeffs.items()):
-        if v == 0:
-            continue
-        E = fock.displacement_exp(TWO_PI * delta, n, m, L, T)
+    for (n, m), block in modes.items():
         shift, w = _slow_factor(basis, flux, n, m)
-        add(shift, (delta ** 2) * v * (w[:, None, None] * E))
+        diag = diagonals.setdefault(shift % N, np.zeros((N, d, d), dtype=complex))
+        diag += w[:, None, None] * block
     # block row a holds diagonal s at block column (a - s) mod N
     shifts = np.array(sorted(diagonals))
     cols = (np.arange(N)[:, None] - shifts) % N
     blocks = np.stack([diagonals[s] for s in shifts])[np.arange(len(shifts)), cols]
-    H = scipy.sparse.bsr_matrix(
-        (blocks.reshape(-1, T.dim, T.dim), cols.ravel(),
-         np.arange(N + 1) * len(shifts)),
-        shape=(N * T.dim, N * T.dim)).tocsr()
+    return scipy.sparse.bsr_matrix(
+        (blocks.reshape(-1, d, d), cols.ravel(), np.arange(N + 1) * len(shifts)),
+        shape=(N * d, N * d)).tocsr()
+
+
+def build_full_matrix(V: FourierSeries2D, A: PeriodicVectorPotential | None,
+                      L: Lattice2D, basis: OracleBasis,
+                      flux: RationalFlux):
+    """Hermitian matrix of the full strong-field Hamiltonian on slow grid x
+    Fock basis, at delta = sqrt(theta), as a ``scipy.sparse`` CSR matrix:
+    the slow quantization of :func:`symbols.exact_symbol`."""
+    basis.check_resolves(V, A)
+    H = _slow_quantize(
+        symbols.exact_symbol(V, A, L, basis.fock, math.sqrt(flux.theta)),
+        basis, flux)
     return _require_hermitian(H, 1e-10, "oracle matrix")
 
 
@@ -164,25 +163,25 @@ def quantize_on_grid(blocks, basis: OracleBasis, flux: RationalFlux) -> np.ndarr
     """Quantize an effective symbol on the oracle's slow grid.
 
     ``blocks`` is either a single real series or an m x m nested list of
-    series; block (i, k) of the result is the slow quantization of series
-    (i, k).  Using the same grid operators as the oracle means both spectra
-    sample identical Bloch phases.
+    series (``None`` for a zero block); block (i, k) of the dense result is
+    the slow quantization of series (i, k).  Using the same grid operators
+    as the oracle means both spectra sample identical Bloch phases.
     """
     if isinstance(blocks, FourierSeries2D):
         blocks = [[blocks]]
     m = len(blocks)
     N = basis.slow_dim
-    H = np.zeros((m * N, m * N), dtype=complex)
+    # the m x m coefficient matrix of each mode; (0, 0) keeps an empty
+    # symbol's map non-empty
+    modes = {(0, 0): np.zeros((m, m), dtype=complex)}
     for i, row in enumerate(blocks):
         for k, F in enumerate(row):
-            if F is None:
-                continue
-            for (n, mm), c in sorted(F.coeffs.items()):
-                if c == 0:
-                    continue
-                shift, w = _slow_factor(basis, flux, n, mm)
-                _add_weighted_shift(H[i * N:(i + 1) * N, k * N:(k + 1) * N],
-                                    shift, c * w)
+            for nm, c in (F.coeffs.items() if F is not None else ()):
+                if c != 0:
+                    modes.setdefault(nm, np.zeros((m, m), dtype=complex))[i, k] = c
+    # slow-outermost order to block (i, k) at rows i*N:(i+1)*N
+    H = _slow_quantize(modes, basis, flux).toarray()
+    H = H.reshape(N, m, N, m).transpose(1, 0, 3, 2).reshape(m * N, m * N)
     return _require_hermitian(H, 1e-10, "quantized model")
 
 

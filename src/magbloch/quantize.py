@@ -171,17 +171,6 @@ def _power(z, k: int):
     return np.power(z, k) if k >= 0 else np.power(np.conj(z), -k)
 
 
-def _add_weighted_shift(H: np.ndarray, shift: int, weights: np.ndarray) -> None:
-    """H[(j + shift) mod N, j] += weights[j] for j < N = len(weights).
-
-    Every Weyl monomial is such a weighted cyclic permutation, so this is
-    the one kernel behind all dense clock/shift quantizations;
-    ``oracle.build_full_matrix`` stores the same rule as block diagonals.
-    """
-    j = np.arange(len(weights))
-    H[(j + shift) % len(weights), j] += weights
-
-
 def _weyl_modes(F: FourierSeries2D, flux: RationalFlux, iota: int,
                 convention: str) -> list:
     """(n, m, f_{n,m} * symmetrization phase) of the non-zero modes of F,
@@ -224,12 +213,18 @@ def _weyl_terms(modes, flux: RationalFlux, iota: int, convention: str,
 
 
 def _shift_sum(terms, q: int, shape: tuple) -> np.ndarray:
-    """The (*shape, q, q) stack summing weighted shifts (shift, weights),
-    in their order, through :func:`_add_weighted_shift`."""
+    """The (*shape, q, q) stack summing weighted shifts, in their order:
+    H[(j + shift) mod q, j] += weights[j] for each (shift, weights).
+
+    Every Weyl monomial is such a weighted cyclic permutation, so this is
+    the one kernel behind all dense clock/shift quantizations; the oracle
+    stores the same rule as block diagonals.
+    """
     H = np.zeros(shape + (q, q), dtype=complex)
-    Hj = np.moveaxis(H, (-2, -1), (0, 1))   # matrix axes first, for the kernel
+    Hj = np.moveaxis(H, (-2, -1), (0, 1))   # matrix axes first
+    j = np.arange(q)
     for shift, weights in terms:
-        _add_weighted_shift(Hj, shift, weights)
+        Hj[(j + shift) % q, j] += weights
     return H
 
 

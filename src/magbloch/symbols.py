@@ -32,6 +32,7 @@ __all__ = [
     "assemble_truncated",
     "eval_mode_map",
     "eval_symbol",
+    "exact_symbol",
     "eval_exact",
     "remainder_matrix",
     "remainder_norm",
@@ -116,6 +117,22 @@ def V_term(j: int, V: FourierSeries2D, L: Lattice2D, T: FockTruncation) -> ModeM
     return out
 
 
+def _lin(A: PeriodicVectorPotential | None, L: Lattice2D,
+         T: FockTruncation) -> ModeMap:
+    """The nonzero ``f1 Q_f + f2 P_f`` of each mode of A, in the iteration
+    order of ``set(A.f1.coeffs) | set(A.f2.coeffs)``; empty without A."""
+    if A is None or A.is_zero():
+        return {}
+    qf = fock.q_fast(T, L)
+    pf = fock.p_fast(T, L)
+    out: ModeMap = {}
+    for (n, m) in set(A.f1.coeffs) | set(A.f2.coeffs):
+        lin = A.f1[(n, m)] * qf + A.f2[(n, m)] * pf
+        if np.any(lin):
+            out[(n, m)] = lin
+    return out
+
+
 def W_term(j: int, A: PeriodicVectorPotential, L: Lattice2D,
            T: FockTruncation) -> ModeMap:
     """Vector-potential expansion term of total grade j (j >= 1):
@@ -128,13 +145,8 @@ def W_term(j: int, A: PeriodicVectorPotential, L: Lattice2D,
         raise ValueError("vector-potential terms start at grade 1")
     k = j - 1
     pref = (1j * TWO_PI) ** k / math.factorial(k)
-    qf = fock.q_fast(T, L)
-    pf = fock.p_fast(T, L)
     out: ModeMap = {}
-    for (n, m) in set(A.f1.coeffs) | set(A.f2.coeffs):
-        lin = A.f1[(n, m)] * qf + A.f2[(n, m)] * pf
-        if not np.any(lin):
-            continue
+    for (n, m), lin in _lin(A, L, T).items():
         if k == 0:
             out[(n, m)] = pref * lin
         else:
@@ -182,31 +194,32 @@ def symbol_hermiticity_residual(sym: OperatorSymbol, T: FockTruncation) -> float
     return best
 
 
+def exact_symbol(V: FourierSeries2D, A: PeriodicVectorPotential | None,
+                 L: Lattice2D, T: FockTruncation, delta: float) -> ModeMap:
+    """Mode map of the exact symbol: the harmonic generator at (0, 0) and,
+    at each mode of A and V, ``delta E lin + delta^2 v E`` with the
+    displacement exponential ``E = exp(i 2 pi delta I_{n,m})`` computed once
+    per mode."""
+    if delta < 0:
+        raise ValueError("delta must be non-negative")
+    lins = _lin(A, L, T)
+    pots = {nm: v for nm, v in V.coeffs.items() if v != 0}
+    out: ModeMap = {(0, 0): fock.xi_matrix(T)}
+    for nm in dict.fromkeys([*lins, *pots]):
+        E = fock.displacement_exp(TWO_PI * delta, *nm, L, T)
+        term = (delta ** 2) * pots.get(nm, 0) * E
+        if nm in lins:
+            term = term + delta * (E @ lins[nm])
+        out[nm] = out.get(nm, 0) + term
+    return out
+
+
 def eval_exact(V: FourierSeries2D, A: PeriodicVectorPotential | None,
                L: Lattice2D, T: FockTruncation, delta: float,
                point) -> np.ndarray:
-    """Exact symbol at one point: harmonic part plus the displacement-dressed
-    potential terms; Hermitian inside the guard band when the gauge
-    condition holds."""
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
-    p, x = point
-    H = fock.xi_matrix(T)
-    if A is not None and not A.is_zero():
-        qf = fock.q_fast(T, L)
-        pf = fock.p_fast(T, L)
-        for (n, m) in set(A.f1.coeffs) | set(A.f2.coeffs):
-            lin = A.f1[(n, m)] * qf + A.f2[(n, m)] * pf
-            if not np.any(lin):
-                continue
-            E = fock.displacement_exp(TWO_PI * delta, n, m, L, T)
-            H = H + delta * cmath.exp(1j * TWO_PI * (n * p + m * x)) * (E @ lin)
-    for (n, m), v in V.coeffs.items():
-        if v == 0:
-            continue
-        E = fock.displacement_exp(TWO_PI * delta, n, m, L, T)
-        H = H + (delta ** 2) * v * cmath.exp(1j * TWO_PI * (n * p + m * x)) * E
-    return H
+    """Exact symbol at one point; Hermitian inside the guard band when the
+    gauge condition holds."""
+    return eval_mode_map(exact_symbol(V, A, L, T, delta), point)
 
 
 def remainder_matrix(V, A, L, T: FockTruncation, delta: float, point) -> np.ndarray:

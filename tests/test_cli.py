@@ -158,6 +158,18 @@ def test_oracle_compare_degenerate_level(tmp_path):
     assert max(abs(x - 1.5) for x in payload[0]["oracle_band"]) < 1e-10
 
 
+def test_oracle_compare_grid_resolves_vector_potential(tmp_path):
+    # A reaches the modes (0, +-2), beyond V's: the slow grid must hold 4 * 2
+    # points per cell, so 1/5 and 1/6 take 10 and 12 slow points
+    path = _write_cfg(tmp_path, {"A1": [[0, 2, 0.3, 0], [0, -2, 0.3, 0]],
+                                 "n_max": 12})
+    out = tmp_path / "oc.json"
+    assert main(["oracle-compare", "--config", path, "--delta", "1/5,1/6",
+                 "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert [len(e["oracle_band"]) for e in payload] == [10, 12]
+
+
 def test_units_flag_rescales(tmp_path):
     path = _write_cfg(tmp_path)
     out_c = tmp_path / "c.json"

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from magbloch import moyal
 from magbloch.errors import TruncationError
-from magbloch.fock import FockTruncation, xi_matrix
+from magbloch.fock import FockTruncation, band_projector_matrix, xi_matrix
 from magbloch.lattice import (FourierSeries2D, PeriodicVectorPotential,
                               laplacian_DzDzbar)
-from magbloch.moyal import (_block_masks, _dagger, _Stored,
-                            band_projector_matrix, build_intertwiner,
+from magbloch.moyal import (_block_masks, _dagger, _Stored, build_intertwiner,
                             build_projection, effective_symbol,
                             intertwiner_residuals, moyal_term,
                             projection_residuals, star_grade)

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from magbloch import fock
 from magbloch.errors import (CommensurabilityError, GapClosedError,
                              ResourceCapError)
 from magbloch.fock import (FockTruncation, displacement_exp, p_fast, q_fast,
@@ -18,6 +19,7 @@ from magbloch.oracle import (LinearCanonicalMap, OracleBasis, _slow_factor,
                              oracle_eigenvalues, order_fit,
                              fast_slow_variable_map, quantize_on_grid)
 from magbloch.quantize import RationalFlux
+from magbloch.symbols import eval_exact
 
 EMPTY = FourierSeries2D({}, is_real=True)
 
@@ -125,6 +127,27 @@ def test_oracle_discretization_invariance(square, harper):
     for v in cl0:
         assert np.min(np.abs(cl1 - v)) < 1e-8
     assert np.max(np.abs(np.sort(cl0) - np.sort(cl2))) < 1e-8
+
+
+def test_displacement_exp_once_per_mode(square, harper, one_mode_potential,
+                                        monkeypatch):
+    # V and A share the modes (0, +-1): 4 distinct modes, one exponential each
+    calls = []
+    inner = fock.displacement_exp
+
+    def counted(t, n, m, L, T):
+        calls.append((n, m))
+        return inner(t, n, m, L, T)
+
+    monkeypatch.setattr(fock, "displacement_exp", counted)
+    T = _fock(12)
+    eval_exact(harper, one_mode_potential, square, T, 0.25, (0.1, 0.2))
+    assert sorted(calls) == sorted(harper.coeffs)
+    calls.clear()
+    basis = OracleBasis(n_cells=1, n_grid=16, fock=T)
+    build_full_matrix(harper, one_mode_potential, square, basis,
+                      RationalFlux(1, 16))
+    assert sorted(calls) == sorted(harper.coeffs)
 
 
 def test_commensurability_required(square, harper):
@@ -281,24 +304,33 @@ def test_full_matrix_matches_kron_reference(fx, n_cells, v_modes, a_mode):
     assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
+# an empty diag_modes is an all-zero series (with the zero amplitudes, one
+# whose stored coefficients are all zero); coupling_modes None leaves the
+# off-diagonal blocks None
 @given(_fluxes(6), st.integers(1, 2),
-       st.lists(st.tuples(MODES, AMPLITUDES), min_size=1, max_size=3),
-       st.lists(st.tuples(MODES, AMPLITUDES, AMPLITUDES), max_size=2),
+       st.lists(st.tuples(MODES, AMPLITUDES | st.just(0.0)), max_size=3),
+       st.none() | st.lists(st.tuples(MODES, AMPLITUDES, AMPLITUDES),
+                            max_size=2),
        st.booleans())
+@example(RationalFlux(1, 4), 1, [], None, False)
+@example(RationalFlux(1, 3), 2, [], None, True)
+@example(RationalFlux(2, 5), 1, [((1, 0), 0.0)], None, True)
 @settings(max_examples=40, deadline=None)
 def test_quantize_on_grid_matches_dense_sum(fx, n_cells, diag_modes,
                                             coupling_modes, two_blocks):
     F = FourierSeries2D({nm: c for nm, c in diag_modes}, is_real=True)
     if two_blocks:
-        G = FourierSeries2D({nm: complex(re, im)
-                             for nm, re, im in coupling_modes})
-        blocks = [[F, G], [G.conj_reflect(), F.scaled(-1.0)]]
+        G = None if coupling_modes is None else FourierSeries2D(
+            {nm: complex(re, im) for nm, re, im in coupling_modes})
+        blocks = [[F, G], [None if G is None else G.conj_reflect(),
+                            F.scaled(-1.0)]]
     else:
         blocks = [[F]]
     basis = _oracle_basis(fx, n_cells, 1)
     N = basis.slow_dim
     want = np.block([[sum((c * _dense_slow_factor(basis, fx, *nm)
-                           for nm, c in sorted(B.coeffs.items())),
+                           for nm, c in sorted(
+                               (B.coeffs if B is not None else {}).items())),
                           np.zeros((N, N), dtype=complex))
                       for B in row] for row in blocks])
     got = quantize_on_grid(blocks if two_blocks else F, basis, fx)

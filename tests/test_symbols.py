@@ -1,10 +1,11 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from magbloch.fock import (FockTruncation, I_generator, corner_norm, ladder,
-                          xi_matrix)
+from magbloch.fock import (FockTruncation, I_generator, corner_norm,
+                          displacement_exp, ladder, p_fast, q_fast, xi_matrix)
 from magbloch.lattice import (FourierSeries2D, PeriodicVectorPotential,
                               directional_derivative_Dz,
                               directional_derivative_Dzbar)
@@ -116,6 +117,48 @@ def test_eval_exact_delta0_and_hermitian(square, harper, one_mode_potential):
         M = eval_exact(harper, one_mode_potential, square, T, d, pt)
         c = T.corner_dim
         assert np.max(np.abs((M - M.conj().T)[:c, :c])) < 1e-10
+
+
+def _eval_exact_two_loops(V, A, L, T, delta, point):
+    """The exact symbol at a point, summed by one loop over the modes of A
+    and another over the modes of V."""
+    p, x = point
+    H = xi_matrix(T)
+    if A is not None and not A.is_zero():
+        for (n, m) in set(A.f1.coeffs) | set(A.f2.coeffs):
+            lin = A.f1[(n, m)] * q_fast(T, L) + A.f2[(n, m)] * p_fast(T, L)
+            if not np.any(lin):
+                continue
+            E = displacement_exp(2 * math.pi * delta, n, m, L, T)
+            H = H + delta * cmath.exp(2j * math.pi * (n * p + m * x)) * (E @ lin)
+    for (n, m), v in V.coeffs.items():
+        if v == 0:
+            continue
+        E = displacement_exp(2 * math.pi * delta, n, m, L, T)
+        H = H + (delta ** 2) * v * cmath.exp(2j * math.pi * (n * p + m * x)) * E
+    return H
+
+
+@pytest.mark.parametrize("case", ["shared_modes", "constant_V", "A_none",
+                                  "A_zero", "delta_0"])
+def test_eval_exact_matches_two_loops(square, harper, one_mode_potential,
+                                      case):
+    V, A, deltas = harper, one_mode_potential, (0.3, 0.11)
+    if case == "constant_V":
+        V = harper.plus(FourierSeries2D({(0, 0): 0.7}, is_real=True))
+    elif case == "A_none":
+        A = None
+    elif case == "A_zero":
+        zero = FourierSeries2D({(0, 1): 0.0, (0, -1): 0.0}, is_real=True)
+        A = PeriodicVectorPotential(zero, FourierSeries2D({}, is_real=True),
+                                    square)
+    elif case == "delta_0":
+        deltas = (0.0,)
+    for d in deltas:
+        for pt in [(0.0, 0.0), (0.3, 0.8), (0.55, 0.1)]:
+            want = _eval_exact_two_loops(V, A, square, T, d, pt)
+            got = eval_exact(V, A, square, T, d, pt)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_eval_exact_landau_shift(square, harper):
