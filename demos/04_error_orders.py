@@ -33,11 +33,10 @@ for fx in default_delta_sweep():
     for kind in models:
         if kind == "level only":
             series = FourierSeries2D({(0, 0): LAM}, is_real=True)
-        elif kind == "second order":
-            series = FourierSeries2D({(0, 0): LAM}, is_real=True).plus(
-                V.scaled(d ** 2))
         else:
-            series = single_band_model(V, L, LAM, fx, iota=1).blocks[0][0]
+            series = single_band_model(
+                V, L, LAM, fx, iota=1,
+                fourth_order=(kind == "fourth order")).blocks[0][0]
         models[kind].append(
             oracle_eigenvalues(quantize_on_grid(series, basis, fx)))
     print(f"theta = 1/{fx.q}  (delta = {d:.4f}): cluster of "

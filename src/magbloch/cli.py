@@ -411,14 +411,12 @@ def cmd_oracle_compare(cfg: dict, args) -> str:
         basis = oracle.OracleBasis(n_cells=n_cells, n_grid=per_cell, fock=T)
         Hfull = oracle.build_full_matrix(V, A, L, basis, fx)
         cluster = oracle.level_cluster(Hfull, lam, basis.slow_dim)
-        model = effective.single_band_model(
-            V, L, lam, fx, iota=1, fourth_order=(model_kind == "full"))
-        series = model.blocks[0][0]
         if model_kind == "order0":
             series = FourierSeries2D({(0, 0): lam}, is_real=True)
-        elif model_kind == "order2":
-            series = FourierSeries2D({(0, 0): lam}, is_real=True).plus(
-                V.scaled(delta ** 2))
+        else:
+            series = effective.single_band_model(
+                V, L, lam, fx, iota=1,
+                fourth_order=(model_kind == "full")).blocks[0][0]
         Hmod = oracle.quantize_on_grid(series, basis, fx)
         mspec = oracle.oracle_eigenvalues(Hmod)
         dist = quantize.sorted_list_distance(mspec, cluster)

@@ -18,9 +18,8 @@ from .errors import NumericError
 from .lattice import (FourierSeries2D, Lattice2D, PeriodicVectorPotential,
                       laplacian_DzDzbar)
 from .quantize import (MagneticBlochFamily, RationalFlux, SpectrumReport,
-                       _eigvalsh_solver, _grid_spectrum, _require_hermitian,
-                       _shift_sum, _weyl_modes, _weyl_terms, quantize_blocks,
-                       quantize_series)
+                       _eigvalsh_solver, _grid_spectrum, _twisted_square,
+                       quantize_blocks, quantize_series)
 
 __all__ = [
     "EffectiveModel",
@@ -102,28 +101,15 @@ def spectrum_via_GGdag(A: PeriodicVectorPotential, L: Lattice2D, n_star: int,
     semidefinite; a negative lam beyond roundoff signals a Hermiticity bug
     and raises :class:`NumericError`.
 
-    G is the sum of the weighted shifts T_a of the Weyl monomials of g, so
-    G G^dag is the sum over mode pairs of T_a T_b^dag, the weighted shift
-    by n_a - n_b with weights roll(d_a conj(d_b), n_b): it is assembled and
-    solved like a Bloch family, banded when narrow, with no dense product.
+    G is the strong-field quantization of g, so G G^dag is the quantization
+    of the twisted square of g (:func:`quantize._twisted_square`): an
+    ordinary Bloch family, solved banded when narrow, with no dense product.
     """
     if A.is_zero():
         raise ValueError("spectrum_via_GGdag needs a non-zero vector potential")
     delta = delta_from_flux(flux)
-    q = flux.q
-    modes = _weyl_modes(A.g, flux, iota, "harper")
-
-    def pairs_at(b1, b2):
-        terms = list(_weyl_terms(modes, flux, iota, "harper", b1, b2))
-        return [(na - nb, np.roll(da * db.conj(), nb, axis=0))
-                for na, da in terms for nb, db in terms]
-
     eigvalsh, point_bytes, solver = _eigvalsh_solver(
-        q, q, [(0, 0, na - nb) for na, _, _ in modes for nb, _, _ in modes],
-        lambda b1, b2: [(0, 0, pairs_at(b1, b2))],
-        lambda b1, b2: _require_hermitian(
-            _shift_sum(pairs_at(b1, b2), q, b1.shape), 1e-12, "G G^dag"),
-        "G G^dag")
+        quantize_series(_twisted_square(A.g, flux, iota), flux, iota=iota))
 
     def solve(b1, b2):
         lam = eigvalsh(b1, b2)

@@ -87,16 +87,24 @@ def xi_matrix(T: FockTruncation) -> np.ndarray:
     return np.diag(np.arange(T.dim) + 0.5).astype(complex)
 
 
+def _quadrature(z: complex, T: FockTruncation) -> np.ndarray:
+    """(z a + conj(z) a_dag)/sqrt(2): z sqrt(k)/sqrt(2) at [k-1, k] and
+    conj(z) sqrt(k)/sqrt(2) at [k, k-1]."""
+    k = np.arange(1, T.dim)
+    X = np.zeros((T.dim, T.dim), dtype=complex)
+    X[k - 1, k] = z * np.sqrt(k) / math.sqrt(2.0)
+    X[k, k - 1] = z.conjugate() * np.sqrt(k) / math.sqrt(2.0)
+    return X
+
+
 def q_fast(T: FockTruncation, L: Lattice2D) -> np.ndarray:
     """Fast position (z_a a + conj(z_a) a_dag)/sqrt(2)."""
-    a, ad = ladder(T)
-    return (L.z_a * a + L.z_a.conjugate() * ad) / math.sqrt(2.0)
+    return _quadrature(L.z_a, T)
 
 
 def p_fast(T: FockTruncation, L: Lattice2D) -> np.ndarray:
     """Fast momentum (z_b a + conj(z_b) a_dag)/sqrt(2)."""
-    a, ad = ladder(T)
-    return (L.z_b * a + L.z_b.conjugate() * ad) / math.sqrt(2.0)
+    return _quadrature(L.z_b, T)
 
 
 def alpha_coefficient(n: int, m: int, L: Lattice2D) -> complex:

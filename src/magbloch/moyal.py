@@ -38,7 +38,7 @@ from .errors import TruncationError
 from .fock import FockTruncation, band_projector_matrix
 from .lattice import Lattice2D
 from .symbols import (ModeMap, OperatorSymbol, mode_add, mode_dagger,
-                      mode_max_norm, mode_scale)
+                      mode_hermiticity_defect, mode_max_norm, mode_scale)
 
 __all__ = [
     "MoyalSeries",
@@ -321,8 +321,7 @@ def projection_residuals(H: OperatorSymbol, pi: MoyalSeries, order: int) -> dict
         pp = star_grade(pig, pig, j)
         d = mode_add(pp, mode_scale(pi.grade(j), -1.0))
         idem.append(mode_max_norm(d, T))
-        dag = mode_dagger(pi.grade(j))
-        herm.append(mode_max_norm(mode_add(dag, mode_scale(pi.grade(j), -1.0)), T))
+        herm.append(mode_hermiticity_defect(pi.grade(j), T))
         c = star_grade(Hg, pig, j)
         c = mode_add(c, mode_scale(star_grade(pig, Hg, j), -1.0))
         comm.append(mode_max_norm(c, T))

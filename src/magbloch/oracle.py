@@ -34,7 +34,8 @@ from .errors import (CommensurabilityError, GapClosedError, NumericError,
 from .fock import FockTruncation
 from .lattice import (FourierSeries2D, Lattice2D, PeriodicVectorPotential,
                       TWO_PI)
-from .quantize import RationalFlux, _require_hermitian, sorted_list_distance
+from .quantize import (RationalFlux, _phase, _require_hermitian, _weyl_terms,
+                       sorted_list_distance)
 
 __all__ = [
     "OracleBasis",
@@ -104,37 +105,34 @@ class OracleBasis:
                 f"need n_grid >= {4 * n_modes}")
 
 
-def _slow_factor(basis: OracleBasis, flux: RationalFlux, n: int, m: int) -> tuple:
-    """Symmetrized slow Weyl factor of mode (n, m) as the ``(shift,
-    weights)`` of one weighted cyclic shift: phase * shift * diagonal.
-    Mode (0, 0) is the identity, which every grid carries."""
-    if (n, m) != (0, 0) and (flux.p * basis.n_grid) % flux.q:
-        raise CommensurabilityError(
-            f"flux {flux.p}/{flux.q} incommensurate with n_grid={basis.n_grid}: "
-            f"q must divide the per-cell resolution")
-    step = (flux.p * basis.n_grid) // flux.q
-    diag = np.exp(1j * TWO_PI * m * (np.arange(basis.slow_dim) / basis.n_grid))
-    # (O psi)[j] = phase * e^{i 2 pi m x_j'} psi[j'],  j' = j + n*step
-    return -n * step, np.exp(-1j * math.pi * n * m * flux.theta) * diag
-
-
 def _slow_quantize(modes, basis: OracleBasis, flux: RationalFlux):
-    """sum over ``modes`` of (slow factor of (n, m)) x (block), as a
+    """sum over ``modes`` of (slow Weyl factor of (n, m)) x (block), as a
     ``scipy.sparse`` CSR matrix with the slow index outermost.
 
-    Each slow factor is a weighted cyclic shift, so the sum is a set of
-    block diagonals: each term is added, in order, into the
-    ``(N, d, d)`` diagonal of its shift mod N, where ``diagonal[j]`` is the
-    block at (block row (j + shift) mod N, block column j).  Only those
-    diagonals are stored.
+    The slow factors are the strong-field monomials of :func:`_weyl_terms`
+    for the slow clock u_j = e^{i 2 pi x_j} and the translation
+    (V psi)[j] = psi[j + s], which moves the grid by s = p n_grid / q
+    sites; mode (0, 0) is the identity, which every grid carries.  Each
+    factor is a weighted cyclic shift, so the sum is a set of block
+    diagonals: each term is added, in order, into the ``(N, d, d)``
+    diagonal of its shift mod N, where ``diagonal[j]`` is the block at
+    (block row (j + shift) mod N, block column j).  Only those diagonals
+    are stored.
     """
     import scipy.sparse
 
+    if (flux.p * basis.n_grid) % flux.q and any(nm != (0, 0) for nm in modes):
+        raise CommensurabilityError(
+            f"flux {flux.p}/{flux.q} incommensurate with n_grid={basis.n_grid}: "
+            f"q must divide the per-cell resolution")
     N = basis.slow_dim
     d = next(iter(modes.values())).shape[0]
+    u = np.exp(1j * TWO_PI * (np.arange(N) / basis.n_grid))
+    terms = _weyl_terms(
+        [(n, m, _phase("harper", 1, flux.theta, n, m)) for n, m in modes],
+        "harper", u, 1.0, -((flux.p * basis.n_grid) // flux.q))
     diagonals = {}
-    for (n, m), block in modes.items():
-        shift, w = _slow_factor(basis, flux, n, m)
+    for block, (shift, w) in zip(modes.values(), terms):
         diag = diagonals.setdefault(shift % N, np.zeros((N, d, d), dtype=complex))
         diag += w[:, None, None] * block
     # block row a holds diagonal s at block column (a - s) mod N

@@ -17,6 +17,7 @@ against misreading the phase bookkeeping.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -88,7 +89,7 @@ def clock_shift(flux: RationalFlux, iota: int, beta1: float, beta2: float):
 
     U = diag(exp(-i(beta1 + 2 pi iota theta j))),  V e_j = e^{-i beta2} e_{j+1 mod q};
     then U V = exp(-i 2 pi iota theta) V U exactly.  The clock phase comes
-    from :func:`_clock_angle`, as in :func:`_weyl_sum`.
+    from :func:`_clock_angle`, as in :func:`_bloch_clock`.
     """
     q = flux.q
     j = np.arange(q)
@@ -127,8 +128,8 @@ class MagneticBlochFamily:
 
     def _terms_at(self, beta1, beta2) -> list:
         """(i, k, :func:`_weyl_terms` of the block) for every block."""
-        return [(i, k, _weyl_terms(modes, self.flux, self.iota,
-                                   self.convention, beta1, beta2))
+        u, v = _bloch_clock(self.flux, self.iota, beta1, beta2)
+        return [(i, k, _weyl_terms(modes, self.convention, u, v))
                 for i, k, modes in self.block_modes]
 
 
@@ -185,55 +186,72 @@ def _weyl_shift(convention: str, n: int, m: int) -> int:
     return n if convention == "harper" else m
 
 
-def _weyl_terms(modes, flux: RationalFlux, iota: int, convention: str,
-                beta1, beta2):
+def _bloch_clock(flux: RationalFlux, iota: int, beta1, beta2):
+    """(u, v) of :func:`clock_shift` at Bloch phases: the clock diagonal u
+    of shape (q, *S) and the shift phase v of shape S, for phase arrays of
+    shape S."""
+    beta1, beta2 = np.broadcast_arrays(beta1, beta2)
+    # j runs along the first axis of u, the points after it
+    j = np.arange(flux.q).reshape((flux.q,) + (1,) * beta1.ndim)
+    return (np.exp(-1j * (beta1 + _clock_angle(flux, iota, j))),
+            np.exp(-1j * beta2))
+
+
+def _weyl_terms(modes, convention: str, u, v, step: int = 1):
     """(shift, weights) of each monomial w * V^n U^m ("harper") or
     w * U^n V^m ("hofstadter") of ``modes`` from :func:`_weyl_modes`, in
-    their order, at Bloch phases (beta1, beta2): the monomial is the
-    weighted cyclic shift [(j + shift) mod q, j] = weights[j], with the
-    weights of shape (q, *S) for phase arrays of shape S.
+    their order, for the clock/shift pair U = diag(u_j), V e_j = v
+    e_{j+step} on the cyclic index j of u's first axis: the monomial is the
+    weighted cyclic shift [j + shift, j] = weights[j], with the weights
+    shaped like u.
 
-    With U = diag(u_j) and V e_j = v e_{j+1} as in :func:`clock_shift`,
-    V^n U^m has entries [(j+n) mod q, j] = v^n u_j^m and U^n V^m has
-    entries [(j+m) mod q, j] = u_{j+m}^n v^m.  The dense sum
-    :func:`_weyl_sum` and the band assembly of :func:`spectrum` both
-    consume this one generator.
+    V^n U^m has entries [j + n step, j] = v^n u_j^m and U^n V^m has
+    entries [j + m step, j] = u_{j+m step}^n v^m.  This is the one place a
+    mode becomes a weighted shift: the Bloch families take (u, v) from
+    :func:`_bloch_clock`, the oracle its slow clock and translation.
     """
-    q = flux.q
-    beta1, beta2 = np.broadcast_arrays(beta1, beta2)
-    # j runs along the first axis of u and the weights, the points after it
-    j = np.arange(q).reshape((q,) + (1,) * beta1.ndim)
-    u = np.exp(-1j * (beta1 + _clock_angle(flux, iota, j)))
-    v = np.exp(-1j * beta2)
     for n, m, w in modes:
         if convention == "harper":
-            yield n, w * (_power(v, n) * _power(u, m))
+            yield n * step, w * (_power(v, n) * _power(u, m))
         else:
-            yield m, w * (np.roll(_power(u, n), -m, axis=0) * _power(v, m))
-
-
-def _shift_sum(terms, q: int, shape: tuple) -> np.ndarray:
-    """The (*shape, q, q) stack summing weighted shifts, in their order:
-    H[(j + shift) mod q, j] += weights[j] for each (shift, weights).
-
-    Every Weyl monomial is such a weighted cyclic permutation, so this is
-    the one kernel behind all dense clock/shift quantizations; the oracle
-    stores the same rule as block diagonals.
-    """
-    H = np.zeros(shape + (q, q), dtype=complex)
-    Hj = np.moveaxis(H, (-2, -1), (0, 1))   # matrix axes first
-    j = np.arange(q)
-    for shift, weights in terms:
-        Hj[(j + shift) % q, j] += weights
-    return H
+            yield m * step, w * (np.roll(_power(u, n), -m * step, axis=0)
+                                 * _power(v, m))
 
 
 def _weyl_sum(modes, flux: RationalFlux, iota: int, convention: str,
               beta1, beta2) -> np.ndarray:
-    """Sum of the monomials of :func:`_weyl_terms`: one q x q matrix, or the
-    (*S, q, q) stack for phase arrays of shape S."""
-    return _shift_sum(_weyl_terms(modes, flux, iota, convention, beta1, beta2),
-                      flux.q, np.broadcast(beta1, beta2).shape)
+    """Sum of the monomials of :func:`_weyl_terms` at Bloch phases, in
+    their order: one q x q matrix, or the (*S, q, q) stack for phase arrays
+    of shape S."""
+    u, v = _bloch_clock(flux, iota, beta1, beta2)
+    q = flux.q
+    H = np.zeros(u.shape[1:] + (q, q), dtype=complex)
+    Hj = np.moveaxis(H, (-2, -1), (0, 1))   # matrix axes first
+    j = np.arange(q)
+    for shift, weights in _weyl_terms(modes, convention, u, v):
+        Hj[(j + shift) % q, j] += weights
+    return H
+
+
+def _twisted_square(F: FourierSeries2D, flux: RationalFlux,
+                    iota: int) -> FourierSeries2D:
+    """The real series S with Op(S) = Op(F) Op(F)^dag, where Op is the
+    strong-field quantization of :func:`quantize_series`:
+
+        S_{a-b} = sum f_a conj(f_b) exp(-i pi iota theta (n_a m_b - m_a n_b))
+
+    over pairs of modes a = (n_a, m_a), b = (n_b, m_b).  The phase comes
+    from the exact residue (iota p k) mod 2q of k = n_a m_b - m_a n_b, as
+    in :func:`_clock_angle`.
+    """
+    S = {}
+    for (na, ma), fa in sorted(F.coeffs.items()):
+        for (nb, mb), fb in sorted(F.coeffs.items()):
+            r = (iota * flux.p * (na * mb - ma * nb)) % (2 * flux.q)
+            key = (na - nb, ma - mb)
+            S[key] = S.get(key, 0j) + fa * fb.conjugate() * cmath.exp(
+                -1j * math.pi * r / flux.q)
+    return FourierSeries2D(S, is_real=True)
 
 
 def quantize_series(F: FourierSeries2D, flux: RationalFlux, iota: int = -1,
@@ -363,8 +381,8 @@ def _band_stack(q: int, dim: int, b: int, blocks, points: int):
     return band, mirror
 
 
-def _band_eigvalsh(q: int, dim: int, b: int, blocks, beta1, beta2,
-                   what: str) -> np.ndarray:
+def _band_eigvalsh(q: int, dim: int, b: int, blocks, beta1,
+                   beta2) -> np.ndarray:
     """Sorted eigenvalues at 1-D phase arrays of the matrices of
     :func:`_band_stack`, after the Hermiticity check of
     :func:`_require_hermitian` on the band and its mirror, by LAPACK zhbevd
@@ -376,7 +394,7 @@ def _band_eigvalsh(q: int, dim: int, b: int, blocks, beta1, beta2,
                           np.max(np.abs(mirror), axis=(-2, -1)))
 
     _check_hermitian(np.max(np.abs(band - mirror.conj()), axis=(-2, -1)),
-                     size, 1e-12, what)
+                     size, 1e-12, "quantized family")
     out = np.empty((len(beta1), dim))
     for s in range(len(beta1)):
         out[s], _, info = _ZHBEVD(band[s], compute_v=0, lower=1)
@@ -386,26 +404,24 @@ def _band_eigvalsh(q: int, dim: int, b: int, blocks, beta1, beta2,
     return out
 
 
-def _eigvalsh_solver(q: int, dim: int, shifts, terms_at, dense_at, what: str):
+def _eigvalsh_solver(fam: MagneticBlochFamily):
     """(solve, bytes per Bloch point, metadata naming the solver) for the
-    sorted eigenvalues of Hermitian matrices of dim / q blocks of size q
-    at 1-D phase arrays.
+    sorted eigenvalues of the family at 1-D phase arrays.
 
-    ``shifts`` is the (i, k, shift) table of the blocks' weighted shifts,
-    ``terms_at(b1, b2)`` their (i, k, terms) for :func:`_band_eigvalsh`,
-    ``dense_at(b1, b2)`` the dense stack.  A family whose half bandwidth b
-    in the band layout has 8 b <= dim is solved banded; a wider one (a
-    wide hofstadter shift, many modes, or q too small) by the stacked
-    dense ``eigvalsh``, which is then the faster of the two.
+    A family whose half bandwidth b in the band layout has 8 b <= dim is
+    solved banded; a wider one (a wide hofstadter shift, many modes, or q
+    too small) by the stacked dense ``eigvalsh``, which is then the faster
+    of the two.
     """
-    b = _bandwidth(q, dim, shifts)
+    q, dim = fam.flux.q, fam.dim
+    b = _bandwidth(q, dim, fam._shifts())
     if 8 * b <= dim:
         def solve(b1, b2):
-            return _band_eigvalsh(q, dim, b, terms_at(b1, b2), b1, b2, what)
+            return _band_eigvalsh(q, dim, b, fam._terms_at(b1, b2), b1, b2)
 
         return solve, 32 * (b + 1) * dim, {"eigensolver": "lapack-banded",
                                            "bandwidth": b}
-    return (lambda b1, b2: np.linalg.eigvalsh(dense_at(b1, b2)),
+    return (lambda b1, b2: np.linalg.eigvalsh(fam.matrix_at(b1, b2)),
             16 * dim * dim, {"eigensolver": "lapack-dense"})
 
 
@@ -444,9 +460,7 @@ def spectrum(fam: MagneticBlochFamily, grid=(16, 16),
     width) merge into one interval.  The metadata names the eigensolver
     that ran (see :func:`_eigvalsh_solver`).
     """
-    solve, point_bytes, solver = _eigvalsh_solver(
-        fam.flux.q, fam.dim, fam._shifts(), fam._terms_at, fam.matrix_at,
-        "quantized family")
+    solve, point_bytes, solver = _eigvalsh_solver(fam)
     return _grid_spectrum(fam.flux, point_bytes, solve, grid, tol_band,
                           iota=fam.iota, convention=fam.convention, **solver)
 

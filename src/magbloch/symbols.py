@@ -75,6 +75,12 @@ def mode_max_norm(A: ModeMap, T: FockTruncation) -> float:
     return best
 
 
+def mode_hermiticity_defect(A: ModeMap, T: FockTruncation) -> float:
+    """mode_max_norm of A - mode_dagger(A): the symbol's Hermiticity
+    defect."""
+    return mode_max_norm(mode_add(A, mode_scale(mode_dagger(A), -1.0)), T)
+
+
 def eval_mode_map(A: ModeMap, point) -> np.ndarray:
     p, x = point
     dim = next(iter(A.values())).shape[0] if A else 1
@@ -186,12 +192,8 @@ def eval_symbol(sym: OperatorSymbol, point, delta: float) -> np.ndarray:
 
 def symbol_hermiticity_residual(sym: OperatorSymbol, T: FockTruncation) -> float:
     """Mode-reflection conjugation defect, max over grades and modes."""
-    best = 0.0
-    for mm in sym.grades.values():
-        dag = mode_dagger(mm)
-        diff = mode_add(mm, mode_scale(dag, -1.0))
-        best = max(best, mode_max_norm(diff, T))
-    return best
+    return max((mode_hermiticity_defect(mm, T) for mm in sym.grades.values()),
+               default=0.0)
 
 
 def exact_symbol(V: FourierSeries2D, A: PeriodicVectorPotential | None,

@@ -1,4 +1,4 @@
-"""The demos that drive the oracle run to completion."""
+"""The demos run to completion."""
 
 import os
 import subprocess
@@ -10,11 +10,24 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["02_landau_levels.py", "04_error_orders.py"])
-def test_oracle_demo_runs(demo):
+def _run(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("demo", ["02_landau_levels.py", "04_error_orders.py"])
+def test_oracle_demo_runs(demo):
+    _run(demo)
+
+
+# 05 drives spectrum_via_GGdag end to end
+@pytest.mark.parametrize("demo", ["01_hofstadter_butterfly.py",
+                                  "03_block_diagonalization.py",
+                                  "05_two_band_coupling.py",
+                                  "06_almost_mathieu.py"])
+def test_demo_runs(demo):
+    _run(demo)

@@ -62,6 +62,21 @@ def test_fast_pair_commutator(square):
     assert np.max(np.abs((comm - want)[:-1, :-1])) < 1e-14
 
 
+@pytest.mark.parametrize("n_max", [1, 2, 30, 200])
+def test_fast_pair_has_the_bits_of_the_ladder_formula(n_max):
+    T = FockTruncation(n_max=n_max, guard=0)
+    n = np.arange(1, T.dim)
+    a = np.zeros((T.dim, T.dim), dtype=complex)
+    a[n - 1, n] = np.sqrt(n)
+    ad = a.conj().T
+    for L in (make_lattice([1, 0], [0, 1]), SKEWED,
+              make_lattice([1, 0], [0.5, math.sqrt(3) / 2]),
+              make_lattice([0, 1], [-1, 0])):
+        for z, got in ((L.z_a, q_fast(T, L)), (L.z_b, p_fast(T, L))):
+            want = (z * a + z.conjugate() * ad) / math.sqrt(2.0)
+            assert got.tobytes() == want.tobytes()
+
+
 def test_I_generator(square):
     T = FockTruncation(n_max=10, guard=2)
     assert np.max(np.abs(I_generator(0, 0, square, T))) == 0.0

@@ -13,7 +13,7 @@ from magbloch.fock import (FockTruncation, displacement_exp, p_fast, q_fast,
                            xi_matrix)
 from magbloch.lattice import (FourierSeries2D, PeriodicVectorPotential,
                               make_lattice)
-from magbloch.oracle import (LinearCanonicalMap, OracleBasis, _slow_factor,
+from magbloch.oracle import (LinearCanonicalMap, OracleBasis, _slow_quantize,
                              band_cluster, build_full_matrix, ccr_table,
                              landau_variable_map, level_cluster,
                              oracle_eigenvalues, order_fit,
@@ -251,10 +251,7 @@ def test_slow_factor_is_weighted_permutation(fx, per_q, n_cells, n, m):
     n_grid = fx.q * max(per_q, -(-4 // fx.q))
     basis = OracleBasis(n_cells=n_cells, n_grid=n_grid,
                         fock=FockTruncation(n_max=1, guard=0))
-    N = basis.slow_dim
-    shift, w = _slow_factor(basis, fx, n, m)
-    got = np.zeros((N, N), dtype=complex)
-    got[(np.arange(N) + shift) % N, np.arange(N)] = w
+    got = _slow_quantize({(n, m): np.ones((1, 1))}, basis, fx).toarray()
     assert np.max(np.abs(got - _dense_slow_factor(basis, fx, n, m))) < 1e-12
 
 

@@ -12,7 +12,7 @@ from magbloch.lattice import (FourierSeries2D, PeriodicVectorPotential,
                               harper_potential, make_lattice)
 from magbloch.quantize import (MagneticBlochFamily, RationalFlux,
                                _band_eigvalsh, _band_stack, _bandwidth,
-                               _fold, _require_hermitian,
+                               _fold, _require_hermitian, _twisted_square,
                                _weyl_modes, _weyl_sum,
                                almost_mathieu_spectrum, butterfly,
                                clock_shift, hausdorff_distance,
@@ -427,7 +427,7 @@ def test_band_path_matches_dense(fam):
         assert np.array_equal(mirror[:, d, c], dense[:, orig[c], orig[c + d]])
         assert not band[:, d, dim - d:].any() and not mirror[:, d, dim - d:].any()
     want = np.linalg.eigvalsh(dense)
-    got = _band_eigvalsh(q, dim, b, fam._terms_at(b1, b2), b1, b2, "family")
+    got = _band_eigvalsh(q, dim, b, fam._terms_at(b1, b2), b1, b2)
     assert np.max(np.abs(got - want)) < 1e-12
     # spectrum takes the band path exactly when 8 b <= dim
     rep = spectrum(fam, grid=(8, 8))
@@ -488,6 +488,50 @@ def test_ggdag_with_shifting_G_matches_dense_two_band(q):
     # G G^dag shifts by 0 and +-2: band width 4, banded from q = 32
     assert via.metadata["eigensolver"] == ("lapack-banded" if q >= 32
                                            else "lapack-dense")
+    fam = two_band_model(A, L, 1, fx).family
+    b1 = np.repeat(2.0 * math.pi / q * np.arange(8) / 8, 8)
+    b2 = np.tile(2.0 * math.pi * np.arange(8) / 8, 8)
+    dense = np.linalg.eigvalsh(fam.matrix_at(b1, b2))
+    assert np.max(np.abs(via.samples - dense)) < 1e-12
+
+
+def _skewed_potential(L):
+    """f1 = m c, f2 = -n c on each +-mode pair (the gauge condition), on
+    the modes (0, 1), (1, 1) and (2, -1)."""
+    f1, f2 = {}, {}
+    for (n, m), c in (((0, 1), 0.4), ((1, 1), 0.3 - 0.2j), ((2, -1), 0.1j)):
+        f1[(n, m)], f1[(-n, -m)] = m * c, m * c.conjugate()
+        f2[(n, m)], f2[(-n, -m)] = -n * c, -n * c.conjugate()
+    return PeriodicVectorPotential(FourierSeries2D(f1, is_real=True),
+                                   FourierSeries2D(f2, is_real=True), L)
+
+
+SKEWED_LATTICES = [make_lattice([1, 0], [0.35, 1.2]),
+                   make_lattice([1.3, 0.2], [-0.4, 0.9])]
+
+
+@pytest.mark.parametrize("L", SKEWED_LATTICES)
+@pytest.mark.parametrize("iota", [1, -1])
+@pytest.mark.parametrize("p, q", [(1, 3), (2, 7), (1, 40), (3, 11)])
+def test_twisted_square_quantizes_G_G_dag(L, iota, p, q):
+    fx = RationalFlux(p, q)
+    g = _skewed_potential(L).g
+    b1 = np.array([0.0, 0.4, 5.1, 2.2])
+    b2 = np.array([0.0, 2.9, 1.3, 6.0])
+    G = _weyl_sum(_weyl_modes(g, fx, iota, "harper"), fx, iota, "harper",
+                  b1, b2)
+    want = G @ G.conj().swapaxes(-1, -2)
+    got = quantize_series(_twisted_square(g, fx, iota), fx, iota).matrix_at(
+        b1, b2)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("L", SKEWED_LATTICES)
+@pytest.mark.parametrize("p, q", [(2, 7), (3, 11)])
+def test_ggdag_of_several_modes_matches_dense_two_band(L, p, q):
+    A = _skewed_potential(L)
+    fx = RationalFlux(p, q)
+    via = spectrum_via_GGdag(A, L, 1, fx, grid=(8, 8))
     fam = two_band_model(A, L, 1, fx).family
     b1 = np.repeat(2.0 * math.pi / q * np.arange(8) / 8, 8)
     b2 = np.tile(2.0 * math.pi * np.arange(8) / 8, 8)
