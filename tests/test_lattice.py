@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -58,8 +59,13 @@ def test_duality_and_frame_properties(vec):
     assert abs(L.b_star @ L.a) < 1e-12
     # unimodular complexified frame
     assert abs(abs((L.z_a.conjugate() * L.z_b).imag) - 1.0) < 1e-12
-    q = (abs(L.z_a) * abs(L.z_b)) ** 2 - (L.z_a * L.z_b.conjugate()).real ** 2
-    assert abs(q - 1.0) < 1e-9
+    # Lagrange identity |z_a|^2 |z_b|^2 - Re(z_a conj z_b)^2 = 1, evaluated
+    # exactly on the stored floats: in floating point the two terms are of
+    # size ~1/area^2 and their difference loses ~eps/area^2 to cancellation.
+    xa, ya, xb, yb = (Fraction(c) for c in (L.z_a.real, L.z_a.imag,
+                                            L.z_b.real, L.z_b.imag))
+    q = (xa * xa + ya * ya) * (xb * xb + yb * yb) - (xa * xb + ya * yb) ** 2
+    assert abs(float(q) - 1.0) < 1e-9
 
 
 def test_eval_constant():
