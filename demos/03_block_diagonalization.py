@@ -6,10 +6,9 @@ returns the bare potential, and the fourth order is the frame Laplacian of
 the potential scaled by half the level energy.
 """
 
-import numpy as np
-
 from magbloch import FockTruncation
-from magbloch.lattice import harper_potential, laplacian_DzDzbar, make_lattice
+from magbloch.effective import closed_form_grades
+from magbloch.lattice import harper_potential, make_lattice
 from magbloch.moyal import (build_intertwiner, build_projection,
                             effective_symbol, intertwiner_residuals,
                             projection_residuals)
@@ -34,7 +33,7 @@ print("\nband-block symbols:")
 for j, h in enumerate(hs):
     print(f"  order {j}: sup norm {mode_max_norm(h, T):.3e}")
 
-Y = laplacian_DzDzbar(V, L)
-worst = max(abs(hs[4][nm][0, 0] - 0.25 * Y[nm]) for nm in Y.coeffs)
+h4 = closed_form_grades(V, L, 0.5)[4]
+worst = max(abs(hs[4][nm][0, 0] - h4[nm]) for nm in h4.coeffs)
 print(f"\nfourth order vs (level/2) * frame Laplacian of V: "
       f"max coefficient difference {worst:.2e}")

@@ -9,11 +9,10 @@ n-th odd correction vanishes by ladder parity, so the fourth-order model
 gains two full orders over the second-order one).
 """
 
-import numpy as np
-
 from magbloch import FockTruncation, OracleBasis, build_full_matrix
-from magbloch.effective import delta_from_flux, single_band_model
-from magbloch.lattice import FourierSeries2D, harper_potential, make_lattice
+from magbloch.effective import (closed_form_grades, delta_from_flux,
+                                single_band_model)
+from magbloch.lattice import harper_potential, make_lattice
 from magbloch.oracle import (default_delta_sweep, level_cluster, order_fit,
                              oracle_eigenvalues, quantize_on_grid)
 
@@ -21,18 +20,19 @@ L = make_lattice([1, 0], [0, 1])
 V = harper_potential()
 LAM = 0.5
 T = FockTruncation(n_max=30, guard=6)
+LEVEL = closed_form_grades(V, L, LAM)[0]
 
 deltas, clusters = [], []
 models = {"level only": [], "second order": [], "fourth order": []}
 for fx in default_delta_sweep():
     d = delta_from_flux(fx)
     deltas.append(d)
-    basis = OracleBasis(n_cells=1, n_grid=fx.q, fock=T)
+    basis = OracleBasis.resolving(V, None, fx, T)
     Hf = build_full_matrix(V, None, L, basis, fx)
     clusters.append(level_cluster(Hf, LAM, basis.slow_dim))
     for kind in models:
         if kind == "level only":
-            series = FourierSeries2D({(0, 0): LAM}, is_real=True)
+            series = LEVEL
         else:
             series = single_band_model(
                 V, L, LAM, fx, iota=1,

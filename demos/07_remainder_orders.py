@@ -5,11 +5,10 @@ remainder whose guard-corner norm scales like the square of the truncation
 order budget; compressing onto a single level buys one extra power.
 """
 
-import numpy as np
-
 from magbloch import FockTruncation
 from magbloch.lattice import (FourierSeries2D, PeriodicVectorPotential,
                               harper_potential, make_lattice)
+from magbloch.oracle import log_slope
 from magbloch.symbols import default_points, remainder_norm
 
 L = make_lattice([1, 0], [0, 1])
@@ -27,6 +26,6 @@ for label, Aarg, proj in [("no vector potential", None, None),
                           ("with vector potential, level-projected", A, 0)]:
     ds = [max(remainder_norm(V, Aarg, L, T, d, pt, projector_band=proj)
               for pt in points) for d in deltas]
-    slope = np.polyfit(np.log(deltas), np.log(ds), 1)[0]
+    slope, _ = log_slope(deltas, ds)
     print(f"{label}: norms " + "  ".join(f"{x:.3e}" for x in ds)
           + f"   slope {slope:.2f}")

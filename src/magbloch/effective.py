@@ -23,6 +23,7 @@ from .quantize import (MagneticBlochFamily, RationalFlux, SpectrumReport,
 
 __all__ = [
     "EffectiveModel",
+    "closed_form_grades",
     "single_band_model",
     "two_band_model",
     "spectrum_via_GGdag",
@@ -38,33 +39,38 @@ def delta_from_flux(flux: RationalFlux) -> float:
 
 @dataclass(frozen=True)
 class EffectiveModel:
-    band_set: tuple
     delta: float
-    flux: RationalFlux
     blocks: list                       # m x m nested list of FourierSeries2D
     family: MagneticBlochFamily
+
+
+def closed_form_grades(V: FourierSeries2D, L: Lattice2D,
+                       lam_star: float) -> dict:
+    """The closed-form symbol of one level lam* by grade:
+    ``{0: lam*, 2: V, 4: (lam*/2) |D_z|^2 V}``, real series; grades 1 and 3
+    vanish.  The recursion (``moyal.effective_symbol``) reproduces them."""
+    return {0: FourierSeries2D({(0, 0): lam_star}, is_real=True),
+            2: V,
+            4: FourierSeries2D(laplacian_DzDzbar(V, L).coeffs, is_real=True)
+            .scaled(lam_star / 2.0)}
 
 
 def single_band_model(V: FourierSeries2D, L: Lattice2D, lam_star: float,
                       flux: RationalFlux, iota: int = 1,
                       fourth_order: bool = True) -> EffectiveModel:
-    """Single-level model lam* + d^2 V + d^4 (lam*/2) |D_z|^2 V, quantized
-    as a strong-field power series at theta = d^2.
+    """Single-level model lam* + d^2 V + d^4 (lam*/2) |D_z|^2 V (the
+    :func:`closed_form_grades`), quantized as a strong-field power series
+    at theta = d^2.
 
     ``fourth_order=False`` drops the d^4 term (useful for order fits).
     """
     delta = delta_from_flux(flux)
-    symbol = FourierSeries2D({(0, 0): lam_star}, is_real=True)
-    symbol = symbol.plus(V.scaled(delta ** 2))
+    h = closed_form_grades(V, L, lam_star)
+    symbol = h[0].plus(h[2].scaled(delta ** 2))
     if fourth_order:
-        Y = laplacian_DzDzbar(V, L)
-        symbol = symbol.plus(
-            FourierSeries2D(Y.coeffs, is_real=True)
-            .scaled((delta ** 4) * lam_star / 2.0))
-    fam = quantize_series(symbol, flux, iota=iota)
-    n_star = int(round(lam_star - 0.5))
-    return EffectiveModel(band_set=(n_star,), delta=delta, flux=flux,
-                          blocks=[[symbol]], family=fam)
+        symbol = symbol.plus(h[4].scaled(delta ** 4))
+    return EffectiveModel(delta=delta, blocks=[[symbol]],
+                          family=quantize_series(symbol, flux, iota=iota))
 
 
 def two_band_model(A: PeriodicVectorPotential, L: Lattice2D, n_star: int,
@@ -87,8 +93,7 @@ def two_band_model(A: PeriodicVectorPotential, L: Lattice2D, n_star: int,
     b10 = b01.conj_reflect()
     blocks = [[b00, b01], [b10, b11]]
     fam = quantize_blocks(blocks, flux, iota=iota)
-    return EffectiveModel(band_set=(n_star, n_star + 1), delta=delta,
-                          flux=flux, blocks=blocks, family=fam)
+    return EffectiveModel(delta=delta, blocks=blocks, family=fam)
 
 
 def spectrum_via_GGdag(A: PeriodicVectorPotential, L: Lattice2D, n_star: int,

@@ -215,7 +215,7 @@ def _block_masks(T: FockTruncation, bands) -> tuple:
     ``[Xi, X] = -M`` on the two block-off-diagonal blocks
     (``W[i, j] = 1/(level_j - level_i)`` there, 0 elsewhere); ``M * D = [P, M]``.
     """
-    p = np.isin(np.arange(T.dim), bands).astype(float)
+    p = band_projector_matrix(T, bands).diagonal().real
     D = p[:, None] - p[None, :]
     S = np.outer(1.0 - p, 1.0 - p) - np.outer(p, p)
     levels = np.arange(T.dim) + 0.5

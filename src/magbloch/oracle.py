@@ -39,7 +39,6 @@ from .quantize import (RationalFlux, _phase, _require_hermitian, _weyl_terms,
 
 __all__ = [
     "OracleBasis",
-    "max_mode",
     "build_full_matrix",
     "quantize_on_grid",
     "band_cluster",
@@ -67,7 +66,12 @@ _CLUSTER_MARGIN = 4
 _SHIFT_OFFSET = 1e-3
 
 
-def max_mode(V: FourierSeries2D, A: PeriodicVectorPotential | None) -> int:
+# A slow grid resolves a potential when it has at least this many points
+# per period for each unit of the largest mode number.
+_POINTS_PER_MODE = 4
+
+
+def _max_mode(V: FourierSeries2D, A: PeriodicVectorPotential | None) -> int:
     """Largest |n| or |m| over the modes of V and of A's components; 0
     without modes."""
     series = (V,) if A is None else (V, A.f1, A.f2)
@@ -92,17 +96,29 @@ class OracleBasis:
                 f"oracle dimension {self.slow_dim * self.fock.dim} exceeds "
                 f"budget {DIM_BUDGET}")
 
+    @classmethod
+    def resolving(cls, V: FourierSeries2D, A: PeriodicVectorPotential | None,
+                  flux: RationalFlux, fock: FockTruncation,
+                  n_cells: int = 1) -> "OracleBasis":
+        """The basis whose per-cell grid is the smallest multiple of q with
+        ``_POINTS_PER_MODE`` points per unit of the largest mode number of
+        V and A (counted as at least 1): the coarsest grid commensurate
+        with the flux that :meth:`check_resolves` accepts."""
+        need = _POINTS_PER_MODE * max(1, _max_mode(V, A))
+        return cls(n_cells=n_cells, n_grid=flux.q * -(-need // flux.q),
+                   fock=fock)
+
     @property
     def slow_dim(self) -> int:
         return self.n_cells * self.n_grid
 
     def check_resolves(self, V: FourierSeries2D,
                        A: PeriodicVectorPotential | None) -> None:
-        n_modes = max_mode(V, A)
-        if self.n_grid < 4 * n_modes:
+        top = _max_mode(V, A)
+        if self.n_grid < _POINTS_PER_MODE * top:
             raise ValueError(
-                f"n_grid={self.n_grid} under-resolves modes up to {n_modes}; "
-                f"need n_grid >= {4 * n_modes}")
+                f"n_grid={self.n_grid} under-resolves modes up to {top}; "
+                f"need n_grid >= {_POINTS_PER_MODE * top}")
 
 
 def _slow_quantize(modes, basis: OracleBasis, flux: RationalFlux):

@@ -124,6 +124,24 @@ def test_sapt_command(tmp_path):
     assert max(payload["u_residuals"]["unitarity"]) < 1e-10
 
 
+def test_sapt_checks_see_every_h2_mode(tmp_path, monkeypatch):
+    # a spurious h_2 mode that V lacks must show in h2_minus_V
+    from magbloch import moyal
+    real = moyal.effective_symbol
+
+    def spurious(*args):
+        hs = real(*args)
+        hs[2][(2, 0)] = np.array([[0.5 + 0j]])
+        return hs
+
+    monkeypatch.setattr(moyal, "effective_symbol", spurious)
+    path = _write_cfg(tmp_path)
+    out = tmp_path / "sapt.json"
+    assert main(["sapt", "--config", path, "--band", "0",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["checks"]["h2_minus_V"] == 0.5
+
+
 def test_oracle_compare_command(tmp_path):
     path = _write_cfg(tmp_path, {"n_max": 16})
     out = tmp_path / "oc.json"

@@ -24,10 +24,11 @@ def test_oracle_demo_runs(demo):
     _run(demo)
 
 
-# 05 drives spectrum_via_GGdag end to end
+# 05 drives spectrum_via_GGdag end to end; 07 fits with oracle.log_slope
 @pytest.mark.parametrize("demo", ["01_hofstadter_butterfly.py",
                                   "03_block_diagonalization.py",
                                   "05_two_band_coupling.py",
-                                  "06_almost_mathieu.py"])
+                                  "06_almost_mathieu.py",
+                                  "07_remainder_orders.py"])
 def test_demo_runs(demo):
     _run(demo)

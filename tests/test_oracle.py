@@ -255,6 +255,23 @@ def test_slow_factor_is_weighted_permutation(fx, per_q, n_cells, n, m):
     assert np.max(np.abs(got - _dense_slow_factor(basis, fx, n, m))) < 1e-12
 
 
+@given(_fluxes(40), st.integers(0, 5), st.integers(1, 2))
+@settings(max_examples=100, deadline=None)
+def test_resolving_grid_is_the_coarsest_accepted(fx, top, n_cells):
+    V = (FourierSeries2D({(top, -top // 2): 0.5}, is_real=True) if top
+         else EMPTY)
+    T = FockTruncation(n_max=1, guard=0)
+    basis = OracleBasis.resolving(V, None, fx, T, n_cells)
+    q = fx.q
+    assert basis.n_cells == n_cells and basis.n_grid % q == 0
+    assert basis.n_grid == q * max(1, -(-4 * max(1, top) // q))
+    basis.check_resolves(V, None)
+    # one q less is either below the minimum grid or under-resolves V
+    with pytest.raises(ValueError):
+        OracleBasis(n_cells=n_cells, n_grid=basis.n_grid - q,
+                    fock=T).check_resolves(V, None)
+
+
 MODES = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
 AMPLITUDES = st.floats(-1.0, 1.0)
 
