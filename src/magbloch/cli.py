@@ -16,7 +16,9 @@ Configuration file (JSON, unknown keys rejected)::
 squared adiabatic parameter (the flux per unit cell over 2 pi); the parameter
 itself is derived as sqrt(p/q).  Flags override config values, which override
 the defaults (``iota`` -1, ``tol_band`` 1e-6 of the spectral width);
-``oracle-compare`` accepts only ``iota`` +1, its default.  Every key, from the
+``oracle-compare`` accepts only ``iota`` +1, its default.  Config keys are
+shared by all commands, but a flag given to a command that does not read it
+(``_COMMAND_FLAGS``) is a config error.  Every key, from the
 file or from a flag, is checked when the config is loaded: integers must be
 JSON integers (``qmax``, ``n_cells`` and ``n_max`` >= 1, ``order`` and
 ``guard`` >= 0), ``grid`` two integers >= 8, ``band`` a level index >= 0 or
@@ -212,6 +214,36 @@ def _truncation(cfg: dict, n_max: int) -> FockTruncation:
         raise ConfigError(f"guard must be <= n_max, got guard {guard} and "
                           f"n_max {n_max}")
     return FockTruncation(n_max=n_max, guard=guard)
+
+
+# The flags each command reads besides --config and --out.  A flag given to
+# a command that does not read it is a config error, never silently dropped;
+# sapt and oracle-compare write JSON only and accept just ``--format json``.
+_COMMAND_FLAGS = {
+    "butterfly": {"format", "qmax", "iota", "tol_band"},
+    "effective": {"format", "delta", "band", "iota", "tol_band", "units"},
+    "two-band": {"format", "delta", "band", "iota", "tol_band", "units"},
+    "sapt": {"format", "band"},
+    "oracle-compare": {"format", "delta", "band", "iota"},
+}
+_JSON_ONLY = {"sapt", "oracle-compare"}
+
+
+def _check_flags(args) -> None:
+    """Reject the flags given on the command line that the command does not
+    read, then fill in the defaults of ``--format`` and ``--units``."""
+    given = [key for key in ("format", "qmax", "delta", "band", "iota",
+                             "tol_band", "units")
+             if getattr(args, key) is not None]
+    unread = [key for key in given if key not in _COMMAND_FLAGS[args.command]]
+    if unread:
+        names = ", ".join("--" + key.replace("_", "-") for key in unread)
+        raise ConfigError(f"{args.command} does not read {names}")
+    if args.command in _JSON_ONLY and args.format not in (None, "json"):
+        raise ConfigError(f"{args.command} writes JSON only, got --format "
+                          f"{args.format}")
+    args.format = args.format or "csv"
+    args.units = args.units or "cyclotron"
 
 
 def _flag_settings(args) -> dict:
@@ -450,7 +482,9 @@ def _parser() -> argparse.ArgumentParser:
     ap.add_argument("command", choices=sorted(_COMMANDS))
     ap.add_argument("--config", required=True, help="JSON input file")
     ap.add_argument("--out", default=None, help="output path (default stdout)")
-    ap.add_argument("--format", choices=("csv", "json"), default="csv")
+    ap.add_argument("--format", choices=("csv", "json"), default=None,
+                    help="report format (default csv; sapt and "
+                         "oracle-compare write json only)")
     ap.add_argument("--qmax", type=int, default=None)
     ap.add_argument("--delta", default=None,
                     help="comma-separated flux fractions p/q (squared parameter)")
@@ -458,15 +492,16 @@ def _parser() -> argparse.ArgumentParser:
     ap.add_argument("--iota", type=int, choices=(1, -1), default=None,
                     help="charge sign (default -1; oracle-compare: +1 only)")
     ap.add_argument("--tol-band", dest="tol_band", type=float, default=None)
-    ap.add_argument("--units", choices=("cyclotron", "bare"),
-                    default="cyclotron",
-                    help="energy unit of effective/two-band reports")
+    ap.add_argument("--units", choices=("cyclotron", "bare"), default=None,
+                    help="energy unit of effective/two-band reports "
+                         "(default cyclotron)")
     return ap
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        _check_flags(args)
         cfg = load_config(args.config, _flag_settings(args))
         text = _COMMANDS[args.command](cfg, args)
         _write(args.out, text)

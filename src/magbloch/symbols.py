@@ -161,6 +161,11 @@ def W_term(j: int, A: PeriodicVectorPotential, L: Lattice2D,
     return out
 
 
+def _natural(A: PeriodicVectorPotential | None) -> int:
+    """The natural order: 1 without a vector potential, 0 with one."""
+    return 1 if A is None or A.is_zero() else 0
+
+
 def assemble_truncated(V: FourierSeries2D, A: PeriodicVectorPotential | None,
                        L: Lattice2D, T: FockTruncation) -> OperatorSymbol:
     """Polynomially truncated symbol up to grade 2*(1+natural).
@@ -168,7 +173,7 @@ def assemble_truncated(V: FourierSeries2D, A: PeriodicVectorPotential | None,
     ``natural`` is 1 without a vector potential (grades {0, 2, 3, 4}, grade 1
     empty) and 0 with one (grades {0, 1, 2}).
     """
-    natural = 1 if A is None or A.is_zero() else 0
+    natural = _natural(A)
     grades: dict[int, ModeMap] = {0: {(0, 0): fock.xi_matrix(T)}}
     for j in range(1, 2 * (1 + natural) + 1):
         term: ModeMap = {}
@@ -196,14 +201,18 @@ def symbol_hermiticity_residual(sym: OperatorSymbol, T: FockTruncation) -> float
                default=0.0)
 
 
+def _check_delta(delta: float) -> None:
+    if not math.isfinite(delta) or delta < 0:
+        raise ValueError(f"delta must be finite and non-negative, got {delta!r}")
+
+
 def exact_symbol(V: FourierSeries2D, A: PeriodicVectorPotential | None,
                  L: Lattice2D, T: FockTruncation, delta: float) -> ModeMap:
     """Mode map of the exact symbol: the harmonic generator at (0, 0) and,
     at each mode of A and V, ``delta E lin + delta^2 v E`` with the
     displacement exponential ``E = exp(i 2 pi delta I_{n,m})`` computed once
     per mode."""
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
+    _check_delta(delta)
     lins = _lin(A, L, T)
     pots = {nm: v for nm, v in V.coeffs.items() if v != 0}
     out: ModeMap = {(0, 0): fock.xi_matrix(T)}
@@ -224,10 +233,81 @@ def eval_exact(V: FourierSeries2D, A: PeriodicVectorPotential | None,
     return eval_mode_map(exact_symbol(V, A, L, T, delta), point)
 
 
+# Horner terms of the tail of rho_K where |z| < 1: the first omitted term is
+# at most 1/(_RHO_TERMS + 1)! of the first kept one, below the rounding unit.
+_RHO_TERMS = 20
+
+
+def _rho(z: np.ndarray, K: int) -> np.ndarray:
+    """rho_K(z) = e^{iz} - sum_{k<=K} (iz)^k/k! of a real array z.
+
+    Where |z| < 1 the tail sum_{k>K} (iz)^k/k! is summed from its first
+    term (Horner, ``_RHO_TERMS`` terms), so no two O(1) numbers cancel;
+    elsewhere, where rho_K is no longer small, it is taken as written."""
+    iz = 1j * np.asarray(z, dtype=float)
+    out = np.exp(iz)
+    for k in range(K + 1):
+        out -= iz ** k / math.factorial(k)
+    small = np.abs(iz) < 1
+    w = iz[small]
+    s = np.ones_like(w)
+    for j in range(K + _RHO_TERMS, K + 1, -1):
+        s = 1 + (w / j) * s
+    out[small] = w ** (K + 1) / math.factorial(K + 1) * s
+    return out
+
+
+def _times_conjugated(M: np.ndarray, lin: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """M @ (D^* lin D) with D = diag(d), for a lin whose only nonzero
+    entries lie on its first off-diagonals, as those of ``f1 Q_f + f2 P_f``
+    do; O(dim^2)."""
+    up = np.diagonal(lin, 1) * (d[:-1].conj() * d[1:])
+    lo = np.diagonal(lin, -1) * (d[1:].conj() * d[:-1])
+    out = np.zeros(M.shape, dtype=complex)
+    out[:, 1:] = M[:, :-1] * up
+    out[:, :-1] += M[:, 1:] * lo
+    return out
+
+
 def remainder_matrix(V, A, L, T: FockTruncation, delta: float, point) -> np.ndarray:
-    """Exact symbol minus the evaluated truncated symbol at one point."""
-    sym = assemble_truncated(V, A, L, T)
-    return eval_exact(V, A, L, T, delta, point) - eval_symbol(sym, point, delta)
+    """Exact symbol minus the evaluated truncated symbol at one point.
+
+    Both are phase conjugates of functions of one real matrix: with
+    ``I_{n,m} = |alpha| D J D^*``, ``J = U diag(x) U^T`` (the cached Hermite
+    Jacobi eigenbasis) and ``z = 2 pi delta |alpha| x``, a mode's share of
+    the difference is
+
+        delta^2 v D U diag(rho_K(z)) U^T D^*
+        + delta D U diag(rho_{K+1}(z)) U^T D^* lin,
+
+    with ``K = 2 natural`` (:func:`assemble_truncated`) and ``lin = f1 Q_f +
+    f2 P_f``.  ``U^T D^* lin D`` costs O(dim^2), as ``lin`` has only two
+    off-diagonals, so each mode costs one real-by-complex product; no matrix
+    power is formed, and no two O(1) matrices are subtracted.
+    """
+    _check_delta(delta)
+    K = 2 * _natural(A)
+    lins = _lin(A, L, T)
+    pots = {nm: v for nm, v in V.coeffs.items() if v != 0}
+    x, U = fock._hermite_jacobi_eigh(T.dim)
+    levels = np.arange(T.dim)
+    R = np.zeros((T.dim, T.dim), dtype=complex)
+    for (n, m) in dict.fromkeys([*lins, *pots]):
+        alpha = fock.alpha_coefficient(n, m, L)
+        if alpha == 0:
+            continue  # the constant mode: its truncation is exact
+        z = TWO_PI * delta * abs(alpha) * x
+        d = np.exp(-1j * cmath.phase(alpha) * levels)
+        B = np.zeros((T.dim, T.dim), dtype=complex)
+        if (n, m) in pots:
+            B += ((delta ** 2) * pots[(n, m)] * _rho(z, K))[:, None] * U.T
+        if (n, m) in lins:
+            B += ((delta * _rho(z, K + 1))[:, None]
+                  * _times_conjugated(U.T, lins[(n, m)], d))
+        share = (U @ B.view(float)).view(complex)
+        phase = cmath.exp(1j * TWO_PI * (n * point[0] + m * point[1]))
+        R += (phase * d)[:, None] * share * d.conj()
+    return R
 
 
 def remainder_norm(V, A, L, T: FockTruncation, delta: float, point,
@@ -240,12 +320,11 @@ def remainder_norm(V, A, L, T: FockTruncation, delta: float, point,
     scaling order improves by one power over the unprojected norm.  Every
     band index must be an integer in the guard corner ``[0, T.corner_dim)``.
     """
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
+    _check_delta(delta)
     if projector_band is not None:
         bands = [projector_band] if np.ndim(projector_band) == 0 else list(projector_band)
-        if not all(isinstance(k, (int, np.integer)) and 0 <= k < T.corner_dim
-                   for k in bands):
+        if not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+                   and 0 <= k < T.corner_dim for k in bands):
             raise ValueError(f"projector_band {projector_band} is not a set of "
                              f"integers in the guard corner [0, {T.corner_dim})")
     R = remainder_matrix(V, A, L, T, delta, point)

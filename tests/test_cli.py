@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magbloch.cli import _dump_json, main
+from magbloch.cli import _check_flags, _dump_json, _parser, main
 
 HARPER_CFG = {
     "lattice": {"a": [1.0, 0.0], "b": [0.0, 1.0]},
@@ -309,6 +309,61 @@ def test_bad_config_values_are_config_errors(tmp_path, capsys, argv, extra):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
 
+
+
+# One value per flag, and the flags each command reads (README, "Command
+# line"); --config and --out are read by every command.
+_FLAG_ARGV = {
+    "format": ["--format", "json"], "qmax": ["--qmax", "3"],
+    "delta": ["--delta", "1/7"], "band": ["--band", "0"],
+    "iota": ["--iota", "1"], "tol_band": ["--tol-band", "0.1"],
+    "units": ["--units", "bare"],
+}
+_READS = {
+    "butterfly": {"format", "qmax", "iota", "tol_band"},
+    "effective": {"format", "delta", "band", "iota", "tol_band", "units"},
+    "two-band": {"format", "delta", "band", "iota", "tol_band", "units"},
+    "sapt": {"format", "band"},
+    "oracle-compare": {"format", "delta", "band", "iota"},
+}
+
+
+@pytest.mark.parametrize("flag", sorted(_FLAG_ARGV))
+@pytest.mark.parametrize("command", sorted(_READS))
+def test_flags_a_command_does_not_read_are_rejected(tmp_path, capsys, command,
+                                                    flag):
+    argv = [command, "--config", _write_cfg(tmp_path)] + _FLAG_ARGV[flag]
+    if flag in _READS[command]:
+        _check_flags(_parser().parse_args(argv))
+        return
+    assert main(argv) == 2
+    name = "--" + flag.replace("_", "-")
+    assert capsys.readouterr().err == f"config error: {command} does not read {name}\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["sapt", "--delta", "1/7", "--iota", "1"],
+     "sapt does not read --delta, --iota"),
+    (["sapt", "--format", "csv"], "sapt writes JSON only, got --format csv"),
+    (["oracle-compare", "--format", "csv"],
+     "oracle-compare writes JSON only, got --format csv"),
+])
+def test_several_unread_flags_and_csv_for_json_commands_exit_2(tmp_path, capsys,
+                                                               argv, err):
+    assert main(argv + ["--config", _write_cfg(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: {err}\n"
+
+
+def test_flag_defaults_apply_when_not_given(tmp_path):
+    args = _parser().parse_args(["effective", "--config", "cfg.json"])
+    _check_flags(args)
+    assert (args.format, args.units) == ("csv", "cyclotron")
+    # sapt writes the same JSON with and without --format json
+    path = _write_cfg(tmp_path, {"order": 2})
+    outs = [tmp_path / "plain.json", tmp_path / "json.json"]
+    for out, extra in zip(outs, ([], ["--format", "json"])):
+        assert main(["sapt", "--config", path, "--out", str(out)] + extra) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def _dump_json_recursive(obj, indent: int = 0) -> str:

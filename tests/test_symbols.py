@@ -1,21 +1,24 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from magbloch import symbols
 from magbloch.fock import (FockTruncation, I_generator, corner_norm,
                           displacement_exp, ladder, p_fast, q_fast, xi_matrix)
 from magbloch.lattice import (FourierSeries2D, PeriodicVectorPotential,
                               directional_derivative_Dz,
-                              directional_derivative_Dzbar)
-from magbloch.symbols import (V_term, W_term, assemble_truncated, eval_exact,
-                              eval_symbol, default_points, mode_add,
-                              mode_max_norm, mode_scale, remainder_matrix,
-                              remainder_norm,
+                              directional_derivative_Dzbar, make_lattice)
+from magbloch.symbols import (V_term, W_term, _rho, assemble_truncated,
+                              eval_exact, eval_symbol, default_points,
+                              exact_symbol, mode_add, mode_max_norm,
+                              mode_scale, remainder_matrix, remainder_norm,
                               symbol_hermiticity_residual)
 
 T = FockTruncation(n_max=20, guard=6)
+SKEWED = make_lattice([1.0, 0.0], [0.35, 1.2])
 
 
 def test_V2_is_potential_times_identity(square, harper):
@@ -200,9 +203,10 @@ def test_remainder_slope_natural1_projected(square, harper):
 def test_remainder_band_outside_corner_rejected(square, harper):
     # n_max 30, guard 6: the corner holds states 0..24; -1 (numpy would wrap
     # it to the top guard state), 29 (inside the guard) and 40 (outside the
-    # basis) are all rejected, as is a non-integer index
+    # basis) are all rejected, as is a non-integer index and a bool (True
+    # would pass for band 1)
     Tb = FockTruncation(n_max=30, guard=6)
-    for band in (-1, 29, 40, [0, 25], 0.5):
+    for band in (-1, 29, 40, [0, 25], 0.5, True, False, [True], [0, True]):
         with pytest.raises(ValueError, match="projector_band"):
             remainder_norm(harper, None, square, Tb, 0.1, (0.1, 0.2),
                            projector_band=band)
@@ -227,6 +231,94 @@ def test_projected_remainder_is_norm_of_band_columns(square, harper,
             got = remainder_norm(harper, A, square, Tb, delta, point,
                                  projector_band=band)
             assert abs(got - want) <= 1e-13 * want, (band, delta)
+
+
+def _explicit_remainder(V, A, L, T, delta, point):
+    """The exact symbol minus the truncated symbol, both evaluated at the
+    point and subtracted as matrices."""
+    return (eval_exact(V, A, L, T, delta, point)
+            - eval_symbol(assemble_truncated(V, A, L, T), point, delta))
+
+
+@pytest.mark.parametrize("lattice", ["square", "skewed"])
+@pytest.mark.parametrize("with_a", [False, True])
+def test_remainder_matches_explicit_difference(square, harper, lattice, with_a):
+    # V with a constant mode and a diagonal pair besides Harper's; A on a
+    # mode pair that V shares and on one that V lacks (f1 depends on the
+    # second slot only, so A is divergence-free on any lattice)
+    L = square if lattice == "square" else SKEWED
+    V = harper.plus(FourierSeries2D({(0, 0): 0.4, (1, 1): 0.3, (-1, -1): 0.3},
+                                    is_real=True))
+    f1 = FourierSeries2D({(0, 1): 0.5, (0, -1): 0.5, (0, 2): 0.2, (0, -2): 0.2},
+                         is_real=True)
+    A = PeriodicVectorPotential(f1, FourierSeries2D({}, is_real=True), L) \
+        if with_a else None
+    Tr = FockTruncation(n_max=60, guard=6)
+    c = Tr.corner_dim
+    for delta in (0.2, 0.05, 0.01):
+        for point in ((0.1, 0.2), (0.55, 0.8)):
+            want = _explicit_remainder(V, A, L, Tr, delta, point)
+            got = remainder_matrix(V, A, L, Tr, delta, point)
+            tol = 1e-12 * max(1.0, np.max(np.abs(want)))
+            assert np.max(np.abs(got - want)) <= tol, (delta, point)
+            full = np.linalg.norm(want[:c, :c], 2)
+            band = np.linalg.norm(want[:c, [0]], 2)
+            assert abs(remainder_norm(V, A, L, Tr, delta, point) - full) <= tol
+            assert abs(remainder_norm(V, A, L, Tr, delta, point,
+                                      projector_band=0) - band) <= tol
+
+
+def _rho_series(z: float, K: int, terms: int = 60) -> complex:
+    """sum_{k>K} (iz)^k/k!, summed in exact rational arithmetic."""
+    parts = [Fraction(0), Fraction(0)]   # real, imaginary
+    for k in range(K + 1, K + 1 + terms):
+        term = Fraction(z) ** k / math.factorial(k)
+        parts[k % 2] += term if k % 4 < 2 else -term
+    return complex(float(parts[0]), float(parts[1]))
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 3])
+def test_rho_matches_series_on_both_sides_of_the_switch(K):
+    zs = [0.0, 1e-9, -3e-5, 0.2, -0.75, 0.999999, 1.0, -1.000001, 1.3, -2.5,
+          4.0]
+    got = _rho(np.array(zs), K)
+    assert got[0] == 0.0
+    for z, r in zip(zs[1:], got[1:]):
+        want = _rho_series(z, K)
+        assert abs(r - want) <= 1e-14 * abs(want), (z, r, want)
+
+
+def test_remainder_norm_takes_no_matrix_power(square, harper,
+                                              one_mode_potential, monkeypatch):
+    calls = []
+
+    def counting(name, inner):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(symbols, "assemble_truncated",
+                        counting("assemble_truncated", assemble_truncated))
+    monkeypatch.setattr(np.linalg, "matrix_power",
+                        counting("matrix_power", np.linalg.matrix_power))
+    Tr = FockTruncation(n_max=30, guard=6)
+    for A in (None, one_mode_potential):
+        for band in (None, 0):
+            assert remainder_norm(harper, A, square, Tr, 0.1, (0.1, 0.2),
+                                  projector_band=band) > 0.0
+    assert calls == []
+    # the counters see the truncated assembly when it does run
+    symbols.assemble_truncated(harper, None, square, Tr)
+    assert "assemble_truncated" in calls and "matrix_power" in calls
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf, -0.1])
+def test_non_finite_or_negative_delta_rejected(square, harper, delta):
+    with pytest.raises(ValueError, match="delta"):
+        remainder_norm(harper, None, square, T, delta, (0.1, 0.2))
+    with pytest.raises(ValueError, match="delta"):
+        exact_symbol(harper, None, square, T, delta)
 
 
 def _random_modes(rng, dim, keys):
