@@ -12,8 +12,11 @@ conjugate of one real matrix: ``I = |alpha| D J D^*`` with the Hermite
 Jacobi matrix ``J = a + a_dag`` and ``D = diag(e^{-i k arg alpha})``.  By
 the Golub-Welsch identity the eigenvalues of ``J`` are the Gauss-Hermite
 nodes (roots of the probabilists' Hermite polynomial He_dim).  Its
-eigendecomposition is computed once per basis size and cached, so every
-displacement exponential, for any mode, time or point, reuses it.
+eigendecomposition is computed once per basis size and cached, and
+:func:`_mode_eigenbasis` phases it into the eigenbasis of ``t I_{n,m}``
+for any mode and time: every function of a mode generator (the
+displacement exponential, the Taylor tails of :mod:`magbloch.symbols`)
+reuses it.
 """
 
 from __future__ import annotations
@@ -87,13 +90,20 @@ def xi_matrix(T: FockTruncation) -> np.ndarray:
     return np.diag(np.arange(T.dim) + 0.5).astype(complex)
 
 
-def _quadrature(z: complex, T: FockTruncation) -> np.ndarray:
-    """(z a + conj(z) a_dag)/sqrt(2): z sqrt(k)/sqrt(2) at [k-1, k] and
+def _quadrature_diagonals(z: complex, T: FockTruncation):
+    """The upper and lower off-diagonals of (z a + conj(z) a_dag)/sqrt(2),
+    its only nonzero entries: z sqrt(k)/sqrt(2) at [k-1, k] and
     conj(z) sqrt(k)/sqrt(2) at [k, k-1]."""
     k = np.arange(1, T.dim)
+    return (z * np.sqrt(k) / math.sqrt(2.0),
+            z.conjugate() * np.sqrt(k) / math.sqrt(2.0))
+
+
+def _quadrature(z: complex, T: FockTruncation) -> np.ndarray:
+    """(z a + conj(z) a_dag)/sqrt(2) as a dense matrix."""
+    k = np.arange(1, T.dim)
     X = np.zeros((T.dim, T.dim), dtype=complex)
-    X[k - 1, k] = z * np.sqrt(k) / math.sqrt(2.0)
-    X[k, k - 1] = z.conjugate() * np.sqrt(k) / math.sqrt(2.0)
+    X[k - 1, k], X[k, k - 1] = _quadrature_diagonals(z, T)
     return X
 
 
@@ -134,27 +144,38 @@ def _hermite_jacobi_eigh(dim: int):
     return x, U
 
 
+def _mode_eigenbasis(t: float, n: int, m: int, L: Lattice2D,
+                     T: FockTruncation):
+    """(lam, U, d) with ``t I_{n,m} = D U diag(lam) U^T D^*``, D = diag(d).
+
+    With ``I = |alpha| D J D^*``, ``D = diag(e^{-i k arg alpha})`` and the
+    cached ``J = U diag(x) U^T`` (real U), ``lam = t |alpha| x``.  The
+    zero generator (alpha = 0, the constant mode) has the trivial basis:
+    zeros, the identity and ones, so a function f of it is f(0) times the
+    identity exactly.
+    """
+    alpha = alpha_coefficient(n, m, L)
+    if alpha == 0:
+        return (np.zeros(T.dim), np.eye(T.dim),
+                np.ones(T.dim, dtype=complex))
+    x, U = _hermite_jacobi_eigh(T.dim)
+    d = np.exp(-1j * cmath.phase(alpha) * np.arange(T.dim))
+    return t * abs(alpha) * x, U, d
+
+
 def displacement_exp(t: float, n: int, m: int, L: Lattice2D,
                      T: FockTruncation) -> np.ndarray:
-    """exp(i t I_{n,m}) from the cached Hermite Jacobi eigendecomposition.
+    """exp(i t I_{n,m}) on the mode's eigenbasis (:func:`_mode_eigenbasis`):
 
-    With ``I = |alpha| D J D^*`` and ``J = U diag(x) U^T`` (real U),
-
-        exp(i t I) = D [U diag(cos(t|alpha|x)) U^T
-                        + i U diag(sin(t|alpha|x)) U^T] D^*,
+        exp(i t I) = D [U diag(cos(lam)) U^T + i U diag(sin(lam)) U^T] D^*,
 
     two real matrix products and a diagonal phase scaling per call.
     Unconditionally stable in t, unitary on the truncated space by
     construction; the guard band controls the distance to the
     untruncated operator.
     """
-    if n == 0 and m == 0:
-        return np.eye(T.dim, dtype=complex)
-    alpha = alpha_coefficient(n, m, L)
-    x, U = _hermite_jacobi_eigh(T.dim)
-    theta = t * abs(alpha) * x
+    theta, U, d = _mode_eigenbasis(t, n, m, L, T)
     E = (U * np.cos(theta)) @ U.T + 1j * ((U * np.sin(theta)) @ U.T)
-    d = np.exp(-1j * cmath.phase(alpha) * np.arange(T.dim))
     return E * np.outer(d, d.conj())
 
 

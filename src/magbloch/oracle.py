@@ -5,8 +5,9 @@ basis).  Slow translations are realized pseudospectrally: at flux
 theta = p/q = delta^2 the elementary translation moves the grid by an exact
 number of sites whenever q divides the per-cell resolution, so the slow
 Weyl factors are exact circular shifts times diagonal phases.  The fast
-blocks are the modes of :func:`symbols.exact_symbol`, built from the
-displacement exponentials of the truncated ladder algebra.  The charge sign
+blocks are the modes of :func:`symbols.exact_symbol`, the displacement
+exponentials of the truncated ladder algebra taken on each mode's Hermite
+Jacobi eigenbasis.  The charge sign
 is +1 throughout: the Fock factors carry that sign, so the slow factors
 carry it too.
 
@@ -282,9 +283,10 @@ CENSOR_FLOOR = 1e-12
 def log_slope(deltas, dists):
     """(slope, rms residual) of the least-squares line through
     (log delta, log dist) over the distances at or above ``CENSOR_FLOOR``,
-    or None when fewer than two remain."""
+    or None when they hold fewer than two distinct deltas, which fix no
+    line."""
     pts = [(d, e) for d, e in zip(deltas, dists) if e >= CENSOR_FLOOR]
-    if len(pts) < 2:
+    if len({d for d, _ in pts}) < 2:
         return None
     lx, ly = np.log([d for d, _ in pts]), np.log([e for _, e in pts])
     coef, res, *_ = np.polyfit(lx, ly, 1, full=True)

@@ -125,17 +125,19 @@ def V_term(j: int, V: FourierSeries2D, L: Lattice2D, T: FockTruncation) -> ModeM
 
 def _lin(A: PeriodicVectorPotential | None, L: Lattice2D,
          T: FockTruncation) -> ModeMap:
-    """The nonzero ``f1 Q_f + f2 P_f`` of each mode of A, in the iteration
-    order of ``set(A.f1.coeffs) | set(A.f2.coeffs)``; empty without A."""
+    """The upper and lower off-diagonals of the nonzero ``f1 Q_f + f2 P_f``
+    of each mode of A, its only nonzero entries, in the iteration order of
+    ``set(A.f1.coeffs) | set(A.f2.coeffs)``; empty without A."""
     if A is None or A.is_zero():
         return {}
-    qf = fock.q_fast(T, L)
-    pf = fock.p_fast(T, L)
+    q_up, q_lo = fock._quadrature_diagonals(L.z_a, T)
+    p_up, p_lo = fock._quadrature_diagonals(L.z_b, T)
     out: ModeMap = {}
     for (n, m) in set(A.f1.coeffs) | set(A.f2.coeffs):
-        lin = A.f1[(n, m)] * qf + A.f2[(n, m)] * pf
-        if np.any(lin):
-            out[(n, m)] = lin
+        f1, f2 = A.f1[(n, m)], A.f2[(n, m)]
+        up, lo = f1 * q_up + f2 * p_up, f1 * q_lo + f2 * p_lo
+        if np.any(up) or np.any(lo):
+            out[(n, m)] = up, lo
     return out
 
 
@@ -144,15 +146,16 @@ def W_term(j: int, A: PeriodicVectorPotential, L: Lattice2D,
     """Vector-potential expansion term of total grade j (j >= 1):
     mode matrix ``(i 2 pi)^(j-1)/(j-1)! * I_{n,m}^(j-1) (f1 Q_f + f2 P_f)``.
 
-    Grades 1 and 2 enter the assembled models; higher grades are only used
-    in remainder diagnostics.
+    Grades 1 and 2 enter the assembled models; the remainder takes the
+    whole Taylor tail in closed form (:func:`remainder_matrix`).
     """
     if j < 1:
         raise ValueError("vector-potential terms start at grade 1")
     k = j - 1
     pref = (1j * TWO_PI) ** k / math.factorial(k)
     out: ModeMap = {}
-    for (n, m), lin in _lin(A, L, T).items():
+    for (n, m), (up, lo) in _lin(A, L, T).items():
+        lin = np.diag(up, 1) + np.diag(lo, -1)
         if k == 0:
             out[(n, m)] = pref * lin
         else:
@@ -166,16 +169,23 @@ def _natural(A: PeriodicVectorPotential | None) -> int:
     return 1 if A is None or A.is_zero() else 0
 
 
+def _top_grade(A: PeriodicVectorPotential | None) -> int:
+    """The Taylor cut: the truncated symbol keeps grades up to
+    ``2 (1 + natural)``, so the powers of ``I_{n,m}`` up to two below it
+    with V (``V_term``) and up to one below it with ``f1 Q_f + f2 P_f``
+    (``W_term``)."""
+    return 2 * (1 + _natural(A))
+
+
 def assemble_truncated(V: FourierSeries2D, A: PeriodicVectorPotential | None,
                        L: Lattice2D, T: FockTruncation) -> OperatorSymbol:
-    """Polynomially truncated symbol up to grade 2*(1+natural).
+    """Polynomially truncated symbol up to grade :func:`_top_grade`.
 
     ``natural`` is 1 without a vector potential (grades {0, 2, 3, 4}, grade 1
     empty) and 0 with one (grades {0, 1, 2}).
     """
-    natural = _natural(A)
     grades: dict[int, ModeMap] = {0: {(0, 0): fock.xi_matrix(T)}}
-    for j in range(1, 2 * (1 + natural) + 1):
+    for j in range(1, _top_grade(A) + 1):
         term: ModeMap = {}
         if A is not None and not A.is_zero():
             term = mode_add(term, W_term(j, A, L, T))
@@ -184,7 +194,7 @@ def assemble_truncated(V: FourierSeries2D, A: PeriodicVectorPotential | None,
         if term:
             grades[j] = term
     return OperatorSymbol(grades=grades, truncation=T, lattice=L,
-                          natural=natural)
+                          natural=_natural(A))
 
 
 def eval_symbol(sym: OperatorSymbol, point, delta: float) -> np.ndarray:
@@ -206,23 +216,58 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"delta must be finite and non-negative, got {delta!r}")
 
 
+def _times_conjugated(M: np.ndarray, lin, d: np.ndarray) -> np.ndarray:
+    """M @ (D^* lin D) with D = diag(d), for a lin given by its upper and
+    lower off-diagonals (:func:`_lin`); O(dim^2)."""
+    up, lo = lin
+    up = up * (d[:-1].conj() * d[1:])
+    lo = lo * (d[1:].conj() * d[:-1])
+    out = np.zeros(M.shape, dtype=complex)
+    out[:, 1:] = M[:, :-1] * up
+    out[:, :-1] += M[:, 1:] * lo
+    return out
+
+
+def _mode_shares(V, A, L, T: FockTruncation, delta: float, f, point):
+    """Each mode's phased share of a function of the displacement generators.
+
+    On the mode's eigenbasis ``2 pi delta I_{n,m} = D U diag(z) U^T D^*``
+    (:func:`fock._mode_eigenbasis`), the mode (n, m) of A and V yields
+
+        phase D U [diag(f(z, 0)) delta^2 v U^T
+                   + diag(f(z, 1)) delta U^T D^* lin D] D^*,
+
+    with ``phase = e^{i 2 pi (n p + m x)}`` at the point (p, x) and ``lin =
+    f1 Q_f + f2 P_f``.  With ``f = e^{iz}`` this is the mode's part of the
+    exact symbol, ``delta^2 v E + delta E lin`` with ``E = exp(i 2 pi delta
+    I_{n,m})``.  ``U^T D^* lin D`` costs O(dim^2), as ``lin`` has only two
+    off-diagonals, so each mode costs one real-by-complex product.
+    """
+    lins = _lin(A, L, T)
+    pots = {nm: v for nm, v in V.coeffs.items() if v != 0}
+    for (n, m) in dict.fromkeys([*lins, *pots]):
+        z, U, d = fock._mode_eigenbasis(TWO_PI * delta, n, m, L, T)
+        B = np.zeros((T.dim, T.dim), dtype=complex)
+        if (n, m) in pots:
+            B += ((delta ** 2) * pots[(n, m)] * f(z, 0))[:, None] * U.T
+        if (n, m) in lins:
+            B += ((delta * f(z, 1))[:, None]
+                  * _times_conjugated(U.T, lins[(n, m)], d))
+        share = (U @ B.view(float)).view(complex)
+        phase = cmath.exp(1j * TWO_PI * (n * point[0] + m * point[1]))
+        yield (n, m), (phase * d)[:, None] * share * d.conj()
+
+
 def exact_symbol(V: FourierSeries2D, A: PeriodicVectorPotential | None,
                  L: Lattice2D, T: FockTruncation, delta: float) -> ModeMap:
     """Mode map of the exact symbol: the harmonic generator at (0, 0) and,
     at each mode of A and V, ``delta E lin + delta^2 v E`` with the
-    displacement exponential ``E = exp(i 2 pi delta I_{n,m})`` computed once
-    per mode."""
+    displacement exponential ``E = exp(i 2 pi delta I_{n,m})``, each the
+    share of :func:`_mode_shares` with ``f = e^{iz}``."""
     _check_delta(delta)
-    lins = _lin(A, L, T)
-    pots = {nm: v for nm, v in V.coeffs.items() if v != 0}
-    out: ModeMap = {(0, 0): fock.xi_matrix(T)}
-    for nm in dict.fromkeys([*lins, *pots]):
-        E = fock.displacement_exp(TWO_PI * delta, *nm, L, T)
-        term = (delta ** 2) * pots.get(nm, 0) * E
-        if nm in lins:
-            term = term + delta * (E @ lins[nm])
-        out[nm] = out.get(nm, 0) + term
-    return out
+    shares = _mode_shares(V, A, L, T, delta, lambda z, j: np.exp(1j * z),
+                          (0.0, 0.0))
+    return mode_add({(0, 0): fock.xi_matrix(T)}, dict(shares))
 
 
 def eval_exact(V: FourierSeries2D, A: PeriodicVectorPotential | None,
@@ -257,56 +302,22 @@ def _rho(z: np.ndarray, K: int) -> np.ndarray:
     return out
 
 
-def _times_conjugated(M: np.ndarray, lin: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """M @ (D^* lin D) with D = diag(d), for a lin whose only nonzero
-    entries lie on its first off-diagonals, as those of ``f1 Q_f + f2 P_f``
-    do; O(dim^2)."""
-    up = np.diagonal(lin, 1) * (d[:-1].conj() * d[1:])
-    lo = np.diagonal(lin, -1) * (d[1:].conj() * d[:-1])
-    out = np.zeros(M.shape, dtype=complex)
-    out[:, 1:] = M[:, :-1] * up
-    out[:, :-1] += M[:, 1:] * lo
-    return out
-
-
 def remainder_matrix(V, A, L, T: FockTruncation, delta: float, point) -> np.ndarray:
     """Exact symbol minus the evaluated truncated symbol at one point.
 
-    Both are phase conjugates of functions of one real matrix: with
-    ``I_{n,m} = |alpha| D J D^*``, ``J = U diag(x) U^T`` (the cached Hermite
-    Jacobi eigenbasis) and ``z = 2 pi delta |alpha| x``, a mode's share of
-    the difference is
-
-        delta^2 v D U diag(rho_K(z)) U^T D^*
-        + delta D U diag(rho_{K+1}(z)) U^T D^* lin,
-
-    with ``K = 2 natural`` (:func:`assemble_truncated`) and ``lin = f1 Q_f +
-    f2 P_f``.  ``U^T D^* lin D`` costs O(dim^2), as ``lin`` has only two
-    off-diagonals, so each mode costs one real-by-complex product; no matrix
-    power is formed, and no two O(1) matrices are subtracted.
+    The truncation keeps the powers of ``I_{n,m}`` up to ``K = top - 2``
+    with V and ``K + 1`` with lin (``top`` from :func:`_top_grade`), so the
+    difference is the sum of the shares of :func:`_mode_shares` with
+    ``f(z, j) = rho_{K+j}(z)``, the tail of ``e^{iz}``.  The constant mode's
+    truncation is exact: its ``z`` is 0, where every ``rho_K`` is 0.  No
+    matrix power is formed, and no two O(1) matrices are subtracted.
     """
     _check_delta(delta)
-    K = 2 * _natural(A)
-    lins = _lin(A, L, T)
-    pots = {nm: v for nm, v in V.coeffs.items() if v != 0}
-    x, U = fock._hermite_jacobi_eigh(T.dim)
-    levels = np.arange(T.dim)
+    K = _top_grade(A) - 2
     R = np.zeros((T.dim, T.dim), dtype=complex)
-    for (n, m) in dict.fromkeys([*lins, *pots]):
-        alpha = fock.alpha_coefficient(n, m, L)
-        if alpha == 0:
-            continue  # the constant mode: its truncation is exact
-        z = TWO_PI * delta * abs(alpha) * x
-        d = np.exp(-1j * cmath.phase(alpha) * levels)
-        B = np.zeros((T.dim, T.dim), dtype=complex)
-        if (n, m) in pots:
-            B += ((delta ** 2) * pots[(n, m)] * _rho(z, K))[:, None] * U.T
-        if (n, m) in lins:
-            B += ((delta * _rho(z, K + 1))[:, None]
-                  * _times_conjugated(U.T, lins[(n, m)], d))
-        share = (U @ B.view(float)).view(complex)
-        phase = cmath.exp(1j * TWO_PI * (n * point[0] + m * point[1]))
-        R += (phase * d)[:, None] * share * d.conj()
+    for _, share in _mode_shares(V, A, L, T, delta,
+                                 lambda z, j: _rho(z, K + j), point):
+        R += share
     return R
 
 

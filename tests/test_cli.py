@@ -155,6 +155,18 @@ def test_oracle_compare_command(tmp_path):
     assert payload[0]["hausdorff"] > payload[-1]["hausdorff"]
 
 
+def test_oracle_compare_repeated_flux_has_no_slope(tmp_path):
+    # one delta, however often repeated, fixes no line
+    path = _write_cfg(tmp_path, {"n_max": 12})
+    out = tmp_path / "oc.json"
+    assert main(["oracle-compare", "--config", path,
+                 "--delta", "1/16,1/16,1/16", "--band", "0",
+                 "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert len(payload) == 3
+    assert [e["slope_so_far"] for e in payload] == [None] * 3
+
+
 def test_oracle_compare_gap_closed(tmp_path):
     cfg = dict(HARPER_CFG)
     cfg["V"] = [[n, m, 3 * c, 0.0] for n, m, c, _ in HARPER_CFG["V"]]

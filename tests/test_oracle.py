@@ -15,11 +15,11 @@ from magbloch.lattice import (FourierSeries2D, PeriodicVectorPotential,
                               make_lattice)
 from magbloch.oracle import (LinearCanonicalMap, OracleBasis, _slow_quantize,
                              band_cluster, build_full_matrix, ccr_table,
-                             landau_variable_map, level_cluster,
+                             landau_variable_map, level_cluster, log_slope,
                              oracle_eigenvalues, order_fit,
                              fast_slow_variable_map, quantize_on_grid)
 from magbloch.quantize import RationalFlux
-from magbloch.symbols import eval_exact
+from magbloch.symbols import eval_exact, remainder_matrix
 
 EMPTY = FourierSeries2D({}, is_real=True)
 
@@ -129,25 +129,30 @@ def test_oracle_discretization_invariance(square, harper):
     assert np.max(np.abs(np.sort(cl0) - np.sort(cl2))) < 1e-8
 
 
-def test_displacement_exp_once_per_mode(square, harper, one_mode_potential,
-                                        monkeypatch):
-    # V and A share the modes (0, +-1): 4 distinct modes, one exponential each
+def test_mode_eigenbasis_once_per_mode(square, harper, one_mode_potential,
+                                      monkeypatch):
+    # V and A share the modes (0, +-1): 4 distinct modes, one eigenbasis each
+    # for the exact symbol, the oracle matrix and the remainder alike
     calls = []
-    inner = fock.displacement_exp
+    inner = fock._mode_eigenbasis
 
     def counted(t, n, m, L, T):
         calls.append((n, m))
         return inner(t, n, m, L, T)
 
-    monkeypatch.setattr(fock, "displacement_exp", counted)
+    monkeypatch.setattr(fock, "_mode_eigenbasis", counted)
     T = _fock(12)
-    eval_exact(harper, one_mode_potential, square, T, 0.25, (0.1, 0.2))
-    assert sorted(calls) == sorted(harper.coeffs)
-    calls.clear()
     basis = OracleBasis(n_cells=1, n_grid=16, fock=T)
-    build_full_matrix(harper, one_mode_potential, square, basis,
-                      RationalFlux(1, 16))
-    assert sorted(calls) == sorted(harper.coeffs)
+    for build in (
+            lambda: eval_exact(harper, one_mode_potential, square, T, 0.25,
+                               (0.1, 0.2)),
+            lambda: build_full_matrix(harper, one_mode_potential, square,
+                                      basis, RationalFlux(1, 16)),
+            lambda: remainder_matrix(harper, one_mode_potential, square, T,
+                                     0.25, (0.1, 0.2))):
+        calls.clear()
+        build()
+        assert sorted(calls) == sorted(harper.coeffs)
 
 
 def test_commensurability_required(square, harper):
@@ -224,6 +229,15 @@ def test_order_fit_validation():
         order_fit([np.array([1.0])] * 2, [np.array([1.0])] * 2, [0.2, 0.1])
     with pytest.raises(ValueError):
         order_fit([np.array([1.0])] * 3, [np.array([1.0])] * 3, [0.1, 0.2, 0.05])
+
+
+def test_log_slope_needs_two_distinct_deltas():
+    # repeated deltas fix no line, however their distances differ
+    assert log_slope([0.25, 0.25], [0.04, 0.05]) is None
+    assert log_slope([0.25, 0.25, 0.1], [0.04, 0.05, 1e-15]) is None
+    slope, residual = log_slope([0.25, 0.25, 0.1], [0.04, 0.04, 0.1 ** 2])
+    assert slope == pytest.approx(math.log(0.04 / 0.01) / math.log(2.5))
+    assert residual == pytest.approx(0.0, abs=1e-12)
 
 
 def _fluxes(q_max):

@@ -143,12 +143,15 @@ def _eval_exact_two_loops(V, A, L, T, delta, point):
 
 
 @pytest.mark.parametrize("case", ["shared_modes", "constant_V", "A_none",
-                                  "A_zero", "delta_0"])
+                                  "A_zero", "delta_0", "skewed",
+                                  "constant_V_and_A"])
 def test_eval_exact_matches_two_loops(square, harper, one_mode_potential,
                                       case):
-    V, A, deltas = harper, one_mode_potential, (0.3, 0.11)
+    # the reference takes displacement_exp, on its own path, mode by mode
+    L, V, A, deltas = square, harper, one_mode_potential, (0.3, 0.11)
+    const_V = harper.plus(FourierSeries2D({(0, 0): 0.7}, is_real=True))
     if case == "constant_V":
-        V = harper.plus(FourierSeries2D({(0, 0): 0.7}, is_real=True))
+        V = const_V
     elif case == "A_none":
         A = None
     elif case == "A_zero":
@@ -157,11 +160,28 @@ def test_eval_exact_matches_two_loops(square, harper, one_mode_potential,
                                     square)
     elif case == "delta_0":
         deltas = (0.0,)
+    elif case == "skewed":
+        # f1 depends on the second slot only: divergence-free on any lattice
+        L = SKEWED
+        A = PeriodicVectorPotential(A.f1, A.f2, L)
+    elif case == "constant_V_and_A":
+        # a constant mode meets the gauge condition whatever f1 and f2 are
+        V = const_V
+        A = PeriodicVectorPotential(
+            A.f1.plus(FourierSeries2D({(0, 0): 0.4}, is_real=True)),
+            FourierSeries2D({(0, 0): -0.25}, is_real=True), square)
     for d in deltas:
         for pt in [(0.0, 0.0), (0.3, 0.8), (0.55, 0.1)]:
-            want = _eval_exact_two_loops(V, A, square, T, d, pt)
-            got = eval_exact(V, A, square, T, d, pt)
+            want = _eval_exact_two_loops(V, A, L, T, d, pt)
+            got = eval_exact(V, A, L, T, d, pt)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        # the constant mode's exponential is the identity, exactly
+        lin0 = 0.0
+        if A is not None:
+            lin0 = A.f1[(0, 0)] * q_fast(T, L) + A.f2[(0, 0)] * p_fast(T, L)
+        want0 = xi_matrix(T) + ((d ** 2) * V[(0, 0)] * np.eye(T.dim)
+                                + d * lin0)
+        assert np.array_equal(exact_symbol(V, A, L, T, d)[(0, 0)], want0)
 
 
 def test_eval_exact_landau_shift(square, harper):
