@@ -27,7 +27,10 @@ model one level and take one index); ``sapt`` and ``oracle-compare`` also
 need ``guard`` (default 6) at most ``n_max`` or their default for it.  Any
 other value is a config error.  Numbers are
 emitted with 17 significant digits and '\n' line endings; identical configs
-produce byte-identical files.
+produce byte-identical files under the same BLAS configuration (library and
+thread count).  Across thread counts ``butterfly``, ``effective``,
+``two-band`` and ``sapt`` keep their bytes, but the shift-invert Lanczos
+cluster of ``oracle-compare`` can move in its last bits.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 resource cap.
 """

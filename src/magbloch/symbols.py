@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .fock import FockTruncation, corner_norm
+from .fock import FockTruncation
 from .lattice import (FourierSeries2D, Lattice2D, PeriodicVectorPotential,
                       TWO_PI)
 
@@ -216,46 +216,95 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"delta must be finite and non-negative, got {delta!r}")
 
 
-def _times_conjugated(M: np.ndarray, lin, d: np.ndarray) -> np.ndarray:
-    """M @ (D^* lin D) with D = diag(d), for a lin given by its upper and
-    lower off-diagonals (:func:`_lin`); O(dim^2)."""
+def _contiguous(idx: np.ndarray):
+    """A sorted index array as a slice where it is one run, so that reading
+    those columns makes no copy."""
+    if len(idx) and idx[-1] - idx[0] == len(idx) - 1:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
+def _add_times_conjugated(out: np.ndarray, S: np.ndarray, lin,
+                          d: np.ndarray, cols: np.ndarray,
+                          wide: np.ndarray) -> None:
+    """Add the columns ``cols`` of ``S @ (D^* lin D)``, D = diag(d), into
+    out, for a lin given by its upper and lower off-diagonals (:func:`_lin`)
+    and S given on the columns ``wide``, which hold every neighbour ``cols
+    +- 1`` inside the basis: column c reads columns c - 1 and c + 1 of S;
+    O(rows x cols)."""
     up, lo = lin
     up = up * (d[:-1].conj() * d[1:])
     lo = lo * (d[1:].conj() * d[:-1])
-    out = np.zeros(M.shape, dtype=complex)
-    out[:, 1:] = M[:, :-1] * up
-    out[:, :-1] += M[:, 1:] * lo
-    return out
+    i0, i1 = np.searchsorted(cols, [1, len(d) - 1])
+    out[:, i0:] += (S[:, _contiguous(np.searchsorted(wide, cols[i0:] - 1))]
+                    * up[cols[i0:] - 1])
+    out[:, :i1] += (S[:, _contiguous(np.searchsorted(wide, cols[:i1] + 1))]
+                    * lo[cols[:i1]])
 
 
-def _mode_shares(V, A, L, T: FockTruncation, delta: float, f, point):
-    """Each mode's phased share of a function of the displacement generators.
+def _matrix_function(U: np.ndarray, values: np.ndarray, rows: int,
+                     cols: np.ndarray) -> np.ndarray:
+    """Rows ``[0, rows)`` and columns ``cols`` of ``U diag(values) U^T`` for
+    a real U and complex values: one real-by-complex product."""
+    B = np.multiply(values[:, None], U.T[:, _contiguous(cols)], order="C")
+    return (U[:rows] @ B.view(float)).view(complex)
 
-    On the mode's eigenbasis ``2 pi delta I_{n,m} = D U diag(z) U^T D^*``
-    (:func:`fock._mode_eigenbasis`), the mode (n, m) of A and V yields
 
-        phase D U [diag(f(z, 0)) delta^2 v U^T
-                   + diag(f(z, 1)) delta U^T D^* lin D] D^*,
+def _mode_shares(V, A, L, T: FockTruncation, delta: float, f, point,
+                 rows: int, cols: np.ndarray):
+    """Each mode's phased share of a function of the displacement generators,
+    on the rows ``[0, rows)`` and the sorted columns ``cols``.
+
+    On the mode's eigenbasis ``2 pi delta I_{n,m} = D U diag(lam) U^T D^*``
+    (:func:`fock._mode_eigenbasis`), with ``S_j = U diag(f(lam, j)) U^T``,
+    the mode (n, m) of A and V yields
+
+        phase D [delta^2 v S_0 + delta S_1 D^* lin D] D^*,
 
     with ``phase = e^{i 2 pi (n p + m x)}`` at the point (p, x) and ``lin =
     f1 Q_f + f2 P_f``.  With ``f = e^{iz}`` this is the mode's part of the
     exact symbol, ``delta^2 v E + delta E lin`` with ``E = exp(i 2 pi delta
-    I_{n,m})``.  ``U^T D^* lin D`` costs O(dim^2), as ``lin`` has only two
-    off-diagonals, so each mode costs one real-by-complex product.
+    I_{n,m})``.  ``S_j`` depends on the mode only through ``(lam, U)``:
+    modes whose ``lam`` are bitwise equal on the same ``U`` form one group
+    (a real V's +- pairs; on the square lattice all four nearest-neighbour
+    modes; the zero generator, with its trivial basis, is a group of its
+    own), and each group forms each ``S_j`` it needs once
+    (:func:`_matrix_function`), on the rows and the columns read.  A mode
+    then costs its phase mask and, as ``lin`` has only two off-diagonals,
+    O(rows x cols) reads of the columns ``cols +- 1`` of ``S_1``.
     """
-    lins = _lin(A, L, T)
+    lins = {nm: (delta * up, delta * lo)
+            for nm, (up, lo) in _lin(A, L, T).items()}
     pots = {nm: v for nm, v in V.coeffs.items() if v != 0}
-    for (n, m) in dict.fromkeys([*lins, *pots]):
-        z, U, d = fock._mode_eigenbasis(TWO_PI * delta, n, m, L, T)
-        B = np.zeros((T.dim, T.dim), dtype=complex)
+    modes = list(dict.fromkeys([*lins, *pots]))
+    bases = [fock._mode_eigenbasis(TWO_PI * delta, n, m, L, T)
+             for n, m in modes]
+    wide = cols
+    if lins:
+        wide = np.unique(np.concatenate([cols - 1, cols, cols + 1]))
+        wide = wide[(wide >= 0) & (wide < T.dim)]
+    at = _contiguous(np.searchsorted(wide, cols))
+    S = {}  # one S_j per group and j; bases holds every U, so ids stay unique
+
+    def group_function(lam, U, j):
+        key = (id(U), lam.tobytes(), j)
+        if key not in S:
+            S[key] = _matrix_function(U, f(lam, j), rows, wide)
+        return S[key]
+
+    for (n, m), (lam, U, d) in zip(modes, bases):
         if (n, m) in pots:
-            B += ((delta ** 2) * pots[(n, m)] * f(z, 0))[:, None] * U.T
+            share = ((delta ** 2) * pots[(n, m)]
+                     * group_function(lam, U, 0)[:, at])
+        else:
+            share = np.zeros((rows, len(cols)), dtype=complex)
         if (n, m) in lins:
-            B += ((delta * f(z, 1))[:, None]
-                  * _times_conjugated(U.T, lins[(n, m)], d))
-        share = (U @ B.view(float)).view(complex)
+            _add_times_conjugated(share, group_function(lam, U, 1),
+                                  lins[(n, m)], d, cols, wide)
         phase = cmath.exp(1j * TWO_PI * (n * point[0] + m * point[1]))
-        yield (n, m), (phase * d)[:, None] * share * d.conj()
+        share *= (phase * d[:rows])[:, None]
+        share *= d[cols].conj()
+        yield (n, m), share
 
 
 def exact_symbol(V: FourierSeries2D, A: PeriodicVectorPotential | None,
@@ -266,7 +315,7 @@ def exact_symbol(V: FourierSeries2D, A: PeriodicVectorPotential | None,
     share of :func:`_mode_shares` with ``f = e^{iz}``."""
     _check_delta(delta)
     shares = _mode_shares(V, A, L, T, delta, lambda z, j: np.exp(1j * z),
-                          (0.0, 0.0))
+                          (0.0, 0.0), T.dim, np.arange(T.dim))
     return mode_add({(0, 0): fock.xi_matrix(T)}, dict(shares))
 
 
@@ -302,6 +351,19 @@ def _rho(z: np.ndarray, K: int) -> np.ndarray:
     return out
 
 
+def _remainder(V, A, L, T: FockTruncation, delta: float, point, rows: int,
+               cols: np.ndarray) -> np.ndarray:
+    """Rows ``[0, rows)`` and columns ``cols`` of the remainder: the sum of
+    the shares of :func:`_mode_shares` with ``f(z, j) = rho_{K+j}(z)``."""
+    K = _top_grade(A) - 2
+    R = np.zeros((rows, len(cols)), dtype=complex)
+    for _, share in _mode_shares(V, A, L, T, delta,
+                                 lambda z, j: _rho(z, K + j), point, rows,
+                                 cols):
+        R += share
+    return R
+
+
 def remainder_matrix(V, A, L, T: FockTruncation, delta: float, point) -> np.ndarray:
     """Exact symbol minus the evaluated truncated symbol at one point.
 
@@ -313,12 +375,7 @@ def remainder_matrix(V, A, L, T: FockTruncation, delta: float, point) -> np.ndar
     matrix power is formed, and no two O(1) matrices are subtracted.
     """
     _check_delta(delta)
-    K = _top_grade(A) - 2
-    R = np.zeros((T.dim, T.dim), dtype=complex)
-    for _, share in _mode_shares(V, A, L, T, delta,
-                                 lambda z, j: _rho(z, K + j), point):
-        R += share
-    return R
+    return _remainder(V, A, L, T, delta, point, T.dim, np.arange(T.dim))
 
 
 def remainder_norm(V, A, L, T: FockTruncation, delta: float, point,
@@ -330,22 +387,23 @@ def remainder_norm(V, A, L, T: FockTruncation, delta: float, point,
     (the remainder tested against band states); this is the object whose
     scaling order improves by one power over the unprojected norm.  Every
     band index must be an integer in the guard corner ``[0, T.corner_dim)``.
+    Only the corner rows and the columns the norm reads are formed: the
+    corner columns, or the band columns alone, as ``R P_band`` is zero
+    outside them.
     """
     _check_delta(delta)
+    cols = np.arange(T.corner_dim)
     if projector_band is not None:
         bands = [projector_band] if np.ndim(projector_band) == 0 else list(projector_band)
         if not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool)
                    and 0 <= k < T.corner_dim for k in bands):
             raise ValueError(f"projector_band {projector_band} is not a set of "
                              f"integers in the guard corner [0, {T.corner_dim})")
-    R = remainder_matrix(V, A, L, T, delta, point)
-    if projector_band is None:
-        return corner_norm(R, T)
-    # R P_band is zero outside the band columns: take the norm of those alone
-    cols = sorted(set(map(int, bands)))
-    if not cols:
-        return 0.0
-    return float(np.linalg.norm(R[:T.corner_dim, cols], 2))
+        cols = np.unique(np.array(bands, dtype=int))
+        if not len(cols):
+            return 0.0
+    R = _remainder(V, A, L, T, delta, point, T.corner_dim, cols)
+    return float(np.linalg.norm(R, 2))
 
 
 def default_points(k: int = 4):

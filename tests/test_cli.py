@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magbloch.cli import _check_flags, _dump_json, _parser, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 HARPER_CFG = {
     "lattice": {"a": [1.0, 0.0], "b": [0.0, 1.0]},
@@ -435,3 +441,30 @@ def test_report_writer_on_a_report_shape():
             "mixed": [1, 2.5, True, None, "x", np.float64(4.0)],
             "nested": {"a": {"b": [[]], "c": ()}}}]
     assert _dump_json(obj) == _dump_json_recursive(obj)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sapt", "--band", "0,1"],
+    ["butterfly", "--qmax", "12"],
+    ["effective", "--delta", "1/50,1/127", "--format", "json"],
+    ["two-band", "--delta", "1/50,1/127", "--format", "json"],
+])
+def test_outputs_identical_under_one_and_two_blas_threads(tmp_path, argv):
+    # byte-identical outputs hold within one BLAS configuration; these four
+    # commands keep them across one and two OpenBLAS threads as well
+    path = _write_cfg(tmp_path, {"A1": [[0, 1, 0.5, 0.0], [0, -1, 0.5, 0.0]],
+                                 "grid": [16, 16], "order": 6})
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        out = tmp_path / f"out-{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "magbloch", argv[0], "--config", path,
+             *argv[1:], "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

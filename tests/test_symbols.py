@@ -253,6 +253,75 @@ def test_projected_remainder_is_norm_of_band_columns(square, harper,
             assert abs(got - want) <= 1e-13 * want, (band, delta)
 
 
+@pytest.mark.parametrize("lattice", ["square", "skewed"])
+@pytest.mark.parametrize("with_a", [False, True])
+def test_norm_reads_corner_rows_and_band_columns(square, harper,
+                                                 one_mode_potential, lattice,
+                                                 with_a):
+    # the norm forms only the corner rows and the columns it reads; the
+    # lin neighbour of the last corner column lies in the guard (or, with
+    # no guard, outside the basis), and column 0 has no left neighbour
+    L = square if lattice == "square" else SKEWED
+    A = PeriodicVectorPotential(one_mode_potential.f1, one_mode_potential.f2,
+                                L) if with_a else None
+    for Tb in (FockTruncation(n_max=40, guard=6),
+               FockTruncation(n_max=40, guard=0)):
+        c = Tb.corner_dim
+        for delta, point in ((0.2, (0.1, 0.2)), (0.05, (0.55, 0.8))):
+            R = remainder_matrix(harper, A, L, Tb, delta, point)
+            want = np.linalg.norm(R[:c, :c], 2)
+            got = remainder_norm(harper, A, L, Tb, delta, point)
+            assert abs(got - want) <= 1e-13 * want, (c, delta)
+            for band in (c - 1, [0, c - 1]):
+                want = np.linalg.norm(R[:c, np.atleast_1d(band)], 2)
+                got = remainder_norm(harper, A, L, Tb, delta, point,
+                                     projector_band=band)
+                assert abs(got - want) <= 1e-13 * want, (c, band, delta)
+
+
+def test_remainder_norm_forms_one_function_per_group(square, harper,
+                                                     one_mode_potential,
+                                                     monkeypatch):
+    # modes with bitwise-equal eigenvalues on the same basis share each
+    # matrix function; a projected norm forms only the columns it reads
+    shapes = []
+    inner = symbols._matrix_function
+
+    def counted(*args):
+        out = inner(*args)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(symbols, "_matrix_function", counted)
+    Tr = FockTruncation(n_max=30, guard=6)
+    c = Tr.corner_dim
+
+    def formed(V, A, L, band=None):
+        shapes.clear()
+        assert remainder_norm(V, A, L, Tr, 0.1, (0.1, 0.2),
+                              projector_band=band) > 0.0
+        return list(shapes)
+
+    # Harper's four modes share |alpha| on the square lattice, and the
+    # one-mode A lies on two of them: S_0 alone, or S_0 and S_1 with A
+    assert formed(harper, None, square) == [(c, c)]
+    assert formed(harper, one_mode_potential, square) == [(c, c + 1)] * 2
+    # projected: the band columns, and with A their neighbours too
+    assert formed(harper, None, square, 0) == [(c, 1)]
+    assert formed(harper, one_mode_potential, square, 0) == [(c, 2)] * 2
+    assert formed(harper, one_mode_potential, square, [3, 7]) == [(c, 6)] * 2
+    # on SKEWED the groups are the +- pairs (+-1, 0), (0, +-1), +-(1, 1) and
+    # (0, +-2), and the constant mode; S_1 only where A has a mode
+    V = harper.plus(FourierSeries2D({(0, 0): 0.4, (1, 1): 0.3, (-1, -1): 0.3},
+                                    is_real=True))
+    f1 = FourierSeries2D({(0, 1): 0.5, (0, -1): 0.5, (0, 2): 0.2, (0, -2): 0.2},
+                         is_real=True)
+    A = PeriodicVectorPotential(f1, FourierSeries2D({}, is_real=True), SKEWED)
+    assert formed(V, None, SKEWED) == [(c, c)] * 4
+    assert formed(V, A, SKEWED) == [(c, c + 1)] * 6
+    assert formed(V, A, SKEWED, 0) == [(c, 2)] * 6
+
+
 def _explicit_remainder(V, A, L, T, delta, point):
     """The exact symbol minus the truncated symbol, both evaluated at the
     point and subtracted as matrices."""
