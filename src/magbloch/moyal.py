@@ -201,9 +201,17 @@ def star_grade(A_grades: dict, B_grades: dict, n: int) -> ModeMap:
 
 
 def _check_bands(band_set) -> tuple:
+    """The levels of band_set, sorted: non-negative integers (a bool or a
+    float is no level index), each once, and contiguous."""
+    band_set = list(band_set)
+    if not band_set or not all(isinstance(k, (int, np.integer))
+                               and not isinstance(k, bool) and k >= 0
+                               for k in band_set):
+        raise ValueError(f"band_set must be non-empty, non-negative "
+                         f"integers, got {band_set!r}")
     bands = tuple(sorted(int(k) for k in band_set))
-    if not bands or any(k < 0 for k in bands):
-        raise ValueError("band_set must be non-empty, non-negative")
+    if len(set(bands)) < len(bands):
+        raise ValueError(f"band_set {band_set!r} repeats a level")
     if any(b - a != 1 for a, b in zip(bands, bands[1:])):
         raise ValueError("band_set must be contiguous")
     return bands

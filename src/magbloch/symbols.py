@@ -71,7 +71,7 @@ def mode_max_norm(A: ModeMap, T: FockTruncation) -> float:
     c = T.corner_dim
     best = 0.0
     for M in A.values():
-        best = max(best, float(np.max(np.abs(M[:c, :c]))) if c else 0.0)
+        best = max(best, float(np.max(np.abs(M[:c, :c]))))
     return best
 
 
@@ -82,9 +82,12 @@ def mode_hermiticity_defect(A: ModeMap, T: FockTruncation) -> float:
 
 
 def eval_mode_map(A: ModeMap, point) -> np.ndarray:
+    """``sum_{n,m} e^{i 2 pi (n p + m x)} C_{n,m}`` at the point (p, x): the
+    one place where a point enters a mode map.  The mode matrices may be
+    rectangular; an empty map evaluates to the 1 x 1 zero."""
     p, x = point
-    dim = next(iter(A.values())).shape[0] if A else 1
-    out = np.zeros((dim, dim), dtype=complex)
+    out = np.zeros(next(iter(A.values())).shape if A else (1, 1),
+                   dtype=complex)
     for (n, m), M in A.items():
         out += cmath.exp(1j * TWO_PI * (n * p + m * x)) * M
     return out
@@ -216,62 +219,54 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"delta must be finite and non-negative, got {delta!r}")
 
 
-def _contiguous(idx: np.ndarray):
-    """A sorted index array as a slice where it is one run, so that reading
-    those columns makes no copy."""
-    if len(idx) and idx[-1] - idx[0] == len(idx) - 1:
-        return slice(int(idx[0]), int(idx[-1]) + 1)
-    return idx
-
-
 def _add_times_conjugated(out: np.ndarray, S: np.ndarray, lin,
-                          d: np.ndarray, cols: np.ndarray,
-                          wide: np.ndarray) -> None:
-    """Add the columns ``cols`` of ``S @ (D^* lin D)``, D = diag(d), into
-    out, for a lin given by its upper and lower off-diagonals (:func:`_lin`)
-    and S given on the columns ``wide``, which hold every neighbour ``cols
-    +- 1`` inside the basis: column c reads columns c - 1 and c + 1 of S;
-    O(rows x cols)."""
+                          d: np.ndarray) -> None:
+    """Add ``S @ (D^* lin D)``, D = diag(d), on the columns of out into out,
+    for a lin given by its upper and lower off-diagonals (:func:`_lin`) and
+    S given on one more column where the basis has it: column c reads
+    columns c - 1 and c + 1 of S; O(rows x cols)."""
+    cols = out.shape[1]
+    right = min(cols, len(d) - 1)  # the columns with a right neighbour
     up, lo = lin
     up = up * (d[:-1].conj() * d[1:])
     lo = lo * (d[1:].conj() * d[:-1])
-    i0, i1 = np.searchsorted(cols, [1, len(d) - 1])
-    out[:, i0:] += (S[:, _contiguous(np.searchsorted(wide, cols[i0:] - 1))]
-                    * up[cols[i0:] - 1])
-    out[:, :i1] += (S[:, _contiguous(np.searchsorted(wide, cols[:i1] + 1))]
-                    * lo[cols[:i1]])
+    out[:, 1:] += S[:, :cols - 1] * up[:cols - 1]
+    out[:, :right] += S[:, 1:right + 1] * lo[:right]
 
 
 def _matrix_function(U: np.ndarray, values: np.ndarray, rows: int,
-                     cols: np.ndarray) -> np.ndarray:
-    """Rows ``[0, rows)`` and columns ``cols`` of ``U diag(values) U^T`` for
-    a real U and complex values: one real-by-complex product."""
-    B = np.multiply(values[:, None], U.T[:, _contiguous(cols)], order="C")
+                     cols: int) -> np.ndarray:
+    """Rows ``[0, rows)`` and columns ``[0, cols)`` of ``U diag(values)
+    U^T`` for a real U and complex values: one real-by-complex product."""
+    B = np.multiply(values[:, None], U.T[:, :cols], order="C")
     return (U[:rows] @ B.view(float)).view(complex)
 
 
-def _mode_shares(V, A, L, T: FockTruncation, delta: float, f, point,
-                 rows: int, cols: np.ndarray):
-    """Each mode's phased share of a function of the displacement generators,
-    on the rows ``[0, rows)`` and the sorted columns ``cols``.
+def _mode_shares(V, A, L, T: FockTruncation, delta: float, f, rows: int,
+                 cols: int) -> ModeMap:
+    """Point-free mode map of a function of the displacement generators:
+    each mode's share on the rows ``[0, rows)`` and the columns ``[0,
+    cols)``.
 
     On the mode's eigenbasis ``2 pi delta I_{n,m} = D U diag(lam) U^T D^*``
     (:func:`fock._mode_eigenbasis`), with ``S_j = U diag(f(lam, j)) U^T``,
-    the mode (n, m) of A and V yields
+    the mode (n, m) of A and V has the share
 
-        phase D [delta^2 v S_0 + delta S_1 D^* lin D] D^*,
+        D [delta^2 v S_0 + delta S_1 D^* lin D] D^*,
 
-    with ``phase = e^{i 2 pi (n p + m x)}`` at the point (p, x) and ``lin =
-    f1 Q_f + f2 P_f``.  With ``f = e^{iz}`` this is the mode's part of the
-    exact symbol, ``delta^2 v E + delta E lin`` with ``E = exp(i 2 pi delta
-    I_{n,m})``.  ``S_j`` depends on the mode only through ``(lam, U)``:
-    modes whose ``lam`` are bitwise equal on the same ``U`` form one group
-    (a real V's +- pairs; on the square lattice all four nearest-neighbour
-    modes; the zero generator, with its trivial basis, is a group of its
-    own), and each group forms each ``S_j`` it needs once
-    (:func:`_matrix_function`), on the rows and the columns read.  A mode
-    then costs its phase mask and, as ``lin`` has only two off-diagonals,
-    O(rows x cols) reads of the columns ``cols +- 1`` of ``S_1``.
+    with ``lin = f1 Q_f + f2 P_f``; a point (p, x) adds only the phase
+    ``e^{i 2 pi (n p + m x)}``, in :func:`eval_mode_map`.  With ``f =
+    e^{iz}`` this is the mode's part of the exact symbol, ``delta^2 v E +
+    delta E lin`` with ``E = exp(i 2 pi delta I_{n,m})``.  ``S_j`` depends
+    on the mode only through ``(lam, U)``: modes whose ``lam`` are bitwise
+    equal on the same ``U`` form one group (a real V's +- pairs; on the
+    square lattice all four nearest-neighbour modes; the zero generator,
+    with its trivial basis, is a group of its own), and each group forms
+    each ``S_j`` it needs once (:func:`_matrix_function`), on the rows and,
+    with A, on one more column where the basis has it, as ``lin`` has only
+    two off-diagonals and column c reads columns c +- 1 of ``S_1``.  An
+    empty map is returned as the zero (0, 0) mode, so that it evaluates to
+    a rows x cols zero.
     """
     lins = {nm: (delta * up, delta * lo)
             for nm, (up, lo) in _lin(A, L, T).items()}
@@ -279,32 +274,29 @@ def _mode_shares(V, A, L, T: FockTruncation, delta: float, f, point,
     modes = list(dict.fromkeys([*lins, *pots]))
     bases = [fock._mode_eigenbasis(TWO_PI * delta, n, m, L, T)
              for n, m in modes]
-    wide = cols
-    if lins:
-        wide = np.unique(np.concatenate([cols - 1, cols, cols + 1]))
-        wide = wide[(wide >= 0) & (wide < T.dim)]
-    at = _contiguous(np.searchsorted(wide, cols))
+    width = min(cols + 1, T.dim) if lins else cols
     S = {}  # one S_j per group and j; bases holds every U, so ids stay unique
 
     def group_function(lam, U, j):
         key = (id(U), lam.tobytes(), j)
         if key not in S:
-            S[key] = _matrix_function(U, f(lam, j), rows, wide)
+            S[key] = _matrix_function(U, f(lam, j), rows, width)
         return S[key]
 
+    out: ModeMap = {}
     for (n, m), (lam, U, d) in zip(modes, bases):
         if (n, m) in pots:
             share = ((delta ** 2) * pots[(n, m)]
-                     * group_function(lam, U, 0)[:, at])
+                     * group_function(lam, U, 0)[:, :cols])
         else:
-            share = np.zeros((rows, len(cols)), dtype=complex)
+            share = np.zeros((rows, cols), dtype=complex)
         if (n, m) in lins:
             _add_times_conjugated(share, group_function(lam, U, 1),
-                                  lins[(n, m)], d, cols, wide)
-        phase = cmath.exp(1j * TWO_PI * (n * point[0] + m * point[1]))
-        share *= (phase * d[:rows])[:, None]
-        share *= d[cols].conj()
-        yield (n, m), share
+                                  lins[(n, m)], d)
+        share *= d[:rows, None]
+        share *= d[:cols].conj()
+        out[(n, m)] = share
+    return out or {(0, 0): np.zeros((rows, cols), dtype=complex)}
 
 
 def exact_symbol(V: FourierSeries2D, A: PeriodicVectorPotential | None,
@@ -315,8 +307,8 @@ def exact_symbol(V: FourierSeries2D, A: PeriodicVectorPotential | None,
     share of :func:`_mode_shares` with ``f = e^{iz}``."""
     _check_delta(delta)
     shares = _mode_shares(V, A, L, T, delta, lambda z, j: np.exp(1j * z),
-                          (0.0, 0.0), T.dim, np.arange(T.dim))
-    return mode_add({(0, 0): fock.xi_matrix(T)}, dict(shares))
+                          T.dim, T.dim)
+    return mode_add({(0, 0): fock.xi_matrix(T)}, shares)
 
 
 def eval_exact(V: FourierSeries2D, A: PeriodicVectorPotential | None,
@@ -351,19 +343,6 @@ def _rho(z: np.ndarray, K: int) -> np.ndarray:
     return out
 
 
-def _remainder(V, A, L, T: FockTruncation, delta: float, point, rows: int,
-               cols: np.ndarray) -> np.ndarray:
-    """Rows ``[0, rows)`` and columns ``cols`` of the remainder: the sum of
-    the shares of :func:`_mode_shares` with ``f(z, j) = rho_{K+j}(z)``."""
-    K = _top_grade(A) - 2
-    R = np.zeros((rows, len(cols)), dtype=complex)
-    for _, share in _mode_shares(V, A, L, T, delta,
-                                 lambda z, j: _rho(z, K + j), point, rows,
-                                 cols):
-        R += share
-    return R
-
-
 def remainder_matrix(V, A, L, T: FockTruncation, delta: float, point) -> np.ndarray:
     """Exact symbol minus the evaluated truncated symbol at one point.
 
@@ -375,7 +354,10 @@ def remainder_matrix(V, A, L, T: FockTruncation, delta: float, point) -> np.ndar
     matrix power is formed, and no two O(1) matrices are subtracted.
     """
     _check_delta(delta)
-    return _remainder(V, A, L, T, delta, point, T.dim, np.arange(T.dim))
+    K = _top_grade(A) - 2
+    return eval_mode_map(_mode_shares(V, A, L, T, delta,
+                                      lambda z, j: _rho(z, K + j), T.dim,
+                                      T.dim), point)
 
 
 def remainder_norm(V, A, L, T: FockTruncation, delta: float, point,
@@ -387,9 +369,9 @@ def remainder_norm(V, A, L, T: FockTruncation, delta: float, point,
     (the remainder tested against band states); this is the object whose
     scaling order improves by one power over the unprojected norm.  Every
     band index must be an integer in the guard corner ``[0, T.corner_dim)``.
-    Only the corner rows and the columns the norm reads are formed: the
-    corner columns, or the band columns alone, as ``R P_band`` is zero
-    outside them.
+    Only the corner rows and the column prefix up to the highest band are
+    formed; the norm is taken of the band columns, as ``R P_band`` is zero
+    outside them, or of all corner columns when unprojected.
     """
     _check_delta(delta)
     cols = np.arange(T.corner_dim)
@@ -402,8 +384,11 @@ def remainder_norm(V, A, L, T: FockTruncation, delta: float, point,
         cols = np.unique(np.array(bands, dtype=int))
         if not len(cols):
             return 0.0
-    R = _remainder(V, A, L, T, delta, point, T.corner_dim, cols)
-    return float(np.linalg.norm(R, 2))
+    K = _top_grade(A) - 2
+    R = eval_mode_map(_mode_shares(V, A, L, T, delta,
+                                   lambda z, j: _rho(z, K + j), T.corner_dim,
+                                   int(cols[-1]) + 1), point)
+    return float(np.linalg.norm(R[:, cols], 2))
 
 
 def default_points(k: int = 4):

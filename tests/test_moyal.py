@@ -150,6 +150,13 @@ def test_band_set_validation(square, harper):
         build_projection(H, [0, 2], 2)
     with pytest.raises(ValueError):
         build_projection(H, [], 2)
+    # a non-integer or bool index is not rounded or read as a level
+    for bands in ([0.7], [True], [0, False], [1.0]):
+        with pytest.raises(ValueError, match="integers"):
+            build_projection(H, bands, 2)
+    with pytest.raises(ValueError, match="repeats"):
+        build_projection(H, [0, 0, 1], 2)
+    assert build_projection(H, [np.int64(1), 0], 1).band_set == (0, 1)
 
 
 def test_odd_orders_vanish_without_vector_potential(square, harper):

@@ -306,10 +306,11 @@ def test_remainder_norm_forms_one_function_per_group(square, harper,
     # one-mode A lies on two of them: S_0 alone, or S_0 and S_1 with A
     assert formed(harper, None, square) == [(c, c)]
     assert formed(harper, one_mode_potential, square) == [(c, c + 1)] * 2
-    # projected: the band columns, and with A their neighbours too
+    # projected: the column prefix up to the highest band, and with A the
+    # lin neighbour of its last column too
     assert formed(harper, None, square, 0) == [(c, 1)]
     assert formed(harper, one_mode_potential, square, 0) == [(c, 2)] * 2
-    assert formed(harper, one_mode_potential, square, [3, 7]) == [(c, 6)] * 2
+    assert formed(harper, one_mode_potential, square, [3, 7]) == [(c, 9)] * 2
     # on SKEWED the groups are the +- pairs (+-1, 0), (0, +-1), +-(1, 1) and
     # (0, +-2), and the constant mode; S_1 only where A has a mode
     V = harper.plus(FourierSeries2D({(0, 0): 0.4, (1, 1): 0.3, (-1, -1): 0.3},
@@ -320,6 +321,17 @@ def test_remainder_norm_forms_one_function_per_group(square, harper,
     assert formed(V, None, SKEWED) == [(c, c)] * 4
     assert formed(V, A, SKEWED) == [(c, c + 1)] * 6
     assert formed(V, A, SKEWED, 0) == [(c, 2)] * 6
+
+
+def test_empty_remainder_map_keeps_the_matrix_shape(square):
+    # no potential and no vector potential: no mode has a share, and the
+    # remainder is the dim x dim zero, not the 1 x 1 zero of an empty map
+    V = FourierSeries2D({}, is_real=True)
+    R = remainder_matrix(V, None, square, T, 0.1, (0.1, 0.2))
+    assert R.shape == (T.dim, T.dim) and not np.any(R)
+    for band in (None, 0, [1, 2]):
+        assert remainder_norm(V, None, square, T, 0.1, (0.1, 0.2),
+                              projector_band=band) == 0.0
 
 
 def _explicit_remainder(V, A, L, T, delta, point):
