@@ -18,8 +18,8 @@ from .errors import NumericError
 from .lattice import (FourierSeries2D, Lattice2D, PeriodicVectorPotential,
                       laplacian_DzDzbar)
 from .quantize import (MagneticBlochFamily, RationalFlux, SpectrumReport,
-                       _eigvalsh_solver, _grid_spectrum, _twisted_square,
-                       quantize_blocks, quantize_series)
+                       _grid_spectrum, _twisted_square, quantize_blocks,
+                       quantize_series)
 
 __all__ = [
     "EffectiveModel",
@@ -108,16 +108,14 @@ def spectrum_via_GGdag(A: PeriodicVectorPotential, L: Lattice2D, n_star: int,
 
     G is the strong-field quantization of g, so G G^dag is the quantization
     of the twisted square of g (:func:`quantize._twisted_square`): an
-    ordinary Bloch family, solved banded when narrow, with no dense product.
+    ordinary Bloch family, solved banded like every other, with no dense
+    product.
     """
     if A.is_zero():
         raise ValueError("spectrum_via_GGdag needs a non-zero vector potential")
     delta = delta_from_flux(flux)
-    eigvalsh, point_bytes, solver = _eigvalsh_solver(
-        quantize_series(_twisted_square(A.g, flux, iota), flux, iota=iota))
 
-    def solve(b1, b2):
-        lam = eigvalsh(b1, b2)
+    def energies(lam):
         if lam.min() < -1e-10:
             raise NumericError(
                 f"G G^dag not positive semidefinite: min eigenvalue {lam.min()}")
@@ -126,5 +124,6 @@ def spectrum_via_GGdag(A: PeriodicVectorPotential, L: Lattice2D, n_star: int,
         return np.sort(np.concatenate([(n_star + 1.0) - root,
                                        (n_star + 1.0) + root], axis=-1))
 
-    return _grid_spectrum(flux, point_bytes, solve, grid, route="GGdag",
-                          n_star=n_star, delta=delta, **solver)
+    fam = quantize_series(_twisted_square(A.g, flux, iota), flux, iota=iota)
+    return _grid_spectrum(fam, grid, energies=energies, route="GGdag",
+                          n_star=n_star, delta=delta)

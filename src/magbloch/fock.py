@@ -194,7 +194,4 @@ def corner(M: np.ndarray, T: FockTruncation) -> np.ndarray:
 
 def corner_norm(M: np.ndarray, T: FockTruncation) -> float:
     """Spectral norm of the guard-band corner."""
-    c = corner(M, T)
-    if c.size == 0:
-        return 0.0
-    return float(np.linalg.norm(c, 2))
+    return float(np.linalg.norm(corner(M, T), 2))

@@ -318,10 +318,10 @@ def _merge_branches(samples: np.ndarray, tol: float | None = None):
     return [(lo, hi) for lo, hi in merged], tol
 
 
-# Bytes per stack of Bloch points: of dim x dim matrices on the dense path
-# (36 points at q = 30, one at 2q = 254, so a large dense family never holds
-# more than one matrix at once), of the two (b + 1) x dim bands on the band
-# path (32 points of the two-band family at 2q = 254, b = 1).
+# Bytes per stack of Bloch points, of the two (b + 1) x dim bands of each
+# point: 182 points of a nearest-neighbour family at q = 30 (b = 2), so a
+# butterfly grid is one stack, and 32 of the two-band family at 2q = 254
+# (b = 1).
 _STACK_BYTES = 512 * 1024
 
 _ZHBEVD = scipy.linalg.get_lapack_funcs("hbevd", dtype=complex)
@@ -404,51 +404,33 @@ def _band_eigvalsh(q: int, dim: int, b: int, blocks, beta1,
     return out
 
 
-def _eigvalsh_solver(fam: MagneticBlochFamily):
-    """(solve, bytes per Bloch point, metadata naming the solver) for the
-    sorted eigenvalues of the family at 1-D phase arrays.
-
-    A family whose half bandwidth b in the band layout has 8 b <= dim is
-    solved banded; a wider one (a wide hofstadter shift, many modes, or q
-    too small) by the stacked dense ``eigvalsh``, which is then the faster
-    of the two.
-    """
-    q, dim = fam.flux.q, fam.dim
-    b = _bandwidth(q, dim, fam._shifts())
-    if 8 * b <= dim:
-        def solve(b1, b2):
-            return _band_eigvalsh(q, dim, b, fam._terms_at(b1, b2), b1, b2)
-
-        return solve, 32 * (b + 1) * dim, {"eigensolver": "lapack-banded",
-                                           "bandwidth": b}
-    return (lambda b1, b2: np.linalg.eigvalsh(fam.matrix_at(b1, b2)),
-            16 * dim * dim, {"eigensolver": "lapack-dense"})
-
-
-def _grid_spectrum(flux: RationalFlux, point_bytes: int, solve, grid,
-                   tol_band: float | None = None, **metadata) -> SpectrumReport:
-    """Report of ``solve``, sorted eigenvalues at arrays of Bloch phases, on
-    the n1 x n2 grid over [0, 2 pi / q) x [0, 2 pi), beta1-major, in stacks
-    of at most ``_STACK_BYTES`` at ``point_bytes`` per point (or of one
-    point)."""
+def _grid_spectrum(fam: MagneticBlochFamily, grid,
+                   tol_band: float | None = None, energies=None,
+                   **metadata) -> SpectrumReport:
+    """Report of the sorted eigenvalues of ``fam``, mapped through
+    ``energies`` when given, on the n1 x n2 grid over [0, 2 pi / q) x
+    [0, 2 pi), beta1-major.  Every family is solved banded: the half
+    bandwidth b comes from :func:`_bandwidth`, and each stack of at most
+    ``_STACK_BYTES`` (or of one point) goes to :func:`_band_eigvalsh`."""
     n1, n2 = grid
     if n1 < 8 or n2 < 8:
         raise ValueError("grid must be at least (8, 8)")
-    b1 = np.repeat(2.0 * math.pi / flux.q * np.arange(n1) / n1, n2)
+    q, dim = fam.flux.q, fam.dim
+    b = _bandwidth(q, dim, fam._shifts())
+    b1 = np.repeat(2.0 * math.pi / q * np.arange(n1) / n1, n2)
     b2 = np.tile(2.0 * math.pi * np.arange(n2) / n2, n1)
-    step = max(1, _STACK_BYTES // point_bytes)
+    step = max(1, _STACK_BYTES // (32 * (b + 1) * dim))
     rows = []
     for s in range(0, b1.size, step):
-        try:
-            rows.append(solve(b1[s:s + step], b2[s:s + step]))
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"eigensolver failed from beta=({b1[s]}, "
-                               f"{b2[s]}) on: {exc}") from exc
+        s1, s2 = b1[s:s + step], b2[s:s + step]
+        lam = _band_eigvalsh(q, dim, b, fam._terms_at(s1, s2), s1, s2)
+        rows.append(lam if energies is None else energies(lam))
     samples = np.concatenate(rows)
     bands, tol_band = _merge_branches(samples, tol_band)
-    return SpectrumReport(flux=flux, bands=bands, samples=samples,
+    return SpectrumReport(flux=fam.flux, bands=bands, samples=samples,
                           metadata={"grid": [n1, n2], "tol_band": tol_band,
-                                    **metadata})
+                                    **metadata, "eigensolver": "lapack-banded",
+                                    "bandwidth": b})
 
 
 def spectrum(fam: MagneticBlochFamily, grid=(16, 16),
@@ -458,11 +440,10 @@ def spectrum(fam: MagneticBlochFamily, grid=(16, 16),
     Band intervals come from tracking sorted eigenvalue branches over the
     grid; branches closer than ``tol_band`` (default 1e-6 of the spectral
     width) merge into one interval.  The metadata names the eigensolver
-    that ran (see :func:`_eigvalsh_solver`).
+    (``lapack-banded``) and the half bandwidth of the band layout.
     """
-    solve, point_bytes, solver = _eigvalsh_solver(fam)
-    return _grid_spectrum(fam.flux, point_bytes, solve, grid, tol_band,
-                          iota=fam.iota, convention=fam.convention, **solver)
+    return _grid_spectrum(fam, grid, tol_band, iota=fam.iota,
+                          convention=fam.convention)
 
 
 def butterfly(F: FourierSeries2D, q_max: int, iota: int = -1, grid=(8, 16),

@@ -102,9 +102,6 @@ class OperatorSymbol:
     lattice: Lattice2D
     natural: int | None = None
 
-    def grade(self, j: int) -> ModeMap:
-        return self.grades.get(j, {})
-
 
 def V_term(j: int, V: FourierSeries2D, L: Lattice2D, T: FockTruncation) -> ModeMap:
     """Scalar-potential expansion term of total grade j (j >= 2):
@@ -343,8 +340,10 @@ def _rho(z: np.ndarray, K: int) -> np.ndarray:
     return out
 
 
-def remainder_matrix(V, A, L, T: FockTruncation, delta: float, point) -> np.ndarray:
-    """Exact symbol minus the evaluated truncated symbol at one point.
+def _remainder_shares(V, A, L, T: FockTruncation, delta: float, rows: int,
+                      cols: int) -> ModeMap:
+    """Point-free mode map of the exact symbol minus the truncated symbol,
+    on the rows ``[0, rows)`` and the column prefix ``[0, cols)``.
 
     The truncation keeps the powers of ``I_{n,m}`` up to ``K = top - 2``
     with V and ``K + 1`` with lin (``top`` from :func:`_top_grade`), so the
@@ -353,11 +352,17 @@ def remainder_matrix(V, A, L, T: FockTruncation, delta: float, point) -> np.ndar
     truncation is exact: its ``z`` is 0, where every ``rho_K`` is 0.  No
     matrix power is formed, and no two O(1) matrices are subtracted.
     """
-    _check_delta(delta)
     K = _top_grade(A) - 2
-    return eval_mode_map(_mode_shares(V, A, L, T, delta,
-                                      lambda z, j: _rho(z, K + j), T.dim,
-                                      T.dim), point)
+    return _mode_shares(V, A, L, T, delta, lambda z, j: _rho(z, K + j), rows,
+                        cols)
+
+
+def remainder_matrix(V, A, L, T: FockTruncation, delta: float, point) -> np.ndarray:
+    """Exact symbol minus the evaluated truncated symbol at one point: the
+    shares of :func:`_remainder_shares` on the whole truncation."""
+    _check_delta(delta)
+    return eval_mode_map(_remainder_shares(V, A, L, T, delta, T.dim, T.dim),
+                         point)
 
 
 def remainder_norm(V, A, L, T: FockTruncation, delta: float, point,
@@ -384,10 +389,8 @@ def remainder_norm(V, A, L, T: FockTruncation, delta: float, point,
         cols = np.unique(np.array(bands, dtype=int))
         if not len(cols):
             return 0.0
-    K = _top_grade(A) - 2
-    R = eval_mode_map(_mode_shares(V, A, L, T, delta,
-                                   lambda z, j: _rho(z, K + j), T.corner_dim,
-                                   int(cols[-1]) + 1), point)
+    R = eval_mode_map(_remainder_shares(V, A, L, T, delta, T.corner_dim,
+                                        int(cols[-1]) + 1), point)
     return float(np.linalg.norm(R[:, cols], 2))
 
 

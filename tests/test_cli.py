@@ -320,6 +320,10 @@ def test_bad_iota_and_tol_band_are_config_errors(tmp_path, capsys, extra):
     (["two-band", "--delta", "1/7"],
      {"band": [0, 1], "A1": [[0, 1, 0.5, 0.0], [0, -1, 0.5, 0.0]]}),
     (["oracle-compare", "--delta", "1/7"], {"band": [0, 1], "n_max": 12}),
+    (["effective", "--delta", "abc"], None),
+    (["effective", "--delta", "1/0"], None),
+    (["effective", "--delta", "0/1", "--units", "bare"], None),
+    (["two-band", "--delta", "1/5"], None),
 ])
 def test_bad_config_values_are_config_errors(tmp_path, capsys, argv, extra):
     path = _write_cfg(tmp_path, extra)

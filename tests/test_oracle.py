@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from magbloch import fock
+from magbloch import fock, oracle
 from magbloch.errors import (CommensurabilityError, GapClosedError,
                              ResourceCapError)
 from magbloch.fock import (FockTruncation, displacement_exp, p_fast, q_fast,
@@ -78,16 +78,24 @@ def test_landau_levels_degenerate(square):
         assert np.max(np.abs(cluster - (n + 0.5))) < 1e-10
 
 
-def test_level_cluster_completes_degenerate_levels(square):
+def test_level_cluster_completes_degenerate_levels(square, monkeypatch):
     # at V = 0 each level is slow_dim-fold degenerate; one start vector can
-    # leave the shift-invert solve short of copies (at 1/34, n_max 12, level
-    # 1), and the cluster must still come out complete
-    basis = OracleBasis(n_cells=1, n_grid=34, fock=_fock(12))
-    H = build_full_matrix(EMPTY, None, square, basis, RationalFlux(1, 34))
-    for n in (0, 1, 3):
-        cluster = level_cluster(H, n + 0.5, basis.slow_dim)
-        assert cluster.size == basis.slow_dim
-        assert np.max(np.abs(cluster - (n + 0.5))) < 1e-10
+    # leave the shift-invert solve short of copies, and the cluster must
+    # still come out complete.  At 1/34, n_max 12 that happens only under
+    # two BLAS threads (level 1); at 1/64, n_max 8 under one and two alike
+    # (levels 0, 1 and 3), so the dense fallback runs whatever the count
+    dense = []
+    real = oracle.oracle_eigenvalues
+    monkeypatch.setattr(oracle, "oracle_eigenvalues",
+                        lambda H: dense.append(H.shape) or real(H))
+    for q, n_max in ((34, 12), (64, 8)):
+        basis = OracleBasis(n_cells=1, n_grid=q, fock=_fock(n_max))
+        H = build_full_matrix(EMPTY, None, square, basis, RationalFlux(1, q))
+        for n in (0, 1, 3):
+            cluster = level_cluster(H, n + 0.5, basis.slow_dim)
+            assert cluster.size == basis.slow_dim
+            assert np.max(np.abs(cluster - (n + 0.5))) < 1e-10
+    assert H.shape in dense   # the 1/64 matrix took the dense fallback
 
 
 def test_mean_level_shift(square, harper):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magbloch import effective, quantize
+from magbloch import quantize
 from magbloch.effective import spectrum_via_GGdag, two_band_model
 from magbloch.errors import NumericError
 from magbloch.lattice import (FourierSeries2D, PeriodicVectorPotential,
@@ -339,8 +339,9 @@ def test_spectrum_does_not_depend_on_the_stack_size(monkeypatch):
     fam = quantize_series(HARPER, fx, iota=-1)
     one = spectrum(fam, grid=(8, 16))
     one_via = spectrum_via_GGdag(A, L, 0, fx, grid=(8, 16))
-    # 5 points per stack: the 128 points in 26 stacks, the last one short
-    monkeypatch.setattr(quantize, "_STACK_BYTES", 16 * 7 * 7 * 5)
+    # 5 points per stack of Harper (b = 2): the 128 points in 26 stacks, the
+    # last one short; 15 per stack of G G^dag (b = 0), in 9 stacks
+    monkeypatch.setattr(quantize, "_STACK_BYTES", 32 * 3 * 7 * 5)
     many = spectrum(fam, grid=(8, 16))
     many_via = spectrum_via_GGdag(A, L, 0, fx, grid=(8, 16))
     assert one.samples.tobytes() == many.samples.tobytes()
@@ -401,7 +402,7 @@ def _families():
                                       convention)
         for m in (2, 3):
             yield quantize_blocks(_random_blocks(rng, m, _NEAR), fx, 1)
-    # 8 b > dim: the hofstadter shifts +-3 of a q = 40 family
+    # a wide band: the hofstadter shifts +-3 of a q = 40 family
     yield quantize_series(_random_series(rng, [(1, 3), (2, 1)]),
                           RationalFlux(3, 40), 1, "hofstadter")
 
@@ -429,14 +430,10 @@ def test_band_path_matches_dense(fam):
     want = np.linalg.eigvalsh(dense)
     got = _band_eigvalsh(q, dim, b, fam._terms_at(b1, b2), b1, b2)
     assert np.max(np.abs(got - want)) < 1e-12
-    # spectrum takes the band path exactly when 8 b <= dim
+    # spectrum solves every family on the band path
     rep = spectrum(fam, grid=(8, 8))
-    if 8 * b <= dim:
-        assert rep.metadata["eigensolver"] == "lapack-banded"
-        assert rep.metadata["bandwidth"] == b
-    else:
-        assert rep.metadata["eigensolver"] == "lapack-dense"
-        assert "bandwidth" not in rep.metadata
+    assert rep.metadata["eigensolver"] == "lapack-banded"
+    assert rep.metadata["bandwidth"] == b
     n1, n2 = 8, 8
     g1 = np.repeat(2.0 * math.pi / q * np.arange(n1) / n1, n2)
     g2 = np.tile(2.0 * math.pi * np.arange(n2) / n2, n1)
@@ -459,7 +456,6 @@ def test_band_path_rejects_a_non_hermitian_block_table():
     c = FourierSeries2D({(0, 0): 1.0}, is_real=True)
     g = FourierSeries2D({(0, 1): 0.5j, (0, -1): 0.25})
     fam = quantize_blocks([[c, g], [g, c]], fx)   # (1, 0) should reflect g
-    assert 8 * _bandwidth(50, fam.dim, fam._shifts()) <= fam.dim
     with pytest.raises(NumericError, match="lost Hermiticity"):
         spectrum(fam, grid=(8, 8))
 
@@ -485,9 +481,8 @@ def test_ggdag_with_shifting_G_matches_dense_two_band(q):
     A = _a2_potential(L)
     fx = RationalFlux(1, q)
     via = spectrum_via_GGdag(A, L, 1, fx, grid=(8, 8))
-    # G G^dag shifts by 0 and +-2: band width 4, banded from q = 32
-    assert via.metadata["eigensolver"] == ("lapack-banded" if q >= 32
-                                           else "lapack-dense")
+    # G G^dag shifts by 0 and +-2: band width 4, solved banded at every q
+    assert via.metadata["eigensolver"] == "lapack-banded"
     fam = two_band_model(A, L, 1, fx).family
     b1 = np.repeat(2.0 * math.pi / q * np.arange(8) / 8, 8)
     b2 = np.tile(2.0 * math.pi * np.arange(8) / 8, 8)
@@ -541,13 +536,9 @@ def test_ggdag_of_several_modes_matches_dense_two_band(L, p, q):
 
 def test_ggdag_negative_eigenvalue_is_a_numeric_error(monkeypatch):
     L = make_lattice([1, 0], [0, 1])
-    real = effective._eigvalsh_solver
-
-    def shifted(*args):
-        solve, point_bytes, solver = real(*args)
-        return (lambda b1, b2: solve(b1, b2) - 1.0), point_bytes, solver
-
-    monkeypatch.setattr(effective, "_eigvalsh_solver", shifted)
+    real = quantize._band_eigvalsh
+    monkeypatch.setattr(quantize, "_band_eigvalsh",
+                        lambda *args: real(*args) - 1.0)
     with pytest.raises(NumericError, match="not positive semidefinite"):
         spectrum_via_GGdag(_a2_potential(L), L, 0, RationalFlux(1, 40),
                            grid=(8, 8))
