@@ -16,8 +16,8 @@ from .lattice import (FourierSeries2D, Lattice2D, PeriodicVectorPotential,
                       make_lattice)
 from .fock import (FockTruncation, I_generator, displacement_exp, ladder,
                    xi_matrix)
-from .symbols import (OperatorSymbol, V_term, W_term, assemble_truncated,
-                      eval_exact, remainder_norm)
+from .symbols import (OperatorSymbol, assemble_truncated, exact_symbol,
+                      remainder_map, remainder_norm)
 from .moyal import (MoyalSeries, build_intertwiner, build_projection,
                     effective_symbol, moyal_term)
 from .quantize import (MagneticBlochFamily, RationalFlux, SpectrumReport,

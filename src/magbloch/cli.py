@@ -46,9 +46,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import effective, moyal, oracle, quantize, symbols
-from .errors import (CommensurabilityError, ConfigError, GapClosedError,
-                     GaugeError, GeometryError, MagblochError, NumericError,
-                     ResourceCapError, TruncationError)
+from .errors import (ConfigError, GaugeError, GeometryError, MagblochError,
+                     ResourceCapError)
 from .fock import FockTruncation
 from .lattice import FourierSeries2D, PeriodicVectorPotential, make_lattice
 from .quantize import RationalFlux
@@ -234,7 +233,8 @@ _JSON_ONLY = {"sapt", "oracle-compare"}
 
 def _check_flags(args) -> None:
     """Reject the flags given on the command line that the command does not
-    read, then fill in the defaults of ``--format`` and ``--units``."""
+    read, then any other ``--format`` or ``--units`` value than those listed
+    here, whose first is the default."""
     given = [key for key in ("format", "qmax", "delta", "band", "iota",
                              "tol_band", "units")
              if getattr(args, key) is not None]
@@ -245,14 +245,29 @@ def _check_flags(args) -> None:
     if args.command in _JSON_ONLY and args.format not in (None, "json"):
         raise ConfigError(f"{args.command} writes JSON only, got --format "
                           f"{args.format}")
-    args.format = args.format or "csv"
-    args.units = args.units or "cyclotron"
+    for key, values in (("format", ("csv", "json")),
+                        ("units", ("cyclotron", "bare"))):
+        value = getattr(args, key)
+        if value is None:
+            setattr(args, key, values[0])
+        elif value not in values:
+            raise ConfigError(f"--{key} must be one of {', '.join(values)}, "
+                              f"got {value!r}")
 
 
 def _flag_settings(args) -> dict:
-    """The config keys given as flags, parsed like their config values."""
-    flags = {key: getattr(args, key) for key in ("qmax", "iota", "tol_band")
-             if getattr(args, key) is not None}
+    """The config keys given as flags, parsed into the types of their config
+    values; :func:`load_config` checks them."""
+    flags = {}
+    for key, parse in (("qmax", int), ("iota", int), ("tol_band", float)):
+        text = getattr(args, key)
+        if text is None:
+            continue
+        try:
+            flags[key] = parse(text)
+        except ValueError:
+            raise ConfigError(f"--{key.replace('_', '-')} must be "
+                              f"{_SETTINGS[key][1]}, got {text!r}") from None
     if args.delta is not None:
         flags["delta"] = [s for s in args.delta.split(",") if s]
     if args.band is not None:
@@ -412,7 +427,7 @@ def cmd_sapt(cfg: dict, args) -> str:
     payload = {
         "natural": H.natural,
         "order": order,
-        "band_set": list(bands),
+        "band_set": list(pi.band_set),
         "pi_residuals": {k: [float(x) for x in v] for k, v in sorted(pres.items())},
         "u_residuals": {k: [float(x) for x in v] for k, v in sorted(ures.items())},
         "h_norms": [block_norm(h) for h in hs],
@@ -485,17 +500,17 @@ def _parser() -> argparse.ArgumentParser:
     ap.add_argument("command", choices=sorted(_COMMANDS))
     ap.add_argument("--config", required=True, help="JSON input file")
     ap.add_argument("--out", default=None, help="output path (default stdout)")
-    ap.add_argument("--format", choices=("csv", "json"), default=None,
+    ap.add_argument("--format", default=None,
                     help="report format (default csv; sapt and "
                          "oracle-compare write json only)")
-    ap.add_argument("--qmax", type=int, default=None)
+    ap.add_argument("--qmax", default=None)
     ap.add_argument("--delta", default=None,
                     help="comma-separated flux fractions p/q (squared parameter)")
     ap.add_argument("--band", default=None, help="level index or N,N")
-    ap.add_argument("--iota", type=int, choices=(1, -1), default=None,
+    ap.add_argument("--iota", default=None,
                     help="charge sign (default -1; oracle-compare: +1 only)")
-    ap.add_argument("--tol-band", dest="tol_band", type=float, default=None)
-    ap.add_argument("--units", choices=("cyclotron", "bare"), default=None,
+    ap.add_argument("--tol-band", dest="tol_band", default=None)
+    ap.add_argument("--units", default=None,
                     help="energy unit of effective/two-band reports "
                          "(default cyclotron)")
     return ap
@@ -515,8 +530,7 @@ def main(argv=None) -> int:
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 4
-    except (NumericError, GapClosedError, CommensurabilityError,
-            TruncationError, MagblochError, ValueError) as exc:
+    except (MagblochError, ValueError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 

@@ -4,6 +4,19 @@ Every raised error names the invariant that failed so callers (and the CLI)
 can act on it without string matching.
 """
 
+__all__ = [
+    "MagblochError",
+    "GeometryError",
+    "GaugeError",
+    "TruncationError",
+    "CommensurabilityError",
+    "GapClosedError",
+    "ResourceCapError",
+    "ConfigError",
+    "NumericError",
+]
+
+
 class MagblochError(Exception):
     """Base class for library errors."""
 

@@ -36,7 +36,6 @@ import numpy as np
 
 from .errors import TruncationError
 from .fock import FockTruncation, band_projector_matrix
-from .lattice import Lattice2D
 from .symbols import (ModeMap, OperatorSymbol, mode_add, mode_dagger,
                       mode_hermiticity_defect, mode_max_norm, mode_scale)
 
@@ -59,7 +58,6 @@ class MoyalSeries:
     grades: dict
     order_built: int
     truncation: FockTruncation
-    lattice: Lattice2D
     band_set: tuple = ()
 
     def grade(self, j: int) -> ModeMap:
@@ -261,7 +259,7 @@ def build_projection(H: OperatorSymbol, band_set, order: int) -> MoyalSeries:
         if pi_n:
             pi_grades[n] = _Stored(pi_n)
     return MoyalSeries(grades=pi_grades, order_built=order, truncation=T,
-                       lattice=H.lattice, band_set=bands)
+                       band_set=bands)
 
 
 def build_intertwiner(pi: MoyalSeries, order: int) -> MoyalSeries:
@@ -294,7 +292,7 @@ def build_intertwiner(pi: MoyalSeries, order: int) -> MoyalSeries:
             u_grades[n] = _Stored(u_n)
             u_dag[n] = _dagger(u_grades[n])
     return MoyalSeries(grades=u_grades, order_built=order, truncation=T,
-                       lattice=pi.lattice, band_set=pi.band_set)
+                       band_set=pi.band_set)
 
 
 def effective_symbol(H: OperatorSymbol, pi: MoyalSeries, u: MoyalSeries,

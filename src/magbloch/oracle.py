@@ -30,6 +30,7 @@ import numpy as np
 import scipy.linalg
 
 from . import symbols
+from .effective import delta_from_flux
 from .errors import (CommensurabilityError, GapClosedError, NumericError,
                      ResourceCapError)
 from .fock import FockTruncation
@@ -44,6 +45,7 @@ __all__ = [
     "quantize_on_grid",
     "band_cluster",
     "level_cluster",
+    "oracle_eigenvalues",
     "OrderFit",
     "order_fit",
     "log_slope",
@@ -169,7 +171,7 @@ def build_full_matrix(V: FourierSeries2D, A: PeriodicVectorPotential | None,
     the slow quantization of :func:`symbols.exact_symbol`."""
     basis.check_resolves(V, A)
     H = _slow_quantize(
-        symbols.exact_symbol(V, A, L, basis.fock, math.sqrt(flux.theta)),
+        symbols.exact_symbol(V, A, L, basis.fock, delta_from_flux(flux)),
         basis, flux)
     return _require_hermitian(H, 1e-10, "oracle matrix")
 

@@ -88,15 +88,14 @@ def clock_shift(flux: RationalFlux, iota: int, beta1: float, beta2: float):
     """Clock/shift pair at Bloch phases (beta1, beta2):
 
     U = diag(exp(-i(beta1 + 2 pi iota theta j))),  V e_j = e^{-i beta2} e_{j+1 mod q};
-    then U V = exp(-i 2 pi iota theta) V U exactly.  The clock phase comes
-    from :func:`_clock_angle`, as in :func:`_bloch_clock`.
+    then U V = exp(-i 2 pi iota theta) V U exactly.  The diagonal of U and
+    the phase of V are the (u, v) of :func:`_bloch_clock`.
     """
-    q = flux.q
-    j = np.arange(q)
-    U = np.diag(np.exp(-1j * (beta1 + _clock_angle(flux, iota, j))))
-    V = np.zeros((q, q), dtype=complex)
-    V[(j + 1) % q, j] = np.exp(-1j * beta2)
-    return U, V
+    u, v = _bloch_clock(flux, iota, beta1, beta2)
+    j = np.arange(flux.q)
+    V = np.zeros((flux.q, flux.q), dtype=complex)
+    V[(j + 1) % flux.q, j] = v
+    return np.diag(u), V
 
 
 @dataclass(frozen=True)

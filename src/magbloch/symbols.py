@@ -27,16 +27,17 @@ from .lattice import (FourierSeries2D, Lattice2D, PeriodicVectorPotential,
 
 __all__ = [
     "OperatorSymbol",
-    "V_term",
-    "W_term",
     "assemble_truncated",
     "eval_mode_map",
     "eval_symbol",
     "exact_symbol",
-    "eval_exact",
-    "remainder_matrix",
+    "remainder_map",
     "remainder_norm",
+    "mode_add",
+    "mode_scale",
     "mode_dagger",
+    "mode_max_norm",
+    "mode_hermiticity_defect",
     "symbol_hermiticity_residual",
     "default_points",
 ]
@@ -99,28 +100,7 @@ class OperatorSymbol:
 
     grades: dict
     truncation: FockTruncation
-    lattice: Lattice2D
     natural: int | None = None
-
-
-def V_term(j: int, V: FourierSeries2D, L: Lattice2D, T: FockTruncation) -> ModeMap:
-    """Scalar-potential expansion term of total grade j (j >= 2):
-    mode matrix ``(i 2 pi)^(j-2)/(j-2)! * I_{n,m}^(j-2) * v_{n,m}``."""
-    if j < 2:
-        raise ValueError("scalar-potential terms start at grade 2")
-    k = j - 2
-    pref = (1j * TWO_PI) ** k / math.factorial(k)
-    eye = np.eye(T.dim, dtype=complex)
-    out: ModeMap = {}
-    for (n, m), v in V.coeffs.items():
-        if v == 0:
-            continue
-        if k == 0:
-            out[(n, m)] = (pref * v) * eye
-        else:
-            out[(n, m)] = (pref * v) * np.linalg.matrix_power(
-                fock.I_generator(n, m, L, T), k)
-    return out
 
 
 def _lin(A: PeriodicVectorPotential | None, L: Lattice2D,
@@ -141,29 +121,6 @@ def _lin(A: PeriodicVectorPotential | None, L: Lattice2D,
     return out
 
 
-def W_term(j: int, A: PeriodicVectorPotential, L: Lattice2D,
-           T: FockTruncation) -> ModeMap:
-    """Vector-potential expansion term of total grade j (j >= 1):
-    mode matrix ``(i 2 pi)^(j-1)/(j-1)! * I_{n,m}^(j-1) (f1 Q_f + f2 P_f)``.
-
-    Grades 1 and 2 enter the assembled models; the remainder takes the
-    whole Taylor tail in closed form (:func:`remainder_matrix`).
-    """
-    if j < 1:
-        raise ValueError("vector-potential terms start at grade 1")
-    k = j - 1
-    pref = (1j * TWO_PI) ** k / math.factorial(k)
-    out: ModeMap = {}
-    for (n, m), (up, lo) in _lin(A, L, T).items():
-        lin = np.diag(up, 1) + np.diag(lo, -1)
-        if k == 0:
-            out[(n, m)] = pref * lin
-        else:
-            out[(n, m)] = pref * (
-                np.linalg.matrix_power(fock.I_generator(n, m, L, T), k) @ lin)
-    return out
-
-
 def _natural(A: PeriodicVectorPotential | None) -> int:
     """The natural order: 1 without a vector potential, 0 with one."""
     return 1 if A is None or A.is_zero() else 0
@@ -172,8 +129,8 @@ def _natural(A: PeriodicVectorPotential | None) -> int:
 def _top_grade(A: PeriodicVectorPotential | None) -> int:
     """The Taylor cut: the truncated symbol keeps grades up to
     ``2 (1 + natural)``, so the powers of ``I_{n,m}`` up to two below it
-    with V (``V_term``) and up to one below it with ``f1 Q_f + f2 P_f``
-    (``W_term``)."""
+    with V and up to one below it with ``f1 Q_f + f2 P_f``
+    (:func:`assemble_truncated`)."""
     return 2 * (1 + _natural(A))
 
 
@@ -181,20 +138,38 @@ def assemble_truncated(V: FourierSeries2D, A: PeriodicVectorPotential | None,
                        L: Lattice2D, T: FockTruncation) -> OperatorSymbol:
     """Polynomially truncated symbol up to grade :func:`_top_grade`.
 
-    ``natural`` is 1 without a vector potential (grades {0, 2, 3, 4}, grade 1
-    empty) and 0 with one (grades {0, 1, 2}).
+    Grade j holds the Taylor terms of the displacement factor with
+    ``pref_k = (i 2 pi)^k / k!``: each mode of A adds ``pref_k I_{n,m}^k
+    lin`` with k = j - 1 and ``lin = f1 Q_f + f2 P_f``, and each mode of V
+    adds ``pref_k v I_{n,m}^k`` with k = j - 2, in that order.  ``natural``
+    is 1 without a vector potential (grades {0, 2, 3, 4}, grade 1 empty)
+    and 0 with one (grades {0, 1, 2}).  Grades 1 and 2 enter the assembled
+    models; the remainder takes the whole Taylor tail in closed form
+    (:func:`remainder_map`).
     """
+    top = _top_grade(A)
+    pref = [(1j * TWO_PI) ** k / math.factorial(k) for k in range(top)]
+    lins = {nm: np.diag(up, 1) + np.diag(lo, -1)
+            for nm, (up, lo) in _lin(A, L, T).items()}
+    pots = {nm: v for nm, v in V.coeffs.items() if v != 0}
+    eye = np.eye(T.dim, dtype=complex)
+
+    def power(nm, k):
+        return np.linalg.matrix_power(fock.I_generator(*nm, L, T), k)
+
     grades: dict[int, ModeMap] = {0: {(0, 0): fock.xi_matrix(T)}}
-    for j in range(1, _top_grade(A) + 1):
-        term: ModeMap = {}
-        if A is not None and not A.is_zero():
-            term = mode_add(term, W_term(j, A, L, T))
+    for j in range(1, top + 1):
+        k = j - 1
+        term = {nm: pref[k] * (lin if k == 0 else power(nm, k) @ lin)
+                for nm, lin in lins.items()}
         if j >= 2:
-            term = mode_add(term, V_term(j, V, L, T))
+            k = j - 2
+            term = mode_add(term, {
+                nm: (pref[k] * v) * (eye if k == 0 else power(nm, k))
+                for nm, v in pots.items()})
         if term:
             grades[j] = term
-    return OperatorSymbol(grades=grades, truncation=T, lattice=L,
-                          natural=_natural(A))
+    return OperatorSymbol(grades=grades, truncation=T, natural=_natural(A))
 
 
 def eval_symbol(sym: OperatorSymbol, point, delta: float) -> np.ndarray:
@@ -301,19 +276,13 @@ def exact_symbol(V: FourierSeries2D, A: PeriodicVectorPotential | None,
     """Mode map of the exact symbol: the harmonic generator at (0, 0) and,
     at each mode of A and V, ``delta E lin + delta^2 v E`` with the
     displacement exponential ``E = exp(i 2 pi delta I_{n,m})``, each the
-    share of :func:`_mode_shares` with ``f = e^{iz}``."""
+    share of :func:`_mode_shares` with ``f = e^{iz}``.  Its value at a point
+    (:func:`eval_mode_map`) is Hermitian inside the guard band when the
+    gauge condition holds."""
     _check_delta(delta)
     shares = _mode_shares(V, A, L, T, delta, lambda z, j: np.exp(1j * z),
                           T.dim, T.dim)
     return mode_add({(0, 0): fock.xi_matrix(T)}, shares)
-
-
-def eval_exact(V: FourierSeries2D, A: PeriodicVectorPotential | None,
-               L: Lattice2D, T: FockTruncation, delta: float,
-               point) -> np.ndarray:
-    """Exact symbol at one point; Hermitian inside the guard band when the
-    gauge condition holds."""
-    return eval_mode_map(exact_symbol(V, A, L, T, delta), point)
 
 
 # Horner terms of the tail of rho_K where |z| < 1: the first omitted term is
@@ -343,12 +312,14 @@ def _rho(z: np.ndarray, K: int) -> np.ndarray:
 def _remainder_shares(V, A, L, T: FockTruncation, delta: float, rows: int,
                       cols: int) -> ModeMap:
     """Point-free mode map of the exact symbol minus the truncated symbol,
-    on the rows ``[0, rows)`` and the column prefix ``[0, cols)``.
+    on the rows ``[0, rows)`` and the column prefix ``[0, cols)``: the one
+    builder behind :func:`remainder_map` and :func:`remainder_norm`.
 
-    The truncation keeps the powers of ``I_{n,m}`` up to ``K = top - 2``
-    with V and ``K + 1`` with lin (``top`` from :func:`_top_grade`), so the
-    difference is the sum of the shares of :func:`_mode_shares` with
-    ``f(z, j) = rho_{K+j}(z)``, the tail of ``e^{iz}``.  The constant mode's
+    :func:`assemble_truncated` keeps the powers of ``I_{n,m}`` up to ``K =
+    top - 2`` with V and ``K + 1`` with lin (``top`` from
+    :func:`_top_grade`), so the difference is the sum of the shares of
+    :func:`_mode_shares` with ``f(z, j) = rho_{K+j}(z)``, the tail of
+    ``e^{iz}``.  The constant mode's
     truncation is exact: its ``z`` is 0, where every ``rho_K`` is 0.  No
     matrix power is formed, and no two O(1) matrices are subtracted.
     """
@@ -357,12 +328,13 @@ def _remainder_shares(V, A, L, T: FockTruncation, delta: float, rows: int,
                         cols)
 
 
-def remainder_matrix(V, A, L, T: FockTruncation, delta: float, point) -> np.ndarray:
-    """Exact symbol minus the evaluated truncated symbol at one point: the
-    shares of :func:`_remainder_shares` on the whole truncation."""
+def remainder_map(V: FourierSeries2D, A: PeriodicVectorPotential | None,
+                  L: Lattice2D, T: FockTruncation, delta: float) -> ModeMap:
+    """Point-free mode map of the exact symbol minus the truncated symbol:
+    the shares of :func:`_remainder_shares` on the whole truncation, whose
+    value at a point :func:`eval_mode_map` gives."""
     _check_delta(delta)
-    return eval_mode_map(_remainder_shares(V, A, L, T, delta, T.dim, T.dim),
-                         point)
+    return _remainder_shares(V, A, L, T, delta, T.dim, T.dim)
 
 
 def remainder_norm(V, A, L, T: FockTruncation, delta: float, point,

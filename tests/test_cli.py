@@ -130,6 +130,15 @@ def test_sapt_command(tmp_path):
     assert max(payload["u_residuals"]["unitarity"]) < 1e-10
 
 
+def test_sapt_band_order_does_not_change_the_output(tmp_path):
+    # the blocks come out in level order, and band_set says so
+    outs = [_output(tmp_path, ["sapt", "--band", band], {"order": 2},
+                    name=name)
+            for band, name in (("0,1", "sorted"), ("1,0", "reversed"))]
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["band_set"] == [0, 1]
+
+
 def test_sapt_checks_see_every_h2_mode(tmp_path, monkeypatch):
     # a spurious h_2 mode that V lacks must show in h2_minus_V
     from magbloch import moyal
@@ -324,6 +333,13 @@ def test_bad_iota_and_tol_band_are_config_errors(tmp_path, capsys, extra):
     (["effective", "--delta", "1/0"], None),
     (["effective", "--delta", "0/1", "--units", "bare"], None),
     (["two-band", "--delta", "1/5"], None),
+    # flag values take the config checks, not argparse's usage error
+    (["butterfly", "--qmax", "abc"], None),
+    (["butterfly", "--qmax", "2.5"], None),
+    (["butterfly", "--iota", "2"], None),
+    (["butterfly", "--tol-band", "x"], None),
+    (["butterfly", "--format", "xml"], None),
+    (["effective", "--units", "foo"], None),
 ])
 def test_bad_config_values_are_config_errors(tmp_path, capsys, argv, extra):
     path = _write_cfg(tmp_path, extra)

@@ -19,7 +19,7 @@ from magbloch.oracle import (LinearCanonicalMap, OracleBasis, _slow_quantize,
                              oracle_eigenvalues, order_fit,
                              fast_slow_variable_map, quantize_on_grid)
 from magbloch.quantize import RationalFlux
-from magbloch.symbols import eval_exact, remainder_matrix
+from magbloch.symbols import exact_symbol, remainder_map
 
 EMPTY = FourierSeries2D({}, is_real=True)
 
@@ -152,12 +152,11 @@ def test_mode_eigenbasis_once_per_mode(square, harper, one_mode_potential,
     T = _fock(12)
     basis = OracleBasis(n_cells=1, n_grid=16, fock=T)
     for build in (
-            lambda: eval_exact(harper, one_mode_potential, square, T, 0.25,
-                               (0.1, 0.2)),
+            lambda: exact_symbol(harper, one_mode_potential, square, T, 0.25),
             lambda: build_full_matrix(harper, one_mode_potential, square,
                                       basis, RationalFlux(1, 16)),
-            lambda: remainder_matrix(harper, one_mode_potential, square, T,
-                                     0.25, (0.1, 0.2))):
+            lambda: remainder_map(harper, one_mode_potential, square, T,
+                                  0.25)):
         calls.clear()
         build()
         assert sorted(calls) == sorted(harper.coeffs)

@@ -11,18 +11,21 @@ from magbloch.fock import (FockTruncation, I_generator, corner_norm,
 from magbloch.lattice import (FourierSeries2D, PeriodicVectorPotential,
                               directional_derivative_Dz,
                               directional_derivative_Dzbar, make_lattice)
-from magbloch.symbols import (V_term, W_term, _rho, assemble_truncated,
-                              eval_exact, eval_symbol, default_points,
-                              exact_symbol, mode_add, mode_max_norm,
-                              mode_scale, remainder_matrix, remainder_norm,
+from magbloch.symbols import (_rho, assemble_truncated, default_points,
+                              eval_mode_map, eval_symbol, exact_symbol,
+                              mode_add, mode_max_norm, mode_scale,
+                              remainder_map, remainder_norm,
                               symbol_hermiticity_residual)
 
 T = FockTruncation(n_max=20, guard=6)
 SKEWED = make_lattice([1.0, 0.0], [0.35, 1.2])
+EMPTY = FourierSeries2D({}, is_real=True)
+
+
 
 
 def test_V2_is_potential_times_identity(square, harper):
-    mm = V_term(2, harper, square, T)
+    mm = assemble_truncated(harper, None, square, T).grades[2]
     for nm, c in harper.coeffs.items():
         assert np.allclose(mm[nm], c * np.eye(T.dim))
 
@@ -30,7 +33,7 @@ def test_V2_is_potential_times_identity(square, harper):
 def test_V3_matches_first_derivative_form(square, harper):
     # independent construction path through the frame derivative:
     # -(1/sqrt2) (DzV a + DzbarV ad) mode by mode
-    mm = V_term(3, harper, square, T)
+    mm = assemble_truncated(harper, None, square, T).grades[3]
     a, ad = ladder(T)
     dz = directional_derivative_Dz(harper, square)
     dzb = directional_derivative_Dzbar(harper, square)
@@ -43,12 +46,13 @@ def test_V_term_zero_mode_only():
     const = FourierSeries2D({(0, 0): 3.0}, is_real=True)
     from magbloch.lattice import make_lattice
     L = make_lattice([1, 0], [0, 1])
-    for j in (3, 4, 5):
-        assert mode_max_norm(V_term(j, const, L, T), T) == 0.0
+    sym = assemble_truncated(const, None, L, T)
+    for j in (3, 4):
+        assert mode_max_norm(sym.grades[j], T) == 0.0
 
 
 def test_W1_matches_complexified_component(square, one_mode_potential):
-    mm = W_term(1, one_mode_potential, square, T)
+    mm = assemble_truncated(EMPTY, one_mode_potential, square, T).grades[1]
     a, ad = ladder(T)
     g = one_mode_potential.g
     gbar = g.conj_reflect()
@@ -61,7 +65,7 @@ def test_W2_matches_closed_form(square, one_mode_potential):
     # grade-2 piece against -sqrt2 Dz(gbar) Xi - (1/sqrt2)(Dz(g) a^2 +
     # Dzbar(gbar) ad^2), built through the series-derivative path
     A = one_mode_potential
-    mm = W_term(2, A, square, T)
+    mm = assemble_truncated(EMPTY, A, square, T).grades[2]
     a, ad = ladder(T)
     X = xi_matrix(T)
     g = A.g
@@ -76,9 +80,8 @@ def test_W2_matches_closed_form(square, one_mode_potential):
 
 
 def test_W_zero_potential(square):
-    A0 = PeriodicVectorPotential(FourierSeries2D({}, is_real=True),
-                                 FourierSeries2D({}, is_real=True), square)
-    assert W_term(1, A0, square, T) == {}
+    A0 = PeriodicVectorPotential(EMPTY, EMPTY, square)
+    assert sorted(assemble_truncated(EMPTY, A0, square, T).grades) == [0]
 
 
 def test_assemble_grades(square, harper, one_mode_potential):
@@ -105,19 +108,19 @@ def test_eval_definition_consistency(square, harper):
     pt = (0.3, 0.15)
     total = np.zeros((T.dim, T.dim), dtype=complex)
     for j in sorted(sym.grades):
-        from magbloch.symbols import eval_mode_map
         total += delta ** j * eval_mode_map(sym.grades[j], pt)
     assert np.max(np.abs(total - eval_symbol(sym, pt, delta))) == 0.0
 
 
 def test_eval_exact_delta0_and_hermitian(square, harper, one_mode_potential):
-    out = eval_exact(harper, None, square, T, 0.0, (0.2, 0.9))
+    out = eval_mode_map(exact_symbol(harper, None, square, T, 0.0), (0.2, 0.9))
     assert np.max(np.abs(out - xi_matrix(T))) < 1e-14
     rng = np.random.default_rng(11)
     for _ in range(6):
         pt = tuple(rng.uniform(0, 1, 2))
         d = rng.uniform(0, 0.3)
-        M = eval_exact(harper, one_mode_potential, square, T, d, pt)
+        M = eval_mode_map(
+            exact_symbol(harper, one_mode_potential, square, T, d), pt)
         c = T.corner_dim
         assert np.max(np.abs((M - M.conj().T)[:c, :c])) < 1e-10
 
@@ -173,7 +176,7 @@ def test_eval_exact_matches_two_loops(square, harper, one_mode_potential,
     for d in deltas:
         for pt in [(0.0, 0.0), (0.3, 0.8), (0.55, 0.1)]:
             want = _eval_exact_two_loops(V, A, L, T, d, pt)
-            got = eval_exact(V, A, L, T, d, pt)
+            got = eval_mode_map(exact_symbol(V, A, L, T, d), pt)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         # the constant mode's exponential is the identity, exactly
         lin0 = 0.0
@@ -190,7 +193,8 @@ def test_eval_exact_landau_shift(square, harper):
     Tbig = FockTruncation(n_max=40, guard=8)
     d = 0.003
     E = np.sort(np.linalg.eigvalsh(
-        eval_exact(harper, None, square, Tbig, d, (0.0, 0.0))))
+        eval_mode_map(exact_symbol(harper, None, square, Tbig, d),
+                      (0.0, 0.0))))
     for n in range(8):
         fd = (E[n] - (n + 0.5)) / d ** 2
         assert abs(fd - 4.0) < 1e-2
@@ -244,7 +248,8 @@ def test_projected_remainder_is_norm_of_band_columns(square, harper,
     Tb = FockTruncation(n_max=40, guard=6)
     for band in (0, [0, 1], [2, 4, 4], (np.int64(3),), []):
         for delta, point in ((0.2, (0.1, 0.2)), (0.05, (0.5, 0.75))):
-            R = remainder_matrix(harper, A, square, Tb, delta, point)
+            R = eval_mode_map(remainder_map(harper, A, square, Tb, delta),
+                              point)
             in_band = np.zeros(Tb.dim, dtype=bool)
             in_band[band] = True
             want = corner_norm(R * in_band, Tb)
@@ -268,7 +273,7 @@ def test_norm_reads_corner_rows_and_band_columns(square, harper,
                FockTruncation(n_max=40, guard=0)):
         c = Tb.corner_dim
         for delta, point in ((0.2, (0.1, 0.2)), (0.05, (0.55, 0.8))):
-            R = remainder_matrix(harper, A, L, Tb, delta, point)
+            R = eval_mode_map(remainder_map(harper, A, L, Tb, delta), point)
             want = np.linalg.norm(R[:c, :c], 2)
             got = remainder_norm(harper, A, L, Tb, delta, point)
             assert abs(got - want) <= 1e-13 * want, (c, delta)
@@ -327,7 +332,7 @@ def test_empty_remainder_map_keeps_the_matrix_shape(square):
     # no potential and no vector potential: no mode has a share, and the
     # remainder is the dim x dim zero, not the 1 x 1 zero of an empty map
     V = FourierSeries2D({}, is_real=True)
-    R = remainder_matrix(V, None, square, T, 0.1, (0.1, 0.2))
+    R = eval_mode_map(remainder_map(V, None, square, T, 0.1), (0.1, 0.2))
     assert R.shape == (T.dim, T.dim) and not np.any(R)
     for band in (None, 0, [1, 2]):
         assert remainder_norm(V, None, square, T, 0.1, (0.1, 0.2),
@@ -337,7 +342,7 @@ def test_empty_remainder_map_keeps_the_matrix_shape(square):
 def _explicit_remainder(V, A, L, T, delta, point):
     """The exact symbol minus the truncated symbol, both evaluated at the
     point and subtracted as matrices."""
-    return (eval_exact(V, A, L, T, delta, point)
+    return (eval_mode_map(exact_symbol(V, A, L, T, delta), point)
             - eval_symbol(assemble_truncated(V, A, L, T), point, delta))
 
 
@@ -359,7 +364,7 @@ def test_remainder_matches_explicit_difference(square, harper, lattice, with_a):
     for delta in (0.2, 0.05, 0.01):
         for point in ((0.1, 0.2), (0.55, 0.8)):
             want = _explicit_remainder(V, A, L, Tr, delta, point)
-            got = remainder_matrix(V, A, L, Tr, delta, point)
+            got = eval_mode_map(remainder_map(V, A, L, Tr, delta), point)
             tol = 1e-12 * max(1.0, np.max(np.abs(want)))
             assert np.max(np.abs(got - want)) <= tol, (delta, point)
             full = np.linalg.norm(want[:c, :c], 2)
@@ -420,6 +425,8 @@ def test_non_finite_or_negative_delta_rejected(square, harper, delta):
         remainder_norm(harper, None, square, T, delta, (0.1, 0.2))
     with pytest.raises(ValueError, match="delta"):
         exact_symbol(harper, None, square, T, delta)
+    with pytest.raises(ValueError, match="delta"):
+        remainder_map(harper, None, square, T, delta)
 
 
 def _random_modes(rng, dim, keys):
