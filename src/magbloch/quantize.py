@@ -18,6 +18,7 @@ against misreading the phase bookkeeping.
 from __future__ import annotations
 
 import cmath
+import copy
 import functools
 import math
 from dataclasses import dataclass, field
@@ -445,16 +446,51 @@ def spectrum(fam: MagneticBlochFamily, grid=(16, 16),
                           convention=fam.convention)
 
 
+def _mirror_even(F: FourierSeries2D, iota: int) -> bool:
+    """Whether f_{n,m} == (-1)^(n m iota) conj(f_{n,m}) for every mode,
+    compared exactly.  Then conj H_{p/q}(beta) = H_{(q-p)/q}(-beta) up to
+    the rounding of the phases, so the two fluxes share their spectra."""
+    return all(c == (-1) ** (n * m * iota % 2) * c.conjugate()
+               for (n, m), c in F.coeffs.items())
+
+
+def _mirrored(twin: SpectrumReport, flux: RationalFlux, grid) -> SpectrumReport:
+    """The report at ``flux`` = (q-p)/q from the report of its twin p/q.
+    Its spectrum at beta is the twin's at -beta, which on the n1 x n2 grid
+    of :func:`_grid_spectrum` is the point (-i mod n1, -k mod n2): every
+    clock/shift family is 2 pi/q-periodic in beta1."""
+    n1, n2 = grid
+    back1, back2 = -np.arange(n1) % n1, -np.arange(n2) % n2
+    samples = twin.samples.reshape(n1, n2, -1)[np.ix_(back1, back2)]
+    return SpectrumReport(
+        flux=flux, bands=list(twin.bands),
+        samples=samples.reshape(twin.samples.shape),
+        metadata={**copy.deepcopy(twin.metadata),
+                  "mirror_of": [twin.flux.p, twin.flux.q]})
+
+
 def butterfly(F: FourierSeries2D, q_max: int, iota: int = -1, grid=(8, 16),
               tol_band: float | None = None) -> list:
     """One strong-field spectrum report per reduced flux p/q with
     q <= q_max, deterministically ordered by (q, p); ``grid`` and
-    ``tol_band`` as in :func:`spectrum`."""
+    ``tol_band`` as in :func:`spectrum`.
+
+    When F is mirror-even (:func:`_mirror_even`), each (q-p)/q with
+    p < q/2 is the reflected report of its twin p/q (:func:`_mirrored`),
+    whose metadata it carries with ``"mirror_of": [p, q]``; every other
+    flux is solved directly."""
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
-    return [spectrum(quantize_series(F, fx, iota=iota), grid=grid,
-                     tol_band=tol_band)
-            for fx in reduced_fractions(q_max)]
+    mirror = _mirror_even(F, iota)
+    solved = {}   # (p, q) -> report; (q, p) order solves each twin first
+    for fx in reduced_fractions(q_max):
+        twin = solved.get((fx.q - fx.p, fx.q)) if mirror else None
+        if twin is not None:
+            solved[fx.p, fx.q] = _mirrored(twin, fx, grid)
+        else:
+            solved[fx.p, fx.q] = spectrum(quantize_series(F, fx, iota=iota),
+                                          grid=grid, tol_band=tol_band)
+    return list(solved.values())
 
 
 def almost_mathieu_spectrum(flux: RationalFlux, beta: float, N: int) -> np.ndarray:

@@ -85,6 +85,26 @@ def test_butterfly_json_format(tmp_path):
     assert payload[0]["bands"][0] == [-4.0, 4.0]
 
 
+def test_butterfly_names_mirrored_fluxes(tmp_path):
+    path = _write_cfg(tmp_path)
+    out, csv = tmp_path / "a.json", tmp_path / "a.csv"
+    assert main(["butterfly", "--config", path, "--qmax", "3",
+                 "--format", "json", "--out", str(out)]) == 0
+    meta = {(r["p"], r["q"]): r["metadata"] for r in json.loads(out.read_text())}
+    assert meta[2, 3]["mirror_of"] == [1, 3]
+    assert [k for k in meta if "mirror_of" in meta[k]] == [(2, 3)]
+    # the CSV has no such column; a mirrored flux repeats its twin's edges
+    assert main(["butterfly", "--config", path, "--qmax", "3",
+                 "--out", str(csv)]) == 0
+    lines = csv.read_text().splitlines()
+    assert lines[0] == "p,q,theta,band_index,E_min,E_max"
+    rows = [ln.split(",") for ln in lines[1:]]
+    edges = {(r[0], r[1]): [] for r in rows}
+    for r in rows:
+        edges[r[0], r[1]].append(r[3:])
+    assert edges["2", "3"] == edges["1", "3"]
+
+
 def test_effective_command(tmp_path):
     path = _write_cfg(tmp_path)
     out = tmp_path / "eff.csv"

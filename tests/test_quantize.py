@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -167,11 +168,104 @@ def test_butterfly_ordering_and_symmetry():
     keys = [(r.flux.q, r.flux.p) for r in reports]
     assert keys == sorted(keys)
     by_flux = {(r.flux.p, r.flux.q): r for r in reports}
-    # theta -> 1 - theta spectral symmetry
+    # theta -> 1 - theta spectral symmetry, against a direct solve at 1 - theta
     for (p, q) in [(1, 3), (1, 4)]:
+        mirrored = by_flux[(q - p, q)]
+        direct = spectrum(quantize_series(HARPER, RationalFlux(q - p, q),
+                                          iota=-1), grid=(8, 16))
+        assert mirrored.metadata["mirror_of"] == [p, q]
+        assert np.allclose(mirrored.bands, direct.bands, rtol=0, atol=1e-12)
+        assert np.allclose(mirrored.samples, direct.samples, rtol=0,
+                           atol=1e-12)
         a = by_flux[(p, q)].all_eigenvalues()
-        b = by_flux[(q - p, q)].all_eigenvalues()
+        b = direct.all_eigenvalues()
         assert np.max(np.abs(a - b)) < 1e-8
+
+
+def _random_mirror_even(seed):
+    """A real series with a constant mode, real modes with n m even and
+    imaginary modes with n m odd."""
+    rng = np.random.default_rng(seed)
+    coeffs = {(0, 0): rng.normal()}
+    for n, m in [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2), (2, 2),
+                 (3, 1)]:
+        a = rng.normal()
+        coeffs[n, m] = a if n * m % 2 == 0 else 1j * a
+    return FourierSeries2D(coeffs, is_real=True)
+
+
+@pytest.mark.parametrize("F, iota", [(HARPER, -1), (HARPER, 1),
+                                     (_random_mirror_even(3), -1),
+                                     (_random_mirror_even(4), 1)])
+def test_butterfly_mirror_matches_direct_solves(F, iota):
+    assert quantize._mirror_even(F, iota)
+    reports = butterfly(F, 9, iota=iota, grid=(8, 16))
+    mirrored = 0
+    for rep in reports:
+        p, q = rep.flux.p, rep.flux.q
+        if 2 * p > q:
+            assert rep.metadata.pop("mirror_of") == [q - p, q]
+            mirrored += 1
+        direct = spectrum(quantize_series(F, rep.flux, iota=iota),
+                          grid=(8, 16))
+        assert len(rep.bands) == len(direct.bands)
+        assert np.allclose(rep.bands, direct.bands, rtol=0, atol=1e-12)
+        assert np.allclose(rep.samples, direct.samples, rtol=0, atol=1e-12)
+        assert rep.metadata.keys() == direct.metadata.keys()
+    assert mirrored == sum(1 for fx in reduced_fractions(9) if 2 * fx.p > fx.q)
+
+
+_MIRROR_ODD = [
+    # a real f_{1,1}: the spectra at p/q and (q-p)/q differ
+    FourierSeries2D({(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0, (0, -1): 1.0,
+                     (1, 1): 0.5, (-1, -1): 0.5}, is_real=True),
+    FourierSeries2D({(1, 0): 0.9 * np.exp(0.7j), (0, 1): 1.1, (0, -1): 1.1},
+                    is_real=True),
+]
+
+
+@pytest.mark.parametrize("F", _MIRROR_ODD)
+def test_butterfly_solves_mirror_odd_symbols_directly(F):
+    assert not quantize._mirror_even(F, -1)
+    for rep in butterfly(F, 7, grid=(8, 16)):
+        direct = spectrum(quantize_series(F, rep.flux), grid=(8, 16))
+        assert "mirror_of" not in rep.metadata
+        assert rep.metadata == direct.metadata
+        assert rep.bands == direct.bands
+        assert np.array_equal(rep.samples, direct.samples)
+
+
+def test_real_f11_breaks_the_mirror():
+    F = _MIRROR_ODD[0]
+    a = spectrum(quantize_series(F, RationalFlux(1, 3)), grid=(8, 16))
+    b = spectrum(quantize_series(F, RationalFlux(2, 3)), grid=(8, 16))
+    assert np.max(np.abs(a.all_eigenvalues() - b.all_eigenvalues())) > 0.1
+
+
+@pytest.mark.parametrize("F, calls", [(HARPER, 24), (_MIRROR_ODD[0], 46)])
+def test_butterfly_spectrum_calls(monkeypatch, F, calls):
+    seen = []
+
+    def counted(fam, **kwargs):
+        seen.append((fam.flux.p, fam.flux.q))
+        return spectrum(fam, **kwargs)
+
+    monkeypatch.setattr(quantize, "spectrum", counted)
+    assert len(butterfly(F, 12, grid=(8, 8))) == 46
+    assert len(seen) == calls
+
+
+def test_mirrored_report_owns_its_data():
+    twin, mirrored = butterfly(HARPER, 3, grid=(8, 8))[2:]
+    assert mirrored.metadata["mirror_of"] == [1, 3]
+    bands, metadata = list(twin.bands), copy.deepcopy(twin.metadata)
+    samples = twin.samples.copy()
+    mirrored.metadata["grid"].append(99)
+    mirrored.metadata["tol_band"] = 0.5
+    mirrored.bands.append((9.0, 10.0))
+    mirrored.samples[:] = 0.0
+    assert twin.bands == bands and twin.metadata == metadata
+    assert np.array_equal(twin.samples, samples)
 
 
 def test_band_measure_decreases():
