@@ -28,9 +28,9 @@ need ``guard`` (default 6) at most ``n_max`` or their default for it.  Any
 other value is a config error.  Numbers are
 emitted with 17 significant digits and '\n' line endings; identical configs
 produce byte-identical files under the same BLAS configuration (library and
-thread count).  Across thread counts ``butterfly``, ``effective``,
-``two-band`` and ``sapt`` keep their bytes, but the shift-invert Lanczos
-cluster of ``oracle-compare`` can move in its last bits.
+thread count).  Across thread counts every command keeps its bytes, but
+for a reflection-odd symbol (:func:`oracle.build_full_matrix`) the complex
+shift-invert cluster of ``oracle-compare`` can move in its last bits.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 resource cap.
 """

@@ -29,7 +29,7 @@ set of contiguous fast-space levels, and produce order by order:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -59,6 +59,10 @@ class MoyalSeries:
     order_built: int
     truncation: FockTruncation
     band_set: tuple = ()
+    # (pi, grades 0 .. order_built - 1 of u # pi) of build_intertwiner's u,
+    # which intertwiner_residuals reads instead of recomputing them
+    _times_pi: tuple = field(default=(None, None), compare=False,
+                             repr=False)
 
     def grade(self, j: int) -> ModeMap:
         return self.grades.get(j, {})
@@ -292,7 +296,7 @@ def build_intertwiner(pi: MoyalSeries, order: int) -> MoyalSeries:
             u_grades[n] = _Stored(u_n)
             u_dag[n] = _dagger(u_grades[n])
     return MoyalSeries(grades=u_grades, order_built=order, truncation=T,
-                       band_set=pi.band_set)
+                       band_set=pi.band_set, _times_pi=(pi, upi))
 
 
 def effective_symbol(H: OperatorSymbol, pi: MoyalSeries, u: MoyalSeries,
@@ -335,19 +339,23 @@ def projection_residuals(H: OperatorSymbol, pi: MoyalSeries, order: int) -> dict
 
 
 def intertwiner_residuals(pi: MoyalSeries, u: MoyalSeries, order: int) -> dict:
-    """Gradewise defects of unitarity and of u # pi # u_dag = P."""
+    """Gradewise defects of unitarity and of u # pi # u_dag = P.  The
+    grades of u # pi that :func:`build_intertwiner` formed from this pi are
+    reused; they are the same products, so the bits are the same."""
     T = u.truncation
     P = band_projector_matrix(T, u.band_set)
     ug, pig = _stored_grades(u.grades), _stored_grades(pi.grades)
     u_dag = {j: _dagger(mm) for j, mm in ug.items()}
-    upi: dict[int, ModeMap] = {}
+    built_pi, built = u._times_pi
+    upi: dict[int, ModeMap] = dict(built) if built_pi is pi else {}
     unit, intw = [], []
     for j in range(order + 1):
         uu = star_grade(ug, u_dag, j)
         if j == 0:
             uu = mode_add(uu, {(0, 0): -np.eye(T.dim, dtype=complex)})
         unit.append(mode_max_norm(uu, T))
-        upi[j] = _Stored(star_grade(ug, pig, j))
+        if j not in upi:
+            upi[j] = _Stored(star_grade(ug, pig, j))
         s = star_grade(upi, u_dag, j)
         if j == 0:
             s = mode_add(s, {(0, 0): -P})

@@ -11,6 +11,16 @@ Jacobi eigenbasis.  The charge sign
 is +1 throughout: the Fock factors carry that sign, so the slow factors
 carry it too.
 
+A uniform field is odd under time reversal and under a mirror, so complex
+conjugation combined with the reflection (n, m) -> (n, -m) can be a
+symmetry.  The slow factors satisfy ``conj(W_{n,m}) = W_{n,-m}``; the fast
+blocks satisfy ``conj(B_{n,-m}) = B_{n,m}`` when the frame has ``z_a`` real
+and ``z_b`` imaginary (``a = (a1, 0)``, ``b = (0, b2)``), ``V_{n,-m} =
+conj(V_{n,m})``, ``f1_{n,-m} = conj(f1_{n,m})`` and ``f2_{n,-m} =
+-conj(f2_{n,m})``.  The matrix is then real symmetric, and
+:func:`build_full_matrix` returns it so, which lets :func:`level_cluster`
+run in real arithmetic; other symbols keep the complex matrix.
+
 Effective models are re-quantized on the *same* slow grid by the same
 quantizer (:func:`quantize_on_grid`), so oracle/model eigenvalue comparisons
 sample identical Bloch phases and the measured distance isolates the model
@@ -163,17 +173,51 @@ def _slow_quantize(modes, basis: OracleBasis, flux: RationalFlux):
         shape=(N * d, N * d)).tocsr()
 
 
+def _reflection_even(V: FourierSeries2D, A: PeriodicVectorPotential | None,
+                     L: Lattice2D) -> bool:
+    """Whether the oracle matrix is real: ``L.z_a`` real, ``L.z_b``
+    imaginary, ``V_{n,-m} == conj(V_{n,m})``, ``f1_{n,-m} ==
+    conj(f1_{n,m})`` and ``f2_{n,-m} == -conj(f2_{n,m})`` for every mode,
+    compared exactly (:func:`build_full_matrix`)."""
+    def even(F, sign):
+        return all(F[(n, -m)] == sign * c.conjugate()
+                   for (n, m), c in F.coeffs.items())
+
+    return (L.z_a.imag == 0 and L.z_b.real == 0 and even(V, 1)
+            and (A is None or (even(A.f1, 1) and even(A.f2, -1))))
+
+
 def build_full_matrix(V: FourierSeries2D, A: PeriodicVectorPotential | None,
                       L: Lattice2D, basis: OracleBasis,
                       flux: RationalFlux):
     """Hermitian matrix of the full strong-field Hamiltonian on slow grid x
     Fock basis, at delta = sqrt(theta), as a ``scipy.sparse`` CSR matrix:
-    the slow quantization of :func:`symbols.exact_symbol`."""
+    the slow quantization of :func:`symbols.exact_symbol`.
+
+    The matrix is real symmetric, and returned as such, when the symbol is
+    even under complex conjugation combined with the reflection (n, m) ->
+    (n, -m) (:func:`_reflection_even`).  The slow factors satisfy
+    ``conj(W_{n,m}) = W_{n,-m}``, so H is real when each block satisfies
+    ``conj(B_{n,-m}) = B_{n,m}``; with ``z_a`` real and ``z_b`` imaginary,
+    ``alpha_{n,-m} = -conj(alpha_{n,m})``, hence ``E_{n,-m} =
+    conj(E_{n,m})`` and ``lin_{n,-m} = conj(lin_{n,m})`` under the rule.
+    The imaginary part it drops is rounding, checked against ``1e-10
+    max(1, max|H|)`` like the Hermiticity defect; a larger one is a
+    :class:`NumericError`.
+    """
     basis.check_resolves(V, A)
-    H = _slow_quantize(
+    H = _require_hermitian(_slow_quantize(
         symbols.exact_symbol(V, A, L, basis.fock, delta_from_flux(flux)),
-        basis, flux)
-    return _require_hermitian(H, 1e-10, "oracle matrix")
+        basis, flux), 1e-10, "oracle matrix")
+    if not _reflection_even(V, A, L):
+        return H
+    # read the stored entries, each held once: scipy's H.imag is a view that
+    # abs() would sort in place, scrambling the imaginary parts of H
+    imag = np.max(np.abs(H.data.imag))
+    if imag > 1e-10 * max(1.0, np.max(np.abs(H.data))):
+        raise NumericError(f"reflection-even oracle matrix has imaginary "
+                           f"part {imag}")
+    return H.real.copy()   # H.real's data is a strided view of H's
 
 
 def quantize_on_grid(blocks, basis: OracleBasis, flux: RationalFlux) -> np.ndarray:
@@ -213,6 +257,13 @@ def oracle_eigenvalues(H) -> np.ndarray:
 def level_cluster(H, lam_star: float, count: int) -> np.ndarray:
     """The cluster of ``count`` eigenvalues of the sparse Hermitian H around
     the level ``lam_star``, by shift-invert Lanczos (ARPACK).
+
+    ``eigsh`` dispatches on the dtype: a real symmetric H (a
+    reflection-even symbol, :func:`build_full_matrix`) runs real symmetric
+    Lanczos on a real LU factor, a complex H complex Arnoldi (``eigs``);
+    the dense fallback follows the dtype too.  At most D - 2 eigenvalues
+    are asked for: ``eigs`` needs k < D - 1, which meets real ``eigsh``'s
+    k < D as well.
 
     The ``count + _CLUSTER_MARGIN`` eigenvalues nearest the shift are
     computed from a fixed start vector, so the result is reproducible bit

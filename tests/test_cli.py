@@ -488,10 +488,12 @@ def test_report_writer_on_a_report_shape():
     ["butterfly", "--qmax", "12"],
     ["effective", "--delta", "1/50,1/127", "--format", "json"],
     ["two-band", "--delta", "1/50,1/127", "--format", "json"],
+    ["oracle-compare", "--delta", "1/16,1/31,1/48"],
 ])
 def test_outputs_identical_under_one_and_two_blas_threads(tmp_path, argv):
-    # byte-identical outputs hold within one BLAS configuration; these four
-    # commands keep them across one and two OpenBLAS threads as well
+    # byte-identical outputs hold within one BLAS configuration; these
+    # commands keep them across one and two OpenBLAS threads as well (the
+    # oracle's symbol is reflection-even, so its cluster is solved real)
     path = _write_cfg(tmp_path, {"A1": [[0, 1, 0.5, 0.0], [0, -1, 0.5, 0.0]],
                                  "grid": [16, 16], "order": 6})
     outputs = []

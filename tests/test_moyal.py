@@ -88,6 +88,25 @@ def test_projection_properties_two_band(square, harper, one_mode_potential):
         assert max(vals) < 1e-10
 
 
+def test_intertwiner_residuals_reuse_the_built_products(
+        square, harper, one_mode_potential, monkeypatch):
+    # the grades 0 .. order - 1 of u # pi that build_intertwiner formed are
+    # read back, not recomputed, for the pi u was built from; an equal pi
+    # built again recomputes them, to the same bits
+    order = 4
+    H, pi, u = _sapt(square, harper, one_mode_potential, [0, 1], order)
+    rebuilt = build_projection(H, [0, 1], order)
+    calls = []
+    inner = moyal.star_grade
+    monkeypatch.setattr(moyal, "star_grade",
+                        lambda A, B, n: calls.append(n) or inner(A, B, n))
+    reused = intertwiner_residuals(pi, u, order)
+    count = len(calls)
+    calls.clear()
+    assert intertwiner_residuals(rebuilt, u, order) == reused
+    assert len(calls) == count + order
+
+
 def test_two_band_first_order_nonzero(square, harper, one_mode_potential):
     H, pi, u = _sapt(square, harper, one_mode_potential, [0, 1], 2)
     assert mode_max_norm(pi.grade(1), T) > 1e-3

@@ -22,6 +22,7 @@ from magbloch.quantize import RationalFlux
 from magbloch.symbols import exact_symbol, remainder_map
 
 EMPTY = FourierSeries2D({}, is_real=True)
+NEAREST = [(1, 0), (-1, 0), (0, 1), (0, -1)]
 
 
 def _fock(n_max=30, guard=6):
@@ -81,9 +82,10 @@ def test_landau_levels_degenerate(square):
 def test_level_cluster_completes_degenerate_levels(square, monkeypatch):
     # at V = 0 each level is slow_dim-fold degenerate; one start vector can
     # leave the shift-invert solve short of copies, and the cluster must
-    # still come out complete.  At 1/34, n_max 12 that happens only under
-    # two BLAS threads (level 1); at 1/64, n_max 8 under one and two alike
-    # (levels 0, 1 and 3), so the dense fallback runs whatever the count
+    # still come out complete.  The V = 0 matrix is real; at 1/34, n_max 12
+    # real Lanczos finds every copy under one and two BLAS threads, while
+    # at 1/64, n_max 8 it comes up short at levels 1 and 3 under both, so
+    # the dense fallback runs whatever the count
     dense = []
     real = oracle.oracle_eigenvalues
     monkeypatch.setattr(oracle, "oracle_eigenvalues",
@@ -302,6 +304,26 @@ def _oracle_basis(fx, n_cells, n_max):
                        fock=FockTruncation(n_max=n_max, guard=0))
 
 
+def _dense_reference(V, A, L, basis, fx):
+    """The oracle matrix as a dense sum of (slow factor) x (Fock block) over
+    the modes, each block from displacement_exp."""
+    T = basis.fock
+    delta = math.sqrt(fx.theta)
+    terms = []
+    if A is not None:
+        for nm in sorted(set(A.f1.coeffs) | set(A.f2.coeffs)):
+            lin = A.f1[nm] * q_fast(T, L) + A.f2[nm] * p_fast(T, L)
+            E = displacement_exp(2 * math.pi * delta, *nm, L, T)
+            terms.append((delta, nm, E @ lin))
+    for nm, v in sorted(V.coeffs.items()):
+        E = displacement_exp(2 * math.pi * delta, *nm, L, T)
+        terms.append(((delta ** 2) * v, nm, E))
+    want = np.kron(np.eye(basis.slow_dim), xi_matrix(T))
+    for scalar, nm, F in terms:
+        want += scalar * np.kron(_dense_slow_factor(basis, fx, *nm), F)
+    return want
+
+
 @given(_fluxes(6), st.integers(1, 2),
        st.lists(st.tuples(MODES, AMPLITUDES), min_size=1, max_size=3),
        st.none() | st.tuples(MODES.filter(lambda nm: nm != (0, 0)),
@@ -321,22 +343,63 @@ def test_full_matrix_matches_kron_reference(fx, n_cells, v_modes, a_mode):
             FourierSeries2D({(n, m): -n * c, (-n, -m): n * c.conjugate()},
                             is_real=True), square)
     basis = _oracle_basis(fx, n_cells, 5)
-    T = basis.fock
-    delta = math.sqrt(fx.theta)
-    terms = []
-    if A is not None:
-        for nm in sorted(set(A.f1.coeffs) | set(A.f2.coeffs)):
-            lin = A.f1[nm] * q_fast(T, square) + A.f2[nm] * p_fast(T, square)
-            E = displacement_exp(2 * math.pi * delta, *nm, square, T)
-            terms.append((delta, nm, E @ lin))
-    for nm, v in sorted(V.coeffs.items()):
-        E = displacement_exp(2 * math.pi * delta, *nm, square, T)
-        terms.append(((delta ** 2) * v, nm, E))
-    want = np.kron(np.eye(basis.slow_dim), xi_matrix(T))
-    for scalar, nm, F in terms:
-        want += scalar * np.kron(_dense_slow_factor(basis, fx, *nm), F)
+    want = _dense_reference(V, A, square, basis, fx)
     got = build_full_matrix(V, A, square, basis, fx).toarray()
     assert np.max(np.abs(got - want)) < 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def _reflection_cases():
+    """(V, A, lattice, real): the oracle matrix is real exactly when the
+    frame has z_a real and z_b imaginary, V_{n,-m} = conj(V_{n,m}),
+    f1_{n,-m} = conj(f1_{n,m}) and f2_{n,-m} = -conj(f2_{n,m})."""
+    square = make_lattice([1.0, 0.0], [0.0, 1.0])
+    harper = FourierSeries2D({nm: 1.0 for nm in NEAREST}, is_real=True)
+    c = 0.8 * np.exp(0.6j)
+
+    def series(coeffs):
+        return FourierSeries2D(coeffs, is_real=True)
+
+    def potential(f1, f2, L=square):
+        return PeriodicVectorPotential(series(f1), series(f2), L)
+
+    turn = 0.3
+    return {
+        "harper": (harper, None, square, True),
+        "complex f01": (series({(0, 1): c, (1, 0): 1.0}), None, square, True),
+        "even (1,+-1)": (series({(1, 1): c, (1, -1): c.conjugate()}), None,
+                         square, True),
+        "even (2,+-1)": (series({(2, 1): c, (2, -1): c.conjugate(),
+                                 (0, 1): 1.0}), None, square, True),
+        "A1 on (0,+-1)": (harper, potential({(0, 1): 0.5, (0, -1): 0.5}, {}),
+                          square, True),
+        "A2 sin": (harper, potential({}, {(1, 0): -0.25j, (-1, 0): 0.25j}),
+                   square, True),
+        "2x1 rectangle": (harper, None, make_lattice([2.0, 0.0], [0.0, 1.0]),
+                          True),
+        "complex f10": (series({(1, 0): c, (0, 1): 1.0}), None, square, False),
+        "(1,1) alone": (series({(1, 1): c}), None, square, False),
+        "A2 cos": (harper, potential({}, {(1, 0): 0.25, (-1, 0): 0.25}),
+                   square, False),
+        "triangular": (harper, None,
+                       make_lattice([1.0, 0.0], [0.5, math.sqrt(3) / 2]),
+                       False),
+        "rotated square": (harper, None, make_lattice(
+            [math.cos(turn), math.sin(turn)],
+            [-math.sin(turn), math.cos(turn)]), False),
+    }
+
+
+@pytest.mark.parametrize("name", list(_reflection_cases()))
+def test_full_matrix_is_real_exactly_for_reflection_even_symbols(name):
+    V, A, L, real = _reflection_cases()[name]
+    fx = RationalFlux(2, 7)
+    basis = OracleBasis.resolving(V, A, fx, FockTruncation(n_max=8, guard=0))
+    H = build_full_matrix(V, A, L, basis, fx)
+    assert np.isrealobj(H.data) == real
+    want = _dense_reference(V, A, L, basis, fx)
+    assert np.max(np.abs(H.toarray() - want)) < 1e-12 * np.max(np.abs(want))
+    if not real:   # the complex matrix is complex by more than rounding
+        assert np.max(np.abs(want.imag)) > 1e-3
 
 
 # an empty diag_modes is an all-zero series (with the zero amplitudes, one
@@ -372,24 +435,28 @@ def test_quantize_on_grid_matches_dense_sum(fx, n_cells, diag_modes,
     assert np.max(np.abs(got - want)) < 1e-12
 
 
-NEAREST = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-
-
 @given(st.integers(2, 24), st.lists(st.floats(0.5, 1.5), min_size=2, max_size=2),
-       st.none() | st.floats(0.25, 0.75), st.integers(8, 12), st.integers(0, 1))
+       st.none() | st.floats(0.25, 0.75), st.integers(8, 12), st.integers(0, 1),
+       st.just(0.0) | st.floats(0.3, 1.2))
+@example(16, [1.0, 1.0], None, 10, 0, 0.7)
 @settings(max_examples=30, deadline=None)
-def test_level_cluster_matches_dense(q, amps, a, n_max, band):
+def test_level_cluster_matches_dense(q, amps, a, n_max, band, phase):
     # nearest-neighbour V, with or without the one-mode A; the shift-invert
-    # cluster equals the dense one, or both find the gap closed
+    # cluster equals the dense one, or both find the gap closed.  A phase
+    # on f_{1,0} makes the symbol reflection-odd, so H stays complex and
+    # the cluster comes from complex Arnoldi
     square = make_lattice([1.0, 0.0], [0.0, 1.0])
-    V = FourierSeries2D({nm: amps[i // 2] for i, nm in enumerate(NEAREST)},
-                        is_real=True)
+    coeffs = {nm: amps[i // 2] for i, nm in enumerate(NEAREST)}
+    coeffs[(1, 0)] *= np.exp(1j * phase)
+    coeffs[(-1, 0)] *= np.exp(-1j * phase)
+    V = FourierSeries2D(coeffs, is_real=True)
     A = None if a is None else PeriodicVectorPotential(
         FourierSeries2D({(0, 1): a, (0, -1): a}, is_real=True), EMPTY, square)
     fx = RationalFlux(1, q)
     basis = OracleBasis(n_cells=1, n_grid=q * max(1, -(-4 // q)),
                         fock=FockTruncation(n_max=n_max, guard=0))
     H = build_full_matrix(V, A, square, basis, fx)
+    assert np.isrealobj(H.data) == (phase == 0.0)
     lam = band + 0.5
     try:
         want = band_cluster(oracle_eigenvalues(H.toarray()), lam)
