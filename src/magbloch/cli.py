@@ -32,6 +32,10 @@ thread count).  Across thread counts every command keeps its bytes, but
 for a reflection-odd symbol (:func:`oracle.build_full_matrix`) the complex
 shift-invert cluster of ``oracle-compare`` can move in its last bits.
 
+An ``--out`` path that cannot be written (a missing directory, a
+directory, no permission) is a config error: one ``config error: cannot
+write output PATH: REASON`` line on stderr.
+
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 resource cap.
 """
 
@@ -293,9 +297,13 @@ def _build_inputs(cfg: dict):
 def _write(out_path: str | None, text: str) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {out_path}: "
+                          f"{exc.strerror or exc}") from None
 
 
 def _report_rows(reports) -> str:

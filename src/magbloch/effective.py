@@ -109,7 +109,11 @@ def spectrum_via_GGdag(A: PeriodicVectorPotential, L: Lattice2D, n_star: int,
     G is the strong-field quantization of g, so G G^dag is the quantization
     of the twisted square of g (:func:`quantize._twisted_square`): an
     ordinary Bloch family, solved banded like every other, with no dense
-    product.
+    product, and at one point of each beta, -beta pair of the grid when
+    its weights are inversion-even (:func:`quantize._grid_spectrum`).
+    The twisted square sums the pairs of k and -k in different orders, so
+    a G G^dag of several modes can miss that exact rule by rounding; it is
+    then solved at every point.
     """
     if A.is_zero():
         raise ValueError("spectrum_via_GGdag needs a non-zero vector potential")

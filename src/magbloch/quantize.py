@@ -404,6 +404,33 @@ def _band_eigvalsh(q: int, dim: int, b: int, blocks, beta1,
     return out
 
 
+def _inversion_even(fam: MagneticBlochFamily) -> bool:
+    """Whether every block's weight at (-n, -m) equals its weight at
+    (n, m), compared exactly (a mode missing on one side fails).
+
+    The parity P e_j = e_{-j mod q} gives P U(beta) P = U(-beta)^-1 and
+    P V(beta) P = V(-beta)^-1, so it maps the monomial of (n, m) at beta to
+    that of (-n, -m) at -beta, in either convention; the symmetrization
+    phase is the same at (n, m) and (-n, -m).  So then P H(beta) P =
+    H(-beta), and the spectra at beta and -beta agree up to the rounding of
+    the phases.  A real series with real coefficients (Harper) passes."""
+    for _, _, modes in fam.block_modes:
+        w = {(n, m): c for n, m, c in modes}
+        if any(w.get((-n, -m)) != c for (n, m), c in w.items()):
+            return False
+    return True
+
+
+def _reflected_points(grid) -> np.ndarray:
+    """Flat index of the point (-i mod n1, -k mod n2) for each point (i, k)
+    of the n1 x n2 grid of :func:`_grid_spectrum`: the point at -beta,
+    since every clock/shift family is 2 pi/q-periodic in beta1 (and 2
+    pi-periodic in beta2)."""
+    n1, n2 = grid
+    i, k = np.divmod(np.arange(n1 * n2), n2)
+    return (-i % n1) * n2 + (-k % n2)
+
+
 def _grid_spectrum(fam: MagneticBlochFamily, grid,
                    tol_band: float | None = None, energies=None,
                    **metadata) -> SpectrumReport:
@@ -411,21 +438,34 @@ def _grid_spectrum(fam: MagneticBlochFamily, grid,
     ``energies`` when given, on the n1 x n2 grid over [0, 2 pi / q) x
     [0, 2 pi), beta1-major.  Every family is solved banded: the half
     bandwidth b comes from :func:`_bandwidth`, and each stack of at most
-    ``_STACK_BYTES`` (or of one point) goes to :func:`_band_eigvalsh`."""
+    ``_STACK_BYTES`` (or of one point) goes to :func:`_band_eigvalsh`.
+
+    For an inversion-even family (:func:`_inversion_even`, decided once
+    from the block table) the spectrum at beta is the one at -beta, so
+    only the first point of each pair {(i, k), :func:`_reflected_points`}
+    is solved, in ascending flat order (point 0 first), and its partner's
+    row is a copy: (n1 n2 + f) / 2 solves, f the number of points that are
+    their own partner (4 on an even grid).  Any other family, even one
+    that misses the rule by rounding, is solved at every point.
+    ``samples`` always holds every point of the grid."""
     n1, n2 = grid
     if n1 < 8 or n2 < 8:
         raise ValueError("grid must be at least (8, 8)")
     q, dim = fam.flux.q, fam.dim
     b = _bandwidth(q, dim, fam._shifts())
-    b1 = np.repeat(2.0 * math.pi / q * np.arange(n1) / n1, n2)
-    b2 = np.tile(2.0 * math.pi * np.arange(n2) / n2, n1)
+    points = np.arange(n1 * n2)
+    source = (np.minimum(points, _reflected_points(grid))
+              if _inversion_even(fam) else points)
+    solved = np.flatnonzero(source == points)
+    b1 = (2.0 * math.pi / q * np.arange(n1) / n1)[solved // n2]
+    b2 = (2.0 * math.pi * np.arange(n2) / n2)[solved % n2]
     step = max(1, _STACK_BYTES // (32 * (b + 1) * dim))
     rows = []
     for s in range(0, b1.size, step):
         s1, s2 = b1[s:s + step], b2[s:s + step]
         lam = _band_eigvalsh(q, dim, b, fam._terms_at(s1, s2), s1, s2)
         rows.append(lam if energies is None else energies(lam))
-    samples = np.concatenate(rows)
+    samples = np.concatenate(rows)[np.searchsorted(solved, source)]
     bands, tol_band = _merge_branches(samples, tol_band)
     return SpectrumReport(flux=fam.flux, bands=bands, samples=samples,
                           metadata={"grid": [n1, n2], "tol_band": tol_band,
@@ -440,7 +480,11 @@ def spectrum(fam: MagneticBlochFamily, grid=(16, 16),
     Band intervals come from tracking sorted eigenvalue branches over the
     grid; branches closer than ``tol_band`` (default 1e-6 of the spectral
     width) merge into one interval.  The metadata names the eigensolver
-    (``lapack-banded``) and the half bandwidth of the band layout.
+    (``lapack-banded``) and the half bandwidth of the band layout.  An
+    inversion-even family (weight at (-n, -m) == weight at (n, m) in every
+    block, compared exactly) is solved at one point of each beta, -beta
+    pair of the grid, the other row a copy; any other family at every
+    point (:func:`_grid_spectrum`).
     """
     return _grid_spectrum(fam, grid, tol_band, iota=fam.iota,
                           convention=fam.convention)
@@ -456,15 +500,11 @@ def _mirror_even(F: FourierSeries2D, iota: int) -> bool:
 
 def _mirrored(twin: SpectrumReport, flux: RationalFlux, grid) -> SpectrumReport:
     """The report at ``flux`` = (q-p)/q from the report of its twin p/q.
-    Its spectrum at beta is the twin's at -beta, which on the n1 x n2 grid
-    of :func:`_grid_spectrum` is the point (-i mod n1, -k mod n2): every
-    clock/shift family is 2 pi/q-periodic in beta1."""
-    n1, n2 = grid
-    back1, back2 = -np.arange(n1) % n1, -np.arange(n2) % n2
-    samples = twin.samples.reshape(n1, n2, -1)[np.ix_(back1, back2)]
+    Its spectrum at beta is the twin's at -beta, the point
+    :func:`_reflected_points` of the grid of :func:`_grid_spectrum`."""
     return SpectrumReport(
         flux=flux, bands=list(twin.bands),
-        samples=samples.reshape(twin.samples.shape),
+        samples=twin.samples[_reflected_points(grid)],
         metadata={**copy.deepcopy(twin.metadata),
                   "mirror_of": [twin.flux.p, twin.flux.q]})
 

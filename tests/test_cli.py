@@ -40,6 +40,18 @@ def test_missing_file_rejected(tmp_path):
     assert main(["butterfly", "--config", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize("out", ["missing/dir/x.csv", "."])
+def test_unwritable_out_is_a_config_error(tmp_path, capsys, out):
+    # a missing directory, then a directory itself
+    path = _write_cfg(tmp_path)
+    target = str(tmp_path / out)
+    assert main(["butterfly", "--config", path, "--qmax", "2",
+                 "--out", target]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write output {target}: ")
+    assert err.count("\n") == 1
+
+
 def test_qmax_cap(tmp_path):
     path = _write_cfg(tmp_path)
     assert main(["butterfly", "--config", path, "--qmax", "500"]) == 4

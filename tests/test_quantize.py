@@ -427,21 +427,20 @@ def test_hermiticity_check_scales_each_matrix_of_a_stack():
 def test_spectrum_does_not_depend_on_the_stack_size(monkeypatch):
     fx = RationalFlux(2, 7)
     L = make_lattice([1, 0], [0, 1])
-    A = PeriodicVectorPotential(
-        FourierSeries2D({(0, 1): 0.5, (0, -1): 0.5}, is_real=True),
-        FourierSeries2D({}, is_real=True), L)
-    fam = quantize_series(HARPER, fx, iota=-1)
-    one = spectrum(fam, grid=(8, 16))
+    A = _a1_potential(L)
+    fams = [quantize_series(F, fx, iota=-1) for F in (HARPER, _MIRROR_ODD[1])]
+    one = [spectrum(fam, grid=(8, 16)) for fam in fams]
     one_via = spectrum_via_GGdag(A, L, 0, fx, grid=(8, 16))
-    # 5 points per stack of Harper (b = 2): the 128 points in 26 stacks, the
-    # last one short; 15 per stack of G G^dag (b = 0), in 9 stacks
+    # 5 points per stack of Harper and of the inversion-odd complex f_{1,0}
+    # (b = 2): Harper's 66 solved points in 14 stacks and all 128 points of
+    # the other in 26, each last stack short; 15 per stack of G G^dag
+    # (b = 0), its 66 solved points in 5 stacks
     monkeypatch.setattr(quantize, "_STACK_BYTES", 32 * 3 * 7 * 5)
-    many = spectrum(fam, grid=(8, 16))
+    many = [spectrum(fam, grid=(8, 16)) for fam in fams]
     many_via = spectrum_via_GGdag(A, L, 0, fx, grid=(8, 16))
-    assert one.samples.tobytes() == many.samples.tobytes()
-    assert one.bands == many.bands
-    assert one_via.samples.tobytes() == many_via.samples.tobytes()
-    assert one_via.bands == many_via.bands
+    for a, b in zip(one + [one_via], many + [many_via]):
+        assert a.samples.tobytes() == b.samples.tobytes()
+        assert a.bands == b.bands
 
 
 @pytest.mark.parametrize("grid", [(8, 16), (16, 16)])
@@ -501,9 +500,12 @@ def _families():
                           RationalFlux(3, 40), 1, "hofstadter")
 
 
-@pytest.mark.parametrize("fam", list(_families()),
-                         ids=lambda f: f"{f.convention}-q{f.flux.q}-dim{f.dim}"
-                         f"-modes{sum(len(t[2]) for t in f.block_modes)}")
+def _family_id(fam):
+    return (f"{fam.convention}-q{fam.flux.q}-dim{fam.dim}"
+            f"-modes{sum(len(t[2]) for t in fam.block_modes)}")
+
+
+@pytest.mark.parametrize("fam", list(_families()), ids=_family_id)
 def test_band_path_matches_dense(fam):
     q, dim = fam.flux.q, fam.dim
     b1 = np.array([0.0, 0.3, 1.7, 5.9])
@@ -535,6 +537,119 @@ def test_band_path_matches_dense(fam):
                          - np.linalg.eigvalsh(fam.matrix_at(g1, g2)))) < 1e-12
 
 
+@pytest.mark.parametrize("fam", list(_families()), ids=_family_id)
+def test_spectrum_is_2pi_over_q_periodic_in_both_phases(fam):
+    # a shift of beta1 or beta2 by 2 pi/q is a conjugation by a power of
+    # the shift or of the clock; the grid and its beta -> -beta map
+    # (_reflected_points) rely on it
+    q = fam.flux.q
+    b1 = np.array([0.0, 0.3, 1.7, 5.9])
+    b2 = np.array([0.0, 2.2, 4.1, 0.8])
+    want = np.linalg.eigvalsh(fam.matrix_at(b1, b2))
+    step = 2.0 * math.pi / q
+    for s1, s2 in ((step, 0.0), (0.0, step)):
+        got = np.linalg.eigvalsh(fam.matrix_at(b1 + s1, b2 + s2))
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+def _grid_phases(q, grid):
+    """The Bloch phases of the n1 x n2 grid of ``spectrum``, beta1-major."""
+    n1, n2 = grid
+    return (np.repeat(2.0 * math.pi / q * np.arange(n1) / n1, n2),
+            np.tile(2.0 * math.pi * np.arange(n2) / n2, n1))
+
+
+def _even_series(rng, modes):
+    """A real series with real amplitudes, so c_{-n,-m} == c_{n,m}."""
+    coeffs = {(0, 0): rng.normal()}
+    for n, m in modes:
+        coeffs[(n, m)] = coeffs[(-n, -m)] = rng.normal()
+    return FourierSeries2D(coeffs, is_real=True)
+
+
+def _inversion_cases():
+    """(family, inversion-even) pairs: real symmetric series in both
+    conventions, an even 2 x 2 block family with a complex coupling, and
+    the complex f_{1,0} and f_{1,1} that break the rule."""
+    rng = np.random.default_rng(23)
+    for q in (1, 2, 3, 16, 50):
+        fx = RationalFlux(1 if q > 1 else 0, q)
+        for convention in ("harper", "hofstadter"):
+            yield quantize_series(_even_series(rng, _WIDE), fx, -1,
+                                  convention), True
+    c = 0.3 - 0.4j
+    g = FourierSeries2D({(1, 0): c, (-1, 0): c, (0, 1): 0.2j, (0, -1): 0.2j})
+    blocks = [[_even_series(rng, _NEAR), g],
+              [g.conj_reflect(), _even_series(rng, _NEAR)]]
+    yield quantize_blocks(blocks, RationalFlux(2, 7)), True
+    yield quantize_series(_MIRROR_ODD[1], RationalFlux(2, 7)), False
+    f11 = 0.5 * np.exp(0.3j)
+    F = FourierSeries2D({(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0, (0, -1): 1.0,
+                         (1, 1): f11, (-1, -1): f11.conjugate()}, is_real=True)
+    yield quantize_series(F, RationalFlux(3, 11)), False
+
+
+def _count_solved_points(monkeypatch):
+    """A list that gets the number of points of every call of
+    ``_band_eigvalsh``."""
+    real, counts = quantize._band_eigvalsh, []
+
+    def counted(*args):
+        counts.append(len(args[4]))
+        return real(*args)
+
+    monkeypatch.setattr(quantize, "_band_eigvalsh", counted)
+    return counts
+
+
+def _expected_solves(grid, even):
+    """n1 n2 points, or one per beta, -beta pair: the points that are their
+    own partner (i and k each 0 or, on an even axis, half of it) once."""
+    n1, n2 = grid
+    fixed = (2 - n1 % 2) * (2 - n2 % 2)
+    return (n1 * n2 + fixed) // 2 if even else n1 * n2
+
+
+_GRIDS = [(8, 8), (8, 16), (9, 11)]
+_INVERSION_CASES = list(_inversion_cases())
+
+
+@pytest.mark.parametrize("grid", _GRIDS)
+@pytest.mark.parametrize("fam, even", _INVERSION_CASES, ids=[
+    f"{_family_id(fam)}-{'even' if even else 'odd'}"
+    for fam, even in _INVERSION_CASES])
+def test_spectrum_solves_one_point_per_inversion_pair(monkeypatch, fam, even,
+                                                      grid):
+    assert quantize._inversion_even(fam) is even
+    counts = _count_solved_points(monkeypatch)
+    rep = spectrum(fam, grid=grid)
+    assert sum(counts) == _expected_solves(grid, even)
+    q, dim = fam.flux.q, fam.dim
+    g1, g2 = _grid_phases(q, grid)
+    assert rep.samples.shape == (g1.size, dim)
+    dense = np.linalg.eigvalsh(fam.matrix_at(g1, g2))
+    assert np.max(np.abs(rep.samples - dense)) < 1e-12
+    if not even:
+        # the full solve, every point in one stack, keeps its bits
+        b = _bandwidth(q, dim, fam._shifts())
+        full = _band_eigvalsh(q, dim, b, fam._terms_at(g1, g2), g1, g2)
+        assert rep.samples.tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("grid", _GRIDS)
+def test_ggdag_solves_one_point_per_inversion_pair(monkeypatch, grid):
+    L = make_lattice([1, 0], [0, 1])
+    A = _a1_potential(L)
+    fx = RationalFlux(2, 7)
+    counts = _count_solved_points(monkeypatch)
+    via = spectrum_via_GGdag(A, L, 1, fx, grid=grid)
+    assert sum(counts) == _expected_solves(grid, True)
+    g1, g2 = _grid_phases(fx.q, grid)
+    dense = np.linalg.eigvalsh(two_band_model(A, L, 1, fx).family.matrix_at(
+        g1, g2))
+    assert np.max(np.abs(via.samples - dense)) < 1e-12
+
+
 def test_band_layout_bounds_a_shift():
     # a shift by s moves a clock index at most 2|s| positions in the fold
     for q in (1, 2, 5, 16, 17):
@@ -560,6 +675,13 @@ def test_band_solver_failure_names_the_bloch_point(monkeypatch):
         np.zeros(ab.shape[1]), None, 3))
     with pytest.raises(NumericError, match=r"beta=\(0.0, 0.0\).*info 3"):
         spectrum(fam, grid=(8, 8))
+
+
+def _a1_potential(L):
+    """f1 = cos(2 pi x): g has the modes (0, +-1), so G does not shift."""
+    return PeriodicVectorPotential(
+        FourierSeries2D({(0, 1): 0.5, (0, -1): 0.5}, is_real=True),
+        FourierSeries2D({}, is_real=True), L)
 
 
 def _a2_potential(L):
