@@ -109,11 +109,12 @@ def spectrum_via_GGdag(A: PeriodicVectorPotential, L: Lattice2D, n_star: int,
     G is the strong-field quantization of g, so G G^dag is the quantization
     of the twisted square of g (:func:`quantize._twisted_square`): an
     ordinary Bloch family, solved banded like every other, with no dense
-    product, and at one point of each beta, -beta pair of the grid when
-    its weights are inversion-even (:func:`quantize._grid_spectrum`).
-    The twisted square sums the pairs of k and -k in different orders, so
-    a G G^dag of several modes can miss that exact rule by rounding; it is
-    then solved at every point.
+    product, and at one point of each orbit of the grid under beta ->
+    -beta and beta2 -> -beta2, as far as its weights pass the exact
+    inversion and flip rules (:func:`quantize._grid_spectrum`); G G^dag of
+    a g on the modes (0, +-1) passes both.  The twisted square sums the
+    pairs of k and -k in different orders, so a G G^dag of several modes
+    can miss a rule by rounding, and a missed rule is not used.
     """
     if A.is_zero():
         raise ValueError("spectrum_via_GGdag needs a non-zero vector potential")

@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from .errors import NumericError
+from .errors import NumericError, ResourceCapError
 from .lattice import FourierSeries2D
 
 __all__ = [
@@ -414,9 +414,33 @@ def _inversion_even(fam: MagneticBlochFamily) -> bool:
     phase is the same at (n, m) and (-n, -m).  So then P H(beta) P =
     H(-beta), and the spectra at beta and -beta agree up to the rounding of
     the phases.  A real series with real coefficients (Harper) passes."""
+    return _weights_reflect(fam, lambda n, m: (-n, -m), lambda c: c)
+
+
+def _flip_even(fam: MagneticBlochFamily) -> bool:
+    """Whether every block's weight at (n, -m) ("harper") or (-n, m)
+    ("hofstadter") is the conjugate of its weight at (n, m), compared
+    exactly (a mode missing on one side fails).
+
+    Complex conjugation gives conj U(beta1) = U(beta1)^-1 and
+    conj V(beta2) = V(-beta2), so it maps the monomial of (n, m) at
+    (beta1, beta2) to that of the reflected mode at (beta1, -beta2), its
+    weight conjugated.  So then conj H(beta1, beta2) = H(beta1, -beta2)
+    (block by block, as the blocks of :func:`quantize_blocks` sit at real
+    places), and the spectra at the two points agree up to rounding.
+    Harper passes, and so does any real series with f_{n,-m} ==
+    conj f_{n,m} (harper) or f_{-n,m} == conj f_{n,m} (hofstadter)."""
+    if fam.convention == "harper":
+        return _weights_reflect(fam, lambda n, m: (n, -m), np.conj)
+    return _weights_reflect(fam, lambda n, m: (-n, m), np.conj)
+
+
+def _weights_reflect(fam: MagneticBlochFamily, mode, weight) -> bool:
+    """Whether every block's weight at ``mode(n, m)`` equals ``weight`` of
+    its weight at (n, m), compared exactly (a missing mode fails)."""
     for _, _, modes in fam.block_modes:
         w = {(n, m): c for n, m, c in modes}
-        if any(w.get((-n, -m)) != c for (n, m), c in w.items()):
+        if any(w.get(mode(n, m)) != weight(c) for (n, m), c in w.items()):
             return False
     return True
 
@@ -431,6 +455,27 @@ def _reflected_points(grid) -> np.ndarray:
     return (-i % n1) * n2 + (-k % n2)
 
 
+def _orbit_sources(grid, inversion: bool, flip: bool) -> np.ndarray:
+    """Flat index of the representative of each point's orbit on the
+    n1 x n2 grid of :func:`_grid_spectrum`, under the inversion
+    :func:`_reflected_points` when ``inversion``, the flip (i, k) ->
+    (i, -k mod n2) (beta2 -> -beta2) when ``flip``, and their product when
+    both: the lowest flat index of the orbit, so point 0 stays its own."""
+    n1, n2 = grid
+    points = np.arange(n1 * n2)
+    source = np.minimum(points, _reflected_points(grid)) if inversion else points
+    if flip:
+        i, k = np.divmod(points, n2)
+        source = np.minimum(source, source[i * n2 + (-k % n2)])
+    return source
+
+
+# Largest n1 * n2 * dim of a grid of :func:`_grid_spectrum`: 32 MB of
+# eigenvalue samples, some 60 times the largest benchmark grid (two-band at
+# 2q = 254 on 16 x 16).
+SAMPLES_BUDGET = 4_000_000
+
+
 def _grid_spectrum(fam: MagneticBlochFamily, grid,
                    tol_band: float | None = None, energies=None,
                    **metadata) -> SpectrumReport:
@@ -439,24 +484,33 @@ def _grid_spectrum(fam: MagneticBlochFamily, grid,
     [0, 2 pi), beta1-major.  Every family is solved banded: the half
     bandwidth b comes from :func:`_bandwidth`, and each stack of at most
     ``_STACK_BYTES`` (or of one point) goes to :func:`_band_eigvalsh`.
+    A grid of more than ``SAMPLES_BUDGET`` samples n1 n2 dim raises
+    :class:`ResourceCapError` before anything is allocated.
 
-    For an inversion-even family (:func:`_inversion_even`, decided once
-    from the block table) the spectrum at beta is the one at -beta, so
-    only the first point of each pair {(i, k), :func:`_reflected_points`}
-    is solved, in ascending flat order (point 0 first), and its partner's
-    row is a copy: (n1 n2 + f) / 2 solves, f the number of points that are
-    their own partner (4 on an even grid).  Any other family, even one
-    that misses the rule by rounding, is solved at every point.
+    Two exact rules, each decided once from the block table, say where the
+    spectrum repeats: for an inversion-even family (:func:`_inversion_even`)
+    the spectrum at beta is the one at -beta, the point
+    :func:`_reflected_points`; for a flip-even one (:func:`_flip_even`)
+    the spectrum at (beta1, beta2) is the one at (beta1, -beta2), the point
+    (i, -k mod n2).  Only the representative of each orbit of the rules the
+    family passes (:func:`_orbit_sources`, its lowest flat index) is
+    solved, in ascending flat order (point 0 first), and every other row
+    is a copy.  With both rules an 8 x 16 grid takes 45 solves, 16 x 16
+    81; with inversion alone (n1 n2 + f) / 2, f the points that are their
+    own partner (4 on an even grid).  A family that passes neither, even
+    one that misses a rule by rounding, is solved at every point.
     ``samples`` always holds every point of the grid."""
     n1, n2 = grid
     if n1 < 8 or n2 < 8:
         raise ValueError("grid must be at least (8, 8)")
     q, dim = fam.flux.q, fam.dim
+    if n1 * n2 * dim > SAMPLES_BUDGET:
+        raise ResourceCapError(
+            f"grid {n1} x {n2} at dimension {dim} needs {n1 * n2 * dim} "
+            f"eigenvalue samples, over the budget {SAMPLES_BUDGET}")
     b = _bandwidth(q, dim, fam._shifts())
-    points = np.arange(n1 * n2)
-    source = (np.minimum(points, _reflected_points(grid))
-              if _inversion_even(fam) else points)
-    solved = np.flatnonzero(source == points)
+    source = _orbit_sources(grid, _inversion_even(fam), _flip_even(fam))
+    solved = np.flatnonzero(source == np.arange(n1 * n2))
     b1 = (2.0 * math.pi / q * np.arange(n1) / n1)[solved // n2]
     b2 = (2.0 * math.pi * np.arange(n2) / n2)[solved % n2]
     step = max(1, _STACK_BYTES // (32 * (b + 1) * dim))
@@ -480,11 +534,14 @@ def spectrum(fam: MagneticBlochFamily, grid=(16, 16),
     Band intervals come from tracking sorted eigenvalue branches over the
     grid; branches closer than ``tol_band`` (default 1e-6 of the spectral
     width) merge into one interval.  The metadata names the eigensolver
-    (``lapack-banded``) and the half bandwidth of the band layout.  An
-    inversion-even family (weight at (-n, -m) == weight at (n, m) in every
-    block, compared exactly) is solved at one point of each beta, -beta
-    pair of the grid, the other row a copy; any other family at every
-    point (:func:`_grid_spectrum`).
+    (``lapack-banded``) and the half bandwidth of the band layout.  The
+    spectrum repeats at -beta when the family is inversion-even (weight at
+    (-n, -m) == weight at (n, m) in every block) and at (beta1, -beta2)
+    when it is flip-even (weight at (n, -m), or (-n, m) for "hofstadter",
+    == conj of weight at (n, m)), each compared exactly; only the lowest
+    point of each orbit of the rules passed is solved, the other rows
+    copies, and a family that passes neither is solved at every point
+    (:func:`_grid_spectrum`).
     """
     return _grid_spectrum(fam, grid, tol_band, iota=fam.iota,
                           convention=fam.convention)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magbloch import quantize
 from magbloch.cli import _check_flags, _dump_json, _parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,6 +56,24 @@ def test_unwritable_out_is_a_config_error(tmp_path, capsys, out):
 def test_qmax_cap(tmp_path):
     path = _write_cfg(tmp_path)
     assert main(["butterfly", "--config", path, "--qmax", "500"]) == 4
+
+
+@pytest.mark.parametrize("extra, argv", [
+    ({"grid": [20000, 20000]}, ["butterfly", "--qmax", "2"]),
+    ({}, ["effective", "--delta", "1/1000000"]),
+])
+def test_grid_over_the_samples_budget_is_a_resource_cap(tmp_path, capsys,
+                                                        monkeypatch, extra,
+                                                        argv):
+    solves = []
+    monkeypatch.setattr(quantize, "_band_eigvalsh",
+                        lambda *args: solves.append(args))
+    path = _write_cfg(tmp_path, extra)
+    assert main(argv + ["--config", path]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("resource cap: grid ") and "budget" in err
+    assert err.count("\n") == 1
+    assert solves == []
 
 
 def test_gauge_violation_is_config_error(tmp_path):

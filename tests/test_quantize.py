@@ -431,10 +431,10 @@ def test_spectrum_does_not_depend_on_the_stack_size(monkeypatch):
     fams = [quantize_series(F, fx, iota=-1) for F in (HARPER, _MIRROR_ODD[1])]
     one = [spectrum(fam, grid=(8, 16)) for fam in fams]
     one_via = spectrum_via_GGdag(A, L, 0, fx, grid=(8, 16))
-    # 5 points per stack of Harper and of the inversion-odd complex f_{1,0}
-    # (b = 2): Harper's 66 solved points in 14 stacks and all 128 points of
-    # the other in 26, each last stack short; 15 per stack of G G^dag
-    # (b = 0), its 66 solved points in 5 stacks
+    # 5 points per stack of Harper and of the reflection-odd complex
+    # f_{1,0} (b = 2): Harper's 45 solved points in 9 stacks and all 128
+    # points of the other in 26, the last one short; 15 per stack of
+    # G G^dag (b = 0), its 45 solved points in 3 stacks
     monkeypatch.setattr(quantize, "_STACK_BYTES", 32 * 3 * 7 * 5)
     many = [spectrum(fam, grid=(8, 16)) for fam in fams]
     many_via = spectrum_via_GGdag(A, L, 0, fx, grid=(8, 16))
@@ -602,12 +602,21 @@ def _count_solved_points(monkeypatch):
     return counts
 
 
-def _expected_solves(grid, even):
-    """n1 n2 points, or one per beta, -beta pair: the points that are their
-    own partner (i and k each 0 or, on an even axis, half of it) once."""
+def _expected_solves(grid, inversion, flip=False):
+    """The number of orbits of the grid under the reflections a family
+    passes, by Burnside's count: the mean number of points each group
+    element fixes.  i == -i mod n1 at f1 indices (0 and, on an even axis,
+    n1 / 2), k == -k mod n2 at f2."""
     n1, n2 = grid
-    fixed = (2 - n1 % 2) * (2 - n2 % 2)
-    return (n1 * n2 + fixed) // 2 if even else n1 * n2
+    f1, f2 = 2 - n1 % 2, 2 - n2 % 2
+    fixed = [n1 * n2]
+    if inversion:
+        fixed.append(f1 * f2)
+    if flip:
+        fixed.append(n1 * f2)
+    if inversion and flip:
+        fixed.append(f1 * n2)
+    return sum(fixed) // len(fixed)
 
 
 _GRIDS = [(8, 8), (8, 16), (9, 11)]
@@ -621,6 +630,7 @@ _INVERSION_CASES = list(_inversion_cases())
 def test_spectrum_solves_one_point_per_inversion_pair(monkeypatch, fam, even,
                                                       grid):
     assert quantize._inversion_even(fam) is even
+    assert quantize._flip_even(fam) is False
     counts = _count_solved_points(monkeypatch)
     rep = spectrum(fam, grid=grid)
     assert sum(counts) == _expected_solves(grid, even)
@@ -643,7 +653,8 @@ def test_ggdag_solves_one_point_per_inversion_pair(monkeypatch, grid):
     fx = RationalFlux(2, 7)
     counts = _count_solved_points(monkeypatch)
     via = spectrum_via_GGdag(A, L, 1, fx, grid=grid)
-    assert sum(counts) == _expected_solves(grid, True)
+    # G G^dag of g on (0, +-1) passes both reflections: 25, 45, 30 solves
+    assert sum(counts) == _expected_solves(grid, True, True)
     g1, g2 = _grid_phases(fx.q, grid)
     dense = np.linalg.eigvalsh(two_band_model(A, L, 1, fx).family.matrix_at(
         g1, g2))
@@ -689,6 +700,84 @@ def _a2_potential(L):
     return PeriodicVectorPotential(
         FourierSeries2D({}, is_real=True),
         FourierSeries2D({(1, 0): 0.5, (-1, 0): 0.5}, is_real=True), L)
+
+
+def _reflection_cases():
+    """(name, family, inversion-even, flip-even) of reflection-even
+    families, and of reflection-odd ones, which may still be
+    inversion-even."""
+    L = make_lattice([1, 0], [0, 1])
+    fx = RationalFlux(2, 7)
+    imag_f01 = FourierSeries2D({(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 0.4j,
+                                (0, -1): -0.4j}, is_real=True)
+    f10 = 0.9 * np.exp(0.7j)
+    complex_f10 = FourierSeries2D({(1, 0): f10, (-1, 0): f10.conjugate(),
+                                   (0, 1): 1.1, (0, -1): 1.1}, is_real=True)
+    A = _a1_potential(L)
+    for iota in (1, -1):
+        yield "harper-real", quantize_series(HARPER, fx, iota), True, True
+        yield ("harper-imaginary-f01", quantize_series(imag_f01, fx, iota),
+               False, True)
+        yield ("hofstadter-complex-f10",
+               quantize_series(complex_f10, fx, iota, "hofstadter"),
+               False, True)
+        yield "two-band", two_band_model(A, L, 1, fx, iota).family, True, True
+        yield ("ggdag", quantize_series(_twisted_square(A.g, fx, iota), fx,
+                                        iota), True, True)
+        yield ("harper-complex-f10", quantize_series(complex_f10, fx, iota),
+               False, False)
+        yield ("hofstadter-imaginary-f01",
+               quantize_series(imag_f01, fx, iota, "hofstadter"), False, False)
+        for convention in ("harper", "hofstadter"):
+            yield (f"{convention}-real-f11", quantize_series(
+                _MIRROR_ODD[0], fx, iota, convention), True, False)
+
+
+_REFLECTION_CASES = list(_reflection_cases())
+_REFLECTION_IDS = [f"{name}-iota{fam.iota}"
+                   for name, fam, _, _ in _REFLECTION_CASES]
+
+
+@pytest.mark.parametrize("name, fam, inversion, flip", _REFLECTION_CASES,
+                         ids=_REFLECTION_IDS)
+def test_conjugation_flips_beta2_exactly_for_flip_even_families(
+        name, fam, inversion, flip):
+    # conj U(beta1) = U(beta1)^-1 and conj V(beta2) = V(-beta2), so a
+    # flip-even family has conj H(beta1, beta2) = H(beta1, -beta2) bit for
+    # bit; a flip-odd one does not
+    assert quantize._inversion_even(fam) is inversion
+    assert quantize._flip_even(fam) is flip
+    rng = np.random.default_rng(5)
+    b1, b2 = rng.uniform(0.0, 2.0 * math.pi, (2, 6))
+    assert np.array_equal(np.conj(fam.matrix_at(b1, b2)),
+                          fam.matrix_at(b1, -b2)) is flip
+
+
+@pytest.mark.parametrize("grid", _GRIDS + [(16, 16)])
+@pytest.mark.parametrize("name, fam, inversion, flip", _REFLECTION_CASES,
+                         ids=_REFLECTION_IDS)
+def test_spectrum_solves_one_point_per_reflection_orbit(
+        monkeypatch, name, fam, inversion, flip, grid):
+    counts = _count_solved_points(monkeypatch)
+    rep = spectrum(fam, grid=grid)
+    assert sum(counts) == _expected_solves(grid, inversion, flip)
+    g1, g2 = _grid_phases(fam.flux.q, grid)
+    dense = np.linalg.eigvalsh(fam.matrix_at(g1, g2))
+    assert np.max(np.abs(rep.samples - dense)) < 1e-12
+
+
+def test_orbit_counts_match_burnside():
+    for grid in _GRIDS + [(16, 16)]:
+        points = np.arange(grid[0] * grid[1])
+        for inversion in (False, True):
+            for flip in (False, True):
+                source = quantize._orbit_sources(grid, inversion, flip)
+                assert source[0] == 0
+                assert np.all(source <= points)
+                assert (np.count_nonzero(source == points)
+                        == _expected_solves(grid, inversion, flip))
+    assert [_expected_solves(g, True, True) for g in _GRIDS + [(16, 16)]] \
+        == [25, 45, 30, 81]
 
 
 @pytest.mark.parametrize("q", [3, 5, 40])
