@@ -13,8 +13,8 @@ from magbloch import FockTruncation, OracleBasis, build_full_matrix
 from magbloch.effective import (closed_form_grades, delta_from_flux,
                                 single_band_model)
 from magbloch.lattice import harper_potential, make_lattice
-from magbloch.oracle import (default_delta_sweep, level_cluster, order_fit,
-                             oracle_eigenvalues, quantize_on_grid)
+from magbloch.oracle import (default_delta_sweep, level_cluster, level_sectors,
+                             order_fit, oracle_eigenvalues, quantize_on_grid)
 
 L = make_lattice([1, 0], [0, 1])
 V = harper_potential()
@@ -29,7 +29,7 @@ for fx in default_delta_sweep():
     deltas.append(d)
     basis = OracleBasis.resolving(V, None, fx, T)
     Hf = build_full_matrix(V, None, L, basis, fx)
-    clusters.append(level_cluster(Hf, LAM, basis.slow_dim))
+    clusters.append(level_cluster(Hf, LAM, level_sectors(V, None, basis, 0)))
     for kind in models:
         if kind == "level only":
             series = LEVEL

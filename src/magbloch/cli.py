@@ -24,8 +24,9 @@ JSON integers (``qmax``, ``n_cells`` and ``n_max`` >= 1, ``order`` and
 ``guard`` >= 0), ``grid`` two integers >= 8, ``band`` a level index >= 0 or
 a list of contiguous ones (``effective``, ``two-band`` and ``oracle-compare``
 model one level and take one index); ``sapt`` and ``oracle-compare`` also
-need ``guard`` (default 6) at most ``n_max`` or their default for it.  Any
-other value is a config error.  Numbers are
+need ``guard`` (default 6) at most ``n_max`` or their default for it, and
+``oracle-compare`` a ``band`` in the guard corner ``[0, n_max + 1 - guard)``.
+Any other value is a config error.  Numbers are
 emitted with 17 significant digits and '\n' line endings; identical configs
 produce byte-identical files under the same BLAS configuration (library and
 thread count).  Across thread counts every command keeps its bytes, but
@@ -457,8 +458,13 @@ def cmd_oracle_compare(cfg: dict, args) -> str:
                           "factors fix the charge sign at +1")
     model_kind = cfg.get("model", "full")
     n_cells = cfg.get("n_cells", 1)
-    lam = _one_level(cfg, "oracle-compare") + 0.5
+    band = _one_level(cfg, "oracle-compare")
+    lam = band + 0.5
     T = _truncation(cfg, 30)
+    if band >= T.corner_dim:
+        raise ConfigError(f"band {band} lies outside the guard corner "
+                          f"[0, {T.corner_dim}) of n_max {T.n_max} and "
+                          f"guard {T.guard}")
     level = effective.closed_form_grades(V, L, lam)[0]
     entries = []
     deltas, dists = [], []
@@ -466,7 +472,8 @@ def cmd_oracle_compare(cfg: dict, args) -> str:
         delta = effective.delta_from_flux(fx)
         basis = oracle.OracleBasis.resolving(V, A, fx, T, n_cells)
         Hfull = oracle.build_full_matrix(V, A, L, basis, fx)
-        cluster = oracle.level_cluster(Hfull, lam, basis.slow_dim)
+        cluster = oracle.level_cluster(
+            Hfull, lam, oracle.level_sectors(V, A, basis, band))
         if model_kind == "order0":
             series = level
         else:

@@ -21,6 +21,19 @@ conj(V_{n,m})``, ``f1_{n,-m} = conj(f1_{n,m})`` and ``f2_{n,-m} =
 :func:`build_full_matrix` returns it so, which lets :func:`level_cluster`
 run in real arithmetic; other symbols keep the complex matrix.
 
+The inversion ``r -> -r`` can be a symmetry as well.  With the slow index
+outermost (``i = j d + n``, d the Fock dimension), the parity
+``Pi = (slow j -> -j mod N) (x) (-1)^n`` commutes with the oracle matrix
+when ``V_{-n,-m} == V_{n,m}``, ``f1_{-n,-m} == -f1_{n,m}`` and
+``f2_{-n,-m} == -f2_{n,m}`` at every mode, on any lattice
+(:func:`_inversion_even`, compared exactly).  Three facts make it exact:
+``alpha_{-n,-m} = -alpha_{n,m}`` bit for bit, so ``I_{-n,-m} = -I_{n,m}``;
+the Fock parity ``F a F = -a`` maps ``E_{n,m}`` to ``E_{-n,-m}`` and
+``Q_f, P_f`` to ``-Q_f, -P_f``; and the slow reflection inverts both the
+clock and the shift.  So Pi maps the term of ``(n, m)`` onto the term of
+``(-n, -m)``, and :func:`level_cluster` solves a level's cluster in the two
+parity sectors of :func:`level_sectors`, one after the other.
+
 Effective models are re-quantized on the *same* slow grid by the same
 quantizer (:func:`quantize_on_grid`), so oracle/model eigenvalue comparisons
 sample identical Bloch phases and the measured distance isolates the model
@@ -54,6 +67,8 @@ __all__ = [
     "build_full_matrix",
     "quantize_on_grid",
     "band_cluster",
+    "LevelSectors",
+    "level_sectors",
     "level_cluster",
     "oracle_eigenvalues",
     "OrderFit",
@@ -254,29 +269,134 @@ def oracle_eigenvalues(H) -> np.ndarray:
     return scipy.linalg.eigvalsh(H, check_finite=False)
 
 
-def level_cluster(H, lam_star: float, count: int) -> np.ndarray:
-    """The cluster of ``count`` eigenvalues of the sparse Hermitian H around
-    the level ``lam_star``, by shift-invert Lanczos (ARPACK).
+def _inversion_even(V: FourierSeries2D,
+                    A: PeriodicVectorPotential | None) -> bool:
+    """Whether the parity Pi commutes with the oracle matrix:
+    ``V_{-n,-m} == V_{n,m}``, ``f1_{-n,-m} == -f1_{n,m}`` and ``f2_{-n,-m}
+    == -f2_{n,m}`` for every mode, compared exactly, on any lattice
+    (:func:`level_sectors`)."""
+    def even(F, sign):
+        return all(F[(-n, -m)] == sign * c for (n, m), c in F.coeffs.items())
+
+    return even(V, 1) and (A is None or (even(A.f1, -1) and even(A.f2, -1)))
+
+
+@dataclass(frozen=True)
+class LevelSectors:
+    """The sectors in which :func:`level_cluster` solves one level's cluster.
+
+    ``parity`` is the signed permutation Pi as a CSR matrix, or None for a
+    single sector; ``blocks`` holds one ``(Q, count)`` pair per sector: the
+    CSR isometry Q onto the sector (None for the whole space) and the
+    sector's share of the cluster.
+    """
+
+    parity: object
+    blocks: tuple
+
+    @classmethod
+    def whole(cls, count: int) -> "LevelSectors":
+        """One sector, the whole space, holding all ``count`` levels."""
+        return cls(parity=None, blocks=((None, count),))
+
+
+def level_sectors(V: FourierSeries2D, A: PeriodicVectorPotential | None,
+                  basis: OracleBasis, level: int) -> LevelSectors:
+    """The inversion-parity sectors of the cluster of Landau level
+    ``level`` (the states near ``level + 1/2``) on ``basis``.
+
+    A symbol that misses :func:`_inversion_even` has one sector, the whole
+    space, holding all ``slow_dim`` levels.  Otherwise, with the slow index
+    outermost (``i = j d + n``), Pi maps ``e_i`` to ``sign_i e_{Pi i}``,
+    ``Pi i = (-j mod N) d + n`` and ``sign_i = (-1)^n``.  Each pair
+    ``i < Pi i`` gives ``(e_i + sign_i e_{Pi i})/sqrt 2`` to the even
+    sector and ``(e_i - sign_i e_{Pi i})/sqrt 2`` to the odd one, and each
+    fixed point ``e_i`` (``2 j = 0 mod N``) goes to the sector of its sign;
+    columns follow ascending i.  The level's states ``e_j (x) |level>``
+    fill the sectors as the V = 0 cluster does, which parity keeps while
+    the gaps stay open: with f fixed slow points (1 for odd N, 2 for even
+    N), the even sector holds ``(N + f)/2`` of the N levels and the odd one
+    ``(N - f)/2`` for an even level, and the counts swap for an odd one.
+    """
+    import scipy.sparse
+
+    N, d = basis.slow_dim, basis.fock.dim
+    if not _inversion_even(V, A):
+        return LevelSectors.whole(N)
+    i = np.arange(N * d)
+    j, n = np.divmod(i, d)
+    mirror = (-j % N) * d + n
+    sign = np.where(n % 2, -1.0, 1.0)
+    pair = i < mirror
+    parity = scipy.sparse.csr_matrix((sign, (mirror, i)), shape=(N * d,) * 2)
+    f = 1 if N % 2 else 2
+    counts = ((N + f) // 2, (N - f) // 2)
+    if level % 2:
+        counts = counts[::-1]
+    blocks = []
+    for t, count in zip((1.0, -1.0), counts):
+        cols = np.flatnonzero(pair | ((i == mirror) & (sign == t)))
+        paired = np.flatnonzero(pair[cols])
+        w = np.where(pair[cols], math.sqrt(0.5), 1.0)
+        Q = scipy.sparse.csr_matrix(
+            (np.concatenate([w, t * sign[cols[paired]] * w[paired]]),
+             (np.concatenate([cols, mirror[cols[paired]]]),
+              np.concatenate([np.arange(cols.size), paired]))),
+            shape=(N * d, cols.size))
+        blocks.append((Q, count))
+    return LevelSectors(parity=parity, blocks=tuple(blocks))
+
+
+def level_cluster(H, lam_star: float, sectors) -> np.ndarray:
+    """The cluster of eigenvalues of the sparse Hermitian H around the level
+    ``lam_star``, by shift-invert Lanczos (ARPACK), one sector at a time.
+
+    ``sectors`` is the :class:`LevelSectors` of :func:`level_sectors`, or
+    the cluster size, which is one sector: the whole space.  With two
+    sectors the parity is checked where it is used: ``max|H - Pi H Pi|``
+    over the stored entries must be at most ``1e-10 max(1, max|H|)``, else
+    :class:`NumericError` is raised.  Each sector solves ``Q^T H Q`` for
+    its own share of the cluster, as below, and the merged cluster is
+    returned sorted, through :func:`band_cluster` once more.
 
     ``eigsh`` dispatches on the dtype: a real symmetric H (a
     reflection-even symbol, :func:`build_full_matrix`) runs real symmetric
     Lanczos on a real LU factor, a complex H complex Arnoldi (``eigs``);
-    the dense fallback follows the dtype too.  At most D - 2 eigenvalues
-    are asked for: ``eigs`` needs k < D - 1, which meets real ``eigsh``'s
+    Q is real, so each sector keeps the dtype, and the dense fallback
+    follows it too.  At most D - 2 eigenvalues of a sector of size D are
+    asked for: ``eigs`` needs k < D - 1, which meets real ``eigsh``'s
     k < D as well.
 
-    The ``count + _CLUSTER_MARGIN`` eigenvalues nearest the shift are
-    computed from a fixed start vector, so the result is reproducible bit
-    for bit.  They hold every eigenvalue within ``HALF_GAP`` of the level
-    only if the farthest of them lies beyond it; otherwise neighbouring
-    levels have merged and :class:`GapClosedError` is raised, as it is for a
-    cluster that :func:`band_cluster` rejects.  A Krylov space grown from
-    one vector can hold fewer copies of an exactly degenerate level than
-    the level has, so a cluster short of ``count`` is taken from the dense
-    :func:`oracle_eigenvalues` instead; if that one does not hold ``count``
-    levels either, :class:`GapClosedError` is raised.  ARPACK failures raise
-    :class:`NumericError`.
+    In each sector the ``count + _CLUSTER_MARGIN`` eigenvalues nearest the
+    shift are computed from a fixed start vector of the sector's size, so
+    the result is reproducible bit for bit.  They hold every eigenvalue
+    within ``HALF_GAP`` of the level only if the farthest of them lies
+    beyond it; otherwise neighbouring levels have merged and
+    :class:`GapClosedError` is raised, as it is for a cluster that
+    :func:`band_cluster` rejects.  A Krylov space grown from one vector
+    can hold fewer copies of an exactly degenerate level than the level
+    has, so a cluster short of ``count`` is taken from the dense
+    :func:`oracle_eigenvalues` of the sector instead; if that one does not
+    hold ``count`` levels either, :class:`GapClosedError` is raised.
+    ARPACK failures raise :class:`NumericError`.
     """
+    if not isinstance(sectors, LevelSectors):
+        sectors = LevelSectors.whole(sectors)
+    P = sectors.parity
+    if P is not None:
+        defect = abs(H - P @ H @ P).max()
+        if defect > 1e-10 * max(1.0, abs(H).max()):
+            raise NumericError(f"oracle matrix breaks the inversion parity "
+                               f"by {defect}")
+    parts = [_sector_cluster(H if Q is None else (Q.T @ H @ Q).tocsr(),
+                             lam_star, count)
+             for Q, count in sectors.blocks]
+    return band_cluster(np.concatenate(parts), lam_star)
+
+
+def _sector_cluster(H, lam_star: float, count: int) -> np.ndarray:
+    """The ``count`` eigenvalues of one sector's H within ``HALF_GAP`` of
+    ``lam_star`` (:func:`level_cluster`)."""
     import scipy.sparse.linalg
 
     D = H.shape[0]

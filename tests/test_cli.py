@@ -380,6 +380,13 @@ def test_bad_iota_and_tol_band_are_config_errors(tmp_path, capsys, extra):
     (["two-band", "--delta", "1/7"],
      {"band": [0, 1], "A1": [[0, 1, 0.5, 0.0], [0, -1, 0.5, 0.0]]}),
     (["oracle-compare", "--delta", "1/7"], {"band": [0, 1], "n_max": 12}),
+    # oracle-compare's band must lie in the guard corner [0, n_max + 1 - guard)
+    (["oracle-compare", "--band", "40"], None),
+    (["oracle-compare", "--band", "29"], None),
+    (["oracle-compare", "--band", "25"], None),
+    (["oracle-compare", "--delta", "1/7", "--band", "7"], {"n_max": 12}),
+    (["oracle-compare", "--delta", "1/7"], {"band": 3, "n_max": 8,
+                                            "guard": 6}),
     (["effective", "--delta", "abc"], None),
     (["effective", "--delta", "1/0"], None),
     (["effective", "--delta", "0/1", "--units", "bare"], None),
@@ -514,19 +521,26 @@ def test_report_writer_on_a_report_shape():
     assert _dump_json(obj) == _dump_json_recursive(obj)
 
 
-@pytest.mark.parametrize("argv", [
-    ["sapt", "--band", "0,1"],
-    ["butterfly", "--qmax", "12"],
-    ["effective", "--delta", "1/50,1/127", "--format", "json"],
-    ["two-band", "--delta", "1/50,1/127", "--format", "json"],
-    ["oracle-compare", "--delta", "1/16,1/31,1/48"],
-])
-def test_outputs_identical_under_one_and_two_blas_threads(tmp_path, argv):
+_A1_COS = {"A1": [[0, 1, 0.5, 0.0], [0, -1, 0.5, 0.0]]}
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["sapt", "--band", "0,1"], _A1_COS),
+    (["butterfly", "--qmax", "12"], _A1_COS),
+    (["effective", "--delta", "1/50,1/127", "--format", "json"], _A1_COS),
+    (["two-band", "--delta", "1/50,1/127", "--format", "json"], _A1_COS),
+    (["oracle-compare", "--delta", "1/16,1/31,1/48"], _A1_COS),
+    (["oracle-compare", "--delta", "1/16,1/31,1/48"], {}),
+], ids=["sapt", "butterfly", "effective", "two-band", "oracle-compare",
+        "oracle-compare-parity-split"])
+def test_outputs_identical_under_one_and_two_blas_threads(tmp_path, argv,
+                                                          extra):
     # byte-identical outputs hold within one BLAS configuration; these
     # commands keep them across one and two OpenBLAS threads as well (the
-    # oracle's symbol is reflection-even, so its cluster is solved real)
-    path = _write_cfg(tmp_path, {"A1": [[0, 1, 0.5, 0.0], [0, -1, 0.5, 0.0]],
-                                 "grid": [16, 16], "order": 6})
+    # oracle's symbol is reflection-even, so its cluster is solved real;
+    # with A1 = cos 2 pi x it misses the inversion rule and is solved in the
+    # whole space, with Harper V alone in its two parity sectors)
+    path = _write_cfg(tmp_path, {**extra, "grid": [16, 16], "order": 6})
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)

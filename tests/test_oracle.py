@@ -8,15 +8,16 @@ from hypothesis import strategies as st
 
 from magbloch import fock, oracle
 from magbloch.errors import (CommensurabilityError, GapClosedError,
-                             ResourceCapError)
+                             NumericError, ResourceCapError)
 from magbloch.fock import (FockTruncation, displacement_exp, p_fast, q_fast,
                            xi_matrix)
 from magbloch.lattice import (FourierSeries2D, PeriodicVectorPotential,
                               make_lattice)
 from magbloch.oracle import (LinearCanonicalMap, OracleBasis, _slow_quantize,
                              band_cluster, build_full_matrix, ccr_table,
-                             landau_variable_map, level_cluster, log_slope,
-                             oracle_eigenvalues, order_fit,
+                             landau_variable_map, level_cluster,
+                             level_sectors, log_slope, oracle_eigenvalues,
+                             order_fit,
                              fast_slow_variable_map, quantize_on_grid)
 from magbloch.quantize import RationalFlux
 from magbloch.symbols import exact_symbol, remainder_map
@@ -471,3 +472,129 @@ def test_level_cluster_matches_dense(q, amps, a, n_max, band, phase):
     assert np.max(np.abs(got - want)) < 1e-12
     # the fixed start vector makes a repeated solve bit-identical
     assert level_cluster(H, lam, basis.slow_dim).tobytes() == got.tobytes()
+
+
+def _inversion_cases():
+    """(V, A, lattice, even): the parity Pi commutes with the oracle matrix
+    exactly when V_{-n,-m} = V_{n,m}, f1_{-n,-m} = -f1_{n,m} and
+    f2_{-n,-m} = -f2_{n,m}, on any lattice."""
+    square = make_lattice([1.0, 0.0], [0.0, 1.0])
+    harper = FourierSeries2D({nm: 1.0 for nm in NEAREST}, is_real=True)
+
+    def series(coeffs):
+        return FourierSeries2D(coeffs, is_real=True)
+
+    def potential(f1):
+        return PeriodicVectorPotential(series(f1), EMPTY, square)
+
+    return {
+        "harper": (harper, None, square, True),
+        "harper oblique": (harper, None,
+                           make_lattice([1.0, 0.0], [0.4, 1.1]), True),
+        "real (+-1,+-1)": (series({(1, 1): 0.6, (1, -1): 0.4}), None, square,
+                           True),
+        "V = 0": (EMPTY, None, square, True),
+        "odd A1": (harper, potential({(0, 1): -0.5j, (0, -1): 0.5j}), square,
+                   True),
+        "complex f10": (series({(1, 0): 0.9 * np.exp(0.7j), (0, 1): 1.0}),
+                        None, square, False),
+        "A1 cos": (harper, potential({(0, 1): 0.5, (0, -1): 0.5}), square,
+                   False),
+    }
+
+
+def _dense_parity(basis):
+    """Pi = (slow j -> -j mod N) (x) (-1)^n, written out entry by entry."""
+    N, d = basis.slow_dim, basis.fock.dim
+    P = np.zeros((N * d, N * d))
+    for j in range(N):
+        for n in range(d):
+            P[(-j % N) * d + n, j * d + n] = (-1) ** n
+    return P
+
+
+@pytest.mark.parametrize("name", list(_inversion_cases()))
+def test_parity_commutes_exactly_for_inversion_even_symbols(name):
+    V, A, L, even = _inversion_cases()[name]
+    assert oracle._inversion_even(V, A) == even
+    fx = RationalFlux(1, 16)
+    basis = OracleBasis.resolving(V, A, fx, FockTruncation(n_max=8, guard=0))
+    H = build_full_matrix(V, A, L, basis, fx).toarray()
+    P = _dense_parity(basis)
+    defect = np.max(np.abs(P @ H @ P - H))
+    sectors = level_sectors(V, A, basis, 0)
+    if even:
+        assert defect < 1e-12
+        assert np.array_equal(sectors.parity.toarray(), P)
+    else:   # the commutator is far above rounding
+        assert defect > 1e-2
+        assert sectors.parity is None
+        assert sectors.blocks == ((None, basis.slow_dim),)
+
+
+@pytest.mark.parametrize("q, n_cells", [(7, 1), (8, 1), (7, 2), (16, 1)])
+def test_sector_counts_match_dense_counts(square, harper, q, n_cells):
+    # each sector holds (N +- f)/2 of the level's N states, f = 1 for odd N
+    # and 2 for even N, the larger share in the even sector for an even level
+    fx = RationalFlux(1, q)
+    basis = OracleBasis(n_cells=n_cells, n_grid=q * -(-4 // q),
+                        fock=_fock(16))
+    V = harper.scaled(0.5)
+    H = build_full_matrix(V, None, square, basis, fx)
+    N = basis.slow_dim
+    f = 2 - N % 2
+    for level in range(4):
+        sectors = level_sectors(V, None, basis, level)
+        want = [(N + f) // 2, (N - f) // 2]
+        if level % 2:
+            want.reverse()
+        assert [count for _, count in sectors.blocks] == want
+        dims = 0
+        for Q, count in sectors.blocks:
+            Hs = (Q.T @ H @ Q).toarray()
+            assert np.max(np.abs((Q.T @ Q).toarray()
+                                 - np.eye(Q.shape[1]))) < 1e-15
+            dims += Q.shape[1]
+            eigs = oracle_eigenvalues(Hs)
+            assert np.sum(np.abs(eigs - (level + 0.5)) <= oracle.HALF_GAP) \
+                == count
+        assert dims == H.shape[0]
+
+
+@pytest.mark.parametrize("V, q, n_cells, n_max", [
+    ("harper", 7, 1, 14),    # N = 7
+    ("harper", 7, 2, 14),    # N = 14
+    ("harper", 16, 1, 20),   # N = 16
+    ("harper", 31, 1, 16),   # N = 31
+    ("empty", 34, 1, 12),    # V = 0: slow_dim-fold degenerate levels
+    ("empty", 64, 1, 8),
+])
+def test_split_cluster_matches_whole_space(square, harper, monkeypatch, V, q,
+                                           n_cells, n_max):
+    V = harper if V == "harper" else EMPTY
+    fx = RationalFlux(1, q)
+    basis = OracleBasis.resolving(V, None, fx, _fock(n_max, 0), n_cells)
+    H = build_full_matrix(V, None, square, basis, fx)
+    dense = []
+    real = oracle.oracle_eigenvalues
+    monkeypatch.setattr(oracle, "oracle_eigenvalues",
+                        lambda H: dense.append(H.shape[0]) or real(H))
+    for level in (0, 1, 3):
+        whole = level_cluster(H, level + 0.5, basis.slow_dim)
+        split = level_cluster(H, level + 0.5,
+                              level_sectors(V, None, basis, level))
+        assert split.shape == whole.shape == (basis.slow_dim,)
+        assert np.all(np.diff(split) >= 0)
+        assert np.max(np.abs(split - whole)) < 1e-12
+    if q == 64:   # the degenerate sectors take the dense fallback
+        assert any(D < H.shape[0] for D in dense)
+
+
+def test_level_cluster_rejects_a_matrix_that_breaks_the_parity(
+        square, harper, one_mode_potential):
+    # the sectors of Harper alone, used on the matrix with A1 = cos 2 pi x
+    fx = RationalFlux(1, 16)
+    basis = OracleBasis.resolving(harper, one_mode_potential, fx, _fock(8, 0))
+    H = build_full_matrix(harper, one_mode_potential, square, basis, fx)
+    with pytest.raises(NumericError, match="inversion parity"):
+        level_cluster(H, 0.5, level_sectors(harper, None, basis, 0))
