@@ -10,33 +10,29 @@ gains two full orders over the second-order one).
 """
 
 from magbloch import FockTruncation, OracleBasis, build_full_matrix
-from magbloch.effective import (closed_form_grades, delta_from_flux,
-                                single_band_model)
+from magbloch.effective import delta_from_flux, single_band_model
 from magbloch.lattice import harper_potential, make_lattice
-from magbloch.oracle import (default_delta_sweep, level_cluster, level_sectors,
-                             order_fit, oracle_eigenvalues, quantize_on_grid)
+from magbloch.oracle import (default_delta_sweep, level_cluster, order_fit,
+                             oracle_eigenvalues, quantize_on_grid)
 
 L = make_lattice([1, 0], [0, 1])
 V = harper_potential()
 LAM = 0.5
 T = FockTruncation(n_max=30, guard=6)
-LEVEL = closed_form_grades(V, L, LAM)[0]
 
 deltas, clusters = [], []
-models = {"level only": [], "second order": [], "fourth order": []}
+# the grades of the closed form that each model keeps
+ORDERS = {"level only": 0, "second order": 2, "fourth order": 4}
+models = {kind: [] for kind in ORDERS}
 for fx in default_delta_sweep():
     d = delta_from_flux(fx)
     deltas.append(d)
     basis = OracleBasis.resolving(V, None, fx, T)
     Hf = build_full_matrix(V, None, L, basis, fx)
-    clusters.append(level_cluster(Hf, LAM, level_sectors(V, None, basis, 0)))
-    for kind in models:
-        if kind == "level only":
-            series = LEVEL
-        else:
-            series = single_band_model(
-                V, L, LAM, fx, iota=1,
-                fourth_order=(kind == "fourth order")).blocks[0][0]
+    clusters.append(level_cluster(Hf, V, None, basis, 0))
+    for kind, order in ORDERS.items():
+        series = single_band_model(V, L, LAM, fx, iota=1,
+                                   order=order).blocks[0][0]
         models[kind].append(
             oracle_eigenvalues(quantize_on_grid(series, basis, fx)))
     print(f"theta = 1/{fx.q}  (delta = {d:.4f}): cluster of "

@@ -27,7 +27,7 @@ from .effective import (EffectiveModel, single_band_model, spectrum_via_GGdag,
                         two_band_model)
 from .oracle import (LinearCanonicalMap, OracleBasis, band_cluster,
                      build_full_matrix, ccr_table, landau_variable_map,
-                     level_cluster, level_sectors, order_fit,
-                     fast_slow_variable_map, quantize_on_grid)
+                     level_cluster, order_fit, fast_slow_variable_map,
+                     quantize_on_grid)
 
 __version__ = "0.1.0"

@@ -451,6 +451,10 @@ def cmd_sapt(cfg: dict, args) -> str:
     return _dump_json(payload) + "\n"
 
 
+# the grades of the closed form that each oracle-compare model keeps
+_MODEL_ORDER = {"order0": 0, "order2": 2, "full": 4}
+
+
 def cmd_oracle_compare(cfg: dict, args) -> str:
     L, V, A = _build_inputs(cfg)
     if cfg.get("iota", 1) != 1:
@@ -465,21 +469,15 @@ def cmd_oracle_compare(cfg: dict, args) -> str:
         raise ConfigError(f"band {band} lies outside the guard corner "
                           f"[0, {T.corner_dim}) of n_max {T.n_max} and "
                           f"guard {T.guard}")
-    level = effective.closed_form_grades(V, L, lam)[0]
     entries = []
     deltas, dists = [], []
     for fx in cfg.get("delta") or oracle.default_delta_sweep():
         delta = effective.delta_from_flux(fx)
         basis = oracle.OracleBasis.resolving(V, A, fx, T, n_cells)
         Hfull = oracle.build_full_matrix(V, A, L, basis, fx)
-        cluster = oracle.level_cluster(
-            Hfull, lam, oracle.level_sectors(V, A, basis, band))
-        if model_kind == "order0":
-            series = level
-        else:
-            series = effective.single_band_model(
-                V, L, lam, fx, iota=1,
-                fourth_order=(model_kind == "full")).blocks[0][0]
+        cluster = oracle.level_cluster(Hfull, V, A, basis, band)
+        series = effective.single_band_model(
+            V, L, lam, fx, iota=1, order=_MODEL_ORDER[model_kind]).blocks[0][0]
         Hmod = oracle.quantize_on_grid(series, basis, fx)
         mspec = oracle.oracle_eigenvalues(Hmod)
         dist = quantize.sorted_list_distance(mspec, cluster)

@@ -57,18 +57,21 @@ def closed_form_grades(V: FourierSeries2D, L: Lattice2D,
 
 def single_band_model(V: FourierSeries2D, L: Lattice2D, lam_star: float,
                       flux: RationalFlux, iota: int = 1,
-                      fourth_order: bool = True) -> EffectiveModel:
+                      order: int = 4) -> EffectiveModel:
     """Single-level model lam* + d^2 V + d^4 (lam*/2) |D_z|^2 V (the
     :func:`closed_form_grades`), quantized as a strong-field power series
     at theta = d^2.
 
-    ``fourth_order=False`` drops the d^4 term (useful for order fits).
+    ``order`` (0, 2 or 4) keeps the grades up to it: 0 is the bare level,
+    2 drops the d^4 term (useful for order fits).
     """
+    if order not in (0, 2, 4):
+        raise ValueError(f"order must be 0, 2 or 4, not {order}")
     delta = delta_from_flux(flux)
     h = closed_form_grades(V, L, lam_star)
-    symbol = h[0].plus(h[2].scaled(delta ** 2))
-    if fourth_order:
-        symbol = symbol.plus(h[4].scaled(delta ** 4))
+    symbol = h[0]
+    for j in range(2, order + 1, 2):
+        symbol = symbol.plus(h[j].scaled(delta ** j))
     return EffectiveModel(delta=delta, blocks=[[symbol]],
                           family=quantize_series(symbol, flux, iota=iota))
 

@@ -31,8 +31,9 @@ when ``V_{-n,-m} == V_{n,m}``, ``f1_{-n,-m} == -f1_{n,m}`` and
 the Fock parity ``F a F = -a`` maps ``E_{n,m}`` to ``E_{-n,-m}`` and
 ``Q_f, P_f`` to ``-Q_f, -P_f``; and the slow reflection inverts both the
 clock and the shift.  So Pi maps the term of ``(n, m)`` onto the term of
-``(-n, -m)``, and :func:`level_cluster` solves a level's cluster in the two
-parity sectors of :func:`level_sectors`, one after the other.
+``(-n, -m)``, and :func:`level_cluster`, which applies the rule itself,
+solves a level's cluster in the two parity sectors of
+:func:`_parity_sectors`, one after the other.
 
 Effective models are re-quantized on the *same* slow grid by the same
 quantizer (:func:`quantize_on_grid`), so oracle/model eigenvalue comparisons
@@ -67,8 +68,6 @@ __all__ = [
     "build_full_matrix",
     "quantize_on_grid",
     "band_cluster",
-    "LevelSectors",
-    "level_sectors",
     "level_cluster",
     "oracle_eigenvalues",
     "OrderFit",
@@ -274,55 +273,34 @@ def _inversion_even(V: FourierSeries2D,
     """Whether the parity Pi commutes with the oracle matrix:
     ``V_{-n,-m} == V_{n,m}``, ``f1_{-n,-m} == -f1_{n,m}`` and ``f2_{-n,-m}
     == -f2_{n,m}`` for every mode, compared exactly, on any lattice
-    (:func:`level_sectors`)."""
+    (:func:`level_cluster`)."""
     def even(F, sign):
         return all(F[(-n, -m)] == sign * c for (n, m), c in F.coeffs.items())
 
     return even(V, 1) and (A is None or (even(A.f1, -1) and even(A.f2, -1)))
 
 
-@dataclass(frozen=True)
-class LevelSectors:
-    """The sectors in which :func:`level_cluster` solves one level's cluster.
-
-    ``parity`` is the signed permutation Pi as a CSR matrix, or None for a
-    single sector; ``blocks`` holds one ``(Q, count)`` pair per sector: the
-    CSR isometry Q onto the sector (None for the whole space) and the
+def _parity_sectors(N: int, d: int, level: int):
+    """The parity Pi and the two inversion-parity sectors of the cluster of
+    Landau level ``level`` on N slow points x d Fock states
+    (:func:`level_cluster`): ``(Pi, ((Q, count), (Q, count)))``, Pi the
+    signed permutation and each Q the CSR isometry onto a sector, with the
     sector's share of the cluster.
-    """
 
-    parity: object
-    blocks: tuple
-
-    @classmethod
-    def whole(cls, count: int) -> "LevelSectors":
-        """One sector, the whole space, holding all ``count`` levels."""
-        return cls(parity=None, blocks=((None, count),))
-
-
-def level_sectors(V: FourierSeries2D, A: PeriodicVectorPotential | None,
-                  basis: OracleBasis, level: int) -> LevelSectors:
-    """The inversion-parity sectors of the cluster of Landau level
-    ``level`` (the states near ``level + 1/2``) on ``basis``.
-
-    A symbol that misses :func:`_inversion_even` has one sector, the whole
-    space, holding all ``slow_dim`` levels.  Otherwise, with the slow index
-    outermost (``i = j d + n``), Pi maps ``e_i`` to ``sign_i e_{Pi i}``,
-    ``Pi i = (-j mod N) d + n`` and ``sign_i = (-1)^n``.  Each pair
-    ``i < Pi i`` gives ``(e_i + sign_i e_{Pi i})/sqrt 2`` to the even
-    sector and ``(e_i - sign_i e_{Pi i})/sqrt 2`` to the odd one, and each
-    fixed point ``e_i`` (``2 j = 0 mod N``) goes to the sector of its sign;
-    columns follow ascending i.  The level's states ``e_j (x) |level>``
-    fill the sectors as the V = 0 cluster does, which parity keeps while
-    the gaps stay open: with f fixed slow points (1 for odd N, 2 for even
-    N), the even sector holds ``(N + f)/2`` of the N levels and the odd one
-    ``(N - f)/2`` for an even level, and the counts swap for an odd one.
+    With the slow index outermost (``i = j d + n``), Pi maps ``e_i`` to
+    ``sign_i e_{Pi i}``, ``Pi i = (-j mod N) d + n`` and ``sign_i =
+    (-1)^n``.  Each pair ``i < Pi i`` gives ``(e_i + sign_i e_{Pi
+    i})/sqrt 2`` to the even sector and ``(e_i - sign_i e_{Pi i})/sqrt 2``
+    to the odd one, and each fixed point ``e_i`` (``2 j = 0 mod N``) goes
+    to the sector of its sign; columns follow ascending i.  The level's
+    states ``e_j (x) |level>`` fill the sectors as the V = 0 cluster does,
+    which parity keeps while the gaps stay open: with f fixed slow points
+    (1 for odd N, 2 for even N), the even sector holds ``(N + f)/2`` of the
+    N levels and the odd one ``(N - f)/2`` for an even level, and the
+    counts swap for an odd one.
     """
     import scipy.sparse
 
-    N, d = basis.slow_dim, basis.fock.dim
-    if not _inversion_even(V, A):
-        return LevelSectors.whole(N)
     i = np.arange(N * d)
     j, n = np.divmod(i, d)
     mirror = (-j % N) * d + n
@@ -344,20 +322,23 @@ def level_sectors(V: FourierSeries2D, A: PeriodicVectorPotential | None,
               np.concatenate([np.arange(cols.size), paired]))),
             shape=(N * d, cols.size))
         blocks.append((Q, count))
-    return LevelSectors(parity=parity, blocks=tuple(blocks))
+    return parity, tuple(blocks)
 
 
-def level_cluster(H, lam_star: float, sectors) -> np.ndarray:
-    """The cluster of eigenvalues of the sparse Hermitian H around the level
-    ``lam_star``, by shift-invert Lanczos (ARPACK), one sector at a time.
+def level_cluster(H, V: FourierSeries2D, A: PeriodicVectorPotential | None,
+                  basis: OracleBasis, level: int) -> np.ndarray:
+    """The cluster of Landau level ``level``: the ``basis.slow_dim``
+    eigenvalues near ``level + 1/2`` of the sparse Hermitian oracle matrix
+    H of (V, A) on ``basis``, by shift-invert Lanczos (ARPACK), one sector
+    at a time.
 
-    ``sectors`` is the :class:`LevelSectors` of :func:`level_sectors`, or
-    the cluster size, which is one sector: the whole space.  With two
-    sectors the parity is checked where it is used: ``max|H - Pi H Pi|``
-    over the stored entries must be at most ``1e-10 max(1, max|H|)``, else
-    :class:`NumericError` is raised.  Each sector solves ``Q^T H Q`` for
-    its own share of the cluster, as below, and the merged cluster is
-    returned sorted, through :func:`band_cluster` once more.
+    A symbol that passes :func:`_inversion_even` is solved in the two
+    sectors of :func:`_parity_sectors`.  The parity is checked where it is
+    used: ``max|H - Pi H Pi|`` over the stored entries must be at most
+    ``1e-10 max(1, max|H|)``, else :class:`NumericError` is raised.  Each
+    sector solves ``Q^T H Q`` for its own share of the cluster, as below,
+    and the merged cluster is returned sorted, through :func:`band_cluster`
+    once more.  Any other symbol is one sector, the whole space.
 
     ``eigsh`` dispatches on the dtype: a real symmetric H (a
     reflection-even symbol, :func:`build_full_matrix`) runs real symmetric
@@ -373,24 +354,26 @@ def level_cluster(H, lam_star: float, sectors) -> np.ndarray:
     within ``HALF_GAP`` of the level only if the farthest of them lies
     beyond it; otherwise neighbouring levels have merged and
     :class:`GapClosedError` is raised, as it is for a cluster that
-    :func:`band_cluster` rejects.  A Krylov space grown from one vector
-    can hold fewer copies of an exactly degenerate level than the level
-    has, so a cluster short of ``count`` is taken from the dense
-    :func:`oracle_eigenvalues` of the sector instead; if that one does not
-    hold ``count`` levels either, :class:`GapClosedError` is raised.
-    ARPACK failures raise :class:`NumericError`.
+    :func:`band_cluster` rejects.  A sector too small to leave an
+    eigenvalue beyond its cluster is solved dense by
+    :func:`oracle_eigenvalues`.  A Krylov space grown from one vector can
+    hold fewer copies of an exactly degenerate level than the level has,
+    so a cluster short of ``count`` is taken from the dense solve of the
+    sector as well; if that one does not hold ``count`` levels either,
+    :class:`GapClosedError` is raised.  ARPACK failures raise
+    :class:`NumericError`.
     """
-    if not isinstance(sectors, LevelSectors):
-        sectors = LevelSectors.whole(sectors)
-    P = sectors.parity
-    if P is not None:
-        defect = abs(H - P @ H @ P).max()
-        if defect > 1e-10 * max(1.0, abs(H).max()):
-            raise NumericError(f"oracle matrix breaks the inversion parity "
-                               f"by {defect}")
-    parts = [_sector_cluster(H if Q is None else (Q.T @ H @ Q).tocsr(),
-                             lam_star, count)
-             for Q, count in sectors.blocks]
+    lam_star = level + 0.5
+    N = basis.slow_dim
+    if not _inversion_even(V, A):
+        return _sector_cluster(H, lam_star, N)
+    P, blocks = _parity_sectors(N, basis.fock.dim, level)
+    defect = abs(H - P @ H @ P).max()
+    if defect > 1e-10 * max(1.0, abs(H).max()):
+        raise NumericError(f"oracle matrix breaks the inversion parity "
+                           f"by {defect}")
+    parts = [_sector_cluster((Q.T @ H @ Q).tocsr(), lam_star, count)
+             for Q, count in blocks]
     return band_cluster(np.concatenate(parts), lam_star)
 
 
@@ -400,8 +383,11 @@ def _sector_cluster(H, lam_star: float, count: int) -> np.ndarray:
     import scipy.sparse.linalg
 
     D = H.shape[0]
-    # eigs, which eigsh calls for complex H, needs k < D - 1
+    # eigs, which eigsh calls for complex H, needs k < D - 1; k <= count
+    # leaves no eigenvalue to reach past the cluster
     k = min(count + _CLUSTER_MARGIN, D - 2)
+    if k <= count:
+        return _dense_cluster(H, lam_star, count)
     sigma = lam_star + _SHIFT_OFFSET
     v0 = np.random.default_rng(0).standard_normal(D).astype(H.dtype)
     try:
@@ -417,7 +403,14 @@ def _sector_cluster(H, lam_star: float, count: int) -> np.ndarray:
             f"{HALF_GAP} of it: neighbouring levels have merged")
     cluster = band_cluster(eigs, lam_star)
     if cluster.size != count:
-        cluster = band_cluster(oracle_eigenvalues(H), lam_star)
+        return _dense_cluster(H, lam_star, count)
+    return cluster
+
+
+def _dense_cluster(H, lam_star: float, count: int) -> np.ndarray:
+    """The cluster of one sector's H around ``lam_star`` from its full
+    spectrum; :class:`GapClosedError` unless it holds ``count`` levels."""
+    cluster = band_cluster(oracle_eigenvalues(H), lam_star)
     if cluster.size != count:
         raise GapClosedError(f"level {lam_star} has {cluster.size} eigenvalues "
                              f"within {HALF_GAP}, not {count}")

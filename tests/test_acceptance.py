@@ -87,8 +87,7 @@ def test_criterion_3_error_orders():
         deltas.append(delta)
         basis = oracle.OracleBasis(n_cells=1, n_grid=fx.q, fock=T)
         Hf = oracle.build_full_matrix(HARPER, None, SQUARE, basis, fx)
-        clusters.append(oracle.level_cluster(
-            Hf, lam, oracle.level_sectors(HARPER, None, basis, 0)))
+        clusters.append(oracle.level_cluster(Hf, HARPER, None, basis, 0))
         for kind in sweeps:
             if kind == "order0":
                 series = FourierSeries2D({(0, 0): lam}, is_real=True)

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magbloch import quantize
+from magbloch import FockTruncation, oracle, quantize
 from magbloch.cli import _check_flags, _dump_json, _parser, main
+from magbloch.lattice import FourierSeries2D, make_lattice
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -264,6 +265,32 @@ def test_oracle_compare_grid_resolves_vector_potential(tmp_path):
                  "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert [len(e["oracle_band"]) for e in payload] == [10, 12]
+
+
+# V = 0.3 on the nearest-neighbour modes with two Fock states: at 1/4 and 1/5
+# a parity sector is too small to leave an eigenvalue beyond its share
+_SMALL_SECTORS = {"V": [[n, m, 0.3, 0.0] for n, m, *_ in HARPER_CFG["V"]],
+                  "n_max": 1, "guard": 0}
+
+
+@pytest.mark.parametrize("flux", ["1/4", "1/5", "1/8"])
+def test_oracle_compare_small_parity_sectors(tmp_path, flux):
+    # every level of the cluster is found, as the dense spectrum has it
+    path = _write_cfg(tmp_path, _SMALL_SECTORS)
+    out = tmp_path / "oc.json"
+    assert main(["oracle-compare", "--config", path, "--delta", flux,
+                 "--band", "0", "--out", str(out)]) == 0
+    got = json.loads(out.read_text())[0]["oracle_band"]
+    V = FourierSeries2D({(n, m): c for n, m, c, _ in _SMALL_SECTORS["V"]},
+                        is_real=True)
+    fx = quantize.RationalFlux(1, int(flux[2:]))
+    basis = oracle.OracleBasis.resolving(V, None, fx,
+                                         FockTruncation(n_max=1, guard=0))
+    H = oracle.build_full_matrix(V, None, make_lattice([1, 0], [0, 1]),
+                                 basis, fx)
+    want = oracle.band_cluster(oracle.oracle_eigenvalues(H), 0.5)
+    assert len(got) == want.size == basis.slow_dim
+    assert np.max(np.abs(np.array(got) - want)) < 1e-12
 
 
 def test_units_flag_rescales(tmp_path):
@@ -531,15 +558,17 @@ _A1_COS = {"A1": [[0, 1, 0.5, 0.0], [0, -1, 0.5, 0.0]]}
     (["two-band", "--delta", "1/50,1/127", "--format", "json"], _A1_COS),
     (["oracle-compare", "--delta", "1/16,1/31,1/48"], _A1_COS),
     (["oracle-compare", "--delta", "1/16,1/31,1/48"], {}),
+    (["oracle-compare", "--delta", "1/4,1/5,1/8"], _SMALL_SECTORS),
 ], ids=["sapt", "butterfly", "effective", "two-band", "oracle-compare",
-        "oracle-compare-parity-split"])
+        "oracle-compare-parity-split", "oracle-compare-small-sectors"])
 def test_outputs_identical_under_one_and_two_blas_threads(tmp_path, argv,
                                                           extra):
     # byte-identical outputs hold within one BLAS configuration; these
     # commands keep them across one and two OpenBLAS threads as well (the
     # oracle's symbol is reflection-even, so its cluster is solved real;
     # with A1 = cos 2 pi x it misses the inversion rule and is solved in the
-    # whole space, with Harper V alone in its two parity sectors)
+    # whole space, with Harper V alone in its two parity sectors, and with
+    # two Fock states some sectors are solved dense)
     path = _write_cfg(tmp_path, {**extra, "grid": [16, 16], "order": 6})
     outputs = []
     for threads in ("1", "2"):

@@ -42,14 +42,24 @@ def test_fourth_order_term_scales_band_edges(square, harper):
     fx = RationalFlux(1, 3)
     d = delta_from_flux(fx)
     lam = 0.5
-    on = single_band_model(harper, square, lam, fx, fourth_order=True)
-    off = single_band_model(harper, square, lam, fx, fourth_order=False)
+    on = single_band_model(harper, square, lam, fx, order=4)
+    off = single_band_model(harper, square, lam, fx, order=2)
     factor = 1.0 - 2 * math.pi ** 2 * lam * d ** 2
     rep_on = spectrum(on.family, grid=(12, 12))
     rep_off = spectrum(off.family, grid=(12, 12))
     dev_on = np.sort(rep_on.samples - lam, axis=1)
     dev_off = np.sort(factor * (rep_off.samples - lam), axis=1)
     assert np.max(np.abs(dev_on - dev_off)) < 1e-12
+
+
+def test_single_band_order_keeps_grades_up_to_it(square, harper):
+    # order 0 is the bare level; only the even orders 0, 2, 4 exist
+    fx = RationalFlux(1, 3)
+    bare = single_band_model(harper, square, 0.5, fx, order=0).blocks[0][0]
+    assert bare.coeffs == {(0, 0): 0.5}
+    for order in (-2, 1, 3, 6):
+        with pytest.raises(ValueError, match="order must be 0, 2 or 4"):
+            single_band_model(harper, square, 0.5, fx, order=order)
 
 
 def test_two_band_zero_flux_levels(square, one_mode_potential):

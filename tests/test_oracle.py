@@ -15,9 +15,8 @@ from magbloch.lattice import (FourierSeries2D, PeriodicVectorPotential,
                               make_lattice)
 from magbloch.oracle import (LinearCanonicalMap, OracleBasis, _slow_quantize,
                              band_cluster, build_full_matrix, ccr_table,
-                             landau_variable_map, level_cluster,
-                             level_sectors, log_slope, oracle_eigenvalues,
-                             order_fit,
+                             landau_variable_map, level_cluster, log_slope,
+                             oracle_eigenvalues, order_fit,
                              fast_slow_variable_map, quantize_on_grid)
 from magbloch.quantize import RationalFlux
 from magbloch.symbols import exact_symbol, remainder_map
@@ -95,7 +94,7 @@ def test_level_cluster_completes_degenerate_levels(square, monkeypatch):
         basis = OracleBasis(n_cells=1, n_grid=q, fock=_fock(n_max))
         H = build_full_matrix(EMPTY, None, square, basis, RationalFlux(1, q))
         for n in (0, 1, 3):
-            cluster = level_cluster(H, n + 0.5, basis.slow_dim)
+            cluster = oracle._sector_cluster(H, n + 0.5, basis.slow_dim)
             assert cluster.size == basis.slow_dim
             assert np.max(np.abs(cluster - (n + 0.5))) < 1e-10
     assert H.shape in dense   # the 1/64 matrix took the dense fallback
@@ -195,7 +194,7 @@ def test_band_cluster_exact_and_overlap(square, harper):
     with pytest.raises(GapClosedError):
         band_cluster(oracle_eigenvalues(H), 0.5)
     with pytest.raises(GapClosedError):
-        level_cluster(H, 0.5, basis.slow_dim)
+        level_cluster(H, strong, None, basis, 0)
 
 
 def test_cluster_width_tracks_model(square, harper):
@@ -465,13 +464,14 @@ def test_level_cluster_matches_dense(q, amps, a, n_max, band, phase):
         want = None
     if want is None or want.size != basis.slow_dim:
         with pytest.raises(GapClosedError):
-            level_cluster(H, lam, basis.slow_dim)
+            oracle._sector_cluster(H, lam, basis.slow_dim)
         return
-    got = level_cluster(H, lam, basis.slow_dim)
+    got = oracle._sector_cluster(H, lam, basis.slow_dim)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) < 1e-12
     # the fixed start vector makes a repeated solve bit-identical
-    assert level_cluster(H, lam, basis.slow_dim).tobytes() == got.tobytes()
+    assert oracle._sector_cluster(H, lam, basis.slow_dim).tobytes() \
+        == got.tobytes()
 
 
 def _inversion_cases():
@@ -514,22 +514,32 @@ def _dense_parity(basis):
 
 
 @pytest.mark.parametrize("name", list(_inversion_cases()))
-def test_parity_commutes_exactly_for_inversion_even_symbols(name):
+def test_parity_commutes_exactly_for_inversion_even_symbols(name, monkeypatch):
     V, A, L, even = _inversion_cases()[name]
     assert oracle._inversion_even(V, A) == even
     fx = RationalFlux(1, 16)
     basis = OracleBasis.resolving(V, A, fx, FockTruncation(n_max=8, guard=0))
-    H = build_full_matrix(V, A, L, basis, fx).toarray()
+    Hs = build_full_matrix(V, A, L, basis, fx)
+    H = Hs.toarray()
     P = _dense_parity(basis)
     defect = np.max(np.abs(P @ H @ P - H))
-    sectors = level_sectors(V, A, basis, 0)
     if even:
         assert defect < 1e-12
-        assert np.array_equal(sectors.parity.toarray(), P)
+        parity, _ = oracle._parity_sectors(basis.slow_dim, basis.fock.dim, 0)
+        assert np.array_equal(parity.toarray(), P)
     else:   # the commutator is far above rounding
         assert defect > 1e-2
-        assert sectors.parity is None
-        assert sectors.blocks == ((None, basis.slow_dim),)
+    # level_cluster splits exactly the inversion-even symbols into two
+    # sectors, and the split cluster is the whole-space one
+    calls = []
+    solve = oracle._sector_cluster
+    monkeypatch.setattr(oracle, "_sector_cluster",
+                        lambda *a: calls.append(a) or solve(*a))
+    got = level_cluster(Hs, V, A, basis, 0)
+    assert len(calls) == (2 if even else 1)
+    whole = solve(Hs, 0.5, basis.slow_dim)
+    assert got.shape == whole.shape
+    assert np.max(np.abs(got - whole)) < 1e-12
 
 
 @pytest.mark.parametrize("q, n_cells", [(7, 1), (8, 1), (7, 2), (16, 1)])
@@ -544,13 +554,13 @@ def test_sector_counts_match_dense_counts(square, harper, q, n_cells):
     N = basis.slow_dim
     f = 2 - N % 2
     for level in range(4):
-        sectors = level_sectors(V, None, basis, level)
+        _, blocks = oracle._parity_sectors(N, basis.fock.dim, level)
         want = [(N + f) // 2, (N - f) // 2]
         if level % 2:
             want.reverse()
-        assert [count for _, count in sectors.blocks] == want
+        assert [count for _, count in blocks] == want
         dims = 0
-        for Q, count in sectors.blocks:
+        for Q, count in blocks:
             Hs = (Q.T @ H @ Q).toarray()
             assert np.max(np.abs((Q.T @ Q).toarray()
                                  - np.eye(Q.shape[1]))) < 1e-15
@@ -580,9 +590,8 @@ def test_split_cluster_matches_whole_space(square, harper, monkeypatch, V, q,
     monkeypatch.setattr(oracle, "oracle_eigenvalues",
                         lambda H: dense.append(H.shape[0]) or real(H))
     for level in (0, 1, 3):
-        whole = level_cluster(H, level + 0.5, basis.slow_dim)
-        split = level_cluster(H, level + 0.5,
-                              level_sectors(V, None, basis, level))
+        whole = oracle._sector_cluster(H, level + 0.5, basis.slow_dim)
+        split = level_cluster(H, V, None, basis, level)
         assert split.shape == whole.shape == (basis.slow_dim,)
         assert np.all(np.diff(split) >= 0)
         assert np.max(np.abs(split - whole)) < 1e-12
@@ -597,4 +606,4 @@ def test_level_cluster_rejects_a_matrix_that_breaks_the_parity(
     basis = OracleBasis.resolving(harper, one_mode_potential, fx, _fock(8, 0))
     H = build_full_matrix(harper, one_mode_potential, square, basis, fx)
     with pytest.raises(NumericError, match="inversion parity"):
-        level_cluster(H, 0.5, level_sectors(harper, None, basis, 0))
+        level_cluster(H, harper, None, basis, 0)
