@@ -14,8 +14,7 @@ from .lattice import (FourierSeries2D, Lattice2D, PeriodicVectorPotential,
                       directional_derivative_Dz, directional_derivative_Dzbar,
                       eval_series, harper_potential, laplacian_DzDzbar,
                       make_lattice)
-from .fock import (FockTruncation, I_generator, displacement_exp, ladder,
-                   xi_matrix)
+from .fock import FockTruncation, I_generator, ladder, xi_matrix
 from .symbols import (OperatorSymbol, assemble_truncated, exact_symbol,
                       remainder_map, remainder_norm)
 from .moyal import (MoyalSeries, build_intertwiner, build_projection,

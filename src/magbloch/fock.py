@@ -1,5 +1,5 @@
-"""Truncated Fock space: ladder matrices, the harmonic generator, and
-displacement-type exponentials.
+"""Truncated Fock space: ladder matrices, the harmonic generator, the mode
+generators and their shared eigenbasis.
 
 All matrices act on the basis ``psi_0 ... psi_{n_max}``.  The top ``guard``
 rows/columns are considered unreliable; every scalar reported by higher
@@ -14,9 +14,8 @@ the Golub-Welsch identity the eigenvalues of ``J`` are the Gauss-Hermite
 nodes (roots of the probabilists' Hermite polynomial He_dim).  Its
 eigendecomposition is computed once per basis size and cached, and
 :func:`_mode_eigenbasis` phases it into the eigenbasis of ``t I_{n,m}``
-for any mode and time: every function of a mode generator (the
-displacement exponential, the Taylor tails of :mod:`magbloch.symbols`)
-reuses it.
+for any mode and time: every function of a mode generator (the Taylor
+tails of :mod:`magbloch.symbols`) reuses it.
 """
 
 from __future__ import annotations
@@ -36,14 +35,9 @@ __all__ = [
     "FockTruncation",
     "ladder",
     "xi_matrix",
-    "q_fast",
-    "p_fast",
     "I_generator",
     "alpha_coefficient",
-    "displacement_exp",
     "band_projector_matrix",
-    "corner",
-    "corner_norm",
 ]
 
 
@@ -99,24 +93,6 @@ def _quadrature_diagonals(z: complex, T: FockTruncation):
             z.conjugate() * np.sqrt(k) / math.sqrt(2.0))
 
 
-def _quadrature(z: complex, T: FockTruncation) -> np.ndarray:
-    """(z a + conj(z) a_dag)/sqrt(2) as a dense matrix."""
-    k = np.arange(1, T.dim)
-    X = np.zeros((T.dim, T.dim), dtype=complex)
-    X[k - 1, k], X[k, k - 1] = _quadrature_diagonals(z, T)
-    return X
-
-
-def q_fast(T: FockTruncation, L: Lattice2D) -> np.ndarray:
-    """Fast position (z_a a + conj(z_a) a_dag)/sqrt(2)."""
-    return _quadrature(L.z_a, T)
-
-
-def p_fast(T: FockTruncation, L: Lattice2D) -> np.ndarray:
-    """Fast momentum (z_b a + conj(z_b) a_dag)/sqrt(2)."""
-    return _quadrature(L.z_b, T)
-
-
 def alpha_coefficient(n: int, m: int, L: Lattice2D) -> complex:
     """Ladder coefficient alpha_{n,m} = (n z_b - m z_a)/sqrt(2)."""
     return (n * L.z_b - m * L.z_a) / math.sqrt(2.0)
@@ -163,35 +139,9 @@ def _mode_eigenbasis(t: float, n: int, m: int, L: Lattice2D,
     return t * abs(alpha) * x, U, d
 
 
-def displacement_exp(t: float, n: int, m: int, L: Lattice2D,
-                     T: FockTruncation) -> np.ndarray:
-    """exp(i t I_{n,m}) on the mode's eigenbasis (:func:`_mode_eigenbasis`):
-
-        exp(i t I) = D [U diag(cos(lam)) U^T + i U diag(sin(lam)) U^T] D^*,
-
-    two real matrix products and a diagonal phase scaling per call.
-    Unconditionally stable in t, unitary on the truncated space by
-    construction; the guard band controls the distance to the
-    untruncated operator.
-    """
-    theta, U, d = _mode_eigenbasis(t, n, m, L, T)
-    E = (U * np.cos(theta)) @ U.T + 1j * ((U * np.sin(theta)) @ U.T)
-    return E * np.outer(d, d.conj())
-
-
 def band_projector_matrix(T: FockTruncation, band_set) -> np.ndarray:
     """Diagonal projector onto the Hermite states listed in band_set."""
     P = np.zeros((T.dim, T.dim), dtype=complex)
     for k in band_set:
         P[k, k] = 1.0
     return P
-
-
-def corner(M: np.ndarray, T: FockTruncation) -> np.ndarray:
-    c = T.corner_dim
-    return M[:c, :c]
-
-
-def corner_norm(M: np.ndarray, T: FockTruncation) -> float:
-    """Spectral norm of the guard-band corner."""
-    return float(np.linalg.norm(corner(M, T), 2))

@@ -154,6 +154,18 @@ def eval_series(F: FourierSeries2D, x1: float, x2: float):
     return total
 
 
+def _coefficients_reflect(coeffs: dict, mode, weight) -> bool:
+    """Whether ``coeffs[mode(n, m)] == weight(n, m, c)`` for every stored
+    ``(n, m): c``, compared exactly; a missing mode reads as zero.
+
+    The one home of the exact reflection rules: each symmetry fast path
+    (the Bloch grid's inversion and flip, the butterfly mirror, the real
+    and the parity-split oracle) is one call of it, with its own mode map
+    and weight."""
+    return all(coeffs.get(mode(n, m), 0j) == weight(n, m, c)
+               for (n, m), c in coeffs.items())
+
+
 def _mode_multiplied(F: FourierSeries2D, mult) -> FourierSeries2D:
     return FourierSeries2D(
         {(n, m): mult(n, m) * c for (n, m), c in F.coeffs.items()},

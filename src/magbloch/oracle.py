@@ -15,18 +15,18 @@ A uniform field is odd under time reversal and under a mirror, so complex
 conjugation combined with the reflection (n, m) -> (n, -m) can be a
 symmetry.  The slow factors satisfy ``conj(W_{n,m}) = W_{n,-m}``; the fast
 blocks satisfy ``conj(B_{n,-m}) = B_{n,m}`` when the frame has ``z_a`` real
-and ``z_b`` imaginary (``a = (a1, 0)``, ``b = (0, b2)``), ``V_{n,-m} =
-conj(V_{n,m})``, ``f1_{n,-m} = conj(f1_{n,m})`` and ``f2_{n,-m} =
--conj(f2_{n,m})``.  The matrix is then real symmetric, and
-:func:`build_full_matrix` returns it so, which lets :func:`level_cluster`
-run in real arithmetic; other symbols keep the complex matrix.
+and ``z_b`` imaginary (``a = (a1, 0)``, ``b = (0, b2)``) and the symbol
+passes the reflection rule :func:`_reflection_even`.  The matrix is then
+real symmetric, and :func:`build_full_matrix` returns it so, which lets
+:func:`level_cluster` run in real arithmetic; other symbols keep the
+complex matrix.
 
 The inversion ``r -> -r`` can be a symmetry as well.  With the slow index
 outermost (``i = j d + n``, d the Fock dimension), the parity
 ``Pi = (slow j -> -j mod N) (x) (-1)^n`` commutes with the oracle matrix
-when ``V_{-n,-m} == V_{n,m}``, ``f1_{-n,-m} == -f1_{n,m}`` and
-``f2_{-n,-m} == -f2_{n,m}`` at every mode, on any lattice
-(:func:`_inversion_even`, compared exactly).  Three facts make it exact:
+when the symbol passes the inversion rule :func:`_inversion_even`, on any
+lattice.  Both rules are decided exactly, in their one home
+:func:`lattice._coefficients_reflect`.  Three facts make it exact:
 ``alpha_{-n,-m} = -alpha_{n,m}`` bit for bit, so ``I_{-n,-m} = -I_{n,m}``;
 the Fock parity ``F a F = -a`` maps ``E_{n,m}`` to ``E_{-n,-m}`` and
 ``Q_f, P_f`` to ``-Q_f, -P_f``; and the slow reflection inverts both the
@@ -59,7 +59,7 @@ from .errors import (CommensurabilityError, GapClosedError, NumericError,
                      ResourceCapError)
 from .fock import FockTruncation
 from .lattice import (FourierSeries2D, Lattice2D, PeriodicVectorPotential,
-                      TWO_PI)
+                      TWO_PI, _coefficients_reflect)
 from .quantize import (RationalFlux, _phase, _require_hermitian, _weyl_terms,
                        sorted_list_distance)
 
@@ -190,15 +190,14 @@ def _slow_quantize(modes, basis: OracleBasis, flux: RationalFlux):
 def _reflection_even(V: FourierSeries2D, A: PeriodicVectorPotential | None,
                      L: Lattice2D) -> bool:
     """Whether the oracle matrix is real: ``L.z_a`` real, ``L.z_b``
-    imaginary, ``V_{n,-m} == conj(V_{n,m})``, ``f1_{n,-m} ==
-    conj(f1_{n,m})`` and ``f2_{n,-m} == -conj(f2_{n,m})`` for every mode,
-    compared exactly (:func:`build_full_matrix`)."""
-    def even(F, sign):
-        return all(F[(n, -m)] == sign * c.conjugate()
-                   for (n, m), c in F.coeffs.items())
-
-    return (L.z_a.imag == 0 and L.z_b.real == 0 and even(V, 1)
-            and (A is None or (even(A.f1, 1) and even(A.f2, -1))))
+    imaginary, and ``V_{n,-m} == conj(V_{n,m})``, ``f1_{n,-m} ==
+    conj(f1_{n,m})`` and ``f2_{n,-m} == -conj(f2_{n,m})`` by the exact rule
+    :func:`lattice._coefficients_reflect` (:func:`build_full_matrix`)."""
+    series = [(V, 1)] + ([] if A is None else [(A.f1, 1), (A.f2, -1)])
+    return (L.z_a.imag == 0 and L.z_b.real == 0
+            and all(_coefficients_reflect(F.coeffs, lambda n, m: (n, -m),
+                                          lambda n, m, c: sign * c.conjugate())
+                    for F, sign in series))
 
 
 def build_full_matrix(V: FourierSeries2D, A: PeriodicVectorPotential | None,
@@ -272,12 +271,12 @@ def _inversion_even(V: FourierSeries2D,
                     A: PeriodicVectorPotential | None) -> bool:
     """Whether the parity Pi commutes with the oracle matrix:
     ``V_{-n,-m} == V_{n,m}``, ``f1_{-n,-m} == -f1_{n,m}`` and ``f2_{-n,-m}
-    == -f2_{n,m}`` for every mode, compared exactly, on any lattice
-    (:func:`level_cluster`)."""
-    def even(F, sign):
-        return all(F[(-n, -m)] == sign * c for (n, m), c in F.coeffs.items())
-
-    return even(V, 1) and (A is None or (even(A.f1, -1) and even(A.f2, -1)))
+    == -f2_{n,m}`` by the exact rule :func:`lattice._coefficients_reflect`,
+    on any lattice (:func:`level_cluster`)."""
+    series = [(V, 1)] + ([] if A is None else [(A.f1, -1), (A.f2, -1)])
+    return all(_coefficients_reflect(F.coeffs, lambda n, m: (-n, -m),
+                                     lambda n, m, c: sign * c)
+               for F, sign in series)
 
 
 def _parity_sectors(N: int, d: int, level: int):

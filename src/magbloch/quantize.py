@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericError, ResourceCapError
-from .lattice import FourierSeries2D
+from .lattice import FourierSeries2D, _coefficients_reflect
 
 __all__ = [
     "RationalFlux",
@@ -405,8 +405,8 @@ def _band_eigvalsh(q: int, dim: int, b: int, blocks, beta1,
 
 
 def _inversion_even(fam: MagneticBlochFamily) -> bool:
-    """Whether every block's weight at (-n, -m) equals its weight at
-    (n, m), compared exactly (a mode missing on one side fails).
+    """Whether every block's weight at (-n, -m) is its weight at (n, m),
+    by the exact rule :func:`lattice._coefficients_reflect`.
 
     The parity P e_j = e_{-j mod q} gives P U(beta) P = U(-beta)^-1 and
     P V(beta) P = V(-beta)^-1, so it maps the monomial of (n, m) at beta to
@@ -414,13 +414,15 @@ def _inversion_even(fam: MagneticBlochFamily) -> bool:
     phase is the same at (n, m) and (-n, -m).  So then P H(beta) P =
     H(-beta), and the spectra at beta and -beta agree up to the rounding of
     the phases.  A real series with real coefficients (Harper) passes."""
-    return _weights_reflect(fam, lambda n, m: (-n, -m), lambda c: c)
+    return all(_coefficients_reflect(w, lambda n, m: (-n, -m),
+                                     lambda n, m, c: c)
+               for w in _block_weights(fam))
 
 
 def _flip_even(fam: MagneticBlochFamily) -> bool:
     """Whether every block's weight at (n, -m) ("harper") or (-n, m)
-    ("hofstadter") is the conjugate of its weight at (n, m), compared
-    exactly (a mode missing on one side fails).
+    ("hofstadter") is the conjugate of its weight at (n, m), by the exact
+    rule :func:`lattice._coefficients_reflect`.
 
     Complex conjugation gives conj U(beta1) = U(beta1)^-1 and
     conj V(beta2) = V(-beta2), so it maps the monomial of (n, m) at
@@ -430,19 +432,17 @@ def _flip_even(fam: MagneticBlochFamily) -> bool:
     places), and the spectra at the two points agree up to rounding.
     Harper passes, and so does any real series with f_{n,-m} ==
     conj f_{n,m} (harper) or f_{-n,m} == conj f_{n,m} (hofstadter)."""
-    if fam.convention == "harper":
-        return _weights_reflect(fam, lambda n, m: (n, -m), np.conj)
-    return _weights_reflect(fam, lambda n, m: (-n, m), np.conj)
+    mode = ((lambda n, m: (n, -m)) if fam.convention == "harper"
+            else (lambda n, m: (-n, m)))
+    return all(_coefficients_reflect(w, mode, lambda n, m, c: c.conjugate())
+               for w in _block_weights(fam))
 
 
-def _weights_reflect(fam: MagneticBlochFamily, mode, weight) -> bool:
-    """Whether every block's weight at ``mode(n, m)`` equals ``weight`` of
-    its weight at (n, m), compared exactly (a missing mode fails)."""
+def _block_weights(fam: MagneticBlochFamily):
+    """The ``{(n, m): weight}`` map of each block, its weights phased and
+    non-zero (:func:`_weyl_modes`)."""
     for _, _, modes in fam.block_modes:
-        w = {(n, m): c for n, m, c in modes}
-        if any(w.get(mode(n, m)) != weight(c) for (n, m), c in w.items()):
-            return False
-    return True
+        yield {(n, m): c for n, m, c in modes}
 
 
 def _reflected_points(grid) -> np.ndarray:
@@ -535,12 +535,12 @@ def spectrum(fam: MagneticBlochFamily, grid=(16, 16),
     grid; branches closer than ``tol_band`` (default 1e-6 of the spectral
     width) merge into one interval.  The metadata names the eigensolver
     (``lapack-banded``) and the half bandwidth of the band layout.  The
-    spectrum repeats at -beta when the family is inversion-even (weight at
-    (-n, -m) == weight at (n, m) in every block) and at (beta1, -beta2)
-    when it is flip-even (weight at (n, -m), or (-n, m) for "hofstadter",
-    == conj of weight at (n, m)), each compared exactly; only the lowest
-    point of each orbit of the rules passed is solved, the other rows
-    copies, and a family that passes neither is solved at every point
+    spectrum repeats at -beta when the family is inversion-even
+    (:func:`_inversion_even`) and at (beta1, -beta2) when it is flip-even
+    (:func:`_flip_even`), two exact rules of
+    :func:`lattice._coefficients_reflect`; only the lowest point of each
+    orbit of the rules passed is solved, the other rows copies, and a
+    family that passes neither is solved at every point
     (:func:`_grid_spectrum`).
     """
     return _grid_spectrum(fam, grid, tol_band, iota=fam.iota,
@@ -548,11 +548,13 @@ def spectrum(fam: MagneticBlochFamily, grid=(16, 16),
 
 
 def _mirror_even(F: FourierSeries2D, iota: int) -> bool:
-    """Whether f_{n,m} == (-1)^(n m iota) conj(f_{n,m}) for every mode,
-    compared exactly.  Then conj H_{p/q}(beta) = H_{(q-p)/q}(-beta) up to
-    the rounding of the phases, so the two fluxes share their spectra."""
-    return all(c == (-1) ** (n * m * iota % 2) * c.conjugate()
-               for (n, m), c in F.coeffs.items())
+    """Whether f_{n,m} == (-1)^(n m iota) conj(f_{n,m}) for every mode, by
+    the exact rule :func:`lattice._coefficients_reflect` with the identity
+    mode map.  Then conj H_{p/q}(beta) = H_{(q-p)/q}(-beta) up to the
+    rounding of the phases, so the two fluxes share their spectra."""
+    return _coefficients_reflect(
+        F.coeffs, lambda n, m: (n, m),
+        lambda n, m, c: (-1) ** (n * m * iota % 2) * c.conjugate())
 
 
 def _mirrored(twin: SpectrumReport, flux: RationalFlux, grid) -> SpectrumReport:

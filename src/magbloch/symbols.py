@@ -29,7 +29,6 @@ __all__ = [
     "OperatorSymbol",
     "assemble_truncated",
     "eval_mode_map",
-    "eval_symbol",
     "exact_symbol",
     "remainder_map",
     "remainder_norm",
@@ -38,7 +37,6 @@ __all__ = [
     "mode_dagger",
     "mode_max_norm",
     "mode_hermiticity_defect",
-    "symbol_hermiticity_residual",
     "default_points",
 ]
 
@@ -170,20 +168,6 @@ def assemble_truncated(V: FourierSeries2D, A: PeriodicVectorPotential | None,
         if term:
             grades[j] = term
     return OperatorSymbol(grades=grades, truncation=T, natural=_natural(A))
-
-
-def eval_symbol(sym: OperatorSymbol, point, delta: float) -> np.ndarray:
-    """sum_j delta^j (grade-j evaluation) at the phase-space point."""
-    out = np.zeros((sym.truncation.dim, sym.truncation.dim), dtype=complex)
-    for j, mm in sym.grades.items():
-        out += (delta ** j) * eval_mode_map(mm, point)
-    return out
-
-
-def symbol_hermiticity_residual(sym: OperatorSymbol, T: FockTruncation) -> float:
-    """Mode-reflection conjugation defect, max over grades and modes."""
-    return max((mode_hermiticity_defect(mm, T) for mm in sym.grades.values()),
-               default=0.0)
 
 
 def _check_delta(delta: float) -> None:

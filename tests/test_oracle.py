@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from magbloch import fock, oracle
 from magbloch.errors import (CommensurabilityError, GapClosedError,
                              NumericError, ResourceCapError)
-from magbloch.fock import (FockTruncation, displacement_exp, p_fast, q_fast,
-                           xi_matrix)
+from magbloch.fock import FockTruncation, xi_matrix
 from magbloch.lattice import (FourierSeries2D, PeriodicVectorPotential,
                               make_lattice)
 from magbloch.oracle import (LinearCanonicalMap, OracleBasis, _slow_quantize,
@@ -20,6 +19,7 @@ from magbloch.oracle import (LinearCanonicalMap, OracleBasis, _slow_quantize,
                              fast_slow_variable_map, quantize_on_grid)
 from magbloch.quantize import RationalFlux
 from magbloch.symbols import exact_symbol, remainder_map
+from reference import displacement_exp, quadrature
 
 EMPTY = FourierSeries2D({}, is_real=True)
 NEAREST = [(1, 0), (-1, 0), (0, 1), (0, -1)]
@@ -312,7 +312,8 @@ def _dense_reference(V, A, L, basis, fx):
     terms = []
     if A is not None:
         for nm in sorted(set(A.f1.coeffs) | set(A.f2.coeffs)):
-            lin = A.f1[nm] * q_fast(T, L) + A.f2[nm] * p_fast(T, L)
+            lin = (A.f1[nm] * quadrature(L.z_a, T)
+                   + A.f2[nm] * quadrature(L.z_b, T))
             E = displacement_exp(2 * math.pi * delta, *nm, L, T)
             terms.append((delta, nm, E @ lin))
     for nm, v in sorted(V.coeffs.items()):
@@ -378,6 +379,8 @@ def _reflection_cases():
                           True),
         "complex f10": (series({(1, 0): c, (0, 1): 1.0}), None, square, False),
         "(1,1) alone": (series({(1, 1): c}), None, square, False),
+        "stored zero (1,1)": (series({(1, 1): 0.0, (1, 0): 1.0, (0, 1): 1.0}),
+                              None, square, True),
         "A2 cos": (harper, potential({}, {(1, 0): 0.25, (-1, 0): 0.25}),
                    square, False),
         "triangular": (harper, None,
