@@ -68,8 +68,37 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _floats_template(n: int, pad: str) -> str:
+    """The %-template of a JSON list of ``n`` floats whose brackets sit at
+    indent ``pad``."""
+    if not n:
+        return "[]"
+    return f"[\n{pad}  " + f",\n{pad}  ".join(["%.17g"] * n) + f"\n{pad}]"
+
+
+def _float_array_json(arr: np.ndarray, indent: int) -> str:
+    """A float64 array of one or two dimensions, as :func:`_dump_json`
+    writes its ``tolist()``.  A 2-D array is a list of rows, and each
+    distinct row (bit for bit, so -0.0 and 0.0 differ) is formatted once."""
+    pad = "  " * indent
+    if arr.ndim == 1:
+        return _floats_template(arr.size, pad) % tuple(arr.tolist())
+    if not len(arr):
+        return "[]"
+    template = _floats_template(arr.shape[1], "  " * (indent + 1))
+    texts, memo = [], {}
+    for row in arr:
+        key = row.tobytes()
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = template % tuple(row.tolist())
+        texts.append(text)
+    return f"[\n{pad}  " + f",\n{pad}  ".join(texts) + f"\n{pad}]"
+
+
 def _dump_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON with 17-significant-digit floats."""
+    """Deterministic JSON with 17-significant-digit floats; a float64 array
+    of one or two dimensions is written as its ``tolist()``."""
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -86,13 +115,15 @@ def _dump_json(obj, indent: int = 0) -> str:
         # the whole report, is not copied once more to wrap it.
         sep = f",\n{pad}  "
         if all(isinstance(v, (float, np.floating)) for v in obj):
-            # a flat list of floats, the bulk of every report, in one pass
-            return (f"[\n{pad}  " + sep.join(["%.17g"] * len(obj))
-                    + f"\n{pad}]") % tuple(obj)
+            # a flat list of floats in one pass
+            return _floats_template(len(obj), pad) % tuple(obj)
         items = [_dump_json(v, indent + 1) for v in obj]
         items[0] = f"[\n{pad}  " + items[0]
         items[-1] += f"\n{pad}]"
         return sep.join(items)
+    if (isinstance(obj, np.ndarray) and obj.dtype == np.float64
+            and obj.ndim in (1, 2)):
+        return _float_array_json(obj, indent)
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -310,9 +341,9 @@ def _write(out_path: str | None, text: str) -> None:
 def _report_rows(reports) -> str:
     lines = ["p,q,theta,band_index,E_min,E_max"]
     for rep in reports:
-        for k, (lo, hi) in enumerate(rep.bands):
-            lines.append(f"{rep.flux.p},{rep.flux.q},{_fmt(rep.flux.theta)},"
-                         f"{k},{_fmt(lo)},{_fmt(hi)}")
+        prefix = f"{rep.flux.p},{rep.flux.q},{_fmt(rep.flux.theta)},"
+        lines.extend("%s%d,%.17g,%.17g" % (prefix, k, lo, hi)
+                     for k, (lo, hi) in enumerate(rep.bands))
     return "\n".join(lines) + "\n"
 
 
@@ -322,7 +353,7 @@ def _report_json(reports) -> str:
         payload.append({
             "p": rep.flux.p, "q": rep.flux.q, "theta": rep.flux.theta,
             "bands": [[lo, hi] for lo, hi in rep.bands],
-            "samples": [[float(e) for e in row] for row in rep.samples],
+            "samples": rep.samples,
             "metadata": {k: rep.metadata[k] for k in sorted(rep.metadata)},
         })
     return _dump_json(payload) + "\n"
@@ -488,8 +519,8 @@ def cmd_oracle_compare(cfg: dict, args) -> str:
             "delta": delta,
             "theta": f"{fx.p}/{fx.q}",
             "model": model_kind,
-            "oracle_band": [float(x) for x in cluster],
-            "model_band": [float(x) for x in np.sort(mspec)],
+            "oracle_band": cluster,
+            "model_band": np.sort(mspec),
             "hausdorff": dist,
             "slope_so_far": None if fit is None else fit[0],
         })

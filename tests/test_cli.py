@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magbloch import FockTruncation, oracle, quantize
+from magbloch import FockTruncation, cli, oracle, quantize
 from magbloch.cli import _check_flags, _dump_json, _parser, main
 from magbloch.lattice import FourierSeries2D, make_lattice
 
@@ -489,6 +489,9 @@ def test_flag_defaults_apply_when_not_given(tmp_path):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
+_A1_COS = {"A1": [[0, 1, 0.5, 0.0], [0, -1, 0.5, 0.0]]}
+
+
 def _dump_json_recursive(obj, indent: int = 0) -> str:
     """The report writer as it was: one recursive call per value."""
     pad = "  " * indent
@@ -516,12 +519,48 @@ def _dump_json_recursive(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
+def _as_lists(obj):
+    """``obj`` with every numpy array replaced by its ``tolist()``, the form
+    :func:`_dump_json_recursive` reads."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(_as_lists(v) for v in obj)
+    return obj
+
+
 _json_floats = st.one_of(
     st.floats(), st.floats(width=32).map(np.float32),
     st.floats().map(np.float64), st.sampled_from([0.0, -0.0, 1e-300, 1e300]))
+
+
+@st.composite
+def _float_arrays(draw):
+    """float64 arrays of one or two dimensions, as rows drawn from a small
+    pool, so rows repeat; each pool row has a twin with the sign of every
+    zero flipped, so some rows differ only in -0.0 against 0.0."""
+    cols = draw(st.integers(0, 4))
+    entries = st.one_of(st.floats(), st.sampled_from(
+        [0.0, -0.0, math.nan, math.inf, -math.inf]))
+    pool = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                         min_size=1, max_size=3))
+    pool += [[-x if x == 0 else x for x in row] for row in pool]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=6))
+    arr = np.array([pool[i] for i in picks],
+                   dtype=np.float64).reshape(len(picks), cols)
+    shape = draw(st.sampled_from(["rows", "columns", "flat"]))
+    if shape == "columns":
+        return arr.T  # not C-contiguous
+    if shape == "flat":
+        return arr.ravel()
+    return arr
+
+
 _json_leaves = st.one_of(
     st.none(), st.booleans(), st.integers(), st.integers(-2 ** 62, 2 ** 62).map(np.int64),
-    st.text(max_size=5), _json_floats)
+    st.text(max_size=5), _json_floats, _float_arrays())
 _json_values = st.recursive(
     _json_leaves,
     lambda inner: st.one_of(
@@ -535,7 +574,28 @@ _json_values = st.recursive(
 @given(_json_values)
 @settings(max_examples=300, deadline=None)
 def test_report_writer_matches_recursive_writer(obj):
-    assert _dump_json(obj) == _dump_json_recursive(obj)
+    assert _dump_json(obj) == _dump_json_recursive(_as_lists(obj))
+
+
+@given(_float_arrays())
+@settings(max_examples=300, deadline=None)
+def test_float_array_writer_matches_recursive_writer(arr):
+    assert _dump_json(arr) == _dump_json_recursive(arr.tolist())
+
+
+@pytest.mark.parametrize("arr", [
+    np.array([[1.5, -2.0, 3e-300]]),                       # a single row
+    np.array([[1.5], [-0.0], [1.5]]),                      # a single column
+    np.array([[0.1, 0.2], [0.3, 0.4], [0.1, 0.2], [0.1, 0.2]]),
+    np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0]]),
+    np.array([[math.nan, math.inf], [-math.inf, math.nan], [math.nan, math.inf]]),
+    np.array([0.0, -0.0, math.nan, 1 / 3]),
+    np.empty((0, 3)), np.empty((2, 0)), np.empty(0),
+], ids=["one-row", "one-column", "repeated-rows", "signed-zero-rows",
+        "nan-inf", "flat", "no-rows", "no-columns", "empty-flat"])
+def test_float_array_writer_cases(arr):
+    for obj in (arr, {"samples": arr}, [[arr]]):
+        assert _dump_json(obj) == _dump_json_recursive(_as_lists(obj))
 
 
 def test_report_writer_on_a_report_shape():
@@ -543,12 +603,67 @@ def test_report_writer_on_a_report_shape():
             "name": "lapack-banded", "empty": [], "nothing": {},
             "bands": [[-1.5, np.float64(0.25)], [np.float32(0.1), 2.0]],
             "samples": [[0.1, -0.0, 1e-17], [float("nan"), float("inf"), 3.0]],
+            "array": np.array([[0.1, -0.0], [0.1, -0.0], [0.1, 0.0]]),
             "mixed": [1, 2.5, True, None, "x", np.float64(4.0)],
             "nested": {"a": {"b": [[]], "c": ()}}}]
-    assert _dump_json(obj) == _dump_json_recursive(obj)
+    assert _dump_json(obj) == _dump_json_recursive(_as_lists(obj))
 
 
-_A1_COS = {"A1": [[0, 1, 0.5, 0.0], [0, -1, 0.5, 0.0]]}
+def _old_report_json(reports) -> str:
+    """The JSON spectrum report as it was written: samples as lists of
+    ``float``, through the recursive writer."""
+    return _dump_json_recursive([{
+        "p": rep.flux.p, "q": rep.flux.q, "theta": rep.flux.theta,
+        "bands": [[lo, hi] for lo, hi in rep.bands],
+        "samples": [[float(e) for e in row] for row in rep.samples],
+        "metadata": {k: rep.metadata[k] for k in sorted(rep.metadata)},
+    } for rep in reports]) + "\n"
+
+
+def _old_report_rows(reports) -> str:
+    """The CSV spectrum report as it was written: one f-string per row."""
+    def fmt(x):
+        return format(float(x), ".17g")
+    lines = ["p,q,theta,band_index,E_min,E_max"]
+    for rep in reports:
+        for k, (lo, hi) in enumerate(rep.bands):
+            lines.append(f"{rep.flux.p},{rep.flux.q},{fmt(rep.flux.theta)},"
+                         f"{k},{fmt(lo)},{fmt(hi)}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("command, units", [
+    ("two-band", "cyclotron"), ("two-band", "bare"),
+    ("effective", "cyclotron"), ("effective", "bare")])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_reports_keep_the_old_bytes_when_rows_repeat(tmp_path, monkeypatch,
+                                                     command, units, fmt):
+    # with A1 on (0, +-1) at 1/50 on a 16 x 16 grid, the orbit copies and the
+    # beta2-independence leave two-band 9 distinct sample rows of 256
+    seen = []
+    reports_text = cli._reports_text
+
+    def spy(reports, args):
+        seen.append(reports)
+        return reports_text(reports, args)
+
+    monkeypatch.setattr(cli, "_reports_text", spy)
+    path = _write_cfg(tmp_path, {**_A1_COS, "grid": [16, 16]})
+    out = tmp_path / f"out.{fmt}"
+    assert main([command, "--config", path, "--delta", "1/50", "--units",
+                 units, "--format", fmt, "--out", str(out)]) == 0
+    [reports] = seen
+    if command == "two-band":
+        [rep] = reports
+        assert rep.samples.shape == (256, 100)
+        assert len({row.tobytes() for row in rep.samples}) == 9
+    got = out.read_text()
+    want = (_old_report_json if fmt == "json" else _old_report_rows)(reports)
+    if got != want:  # no assert: pytest's diff of megabyte texts takes minutes
+        at = len(os.path.commonprefix([got, want]))
+        lo = max(at - 30, 0)
+        pytest.fail(f"first difference at character {at}: "
+                    f"{got[lo:at + 30]!r} != {want[lo:at + 30]!r}")
 
 
 @pytest.mark.parametrize("argv, extra", [
