@@ -18,16 +18,19 @@ The recursions take a truncated symbol H with constant principal part and a
 set of contiguous fast-space levels, and produce order by order:
 
 * ``pi_n = pi_n^D + pi_n^OD`` where the block-diagonal part is
-  ``-P G_n P + (1-P) G_n (1-P)`` with ``G_n = [pi # pi - pi]_n`` (the sign on
-  the P-block is forced by the defect equation ``P pi_n P = -P G_n P``), and
-  the block-off-diagonal part solves ``[H_0, pi_n^OD] = -F_n`` by diagonal
-  resolvent inversion on the orthogonal complement;
-* ``u_n = a_n + b_n`` with ``a_n = -A_n/2``, ``b_n = [P, B_n]``;
+  ``-P G_n P + (1-P) G_n (1-P)`` with ``G_n = [pi # pi - pi]_n`` of the
+  grades below n (the sign on the P-block is forced by the defect equation
+  ``P pi_n P = -P G_n P``), and the block-off-diagonal part solves
+  ``[H_0, pi_n^OD] = -F_n``, ``F_n = [H, pi]_n`` with ``pi_n^D`` for
+  ``pi_n``, by diagonal resolvent inversion on the orthogonal complement;
+* ``u_n = a_n + b_n`` with ``a_n = -A_n/2``, ``A_n = [u # u^dag]_n`` of the
+  grades below n, and ``b_n = [P, B_n]``;
 * ``chi_m = [u # H - sum_{j<m} chi_j # u]_m`` and ``h_m = P chi_m P``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -63,6 +66,12 @@ class MoyalSeries:
     # which intertwiner_residuals reads instead of recomputing them
     _times_pi: tuple = field(default=(None, None), compare=False,
                              repr=False)
+    # (H, {name: [grades 0 .. order_built]}): the gradewise defects the
+    # build formed from its own products, which the residual functions
+    # read: a projection's idempotency and commutator against the H it was
+    # built from, an intertwiner's unitarity (H None: u alone)
+    _defects: tuple = field(default=(None, None), compare=False,
+                            repr=False)
 
     def grade(self, j: int) -> ModeMap:
         return self.grades.get(j, {})
@@ -89,6 +98,11 @@ class _Box(NamedTuple):
     cols: slice
 
 
+# Extents of a zero matrix: no column range of it overlaps a row range, and
+# no row range a column range.
+_EMPTY = _Box(0, 0, 0, 0, slice(0, 0), slice(0, 0))
+
+
 def _tile_slice(lo: int, hi: int, size: int) -> slice:
     """[lo, hi) rounded out to the tile grid, and at least two wide when the
     axis is: a single row or column takes a vector kernel."""
@@ -99,11 +113,11 @@ def _tile_slice(lo: int, hi: int, size: int) -> slice:
     return slice(lo, hi)
 
 
-def _box(M: np.ndarray) -> _Box | None:
-    """The nonzero block of M, None for a zero matrix."""
+def _box(M: np.ndarray) -> _Box:
+    """The nonzero block of M, :data:`_EMPTY` for a zero matrix."""
     rows = np.flatnonzero(M.any(axis=1))
     if not rows.size:
-        return None
+        return _EMPTY
     cols = np.flatnonzero(M.any(axis=0))
     r0, r1 = int(rows[0]), int(rows[-1]) + 1
     c0, c1 = int(cols[0]), int(cols[-1]) + 1
@@ -112,94 +126,144 @@ def _box(M: np.ndarray) -> _Box | None:
 
 
 class _Stored(dict):
-    """Mode map that also holds ``boxes``, the nonzero block of each mode's
-    matrix.  The builders wrap each mode map once, when they store it, so no
-    star product scans a matrix."""
+    """Mode map that also holds, aligned with its insertion order, each
+    mode's matrix (``mats``) and nonzero block (``boxes``), and as integer
+    arrays the mode indices ``n``, ``m`` and the block extents ``r0, r1,
+    c0, c1``.  The builders wrap each mode map once, when they store it, so
+    no star product scans a matrix."""
 
-    __slots__ = ("boxes",)
+    __slots__ = ("mats", "boxes", "n", "m", "r0", "r1", "c0", "c1", "dtype")
 
-    def __init__(self, mm: ModeMap, boxes: dict | None = None):
+    def __init__(self, mm: ModeMap, boxes: list | None = None):
         super().__init__(mm)
-        self.boxes = ({nm: _box(M) for nm, M in mm.items()}
-                      if boxes is None else boxes)
+        self.mats = list(mm.values())
+        self.boxes = [_box(M) for M in self.mats] if boxes is None else boxes
+        self.n, self.m = np.array(list(mm), dtype=np.int64).reshape(-1, 2).T
+        ext = np.array([box[:4] for box in self.boxes], dtype=np.int64)
+        self.r0, self.r1, self.c0, self.c1 = ext.reshape(-1, 4).T
+        self.dtype = (np.result_type(*{M.dtype for M in self.mats})
+                      if self.mats else None)
+
+
+def _stored(mm: ModeMap) -> _Stored:
+    return mm if isinstance(mm, _Stored) else _Stored(mm)
 
 
 def _stored_grades(grades: dict) -> dict:
-    return {j: mm if isinstance(mm, _Stored) else _Stored(mm)
-            for j, mm in grades.items()}
+    return {j: _stored(mm) for j, mm in grades.items()}
 
 
 def _dagger(mm: _Stored) -> _Stored:
     """mode_dagger, with the boxes transposed instead of rescanned."""
     return _Stored(mode_dagger(mm),
-                   {(-n, -m): box and _Box(box.c0, box.c1, box.r0, box.r1,
-                                           box.cols, box.rows)
-                    for (n, m), box in mm.boxes.items()})
+                   [_Box(b.c0, b.c1, b.r0, b.r1, b.cols, b.rows)
+                    for b in mm.boxes])
+
+
+def _add_term(out: dict, A: ModeMap, B: ModeMap, k: int) -> None:
+    """Add ``[A # B]_k`` into ``out``, mode by mode.
+
+    ``out`` maps a mode to its accumulated matrix, or to the ``(shape,
+    dtype)`` of a mode that has had no product yet; :func:`_finish` makes
+    those zero matrices.  Every mode that a pair with a nonzero bracket
+    (any pair when k = 0) lands on is entered, in the order of the double
+    loop over A's modes and then B's.  One broadcast comparison finds the
+    pairs that multiply something: a nonzero bracket when k > 0, and an
+    overlap of A's nonzero columns with B's nonzero rows.  Each such pair
+    multiplies only the nonzero blocks, ``MA[rows_A, inner] @ MB[inner,
+    cols_B]``, in the loop's order.  A mode's first products are summed on
+    its own zeroed matrix; later, a single product is added to it in place,
+    and several are summed on a zeroed matrix of their own first.  These
+    are the bits of the dense double loop, which sums each term on zeros:
+    adding a ``+0.0`` is exact, and no accumulated entry is ``-0.0``.
+    """
+    if not A or not B:
+        return
+    A, B = _stored(A), _stored(B)
+    br = np.multiply.outer(A.m, B.n) - np.multiply.outer(A.n, B.m)
+    hit = np.maximum.outer(A.c0, B.r0) < np.minimum.outer(A.c1, B.r1)
+    keys_a, keys_b = list(A), list(B)
+    modes = [(n1 + n2, m1 + m2) for n1, m1 in keys_a for n2, m2 in keys_b]
+    if k > 0:
+        landed = br != 0
+        hit &= landed
+        modes = itertools.compress(modes, landed.ravel().tolist())
+    blank = ((A.mats[0].shape[0], B.mats[0].shape[1]),
+             np.result_type(A.dtype, B.dtype, 1j if k else 1.0))
+    for nm in modes:
+        if nm not in out:
+            out[nm] = blank
+    pairs: dict[tuple, list] = {}
+    coefs: dict[int, complex] = {}
+    for i, j in zip(*(ix.tolist() for ix in np.nonzero(hit))):
+        (n1, m1), (n2, m2) = keys_a[i], keys_b[j]
+        pairs.setdefault((n1 + n2, m1 + m2), []).append(
+            (i, j, m1 * n2 - n1 * m2))
+    for nm, terms in pairs.items():
+        acc = out[nm]
+        if isinstance(acc, tuple):
+            acc = part = out[nm] = np.zeros(*acc)
+        elif len(terms) == 1:
+            part = acc
+        else:
+            # this pair of maps' products, summed apart before they join
+            # the earlier ones
+            part = np.zeros(acc.shape, blank[1])
+        for i, j, b in terms:
+            MA, MB, box_a, box_b = A.mats[i], B.mats[j], A.boxes[i], B.boxes[j]
+            lo, hi = max(box_a.c0, box_b.r0), min(box_a.c1, box_b.r1)
+            if hi - lo == 1 and MA.shape[1] > 1:
+                # an inner extent of one takes another kernel too
+                lo, hi = (lo, hi + 1) if hi < MA.shape[1] else (lo - 1, hi)
+            term = MA[box_a.rows, lo:hi] @ MB[lo:hi, box_b.cols]
+            if k > 0:
+                coef = coefs.get(b)
+                if coef is None:
+                    coef = coefs[b] = ((2j * math.pi ** 2 * b) ** k
+                                       / math.factorial(k))
+                np.multiply(coef, term, out=term)
+            view = part[box_a.rows, box_b.cols]
+            view += term    # ``part[...] += term`` would also copy back
+        if part is not acc:
+            acc += part
+
+
+def _finish(out: dict) -> ModeMap:
+    """The accumulated mode map, a zero matrix for each mode that received
+    no product."""
+    return {nm: np.zeros(*M) if isinstance(M, tuple) else M
+            for nm, M in out.items()}
 
 
 def moyal_term(A: ModeMap, B: ModeMap, k: int) -> ModeMap:
     """k-th star-product correction of two mode maps (k = 0 is the
     mode-convolution product).
 
-    Each mode-pair product multiplies only the nonzero blocks,
-    ``MA[rows_A, inner] @ MB[inner, cols_B]`` with ``inner`` the overlap of
-    A's nonzero columns and B's nonzero rows; every mode pair still lands
-    in a dense matrix of its mode.
+    The result holds every mode that a mode pair lands on: all pairs when
+    k = 0, the pairs with a nonzero bracket when k > 0.  Each pair whose
+    nonzero blocks overlap adds ``MA[rows_A, inner] @ MB[inner, cols_B]``,
+    with ``inner`` the overlap of A's nonzero columns and B's nonzero rows,
+    into a dense matrix of its mode; a mode that receives no product is a
+    zero matrix.  The bits are those of the dense double loop.
     """
-    out: ModeMap = {}
-    if not A or not B:
-        return out
-    boxes_a = A.boxes if isinstance(A, _Stored) else _Stored(A).boxes
-    boxes_b = B.boxes if isinstance(B, _Stored) else _Stored(B).boxes
-    dtype = np.result_type(*{M.dtype for M in A.values()},
-                           *{M.dtype for M in B.values()}, 1j if k else 1.0)
-    coefs: dict[int, complex] = {}
-    for (n1, m1), MA in A.items():
-        box_a = boxes_a[(n1, m1)]
-        for (n2, m2), MB in B.items():
-            if k > 0:
-                br = m1 * n2 - n1 * m2
-                if br == 0:
-                    continue
-            key = (n1 + n2, m1 + m2)
-            acc = out.get(key)
-            if acc is None:
-                acc = out[key] = np.zeros((MA.shape[0], MB.shape[1]), dtype)
-            box_b = boxes_b[(n2, m2)]
-            if box_a is None or box_b is None:
-                continue
-            lo, hi = max(box_a.c0, box_b.r0), min(box_a.c1, box_b.r1)
-            if lo >= hi:
-                continue
-            if hi - lo == 1 and MA.shape[1] > 1:
-                # an inner extent of one takes another kernel too
-                lo, hi = (lo, hi + 1) if hi < MA.shape[1] else (lo - 1, hi)
-            rows, cols = box_a.rows, box_b.cols
-            term = MA[rows, lo:hi] @ MB[lo:hi, cols]
-            if k > 0:
-                coef = coefs.get(br)
-                if coef is None:
-                    coef = coefs[br] = ((2j * math.pi ** 2 * br) ** k
-                                        / math.factorial(k))
-                np.multiply(coef, term, out=term)
-            acc[rows, cols] += term
-    return out
+    out: dict = {}
+    _add_term(out, A, B, k)
+    return _finish(out)
 
 
 def star_grade(A_grades: dict, B_grades: dict, n: int) -> ModeMap:
-    """Grade-n piece of the star product of two graded symbols."""
-    out: ModeMap = {}
+    """Grade-n piece of the star product of two graded symbols: the sum of
+    ``moyal_term(A_r, B_l, n - r - l)`` over the grade pairs, in their
+    order, with the modes and bits of that sum.  Each term is added in
+    place, and a mode that receives no product becomes one zero matrix.
+    The result's arrays are new, never an input's."""
+    out: dict = {}
     for r, Ar in A_grades.items():
         for l, Bl in B_grades.items():
             rem = n - r - l
-            if rem < 0:
-                continue
-            for key, M in moyal_term(Ar, Bl, rem).items():
-                if key in out:
-                    out[key] += M    # moyal_term's arrays, never an input
-                else:
-                    out[key] = M
-    return out
+            if rem >= 0:
+                _add_term(out, Ar, Bl, rem)
+    return _finish(out)
 
 
 def _check_bands(band_set) -> tuple:
@@ -234,12 +298,37 @@ def _block_masks(T: FockTruncation, bands) -> tuple:
     return S, W, D
 
 
+def _corner(mm: ModeMap, nm, c: int):
+    """Guard-corner block ``[:c, :c]`` of mode nm of mm, 0.0 if mm lacks
+    it."""
+    return mm[nm][:c, :c] if nm in mm else 0.0
+
+
+def _max_norm(blocks) -> float:
+    """Largest entry modulus over blocks that a generator forms and drops
+    one at a time: :func:`mode_max_norm` of a defect map that is never
+    held whole."""
+    return max((float(np.max(np.abs(d))) for d in blocks), default=0.0)
+
+
 def build_projection(H: OperatorSymbol, band_set, order: int) -> MoyalSeries:
     """Recursive projection series onto a family of contiguous levels.
 
     The principal part is the spectral projector of the constant grade-0
     symbol; the constant gap between consecutive levels makes the resolvent
     inversion on the complement unconditionally well posed.
+
+    The loop also forms, from the products it holds, each grade's defects
+    of idempotency and of commutation with H, mode by mode on the guard
+    corner (``G_n``, ``F_n``: module docstring):
+
+        [pi # pi - pi]_n = G_n + P pi_n + pi_n P - pi_n,
+        [H, pi]_n        = F_n + H_0 pi_n^OD - pi_n^OD H_0,
+
+    and the series carries the floats for :func:`projection_residuals`.
+    ``P = diag(p)`` and ``H_0 = diag(h)`` are diagonal, so each product
+    with them is an entrywise weight: ``(p_i + p_j - 1) X_ij`` and ``(h_i -
+    h_j) X_ij``.
     """
     T = H.truncation
     bands = _check_bands(band_set)
@@ -247,8 +336,13 @@ def build_projection(H: OperatorSymbol, band_set, order: int) -> MoyalSeries:
 
     S, W, _ = _block_masks(T, bands)
     Hg = _stored_grades(H.grades)
-    pi_grades: dict[int, ModeMap] = {
-        0: _Stored({(0, 0): band_projector_matrix(T, bands)})}
+    P = band_projector_matrix(T, bands)
+    pi_grades: dict[int, ModeMap] = {0: _Stored({(0, 0): P})}
+    c = T.corner_dim
+    p, h = P.diagonal()[:c].real, Hg[0][(0, 0)].diagonal()[:c].real
+    idem_w = p[:, None] + p[None, :] - 1.0   # P X + X P - X
+    comm_w = h[:, None] - h[None, :]         # H_0 X - X H_0
+    idem, comm = [0.0], [0.0]    # pi_0 = P, a projector that commutes with H_0
     for n in range(1, order + 1):
         # [pi # pi - pi]_n; the linear term has no grade-n piece yet
         G = star_grade(pi_grades, pi_grades, n)
@@ -260,26 +354,40 @@ def build_projection(H: OperatorSymbol, band_set, order: int) -> MoyalSeries:
         F = mode_add(F, mode_scale(star_grade(partial, Hg, n), -1.0))
         piOD = {nm: M * W for nm, M in F.items()}
         pi_n = mode_add(piD, piOD)
+        idem.append(_max_norm(_corner(G, nm, c) + M[:c, :c] * idem_w
+                              for nm, M in pi_n.items()))
+        comm.append(_max_norm(F[nm][:c, :c] + M[:c, :c] * comm_w
+                              for nm, M in piOD.items()))
         if pi_n:
             pi_grades[n] = _Stored(pi_n)
     return MoyalSeries(grades=pi_grades, order_built=order, truncation=T,
-                       band_set=bands)
+                       band_set=bands, _defects=(H, {"idempotency": idem,
+                                                     "commutator": comm}))
 
 
 def build_intertwiner(pi: MoyalSeries, order: int) -> MoyalSeries:
     """Unitarizing series u with u_0 = 1, fixed by the canonical choice
-    ``a_n = -A_n/2``, ``b_n = [P, B_n]`` (the series is not unique)."""
+    ``a_n = -A_n/2``, ``b_n = [P, B_n]`` (the series is not unique).
+
+    The loop also forms each grade's unitarity defect from the product it
+    holds, mode by mode on the guard corner, ``[u # u^dag - 1]_n = A_n +
+    u_n + u_n^dag`` with ``A_n = -2 a_n``, and the series carries the
+    floats for :func:`intertwiner_residuals`.
+    """
     if pi.order_built < order:
         raise TruncationError("projection series built to lower order than requested")
     T = pi.truncation
+    c = T.corner_dim
     _, _, D = _block_masks(T, pi.band_set)
     pig = _stored_grades(pi.grades)
     u_grades: dict[int, ModeMap] = {0: _Stored({(0, 0): np.eye(T.dim, dtype=complex)})}
     u_dag = {0: _dagger(u_grades[0])}
     upi: dict[int, ModeMap] = {}    # [u # pi]_j of the finished grades of u
+    unit = [0.0]    # u_0 u_0^dag = 1 exactly
     for n in range(1, order + 1):
-        A_n = star_grade(u_grades, u_dag, n)
-        a_n = _Stored(mode_scale(A_n, -0.5))
+        # A_n is held only as a_n = -A_n/2, which is exact: one map fewer
+        # at the loop's peak memory
+        a_n = _Stored(mode_scale(star_grade(u_grades, u_dag, n), -0.5))
         w, w_dag = dict(u_grades), dict(u_dag)
         if a_n:
             w[n] = a_n
@@ -295,8 +403,14 @@ def build_intertwiner(pi: MoyalSeries, order: int) -> MoyalSeries:
         if u_n:
             u_grades[n] = _Stored(u_n)
             u_dag[n] = _dagger(u_grades[n])
+        ud_n = u_dag.get(n, {})
+        unit.append(_max_norm(
+            _corner(u_n, nm, c) + _corner(ud_n, nm, c)
+            - 2.0 * _corner(a_n, nm, c)
+            for nm in a_n.keys() | u_n.keys() | ud_n.keys()))
     return MoyalSeries(grades=u_grades, order_built=order, truncation=T,
-                       band_set=pi.band_set, _times_pi=(pi, upi))
+                       band_set=pi.band_set, _times_pi=(pi, upi),
+                       _defects=(None, {"unitarity": unit}))
 
 
 def effective_symbol(H: OperatorSymbol, pi: MoyalSeries, u: MoyalSeries,
@@ -323,15 +437,30 @@ def effective_symbol(H: OperatorSymbol, pi: MoyalSeries, u: MoyalSeries,
 
 def projection_residuals(H: OperatorSymbol, pi: MoyalSeries, order: int) -> dict:
     """Gradewise defects of the defining properties of the projection:
-    idempotency, symbol Hermiticity, commutation with H."""
+    idempotency, symbol Hermiticity, commutation with H.
+
+    For the H that :func:`build_projection` built pi from, the idempotency
+    and commutator defects of the grades it built are the floats it
+    carries, formed from its own products; for another H, and above the
+    built grades, they are recomputed from star products.  The two differ
+    by roundings, since their sums are associated differently.  The
+    Hermiticity defect is always read off the grades.
+    """
     T = pi.truncation
+    built_from, carried = pi._defects
+    if built_from is not H:
+        carried = {}
+    idem = list(carried.get("idempotency", ()))[:order + 1]
+    comm = list(carried.get("commutator", ()))[:order + 1]
     Hg, pig = _stored_grades(H.grades), _stored_grades(pi.grades)
-    idem, herm, comm = [], [], []
+    herm = []
     for j in range(order + 1):
+        herm.append(mode_hermiticity_defect(pi.grade(j), T))
+        if j < len(idem):
+            continue
         pp = star_grade(pig, pig, j)
         d = mode_add(pp, mode_scale(pi.grade(j), -1.0))
         idem.append(mode_max_norm(d, T))
-        herm.append(mode_hermiticity_defect(pi.grade(j), T))
         c = star_grade(Hg, pig, j)
         c = mode_add(c, mode_scale(star_grade(pig, Hg, j), -1.0))
         comm.append(mode_max_norm(c, T))
@@ -339,21 +468,29 @@ def projection_residuals(H: OperatorSymbol, pi: MoyalSeries, order: int) -> dict
 
 
 def intertwiner_residuals(pi: MoyalSeries, u: MoyalSeries, order: int) -> dict:
-    """Gradewise defects of unitarity and of u # pi # u_dag = P.  The
-    grades of u # pi that :func:`build_intertwiner` formed from this pi are
-    reused; they are the same products, so the bits are the same."""
+    """Gradewise defects of unitarity and of u # pi # u_dag = P.
+
+    The unitarity defects of the grades :func:`build_intertwiner` built
+    are the floats u carries, formed from its own products (they depend on
+    u alone); above those grades they are recomputed.  The intertwining
+    defect is always recomputed, but the grades of u # pi that
+    :func:`build_intertwiner` formed from this pi are reused; they are the
+    same products, so the bits are the same.
+    """
     T = u.truncation
     P = band_projector_matrix(T, u.band_set)
     ug, pig = _stored_grades(u.grades), _stored_grades(pi.grades)
     u_dag = {j: _dagger(mm) for j, mm in ug.items()}
     built_pi, built = u._times_pi
     upi: dict[int, ModeMap] = dict(built) if built_pi is pi else {}
-    unit, intw = [], []
+    unit = list((u._defects[1] or {}).get("unitarity", ()))[:order + 1]
+    intw = []
     for j in range(order + 1):
-        uu = star_grade(ug, u_dag, j)
-        if j == 0:
-            uu = mode_add(uu, {(0, 0): -np.eye(T.dim, dtype=complex)})
-        unit.append(mode_max_norm(uu, T))
+        if j == len(unit):
+            uu = star_grade(ug, u_dag, j)
+            if j == 0:
+                uu = mode_add(uu, {(0, 0): -np.eye(T.dim, dtype=complex)})
+            unit.append(mode_max_norm(uu, T))
         if j not in upi:
             upi[j] = _Stored(star_grade(ug, pig, j))
         s = star_grade(upi, u_dag, j)

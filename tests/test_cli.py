@@ -32,6 +32,17 @@ def _write_cfg(tmp_path, extra=None, name="cfg.json"):
     return str(path)
 
 
+def _assert_same_bytes(got, want):
+    """got == want for two texts or byte strings, failing with the offset of
+    the first difference and the text around it: pytest's own diff of two
+    megabyte outputs can take minutes."""
+    if got != want:
+        at = len(os.path.commonprefix([got, want]))
+        lo = max(at - 30, 0)
+        pytest.fail(f"first difference at offset {at}: "
+                    f"{got[lo:at + 30]!r} != {want[lo:at + 30]!r}")
+
+
 def test_unknown_key_rejected(tmp_path, capsys):
     path = _write_cfg(tmp_path, {"frobnicate": 1})
     assert main(["butterfly", "--config", path]) == 2
@@ -659,11 +670,7 @@ def test_reports_keep_the_old_bytes_when_rows_repeat(tmp_path, monkeypatch,
         assert len({row.tobytes() for row in rep.samples}) == 9
     got = out.read_text()
     want = (_old_report_json if fmt == "json" else _old_report_rows)(reports)
-    if got != want:  # no assert: pytest's diff of megabyte texts takes minutes
-        at = len(os.path.commonprefix([got, want]))
-        lo = max(at - 30, 0)
-        pytest.fail(f"first difference at character {at}: "
-                    f"{got[lo:at + 30]!r} != {want[lo:at + 30]!r}")
+    _assert_same_bytes(got, want)
 
 
 @pytest.mark.parametrize("argv, extra", [
@@ -698,4 +705,4 @@ def test_outputs_identical_under_one_and_two_blas_threads(tmp_path, argv,
             env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+    _assert_same_bytes(*outputs)

@@ -312,6 +312,13 @@ def _block_modes(draw, dim):
     return out
 
 
+def _add_reference(out, A, B, k):
+    """moyal._add_term on the dense double loop: adds [A # B]_k into out,
+    as the dense star_grade sums its terms."""
+    for key, M in _moyal_reference(A, B, k).items():
+        out[key] = out[key] + M if key in out else M
+
+
 def _star_reference(A_grades, B_grades, n):
     """star_grade on the dense double loop."""
     out = {}
@@ -378,6 +385,41 @@ def test_trimmed_products_without_overlap_keep_their_modes():
         assert all(not M.any() for M in got.values())
 
 
+def test_star_grade_keeps_modes_that_receive_no_product():
+    # mode (1, 1) is landed on by two pairs, and neither multiplies
+    # anything, since A's nonzero columns miss B's nonzero rows; MC's pairs
+    # have a zero bracket, so land nowhere at k = 1; (2, 1) gets products
+    # from both grade pairs
+    dim = 24
+    rng = np.random.default_rng(5)
+    MA = np.zeros((dim, dim), dtype=complex)
+    MA[2:5, 0:3] = rng.normal(size=(3, 3))
+    MB = np.zeros((dim, dim), dtype=complex)
+    MB[6:9, 4:11] = rng.normal(size=(3, 7))
+    MC = np.zeros((dim, dim), dtype=complex)
+    MC[0:12, 3:20] = rng.normal(size=(12, 17)) + 1j * rng.normal(size=(12, 17))
+    A = {0: _Stored({(1, 0): MA, (0, 0): MC}), 1: _Stored({(1, 0): MA})}
+    B = {0: _Stored({(0, 1): MB, (1, 1): MC})}
+    got = star_grade(A, B, 1)
+    want = _star_reference(A, B, 1)
+    assert list(want) == [(1, 1), (2, 1)]
+    _assert_modes_equal(got, want)
+    assert not got[(1, 1)].any() and got[(2, 1)].any()
+    assert got[(1, 1)].dtype == want[(1, 1)].dtype
+
+
+def test_star_grade_sums_each_grade_pair_apart():
+    # mode (1, 1) gets one product from the grade pair (0, 1) and then two
+    # from (1, 0); those two are summed on their own before they join the
+    # first, as the dense loop sums each moyal_term result
+    rng = np.random.default_rng(11)
+    M = [rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+         for _ in range(6)]
+    A = {0: _Stored({(1, 1): M[0]}), 1: _Stored({(1, 0): M[1], (0, 1): M[2]})}
+    B = {0: _Stored({(0, 1): M[3], (1, 0): M[4]}), 1: _Stored({(0, 0): M[5]})}
+    _assert_modes_equal(star_grade(A, B, 1), _star_reference(A, B, 1))
+
+
 def _intertwiner_reference(pi, order):
     """build_intertwiner as it was: dense products, and every grade of
     w # pi and every adjoint recomputed at every step."""
@@ -424,9 +466,100 @@ def test_recursion_matches_dense_reference(square, harper, one_mode_potential,
     _assert_graded_equal(u.grades, _intertwiner_reference(pi, order))
     assert ures["intertwining"] == _intertwining_reference(pi, u, order)
 
+    # star_grade adds each term through _add_term, not moyal_term; the
+    # residuals the builders carry come from the reference products too
     monkeypatch.setattr(moyal, "moyal_term", _moyal_reference)
-    _assert_graded_equal(pi.grades, build_projection(H, bands, order).grades)
+    monkeypatch.setattr(moyal, "_add_term", _add_reference)
+    pi_ref = build_projection(H, bands, order)
+    u_ref = build_intertwiner(pi, order)
+    _assert_graded_equal(pi.grades, pi_ref.grades)
+    _assert_graded_equal(u.grades, u_ref.grades)
     for got, want in zip(hs, effective_symbol(H, pi, u, order), strict=True):
         _assert_modes_equal(got, want)
-    assert projection_residuals(H, pi, order) == pres
+    assert projection_residuals(H, pi_ref, order) == pres
     assert intertwiner_residuals(pi, u, order) == ures
+    assert intertwiner_residuals(pi, u_ref, order) == ures
+
+
+def _residuals_from_star_products(H, pi, u, order):
+    """The idempotency, commutator and unitarity defects as the residual
+    functions once computed them all, from whole star products."""
+    T = pi.truncation
+    u_dag = {j: mode_dagger(mm) for j, mm in u.grades.items()}
+    out = {"idempotency": [], "commutator": [], "unitarity": []}
+    for j in range(order + 1):
+        d = mode_add(star_grade(pi.grades, pi.grades, j),
+                     mode_scale(pi.grade(j), -1.0))
+        out["idempotency"].append(mode_max_norm(d, T))
+        c = mode_add(star_grade(H.grades, pi.grades, j),
+                     mode_scale(star_grade(pi.grades, H.grades, j), -1.0))
+        out["commutator"].append(mode_max_norm(c, T))
+        uu = star_grade(u.grades, u_dag, j)
+        if j == 0:
+            uu = mode_add(uu, {(0, 0): -np.eye(T.dim, dtype=complex)})
+        out["unitarity"].append(mode_max_norm(uu, T))
+    return out
+
+
+@pytest.mark.parametrize("bands", [(0, 1), (3, 4)])
+@pytest.mark.parametrize("with_a", [False, True], ids=["V", "V+A"])
+def test_carried_residuals_match_the_star_products(square, harper,
+                                                   one_mode_potential, bands,
+                                                   with_a):
+    order = 5
+    H, pi, u = _sapt(square, harper, one_mode_potential if with_a else None,
+                     bands, order)
+    hs = effective_symbol(H, pi, u, order)
+    carried = {**projection_residuals(H, pi, order),
+               **intertwiner_residuals(pi, u, order)}
+    for name, old in _residuals_from_star_products(H, pi, u, order).items():
+        assert len(carried[name]) == len(old) == order + 1
+        for j, pair in enumerate(zip(carried[name], old)):
+            tol = 1e-10 * max([1.0] + [float(np.max(np.abs(M)))
+                                       for M in hs[j].values()])
+            assert max(pair) <= tol, (name, j, pair)
+
+
+@pytest.mark.parametrize("mask, name", [(0, "idempotency"), (1, "commutator")],
+                         ids=["S", "W"])
+def test_carried_residuals_see_a_wrong_block_mask(square, harper,
+                                                  one_mode_potential,
+                                                  monkeypatch, mask, name):
+    # a sign-flipped S breaks pi_n^D, a sign-flipped W breaks pi_n^OD; the
+    # carried defect of the property each one enforces is of order one
+    block_masks = moyal._block_masks
+
+    def flipped(T, bands):
+        masks = list(block_masks(T, bands))
+        masks[mask] = -masks[mask]
+        return tuple(masks)
+
+    H = assemble_truncated(harper, one_mode_potential, square, T)
+    good = projection_residuals(H, build_projection(H, [0, 1], 3), 3)
+    monkeypatch.setattr(moyal, "_block_masks", flipped)
+    bad = projection_residuals(H, build_projection(H, [0, 1], 3), 3)
+    assert max(good[name]) < 1e-12
+    assert max(bad[name]) > 0.1
+
+
+def test_projection_residuals_recompute_for_another_symbol(
+        square, harper, one_mode_potential, monkeypatch):
+    # the carried defects belong to the H pi was built from; an equal H
+    # built again is recomputed to the same tolerance, and an H without the
+    # vector potential does not commute with pi
+    order = 3
+    H, pi, _ = _sapt(square, harper, one_mode_potential, [0, 1], order)
+    same = assemble_truncated(harper, one_mode_potential, square, T)
+    other = assemble_truncated(harper, None, square, T)
+    calls = []
+    inner = moyal.star_grade
+    monkeypatch.setattr(moyal, "star_grade",
+                        lambda A, B, n: calls.append(n) or inner(A, B, n))
+    carried = projection_residuals(H, pi, order)
+    assert calls == []
+    again = projection_residuals(same, pi, order)
+    assert len(calls) == 3 * (order + 1)
+    assert again["hermiticity"] == carried["hermiticity"]
+    for name in ("idempotency", "commutator"):
+        assert max(carried[name]) < 1e-12 and max(again[name]) < 1e-12
+    assert max(projection_residuals(other, pi, order)["commutator"]) > 0.1
