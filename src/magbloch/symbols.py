@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -321,6 +322,57 @@ def remainder_map(V: FourierSeries2D, A: PeriodicVectorPotential | None,
     return _remainder_shares(V, A, L, T, delta, T.dim, T.dim)
 
 
+# The share map remainder_norm used last, under its key: at most one entry.
+# Callers sweep the points of one delta, and each point needs the same map.
+_SHARE_MEMO: dict = {}
+
+
+def _memo_remainder_shares(V, A, L, T: FockTruncation, delta: float,
+                           cols: int) -> ModeMap:
+    """:func:`_remainder_shares` on the guard-corner rows and the column
+    prefix ``[0, cols)``, taken from a one-entry memo.
+
+    The key holds the values of everything the map depends on: the
+    coefficients of V and of A's ``f1`` and ``f2`` (None for no A) in their
+    dict order, which sets the map's mode order and so the summation order
+    at a point; the lattice generators; the truncation; delta and the
+    column prefix.  A series' dict can change in place, so no ``id()``
+    enters it.  A miss drops the old entry; the memo's arrays are
+    read-only."""
+    key = (tuple(V.coeffs.items()),
+           None if A is None else (tuple(A.f1.coeffs.items()),
+                                   tuple(A.f2.coeffs.items())),
+           L.a.tobytes(), L.b.tobytes(), T, delta, cols)
+    shares = _SHARE_MEMO.get(key)
+    if shares is None:
+        _SHARE_MEMO.clear()  # before the build, so two maps are never held
+        shares = _remainder_shares(V, A, L, T, delta, T.corner_dim, cols)
+        for M in shares.values():
+            M.flags.writeable = False
+        _SHARE_MEMO[key] = shares
+    return shares
+
+
+def _check_point(point) -> None:
+    try:
+        p, x = point
+    except (TypeError, ValueError):
+        p = x = None
+    if not all(isinstance(t, numbers.Real) and not isinstance(t, bool)
+               and math.isfinite(t) for t in (p, x)):
+        raise ValueError(f"point must be two finite real numbers, got {point!r}")
+
+
+def _spectral_norm(R: np.ndarray) -> float:
+    """Largest singular value of R: the vector 2-norm of one column, else
+    the square root of the top eigenvalue of the Hermitian Gram matrix
+    ``R^H R``, which is exact up to rounding for the largest value."""
+    if R.shape[1] == 1:
+        return float(np.linalg.norm(R[:, 0]))
+    top = np.linalg.eigvalsh(R.conj().T @ R)[-1]
+    return math.sqrt(max(float(top), 0.0))
+
+
 def remainder_norm(V, A, L, T: FockTruncation, delta: float, point,
                    projector_band=None) -> float:
     """Guard-corner spectral norm of the remainder, optionally compressed
@@ -329,12 +381,16 @@ def remainder_norm(V, A, L, T: FockTruncation, delta: float, point,
     With ``projector_band`` given the reported quantity is ``|R P_band|``
     (the remainder tested against band states); this is the object whose
     scaling order improves by one power over the unprojected norm.  Every
-    band index must be an integer in the guard corner ``[0, T.corner_dim)``.
+    band index must be an integer in the guard corner ``[0, T.corner_dim)``,
+    and the point two finite real numbers.
     Only the corner rows and the column prefix up to the highest band are
-    formed; the norm is taken of the band columns, as ``R P_band`` is zero
-    outside them, or of all corner columns when unprojected.
+    formed, once per delta and prefix while the other inputs stay the same
+    (:func:`_memo_remainder_shares`); the norm is taken of the band
+    columns, as ``R P_band`` is zero outside them, or of all corner columns
+    when unprojected (:func:`_spectral_norm`).
     """
     _check_delta(delta)
+    _check_point(point)
     cols = np.arange(T.corner_dim)
     if projector_band is not None:
         bands = [projector_band] if np.ndim(projector_band) == 0 else list(projector_band)
@@ -345,11 +401,14 @@ def remainder_norm(V, A, L, T: FockTruncation, delta: float, point,
         cols = np.unique(np.array(bands, dtype=int))
         if not len(cols):
             return 0.0
-    R = eval_mode_map(_remainder_shares(V, A, L, T, delta, T.corner_dim,
-                                        int(cols[-1]) + 1), point)
-    return float(np.linalg.norm(R[:, cols], 2))
+    R = eval_mode_map(_memo_remainder_shares(V, A, L, T, delta,
+                                             int(cols[-1]) + 1), point)
+    return _spectral_norm(R[:, cols])
 
 
 def default_points(k: int = 4):
-    """k x k evaluation grid on [0,1)^2."""
+    """k x k evaluation grid on [0,1)^2, for an integer k >= 1."""
+    if (isinstance(k, bool) or not isinstance(k, (int, np.integer))
+            or k < 1):
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     return [(i / k, j / k) for i in range(k) for j in range(k)]

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
+from magbloch import symbols
 from magbloch.lattice import (FourierSeries2D, PeriodicVectorPotential,
                               harper_potential, make_lattice)
+
+
+@pytest.fixture(autouse=True)
+def _empty_share_memo():
+    """Each test starts with an empty remainder-share memo, so what a test
+    counts does not depend on the tests that ran before it."""
+    symbols._SHARE_MEMO.clear()
 
 
 @pytest.fixture

@@ -432,6 +432,183 @@ def test_non_finite_or_negative_delta_rejected(square, harper, delta):
         remainder_map(harper, None, square, T, delta)
 
 
+@pytest.mark.parametrize("point", [(math.nan, 0.1), (math.inf, 0.0),
+                                   (0.1, -math.inf), (True, 0.2),
+                                   (0.1, np.bool_(False)), (0.1 + 0j, 0.2),
+                                   ("0.1", 0.2), (0.1,), (0.1, 0.2, 0.3),
+                                   0.5, None])
+def test_point_that_is_not_two_finite_reals_rejected(square, harper, point,
+                                                     monkeypatch):
+    # rejected before any share is built or looked up
+    monkeypatch.setattr(symbols, "_remainder_shares", None)
+    with pytest.raises(ValueError, match="point"):
+        remainder_norm(harper, None, square, T, 0.1, point)
+
+
+def test_integer_and_numpy_points_accepted(square, harper):
+    want = remainder_norm(harper, None, square, T, 0.1, (0.0, 0.5))
+    for point in ((0, 0.5), (np.float64(0.0), np.float32(0.5)),
+                  np.array([0.0, 0.5]), [np.int64(0), 0.5]):
+        assert remainder_norm(harper, None, square, T, 0.1, point) == want
+
+
+@pytest.mark.parametrize("k", [0, -1, 1.5, 2.0, True, "2", None])
+def test_default_points_rejects_k_below_one_or_not_an_integer(k):
+    with pytest.raises(ValueError, match="k must be"):
+        default_points(k)
+
+
+def test_default_points_grid():
+    assert default_points(1) == [(0.0, 0.0)]
+    assert default_points(np.int64(2)) == default_points(2) == [
+        (0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.5, 0.5)]
+
+
+@pytest.mark.parametrize("k", [2, 4])
+@pytest.mark.parametrize("with_a", [False, True])
+def test_share_map_built_once_per_delta_and_columns(square, harper,
+                                                    one_mode_potential,
+                                                    monkeypatch, k, with_a):
+    # the sweep order of the benchmark, criterion 4 and demo 07: the points
+    # inside each delta
+    calls = []
+    inner = symbols._mode_shares
+
+    def counted(*args):
+        calls.append(args[4:])  # delta, f, rows, cols
+        return inner(*args)
+
+    monkeypatch.setattr(symbols, "_mode_shares", counted)
+    A = one_mode_potential if with_a else None
+    Tr = FockTruncation(n_max=30, guard=6)
+    deltas = [0.2, 0.1, 0.05]
+    for band in (None, 0, [1, 3], 3):
+        calls.clear()
+        for d in deltas:
+            for pt in default_points(k):
+                remainder_norm(harper, A, square, Tr, d, pt,
+                               projector_band=band)
+        assert [c[0] for c in calls] == deltas, band
+    # bands 3 and [1, 3] read the same column prefix; band 0 does not
+    calls.clear()
+    for band in (0, [1, 3], 3, 3, None, None):
+        remainder_norm(harper, A, square, Tr, 0.05, (0.1, 0.2),
+                       projector_band=band)
+    assert [c[3] for c in calls] == [1, 4, Tr.corner_dim]
+
+
+def _cold_norm(*args, **kwargs):
+    symbols._SHARE_MEMO.clear()
+    return remainder_norm(*args, **kwargs)
+
+
+@pytest.mark.parametrize("band", [None, 0, [0, 2]])
+def test_memo_hit_is_bit_identical_to_cold_call(square, harper,
+                                                one_mode_potential, band):
+    Tr = FockTruncation(n_max=30, guard=6)
+    for A in (None, one_mode_potential):
+        pts = default_points(4)
+        warm = [remainder_norm(harper, A, square, Tr, 0.1, pt,
+                               projector_band=band) for pt in pts]
+        cold = [_cold_norm(harper, A, square, Tr, 0.1, pt,
+                           projector_band=band) for pt in pts]
+        assert warm == cold and len(set(warm)) > 1
+
+
+def test_changing_any_key_part_gives_the_cold_value(square, harper,
+                                                    one_mode_potential):
+    Tr = FockTruncation(n_max=30, guard=6)
+    point = (0.1, 0.2)
+    base = dict(V=harper, A=one_mode_potential, L=square, T=Tr, delta=0.1,
+                band=None)
+    bumped = FourierSeries2D({**harper.coeffs, (1, 0): 0.6, (-1, 0): 0.6},
+                             is_real=True)
+    variants = {
+        "V coefficient": dict(V=bumped),
+        "A absent": dict(A=None),
+        "lattice": dict(L=SKEWED, A=PeriodicVectorPotential(
+            one_mode_potential.f1, one_mode_potential.f2, SKEWED)),
+        "n_max": dict(T=FockTruncation(n_max=32, guard=6)),
+        "guard": dict(T=FockTruncation(n_max=30, guard=5)),
+        "delta": dict(delta=0.11),
+        "band": dict(band=0),
+    }
+
+    def norm(cfg):
+        return remainder_norm(cfg["V"], cfg["A"], cfg["L"], cfg["T"],
+                              cfg["delta"], point, projector_band=cfg["band"])
+
+    want = norm(base)
+    for name, change in variants.items():
+        for before in (base, {**base, **change}):
+            # from a memo that holds the base map and from one that holds
+            # the variant's own map, and back
+            norm(before)
+            cfg = {**base, **change}
+            got = norm(cfg)
+            symbols._SHARE_MEMO.clear()
+            assert got == norm(cfg) and got != want, name
+            assert norm(base) == want, name
+
+
+def test_series_changed_in_place_gives_the_cold_value(square, harper,
+                                                      one_mode_potential):
+    Tr = FockTruncation(n_max=30, guard=6)
+    V = FourierSeries2D(dict(harper.coeffs), is_real=True)
+    f1 = FourierSeries2D(dict(one_mode_potential.f1.coeffs), is_real=True)
+    A = PeriodicVectorPotential(f1, one_mode_potential.f2, square)
+    args = (square, Tr, 0.1, (0.1, 0.2))
+    before = remainder_norm(V, A, *args)
+    V.coeffs[(1, 0)] = V.coeffs[(-1, 0)] = 0.6 + 0j
+    got = remainder_norm(V, A, *args)
+    assert got != before and got == _cold_norm(V, A, *args)
+    # f1 scaled on its modes (0, +-1) keeps the gauge condition
+    f1.coeffs[(0, 1)] = f1.coeffs[(0, -1)] = 0.3 + 0j
+    got = remainder_norm(V, A, *args)
+    assert got != before and got == _cold_norm(V, A, *args)
+
+
+def test_memo_arrays_read_only_and_remainder_map_arrays_fresh(square,
+                                                              harper):
+    Tr = FockTruncation(n_max=30, guard=6)
+    want = remainder_norm(harper, None, square, Tr, 0.1, (0.1, 0.2))
+    (memo,) = symbols._SHARE_MEMO.values()
+    for M in memo.values():
+        assert not M.flags.writeable
+        with pytest.raises(ValueError):
+            M[0, 0] = 1.0
+    R = remainder_map(harper, None, square, Tr, 0.1)
+    for M in R.values():
+        assert M.flags.writeable
+        assert not any(np.shares_memory(M, S) for S in memo.values())
+        M[:] = 0.0
+    assert remainder_map(harper, None, square, Tr, 0.1)[(1, 0)].any()
+    assert remainder_norm(harper, None, square, Tr, 0.1, (0.1, 0.2)) == want
+
+
+@pytest.mark.parametrize("with_a", [False, True])
+@pytest.mark.parametrize("band", [None, 0])
+def test_norm_matches_svd_at_the_benchmark_truncation(square, harper,
+                                                      one_mode_potential,
+                                                      with_a, band):
+    # the four criterion-4 cases at n_max 200, against numpy's SVD norm of
+    # the band columns of the corner
+    A = one_mode_potential if with_a else None
+    Tb = FockTruncation(n_max=200, guard=6)
+    c = Tb.corner_dim
+    cols = np.arange(c) if band is None else [band]
+    for delta in (0.2, 0.05):
+        shares = remainder_map(harper, A, square, Tb, delta)
+        for point in ((0.0, 0.0), (0.25, 0.75)):
+            R = eval_mode_map(shares, point)
+            want = np.linalg.norm(R[:c, cols], 2)
+            got = remainder_norm(harper, A, square, Tb, delta, point,
+                                 projector_band=band)
+            assert abs(got - want) <= 1e-13 * want, (delta, point)
+    assert remainder_norm(harper, A, square, Tb, 0.05, (0.0, 0.0),
+                          projector_band=[]) == 0.0
+
+
 def _random_modes(rng, dim, keys):
     return {nm: rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             for nm in keys}
