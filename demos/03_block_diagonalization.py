@@ -10,8 +10,7 @@ from magbloch import FockTruncation
 from magbloch.effective import closed_form_grades
 from magbloch.lattice import harper_potential, make_lattice
 from magbloch.moyal import (build_intertwiner, build_projection,
-                            effective_symbol, intertwiner_residuals,
-                            projection_residuals)
+                            effective_symbol)
 from magbloch.symbols import assemble_truncated, mode_max_norm
 
 L = make_lattice([1, 0], [0, 1])
@@ -21,13 +20,12 @@ T = FockTruncation(n_max=24, guard=6)
 H = assemble_truncated(V, None, L, T)
 pi = build_projection(H, [0], 4)
 u = build_intertwiner(pi, 4)
-hs = effective_symbol(H, pi, u, 4)
+hs = effective_symbol(H, u, 4)
 
 print("gradewise residuals of the defining properties:")
-for name, vals in projection_residuals(H, pi, 4).items():
-    print(f"  pi {name}: {[f'{v:.1e}' for v in vals]}")
-for name, vals in intertwiner_residuals(pi, u, 4).items():
-    print(f"  u {name}: {[f'{v:.1e}' for v in vals]}")
+for label, series in (("pi", pi), ("u", u)):
+    for name, vals in series.residuals.items():
+        print(f"  {label} {name}: {[f'{v:.1e}' for v in vals]}")
 
 print("\nband-block symbols:")
 for j, h in enumerate(hs):

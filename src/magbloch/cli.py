@@ -457,9 +457,7 @@ def cmd_sapt(cfg: dict, args) -> str:
     H = symbols.assemble_truncated(V, A, L, T)
     pi = moyal.build_projection(H, bands, order)
     u = moyal.build_intertwiner(pi, order)
-    hs = moyal.effective_symbol(H, pi, u, order)
-    pres = moyal.projection_residuals(H, pi, order)
-    ures = moyal.intertwiner_residuals(pi, u, order)
+    hs = moyal.effective_symbol(H, u, order)
 
     def block_norm(h):
         return max((float(np.max(np.abs(M))) for M in h.values()), default=0.0)
@@ -468,8 +466,10 @@ def cmd_sapt(cfg: dict, args) -> str:
         "natural": H.natural,
         "order": order,
         "band_set": list(pi.band_set),
-        "pi_residuals": {k: [float(x) for x in v] for k, v in sorted(pres.items())},
-        "u_residuals": {k: [float(x) for x in v] for k, v in sorted(ures.items())},
+        "pi_residuals": {k: [float(x) for x in v]
+                         for k, v in sorted(pi.residuals.items())},
+        "u_residuals": {k: [float(x) for x in v]
+                        for k, v in sorted(u.residuals.items())},
         "h_norms": [block_norm(h) for h in hs],
         "h": {str(j): _mode_blocks_payload(hs[j]) for j in range(order + 1)},
     }

@@ -26,6 +26,11 @@ set of contiguous fast-space levels, and produce order by order:
 * ``u_n = a_n + b_n`` with ``a_n = -A_n/2``, ``A_n = [u # u^dag]_n`` of the
   grades below n, and ``b_n = [P, B_n]``;
 * ``chi_m = [u # H - sum_{j<m} chi_j # u]_m`` and ``h_m = P chi_m P``.
+
+Each builder also forms, from the products its loop holds, the gradewise
+defects of the defining properties of its series, and carries them as
+``MoyalSeries.residuals``: idempotency, Hermiticity and commutation with H
+for pi; unitarity and the intertwining ``u # pi # u^dag = P`` for u.
 """
 
 from __future__ import annotations
@@ -49,29 +54,20 @@ __all__ = [
     "build_projection",
     "build_intertwiner",
     "effective_symbol",
-    "projection_residuals",
-    "intertwiner_residuals",
 ]
 
 
 @dataclass(frozen=True)
 class MoyalSeries:
-    """Graded symbol with the highest trusted grade recorded."""
+    """Graded symbol with the highest trusted grade recorded, and the
+    gradewise defects of its defining properties that its build formed,
+    ``residuals``: name -> [grades 0 .. order_built]."""
 
     grades: dict
     order_built: int
     truncation: FockTruncation
     band_set: tuple = ()
-    # (pi, grades 0 .. order_built - 1 of u # pi) of build_intertwiner's u,
-    # which intertwiner_residuals reads instead of recomputing them
-    _times_pi: tuple = field(default=(None, None), compare=False,
-                             repr=False)
-    # (H, {name: [grades 0 .. order_built]}): the gradewise defects the
-    # build formed from its own products, which the residual functions
-    # read: a projection's idempotency and commutator against the H it was
-    # built from, an intertwiner's unitarity (H None: u alone)
-    _defects: tuple = field(default=(None, None), compare=False,
-                            repr=False)
+    residuals: dict = field(default_factory=dict, compare=False)
 
     def grade(self, j: int) -> ModeMap:
         return self.grades.get(j, {})
@@ -325,10 +321,10 @@ def build_projection(H: OperatorSymbol, band_set, order: int) -> MoyalSeries:
         [pi # pi - pi]_n = G_n + P pi_n + pi_n P - pi_n,
         [H, pi]_n        = F_n + H_0 pi_n^OD - pi_n^OD H_0,
 
-    and the series carries the floats for :func:`projection_residuals`.
-    ``P = diag(p)`` and ``H_0 = diag(h)`` are diagonal, so each product
-    with them is an entrywise weight: ``(p_i + p_j - 1) X_ij`` and ``(h_i -
-    h_j) X_ij``.
+    and each grade's Hermiticity defect, and the series carries the floats
+    as its ``residuals``.  ``P = diag(p)`` and ``H_0 = diag(h)`` are
+    diagonal, so each product with them is an entrywise weight: ``(p_i +
+    p_j - 1) X_ij`` and ``(h_i - h_j) X_ij``.
     """
     T = H.truncation
     bands = _check_bands(band_set)
@@ -343,6 +339,7 @@ def build_projection(H: OperatorSymbol, band_set, order: int) -> MoyalSeries:
     idem_w = p[:, None] + p[None, :] - 1.0   # P X + X P - X
     comm_w = h[:, None] - h[None, :]         # H_0 X - X H_0
     idem, comm = [0.0], [0.0]    # pi_0 = P, a projector that commutes with H_0
+    herm = [mode_hermiticity_defect(pi_grades[0], T)]
     for n in range(1, order + 1):
         # [pi # pi - pi]_n; the linear term has no grade-n piece yet
         G = star_grade(pi_grades, pi_grades, n)
@@ -358,11 +355,13 @@ def build_projection(H: OperatorSymbol, band_set, order: int) -> MoyalSeries:
                               for nm, M in pi_n.items()))
         comm.append(_max_norm(F[nm][:c, :c] + M[:c, :c] * comm_w
                               for nm, M in piOD.items()))
+        herm.append(mode_hermiticity_defect(pi_n, T))
         if pi_n:
             pi_grades[n] = _Stored(pi_n)
     return MoyalSeries(grades=pi_grades, order_built=order, truncation=T,
-                       band_set=bands, _defects=(H, {"idempotency": idem,
-                                                     "commutator": comm}))
+                       band_set=bands,
+                       residuals={"idempotency": idem, "hermiticity": herm,
+                                  "commutator": comm})
 
 
 def build_intertwiner(pi: MoyalSeries, order: int) -> MoyalSeries:
@@ -371,8 +370,10 @@ def build_intertwiner(pi: MoyalSeries, order: int) -> MoyalSeries:
 
     The loop also forms each grade's unitarity defect from the product it
     holds, mode by mode on the guard corner, ``[u # u^dag - 1]_n = A_n +
-    u_n + u_n^dag`` with ``A_n = -2 a_n``, and the series carries the
-    floats for :func:`intertwiner_residuals`.
+    u_n + u_n^dag`` with ``A_n = -2 a_n``.  Once grade n is final it forms
+    ``[u # pi]_n``, which the next grade reads, and from it the grade's
+    intertwining defect ``[u # pi # u^dag - P]_n``.  The series carries the
+    floats as its ``residuals``.
     """
     if pi.order_built < order:
         raise TruncationError("projection series built to lower order than requested")
@@ -382,8 +383,12 @@ def build_intertwiner(pi: MoyalSeries, order: int) -> MoyalSeries:
     pig = _stored_grades(pi.grades)
     u_grades: dict[int, ModeMap] = {0: _Stored({(0, 0): np.eye(T.dim, dtype=complex)})}
     u_dag = {0: _dagger(u_grades[0])}
-    upi: dict[int, ModeMap] = {}    # [u # pi]_j of the finished grades of u
+    # [u # pi]_j of the finished grades of u
+    upi: dict[int, ModeMap] = {0: _Stored(star_grade(u_grades, pig, 0))}
     unit = [0.0]    # u_0 u_0^dag = 1 exactly
+    P = pig[0][(0, 0)]    # pi_0
+    intw = [mode_max_norm(mode_add(star_grade(upi, u_dag, 0), {(0, 0): -P}),
+                          T)]
     for n in range(1, order + 1):
         # A_n is held only as a_n = -A_n/2, which is exact: one map fewer
         # at the loop's peak memory
@@ -393,8 +398,7 @@ def build_intertwiner(pi: MoyalSeries, order: int) -> MoyalSeries:
             w[n] = a_n
             w_dag[n] = _dagger(a_n)
         # [w # pi # w_dag]_n, associating left to right; grades below n of
-        # w # pi are those of u # pi, and grade n - 1 of u is final now
-        upi[n - 1] = _Stored(star_grade(u_grades, pig, n - 1))
+        # w # pi are those of u # pi
         wpi = dict(upi)
         wpi[n] = _Stored(star_grade(w, pig, n))
         B_n = star_grade(wpi, w_dag, n)
@@ -408,19 +412,23 @@ def build_intertwiner(pi: MoyalSeries, order: int) -> MoyalSeries:
             _corner(u_n, nm, c) + _corner(ud_n, nm, c)
             - 2.0 * _corner(a_n, nm, c)
             for nm in a_n.keys() | u_n.keys() | ud_n.keys()))
+        # grade n of u is final; the step's maps go before the products
+        # below, which would otherwise raise the loop's peak memory
+        del a_n, w, w_dag, wpi, B_n, b_n, u_n, ud_n
+        upi[n] = _Stored(star_grade(u_grades, pig, n))
+        intw.append(mode_max_norm(star_grade(upi, u_dag, n), T))
     return MoyalSeries(grades=u_grades, order_built=order, truncation=T,
-                       band_set=pi.band_set, _times_pi=(pi, upi),
-                       _defects=(None, {"unitarity": unit}))
+                       band_set=pi.band_set,
+                       residuals={"unitarity": unit, "intertwining": intw})
 
 
-def effective_symbol(H: OperatorSymbol, pi: MoyalSeries, u: MoyalSeries,
-                     order: int) -> list:
+def effective_symbol(H: OperatorSymbol, u: MoyalSeries, order: int) -> list:
     """Band-block effective symbols h_0..h_order.
 
     Each h_j is returned as a mode map of (len(band_set) x len(band_set))
     blocks, the compression of chi_j onto the level family.
     """
-    if pi.order_built < order or u.order_built < order:
+    if u.order_built < order:
         raise TruncationError("series not built to the requested order")
     bands = list(u.band_set)
     idx = np.ix_(bands, bands)
@@ -433,68 +441,3 @@ def effective_symbol(H: OperatorSymbol, pi: MoyalSeries, u: MoyalSeries,
         chi[m] = _Stored(chi_m)
         out.append({nm: M[idx] for nm, M in chi_m.items()})
     return out
-
-
-def projection_residuals(H: OperatorSymbol, pi: MoyalSeries, order: int) -> dict:
-    """Gradewise defects of the defining properties of the projection:
-    idempotency, symbol Hermiticity, commutation with H.
-
-    For the H that :func:`build_projection` built pi from, the idempotency
-    and commutator defects of the grades it built are the floats it
-    carries, formed from its own products; for another H, and above the
-    built grades, they are recomputed from star products.  The two differ
-    by roundings, since their sums are associated differently.  The
-    Hermiticity defect is always read off the grades.
-    """
-    T = pi.truncation
-    built_from, carried = pi._defects
-    if built_from is not H:
-        carried = {}
-    idem = list(carried.get("idempotency", ()))[:order + 1]
-    comm = list(carried.get("commutator", ()))[:order + 1]
-    Hg, pig = _stored_grades(H.grades), _stored_grades(pi.grades)
-    herm = []
-    for j in range(order + 1):
-        herm.append(mode_hermiticity_defect(pi.grade(j), T))
-        if j < len(idem):
-            continue
-        pp = star_grade(pig, pig, j)
-        d = mode_add(pp, mode_scale(pi.grade(j), -1.0))
-        idem.append(mode_max_norm(d, T))
-        c = star_grade(Hg, pig, j)
-        c = mode_add(c, mode_scale(star_grade(pig, Hg, j), -1.0))
-        comm.append(mode_max_norm(c, T))
-    return {"idempotency": idem, "hermiticity": herm, "commutator": comm}
-
-
-def intertwiner_residuals(pi: MoyalSeries, u: MoyalSeries, order: int) -> dict:
-    """Gradewise defects of unitarity and of u # pi # u_dag = P.
-
-    The unitarity defects of the grades :func:`build_intertwiner` built
-    are the floats u carries, formed from its own products (they depend on
-    u alone); above those grades they are recomputed.  The intertwining
-    defect is always recomputed, but the grades of u # pi that
-    :func:`build_intertwiner` formed from this pi are reused; they are the
-    same products, so the bits are the same.
-    """
-    T = u.truncation
-    P = band_projector_matrix(T, u.band_set)
-    ug, pig = _stored_grades(u.grades), _stored_grades(pi.grades)
-    u_dag = {j: _dagger(mm) for j, mm in ug.items()}
-    built_pi, built = u._times_pi
-    upi: dict[int, ModeMap] = dict(built) if built_pi is pi else {}
-    unit = list((u._defects[1] or {}).get("unitarity", ()))[:order + 1]
-    intw = []
-    for j in range(order + 1):
-        if j == len(unit):
-            uu = star_grade(ug, u_dag, j)
-            if j == 0:
-                uu = mode_add(uu, {(0, 0): -np.eye(T.dim, dtype=complex)})
-            unit.append(mode_max_norm(uu, T))
-        if j not in upi:
-            upi[j] = _Stored(star_grade(ug, pig, j))
-        s = star_grade(upi, u_dag, j)
-        if j == 0:
-            s = mode_add(s, {(0, 0): -P})
-        intw.append(mode_max_norm(s, T))
-    return {"unitarity": unit, "intertwining": intw}

@@ -469,10 +469,14 @@ def order_fit(model_spectra, oracle_spectra, delta_list) -> OrderFit:
     deltas = [float(d) for d in delta_list]
     if len(deltas) < 3:
         raise ValueError("order fit needs at least 3 delta values")
+    if not len(model_spectra) == len(oracle_spectra) == len(deltas):
+        raise ValueError(f"order fit needs one model and one oracle spectrum "
+                         f"per delta, got {len(model_spectra)} and "
+                         f"{len(oracle_spectra)} for {len(deltas)} deltas")
     if any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ValueError("delta list must be strictly decreasing")
     dists = [sorted_list_distance(mod, orc)
-             for mod, orc, _ in zip(model_spectra, oracle_spectra, deltas)]
+             for mod, orc in zip(model_spectra, oracle_spectra)]
     fit = log_slope(deltas, dists)
     if fit is None:
         raise NumericError("too few uncensored distances for a slope fit")

@@ -387,7 +387,10 @@ def remainder_norm(V, A, L, T: FockTruncation, delta: float, point,
     formed, once per delta and prefix while the other inputs stay the same
     (:func:`_memo_remainder_shares`); the norm is taken of the band
     columns, as ``R P_band`` is zero outside them, or of all corner columns
-    when unprojected (:func:`_spectral_norm`).
+    when unprojected (:func:`_spectral_norm`).  An unprojected norm can move
+    in its last bits with the BLAS thread count (up to 1.5e-15 relative
+    between one and two OpenBLAS threads at ``n_max`` 200); a projected
+    norm kept its bits in the same cases.
     """
     _check_delta(delta)
     _check_point(point)

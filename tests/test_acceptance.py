@@ -59,7 +59,7 @@ def test_criterion_2_closed_forms():
     H = symbols.assemble_truncated(HARPER, None, SQUARE, T)
     pi = moyal.build_projection(H, [0], 4)
     u = moyal.build_intertwiner(pi, 4)
-    hs = moyal.effective_symbol(H, pi, u, 4)
+    hs = moyal.effective_symbol(H, u, 4)
     lam = 0.5
     h1 = symbols.mode_max_norm(hs[1], T)
     h3 = symbols.mode_max_norm(hs[3], T)

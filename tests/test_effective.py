@@ -156,7 +156,7 @@ def test_effective_matches_recursion_single_band(square, harper):
     H = assemble_truncated(harper, None, square, T)
     pi = build_projection(H, [0], 4)
     u = build_intertwiner(pi, 4)
-    hs = effective_symbol(H, pi, u, 4)
+    hs = effective_symbol(H, u, 4)
     series = model.blocks[0][0]
     modes = set(series.coeffs)
     for h in hs:
@@ -177,7 +177,7 @@ def test_effective_matches_recursion_two_band(square, one_mode_potential):
                            one_mode_potential, square, T)
     pi = build_projection(H, [0, 1], 1)
     u = build_intertwiner(pi, 1)
-    hs = effective_symbol(H, pi, u, 1)
+    hs = effective_symbol(H, u, 1)
     modes = set(hs[0]) | set(hs[1])
     for nm in modes:
         want = hs[0].get(nm, np.zeros((2, 2))) + d * hs[1].get(nm, np.zeros((2, 2)))

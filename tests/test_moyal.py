@@ -11,11 +11,11 @@ from magbloch.fock import FockTruncation, band_projector_matrix, xi_matrix
 from magbloch.lattice import (FourierSeries2D, PeriodicVectorPotential,
                               laplacian_DzDzbar)
 from magbloch.moyal import (_block_masks, _dagger, _Stored, build_intertwiner,
-                            build_projection, effective_symbol,
-                            intertwiner_residuals, moyal_term,
-                            projection_residuals, star_grade)
+                            build_projection, effective_symbol, moyal_term,
+                            star_grade)
 from magbloch.symbols import (assemble_truncated, mode_add, mode_dagger,
-                              mode_max_norm, mode_scale)
+                              mode_hermiticity_defect, mode_max_norm,
+                              mode_scale)
 
 T = FockTruncation(n_max=24, guard=6)
 
@@ -70,41 +70,14 @@ def test_single_band_low_orders_vanish(square, harper):
 
 def test_projection_properties_single_band(square, harper):
     H, pi, u = _sapt(square, harper, None, [0], 4)
-    res = projection_residuals(H, pi, 4)
-    for vals in res.values():
-        assert max(vals) < 1e-10
-    ures = intertwiner_residuals(pi, u, 4)
-    for vals in ures.values():
-        assert max(vals) < 1e-10
+    for vals in (*pi.residuals.values(), *u.residuals.values()):
+        assert len(vals) == 5 and max(vals) < 1e-10
 
 
 def test_projection_properties_two_band(square, harper, one_mode_potential):
     H, pi, u = _sapt(square, harper, one_mode_potential, [0, 1], 3)
-    res = projection_residuals(H, pi, 3)
-    for vals in res.values():
-        assert max(vals) < 1e-10
-    ures = intertwiner_residuals(pi, u, 3)
-    for vals in ures.values():
-        assert max(vals) < 1e-10
-
-
-def test_intertwiner_residuals_reuse_the_built_products(
-        square, harper, one_mode_potential, monkeypatch):
-    # the grades 0 .. order - 1 of u # pi that build_intertwiner formed are
-    # read back, not recomputed, for the pi u was built from; an equal pi
-    # built again recomputes them, to the same bits
-    order = 4
-    H, pi, u = _sapt(square, harper, one_mode_potential, [0, 1], order)
-    rebuilt = build_projection(H, [0, 1], order)
-    calls = []
-    inner = moyal.star_grade
-    monkeypatch.setattr(moyal, "star_grade",
-                        lambda A, B, n: calls.append(n) or inner(A, B, n))
-    reused = intertwiner_residuals(pi, u, order)
-    count = len(calls)
-    calls.clear()
-    assert intertwiner_residuals(rebuilt, u, order) == reused
-    assert len(calls) == count + order
+    for vals in (*pi.residuals.values(), *u.residuals.values()):
+        assert len(vals) == 4 and max(vals) < 1e-10
 
 
 def test_two_band_first_order_nonzero(square, harper, one_mode_potential):
@@ -118,7 +91,7 @@ def test_two_band_first_order_nonzero(square, harper, one_mode_potential):
 
 def test_effective_single_band_closed_forms(square, harper):
     H, pi, u = _sapt(square, harper, None, [0], 4)
-    hs = effective_symbol(H, pi, u, 4)
+    hs = effective_symbol(H, u, 4)
     lam = 0.5
     assert hs[0][(0, 0)][0, 0] == pytest.approx(lam)
     assert mode_max_norm(hs[1], T) < 1e-12
@@ -133,7 +106,7 @@ def test_effective_single_band_closed_forms(square, harper):
 
 def test_effective_two_band_closed_forms(square, harper, one_mode_potential):
     H, pi, u = _sapt(square, harper, one_mode_potential, [0, 1], 1)
-    hs = effective_symbol(H, pi, u, 1)
+    hs = effective_symbol(H, u, 1)
     n_star = 0
     h0 = hs[0][(0, 0)]
     assert np.allclose(h0, np.diag([n_star + 0.5, n_star + 1.5]), atol=1e-13)
@@ -151,7 +124,7 @@ def test_effective_two_band_closed_forms(square, harper, one_mode_potential):
 def test_free_landau_has_no_corrections(square):
     empty = FourierSeries2D({}, is_real=True)
     H, pi, u = _sapt(square, empty, None, [1], 4)
-    hs = effective_symbol(H, pi, u, 4)
+    hs = effective_symbol(H, u, 4)
     assert hs[0][(0, 0)][0, 0] == pytest.approx(1.5)
     for j in range(1, 5):
         assert mode_max_norm(hs[j], T) < 1e-14
@@ -186,7 +159,7 @@ def test_odd_orders_vanish_without_vector_potential(square, harper):
     H = assemble_truncated(harper, None, square, Tb)
     pi = build_projection(H, [0], 6)
     u = build_intertwiner(pi, 6)
-    hs = effective_symbol(H, pi, u, 6)
+    hs = effective_symbol(H, u, 6)
     for j in (1, 3, 5):
         assert mode_max_norm(hs[j], Tb) < 1e-12
     assert mode_max_norm(hs[6], Tb) > 1.0
@@ -460,11 +433,9 @@ def test_recursion_matches_dense_reference(square, harper, one_mode_potential,
     H = assemble_truncated(harper, one_mode_potential, square, T)
     pi = build_projection(H, bands, order)
     u = build_intertwiner(pi, order)
-    hs = effective_symbol(H, pi, u, order)
-    pres = projection_residuals(H, pi, order)
-    ures = intertwiner_residuals(pi, u, order)
+    hs = effective_symbol(H, u, order)
     _assert_graded_equal(u.grades, _intertwiner_reference(pi, order))
-    assert ures["intertwining"] == _intertwining_reference(pi, u, order)
+    assert u.residuals["intertwining"] == _intertwining_reference(pi, u, order)
 
     # star_grade adds each term through _add_term, not moyal_term; the
     # residuals the builders carry come from the reference products too
@@ -474,23 +445,25 @@ def test_recursion_matches_dense_reference(square, harper, one_mode_potential,
     u_ref = build_intertwiner(pi, order)
     _assert_graded_equal(pi.grades, pi_ref.grades)
     _assert_graded_equal(u.grades, u_ref.grades)
-    for got, want in zip(hs, effective_symbol(H, pi, u, order), strict=True):
+    for got, want in zip(hs, effective_symbol(H, u, order), strict=True):
         _assert_modes_equal(got, want)
-    assert projection_residuals(H, pi_ref, order) == pres
-    assert intertwiner_residuals(pi, u, order) == ures
-    assert intertwiner_residuals(pi, u_ref, order) == ures
+    assert pi_ref.residuals == pi.residuals
+    assert u_ref.residuals == u.residuals
 
 
 def _residuals_from_star_products(H, pi, u, order):
-    """The idempotency, commutator and unitarity defects as the residual
-    functions once computed them all, from whole star products."""
+    """The five defects of the defining properties, each from whole star
+    products of the finished series."""
     T = pi.truncation
     u_dag = {j: mode_dagger(mm) for j, mm in u.grades.items()}
-    out = {"idempotency": [], "commutator": [], "unitarity": []}
+    out = {"idempotency": [], "hermiticity": [], "commutator": [],
+           "unitarity": [],
+           "intertwining": _intertwining_reference(pi, u, order)}
     for j in range(order + 1):
         d = mode_add(star_grade(pi.grades, pi.grades, j),
                      mode_scale(pi.grade(j), -1.0))
         out["idempotency"].append(mode_max_norm(d, T))
+        out["hermiticity"].append(mode_hermiticity_defect(pi.grade(j), T))
         c = mode_add(star_grade(H.grades, pi.grades, j),
                      mode_scale(star_grade(pi.grades, H.grades, j), -1.0))
         out["commutator"].append(mode_max_norm(c, T))
@@ -509,10 +482,14 @@ def test_carried_residuals_match_the_star_products(square, harper,
     order = 5
     H, pi, u = _sapt(square, harper, one_mode_potential if with_a else None,
                      bands, order)
-    hs = effective_symbol(H, pi, u, order)
-    carried = {**projection_residuals(H, pi, order),
-               **intertwiner_residuals(pi, u, order)}
-    for name, old in _residuals_from_star_products(H, pi, u, order).items():
+    hs = effective_symbol(H, u, order)
+    carried = {**pi.residuals, **u.residuals}
+    old_residuals = _residuals_from_star_products(H, pi, u, order)
+    assert carried.keys() == old_residuals.keys()
+    # these two are formed from the same products as the reference's
+    for name in ("hermiticity", "intertwining"):
+        assert carried[name] == old_residuals[name], name
+    for name, old in old_residuals.items():
         assert len(carried[name]) == len(old) == order + 1
         for j, pair in enumerate(zip(carried[name], old)):
             tol = 1e-10 * max([1.0] + [float(np.max(np.abs(M)))
@@ -535,31 +512,8 @@ def test_carried_residuals_see_a_wrong_block_mask(square, harper,
         return tuple(masks)
 
     H = assemble_truncated(harper, one_mode_potential, square, T)
-    good = projection_residuals(H, build_projection(H, [0, 1], 3), 3)
+    good = build_projection(H, [0, 1], 3).residuals
     monkeypatch.setattr(moyal, "_block_masks", flipped)
-    bad = projection_residuals(H, build_projection(H, [0, 1], 3), 3)
+    bad = build_projection(H, [0, 1], 3).residuals
     assert max(good[name]) < 1e-12
     assert max(bad[name]) > 0.1
-
-
-def test_projection_residuals_recompute_for_another_symbol(
-        square, harper, one_mode_potential, monkeypatch):
-    # the carried defects belong to the H pi was built from; an equal H
-    # built again is recomputed to the same tolerance, and an H without the
-    # vector potential does not commute with pi
-    order = 3
-    H, pi, _ = _sapt(square, harper, one_mode_potential, [0, 1], order)
-    same = assemble_truncated(harper, one_mode_potential, square, T)
-    other = assemble_truncated(harper, None, square, T)
-    calls = []
-    inner = moyal.star_grade
-    monkeypatch.setattr(moyal, "star_grade",
-                        lambda A, B, n: calls.append(n) or inner(A, B, n))
-    carried = projection_residuals(H, pi, order)
-    assert calls == []
-    again = projection_residuals(same, pi, order)
-    assert len(calls) == 3 * (order + 1)
-    assert again["hermiticity"] == carried["hermiticity"]
-    for name in ("idempotency", "commutator"):
-        assert max(carried[name]) < 1e-12 and max(again[name]) < 1e-12
-    assert max(projection_residuals(other, pi, order)["commutator"]) > 0.1

@@ -238,6 +238,10 @@ def test_order_fit_validation():
         order_fit([np.array([1.0])] * 2, [np.array([1.0])] * 2, [0.2, 0.1])
     with pytest.raises(ValueError):
         order_fit([np.array([1.0])] * 3, [np.array([1.0])] * 3, [0.1, 0.2, 0.05])
+    # a spectrum list shorter than the deltas is no pair to drop
+    with pytest.raises(ValueError, match="per delta"):
+        order_fit([np.array([0.0])] * 2,
+                  [np.array([d ** 3]) for d in (0.3, 0.2, 0.1)], [0.3, 0.2, 0.1])
 
 
 def test_log_slope_needs_two_distinct_deltas():
