@@ -517,3 +517,37 @@ def test_carried_residuals_see_a_wrong_block_mask(square, harper,
     bad = build_projection(H, [0, 1], 3).residuals
     assert max(good[name]) < 1e-12
     assert max(bad[name]) > 0.1
+
+
+def test_carried_intertwining_sees_a_wrong_off_diagonal_mask(
+        square, harper, one_mode_potential, monkeypatch):
+    # a sign-flipped D turns b_n = [P, B_n] into -b_n: u stays unitary, since
+    # b_n is anti-Hermitian, but no longer intertwines pi with P from grade 1
+    block_masks = moyal._block_masks
+
+    def flipped(T, bands):
+        S, W, D = block_masks(T, bands)
+        return S, W, -D
+
+    H = assemble_truncated(harper, one_mode_potential, square, T)
+    pi = build_projection(H, [0, 1], 3)
+    good = build_intertwiner(pi, 3).residuals
+    monkeypatch.setattr(moyal, "_block_masks", flipped)
+    bad = build_intertwiner(pi, 3).residuals
+    # grade 0 is u_0 pi_0 u_0^dag - P = 0 to the bit
+    assert good["intertwining"][0] == 0.0
+    assert max(good["intertwining"]) < 1e-12
+    assert max(good["unitarity"]) < 1e-12 and max(bad["unitarity"]) < 1e-12
+    assert bad["intertwining"][0] == 0.0
+    assert min(bad["intertwining"][1:]) > 0.1
+
+
+def test_series_built_to_lower_order_rejected(square, harper):
+    # the intertwiner needs pi to its order, and the effective symbol needs
+    # u to its order; u's order is the only check left on the sapt chain
+    H, pi, u = _sapt(square, harper, None, [0], 2)
+    with pytest.raises(TruncationError, match="projection series"):
+        build_intertwiner(pi, 3)
+    with pytest.raises(TruncationError, match="requested order"):
+        effective_symbol(H, u, 3)
+    assert len(effective_symbol(H, u, 2)) == 3
