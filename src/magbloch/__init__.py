@@ -11,9 +11,7 @@ from .errors import (CommensurabilityError, ConfigError, GapClosedError,
                      GaugeError, GeometryError, MagblochError, NumericError,
                      ResourceCapError, TruncationError)
 from .lattice import (FourierSeries2D, Lattice2D, PeriodicVectorPotential,
-                      directional_derivative_Dz, directional_derivative_Dzbar,
-                      eval_series, harper_potential, laplacian_DzDzbar,
-                      make_lattice)
+                      harper_potential, laplacian_DzDzbar, make_lattice)
 from .fock import FockTruncation, I_generator, ladder, xi_matrix
 from .symbols import (OperatorSymbol, assemble_truncated, exact_symbol,
                       remainder_map, remainder_norm)

@@ -19,7 +19,6 @@ Conventions used throughout the library:
 from __future__ import annotations
 
 import math
-import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,9 +32,6 @@ __all__ = [
     "FourierSeries2D",
     "PeriodicVectorPotential",
     "make_lattice",
-    "eval_series",
-    "directional_derivative_Dz",
-    "directional_derivative_Dzbar",
     "laplacian_DzDzbar",
     "harper_potential",
 ]
@@ -136,24 +132,6 @@ class FourierSeries2D:
         return max((abs(c) for c in self.coeffs.values()), default=0.0)
 
 
-def eval_series(F: FourierSeries2D, x1: float, x2: float):
-    """Evaluate ``F`` at ``(x1, x2)``; real output for real-valued series.
-
-    For ``is_real`` series the imaginary residue is checked against 1e-12
-    (relative to the coefficient scale) before being discarded.
-    """
-    total = 0j
-    for (n, m), c in F.coeffs.items():
-        total += c * cmath.exp(1j * TWO_PI * (n * x1 + m * x2))
-    if F.is_real:
-        scale = max(F.max_abs(), 1.0)
-        if abs(total.imag) > 1e-12 * scale:
-            raise ValueError(
-                f"imaginary residue {total.imag} on declared-real series")
-        return total.real
-    return total
-
-
 def _coefficients_reflect(coeffs: dict, mode, weight) -> bool:
     """Whether ``coeffs[mode(n, m)] == weight(n, m, c)`` for every stored
     ``(n, m): c``, compared exactly; a missing mode reads as zero.
@@ -170,18 +148,6 @@ def _mode_multiplied(F: FourierSeries2D, mult) -> FourierSeries2D:
     return FourierSeries2D(
         {(n, m): mult(n, m) * c for (n, m), c in F.coeffs.items()},
         is_real=False)
-
-
-def directional_derivative_Dz(F: FourierSeries2D, L: Lattice2D) -> FourierSeries2D:
-    """First-order operator z_a d/dx - z_b d/dp, coefficientwise
-    ``i 2 pi (m z_a - n z_b)``."""
-    return _mode_multiplied(F, lambda n, m: 1j * TWO_PI * (m * L.z_a - n * L.z_b))
-
-
-def directional_derivative_Dzbar(F: FourierSeries2D, L: Lattice2D) -> FourierSeries2D:
-    """Conjugate-frame companion of :func:`directional_derivative_Dz`."""
-    return _mode_multiplied(
-        F, lambda n, m: 1j * TWO_PI * (m * L.z_a.conjugate() - n * L.z_b.conjugate()))
 
 
 def laplacian_DzDzbar(F: FourierSeries2D, L: Lattice2D) -> FourierSeries2D:

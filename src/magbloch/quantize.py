@@ -309,8 +309,8 @@ def _merge_branches(samples: np.ndarray, tol: float | None = None):
         width = float(samples.max() - samples.min()) if samples.size else 1.0
         tol = 1e-6 * max(width, 1e-300)
     merged = []
-    for lo, hi in sorted((float(samples[:, k].min()), float(samples[:, k].max()))
-                         for k in range(samples.shape[1])):
+    for lo, hi in sorted(zip(samples.min(axis=0).tolist(),
+                             samples.max(axis=0).tolist())):
         if merged and (lo < merged[-1][1] - tol or hi <= merged[-1][1] + tol):
             merged[-1][1] = max(merged[-1][1], hi)
         else:
@@ -470,6 +470,49 @@ def _orbit_sources(grid, inversion: bool, flip: bool) -> np.ndarray:
     return source
 
 
+# The modes of a scalar family that obeys Chambers' relation.
+_CHAMBERS_MODES = frozenset({(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)})
+
+
+def _chambers(fam: MagneticBlochFamily) -> bool:
+    """Whether ``fam`` is one block whose modes all lie in
+    ``_CHAMBERS_MODES`` with real phased weights, compared exactly.
+
+    Then det(E - H(beta)) = P(E) - A cos(q beta1) - B cos(q beta2) with
+    real A and B (Chambers 1965), so every sorted eigenvalue is a monotone
+    function of c = A cos(q beta1) + B cos(q beta2), and its least and
+    greatest value over a grid lie where cos(q beta1) and cos(q beta2)
+    take theirs (:func:`_chambers_points`).  A complex weight shifts the
+    cosines' phases, and any other mode adds terms to the relation."""
+    return len(fam.block_modes) == 1 and all(
+        (n, m) in _CHAMBERS_MODES and w.imag == 0
+        for n, m, w in fam.block_modes[0][2])
+
+
+def _chambers_points(q: int, grid) -> np.ndarray:
+    """Flat indices, ascending, of the points of the n1 x n2 grid of
+    :func:`_grid_spectrum` where cos(q beta1) and cos(q beta2) each take
+    their greatest and their least value over the grid: at most four.
+
+    At point (i, k), q beta1 = 2 pi i / n1 and q beta2 = 2 pi r / n2 with
+    r = (q k) mod n2, so each cosine falls as the exact integer distance
+    of i, or of r, from the nearest multiple of n1, or of n2, grows.  Both
+    are greatest at i = k = 0; cos(q beta1) is least at i = floor(n1 / 2),
+    and cos(q beta2) at the lowest k whose r lies farthest."""
+    n1, n2 = grid
+    k = max(range(n2), key=lambda j: min(q * j % n2, -q * j % n2))
+    half = n1 // 2 * n2
+    return np.array(sorted({0, k, half, half + k}))
+
+
+def _grid_phases(q: int, grid, points):
+    """(beta1, beta2), the phase arrays at the flat indices ``points`` of
+    the n1 x n2 grid of :func:`_grid_spectrum`."""
+    n1, n2 = grid
+    i, k = np.divmod(points, n2)
+    return 2.0 * math.pi / q * i / n1, 2.0 * math.pi * k / n2
+
+
 # Largest n1 * n2 * dim of a grid of :func:`_grid_spectrum`: 32 MB of
 # eigenvalue samples, some 60 times the largest benchmark grid (two-band at
 # 2q = 254 on 16 x 16).
@@ -478,18 +521,26 @@ SAMPLES_BUDGET = 4_000_000
 
 def _grid_spectrum(fam: MagneticBlochFamily, grid,
                    tol_band: float | None = None, energies=None,
-                   **metadata) -> SpectrumReport:
+                   edges_only: bool = False, **metadata) -> SpectrumReport:
     """Report of the sorted eigenvalues of ``fam``, mapped through
     ``energies`` when given, on the n1 x n2 grid over [0, 2 pi / q) x
     [0, 2 pi), beta1-major.  Every family is solved banded: the half
     bandwidth b comes from :func:`_bandwidth`, and each stack of at most
     ``_STACK_BYTES`` (or of one point) goes to :func:`_band_eigvalsh`.
-    A grid of more than ``SAMPLES_BUDGET`` samples n1 n2 dim raises
-    :class:`ResourceCapError` before anything is allocated.
+    A grid of less than 8 x 8 raises ``ValueError``, and one of more than
+    ``SAMPLES_BUDGET`` samples n1 n2 dim :class:`ResourceCapError`, both
+    before anything is allocated.
 
-    Two exact rules, each decided once from the block table, say where the
-    spectrum repeats: for an inversion-even family (:func:`_inversion_even`)
-    the spectrum at beta is the one at -beta, the point
+    With ``edges_only``, a family that passes the exact Chambers rule
+    (:func:`_chambers`) is solved only at its at most four points
+    :func:`_chambers_points`, which hold every branch's least and greatest
+    value over the grid; ``samples`` then holds their rows, in ascending
+    flat order, and ``metadata["chambers_points"]`` their [beta1, beta2].
+
+    Otherwise ``samples`` holds every point of the grid, and two exact
+    rules, each decided once from the block table, say where the spectrum
+    repeats: for an inversion-even family (:func:`_inversion_even`) the
+    spectrum at beta is the one at -beta, the point
     :func:`_reflected_points`; for a flip-even one (:func:`_flip_even`)
     the spectrum at (beta1, beta2) is the one at (beta1, -beta2), the point
     (i, -k mod n2).  Only the representative of each orbit of the rules the
@@ -498,8 +549,7 @@ def _grid_spectrum(fam: MagneticBlochFamily, grid,
     is a copy.  With both rules an 8 x 16 grid takes 45 solves, 16 x 16
     81; with inversion alone (n1 n2 + f) / 2, f the points that are their
     own partner (4 on an even grid).  A family that passes neither, even
-    one that misses a rule by rounding, is solved at every point.
-    ``samples`` always holds every point of the grid."""
+    one that misses a rule by rounding, is solved at every point."""
     n1, n2 = grid
     if n1 < 8 or n2 < 8:
         raise ValueError("grid must be at least (8, 8)")
@@ -509,17 +559,23 @@ def _grid_spectrum(fam: MagneticBlochFamily, grid,
             f"grid {n1} x {n2} at dimension {dim} needs {n1 * n2 * dim} "
             f"eigenvalue samples, over the budget {SAMPLES_BUDGET}")
     b = _bandwidth(q, dim, fam._shifts())
-    source = _orbit_sources(grid, _inversion_even(fam), _flip_even(fam))
-    solved = np.flatnonzero(source == np.arange(n1 * n2))
-    b1 = (2.0 * math.pi / q * np.arange(n1) / n1)[solved // n2]
-    b2 = (2.0 * math.pi * np.arange(n2) / n2)[solved % n2]
+    if edges_only and _chambers(fam):
+        solved = _chambers_points(q, grid)
+        rows = np.arange(solved.size)
+        metadata["chambers_points"] = np.column_stack(
+            _grid_phases(q, grid, solved)).tolist()
+    else:
+        source = _orbit_sources(grid, _inversion_even(fam), _flip_even(fam))
+        solved = np.flatnonzero(source == np.arange(n1 * n2))
+        rows = np.searchsorted(solved, source)
+    b1, b2 = _grid_phases(q, grid, solved)
     step = max(1, _STACK_BYTES // (32 * (b + 1) * dim))
-    rows = []
+    lams = []
     for s in range(0, b1.size, step):
         s1, s2 = b1[s:s + step], b2[s:s + step]
         lam = _band_eigvalsh(q, dim, b, fam._terms_at(s1, s2), s1, s2)
-        rows.append(lam if energies is None else energies(lam))
-    samples = np.concatenate(rows)[np.searchsorted(solved, source)]
+        lams.append(lam if energies is None else energies(lam))
+    samples = np.concatenate(lams)[rows]
     bands, tol_band = _merge_branches(samples, tol_band)
     return SpectrumReport(flux=fam.flux, bands=bands, samples=samples,
                           metadata={"grid": [n1, n2], "tol_band": tol_band,
@@ -541,7 +597,7 @@ def spectrum(fam: MagneticBlochFamily, grid=(16, 16),
     :func:`lattice._coefficients_reflect`; only the lowest point of each
     orbit of the rules passed is solved, the other rows copies, and a
     family that passes neither is solved at every point
-    (:func:`_grid_spectrum`).
+    (:func:`_grid_spectrum`).  ``samples`` holds every point of the grid.
     """
     return _grid_spectrum(fam, grid, tol_band, iota=fam.iota,
                           convention=fam.convention)
@@ -560,12 +616,19 @@ def _mirror_even(F: FourierSeries2D, iota: int) -> bool:
 def _mirrored(twin: SpectrumReport, flux: RationalFlux, grid) -> SpectrumReport:
     """The report at ``flux`` = (q-p)/q from the report of its twin p/q.
     Its spectrum at beta is the twin's at -beta, the point
-    :func:`_reflected_points` of the grid of :func:`_grid_spectrum`."""
-    return SpectrumReport(
-        flux=flux, bands=list(twin.bands),
-        samples=twin.samples[_reflected_points(grid)],
-        metadata={**copy.deepcopy(twin.metadata),
-                  "mirror_of": [twin.flux.p, twin.flux.q]})
+    :func:`_reflected_points` of the grid of :func:`_grid_spectrum`; a
+    twin sampled at its Chambers points lends its rows to their
+    reflections, which the report names as its own ``chambers_points``."""
+    reflected = _reflected_points(grid)
+    metadata = {**copy.deepcopy(twin.metadata),
+                "mirror_of": [twin.flux.p, twin.flux.q]}
+    if "chambers_points" in metadata:
+        # the twin's points are _chambers_points at the same q and grid
+        metadata["chambers_points"] = np.column_stack(_grid_phases(
+            flux.q, grid, reflected[_chambers_points(flux.q, grid)])).tolist()
+        reflected = np.arange(len(twin.samples))
+    return SpectrumReport(flux=flux, bands=list(twin.bands),
+                          samples=twin.samples[reflected], metadata=metadata)
 
 
 def butterfly(F: FourierSeries2D, q_max: int, iota: int = -1, grid=(8, 16),
@@ -573,6 +636,13 @@ def butterfly(F: FourierSeries2D, q_max: int, iota: int = -1, grid=(8, 16),
     """One strong-field spectrum report per reduced flux p/q with
     q <= q_max, deterministically ordered by (q, p); ``grid`` and
     ``tol_band`` as in :func:`spectrum`.
+
+    Only the band edges are wanted, so a flux whose family passes the
+    Chambers rule (:func:`_chambers`: F on the modes (0, 0), (+-1, 0) and
+    (0, +-1) with real weights, Harper among them) is solved at its at most
+    four Chambers points, and its ``samples`` are their rows
+    (:func:`_grid_spectrum`); every other flux keeps the whole grid, as in
+    :func:`spectrum`.
 
     When F is mirror-even (:func:`_mirror_even`), each (q-p)/q with
     p < q/2 is the reflected report of its twin p/q (:func:`_mirrored`),
@@ -587,8 +657,10 @@ def butterfly(F: FourierSeries2D, q_max: int, iota: int = -1, grid=(8, 16),
         if twin is not None:
             solved[fx.p, fx.q] = _mirrored(twin, fx, grid)
         else:
-            solved[fx.p, fx.q] = spectrum(quantize_series(F, fx, iota=iota),
-                                          grid=grid, tol_band=tol_band)
+            fam = quantize_series(F, fx, iota=iota)
+            solved[fx.p, fx.q] = _grid_spectrum(
+                fam, grid, tol_band, edges_only=True, iota=fam.iota,
+                convention=fam.convention)
     return list(solved.values())
 
 

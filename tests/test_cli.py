@@ -77,8 +77,11 @@ def test_qmax_cap(tmp_path):
 def test_grid_over_the_samples_budget_is_a_resource_cap(tmp_path, capsys,
                                                         monkeypatch, extra,
                                                         argv):
+    # the cap comes before any Chambers sampling or solve
     solves = []
     monkeypatch.setattr(quantize, "_band_eigvalsh",
+                        lambda *args: solves.append(args))
+    monkeypatch.setattr(quantize, "_chambers_points",
                         lambda *args: solves.append(args))
     path = _write_cfg(tmp_path, extra)
     assert main(argv + ["--config", path]) == 4
@@ -126,6 +129,11 @@ def test_butterfly_json_format(tmp_path):
     payload = json.loads(out.read_text())
     assert payload[0]["q"] == 1
     assert payload[0]["bands"][0] == [-4.0, 4.0]
+    # Harper is sampled at its Chambers points only: q beta in {0, pi}^2
+    pi = math.pi
+    assert payload[0]["metadata"]["chambers_points"] == [
+        [0.0, 0.0], [0.0, pi], [pi, 0.0], [pi, pi]]
+    assert len(payload[0]["samples"]) == 4
 
 
 def test_butterfly_names_mirrored_fluxes(tmp_path):

@@ -175,11 +175,27 @@ def test_butterfly_ordering_and_symmetry():
                                           iota=-1), grid=(8, 16))
         assert mirrored.metadata["mirror_of"] == [p, q]
         assert np.allclose(mirrored.bands, direct.bands, rtol=0, atol=1e-12)
-        assert np.allclose(mirrored.samples, direct.samples, rtol=0,
+        # Harper is sampled at the reflections of its twin's Chambers points
+        assert np.allclose(mirrored.samples,
+                           direct.samples[_sampled_points(mirrored)], rtol=0,
                            atol=1e-12)
-        a = by_flux[(p, q)].all_eigenvalues()
-        b = direct.all_eigenvalues()
-        assert np.max(np.abs(a - b)) < 1e-8
+        # the twin's spectrum at beta is the direct one's at -beta
+        twin = by_flux[(p, q)]
+        reflected = quantize._reflected_points((8, 16))[_sampled_points(twin)]
+        assert np.max(np.abs(twin.samples - direct.samples[reflected])) < 1e-8
+
+
+def _sampled_points(rep):
+    """Flat grid indices of a report's ``chambers_points``, read back from
+    their phases beta1 = 2 pi i / (q n1) and beta2 = 2 pi k / n2."""
+    n1, n2 = rep.metadata["grid"]
+    beta = np.array(rep.metadata["chambers_points"])
+    i = np.rint(beta[:, 0] * rep.flux.q * n1 / (2 * math.pi)).astype(int)
+    k = np.rint(beta[:, 1] * n2 / (2 * math.pi)).astype(int)
+    assert np.allclose(np.column_stack([2 * math.pi / rep.flux.q * i / n1,
+                                        2 * math.pi * k / n2]), beta,
+                       rtol=0, atol=1e-15)
+    return i * n2 + k
 
 
 def _random_mirror_even(seed):
@@ -210,7 +226,13 @@ def test_butterfly_mirror_matches_direct_solves(F, iota):
                           grid=(8, 16))
         assert len(rep.bands) == len(direct.bands)
         assert np.allclose(rep.bands, direct.bands, rtol=0, atol=1e-12)
-        assert np.allclose(rep.samples, direct.samples, rtol=0, atol=1e-12)
+        # Harper passes the Chambers rule; the others have a (1, 1) mode
+        chambers = F is HARPER
+        points = _sampled_points(rep) if chambers else slice(None)
+        assert np.allclose(rep.samples, direct.samples[points], rtol=0,
+                           atol=1e-12)
+        assert ("chambers_points" in rep.metadata) is chambers
+        rep.metadata.pop("chambers_points", None)
         assert rep.metadata.keys() == direct.metadata.keys()
     assert mirrored == sum(1 for fx in reduced_fractions(9) if 2 * fx.p > fx.q)
 
@@ -242,25 +264,38 @@ def test_real_f11_breaks_the_mirror():
     assert np.max(np.abs(a.all_eigenvalues() - b.all_eigenvalues())) > 0.1
 
 
-@pytest.mark.parametrize("F, calls", [(HARPER, 24), (_MIRROR_ODD[0], 46)])
-def test_butterfly_spectrum_calls(monkeypatch, F, calls):
-    seen = []
+@pytest.mark.parametrize("F, calls, solves", [(HARPER, 24, 4),
+                                               (_MIRROR_ODD[0], 46, 34)])
+def test_butterfly_spectrum_calls(monkeypatch, F, calls, solves):
+    # Harper: 24 direct fluxes, each solved at <= 4 Chambers points (2 at
+    # q = 8, where every beta2 column has q beta2 = 0 mod 2 pi); the
+    # real f_{1,1}: all 46 on the grid, 34 orbits of the inversion on 8 x 8
+    counts = _count_solved_points(monkeypatch)
+    grid_spectrum, seen = quantize._grid_spectrum, []
 
-    def counted(fam, **kwargs):
-        seen.append((fam.flux.p, fam.flux.q))
-        return spectrum(fam, **kwargs)
+    def counted(fam, *args, **kwargs):
+        before = sum(counts)
+        rep = grid_spectrum(fam, *args, **kwargs)
+        seen.append(sum(counts) - before)
+        return rep
 
-    monkeypatch.setattr(quantize, "spectrum", counted)
+    monkeypatch.setattr(quantize, "_grid_spectrum", counted)
     assert len(butterfly(F, 12, grid=(8, 8))) == 46
     assert len(seen) == calls
+    assert max(seen) == solves
 
 
 def test_mirrored_report_owns_its_data():
-    twin, mirrored = butterfly(HARPER, 3, grid=(8, 8))[2:]
+    twin, mirrored = butterfly(HARPER, 3, grid=(9, 13))[2:]
     assert mirrored.metadata["mirror_of"] == [1, 3]
+    # i in {0, 4}, k in {0, 2} (3 k = 6 mod 13); each reflected,
+    # (i, k) -> (-i mod 9, -k mod 13), row for row
+    assert _sampled_points(twin).tolist() == [0, 2, 52, 54]
+    assert _sampled_points(mirrored).tolist() == [0, 11, 65, 76]
     bands, metadata = list(twin.bands), copy.deepcopy(twin.metadata)
     samples = twin.samples.copy()
     mirrored.metadata["grid"].append(99)
+    mirrored.metadata["chambers_points"][0][0] = 9.0
     mirrored.metadata["tol_band"] = 0.5
     mirrored.bands.append((9.0, 10.0))
     mirrored.samples[:] = 0.0
@@ -456,6 +491,49 @@ def test_band_edges_lie_at_chambers_points(p, q, grid):
     assert len(rep.bands) == q
     edges = np.array([corners.min(axis=0), corners.max(axis=0)]).T
     assert np.max(np.abs(np.array(rep.bands) - edges)) < 1e-13
+
+
+_CHAMBERS_SETS = [
+    FourierSeries2D({(1, 0): 0.93, (-1, 0): 0.93, (0, 1): 1.17,
+                     (0, -1): 1.17}, is_real=True),
+    FourierSeries2D({(1, 0): -0.8, (-1, 0): -0.8, (0, 1): 1.3,
+                     (0, -1): 1.3}, is_real=True),
+    FourierSeries2D({(0, 0): 0.4, (1, 0): 1.1, (-1, 0): 1.1, (0, 1): -0.6,
+                     (0, -1): -0.6}, is_real=True),
+]
+
+
+@pytest.mark.parametrize("grid", [(8, 16), (9, 13), (16, 16)])
+@pytest.mark.parametrize("iota", [1, -1])
+@pytest.mark.parametrize("F", _CHAMBERS_SETS,
+                         ids=["real", "negative-f10", "with-f00"])
+def test_butterfly_at_chambers_points_keeps_the_grid_bands(F, iota, grid):
+    # every reduced p/q with q <= 20, the mirrored ones among them
+    reports = butterfly(F, 20, iota=iota, grid=grid)
+    assert len(reports) == len(reduced_fractions(20))
+    for rep in reports:
+        direct = spectrum(quantize_series(F, rep.flux, iota=iota), grid=grid)
+        assert len(rep.bands) == len(direct.bands)
+        assert np.max(np.abs(np.array(rep.bands) - direct.bands)) <= 1e-12
+        assert 2 <= len(rep.samples) <= 4
+        assert np.max(np.abs(
+            rep.samples - direct.samples[_sampled_points(rep)])) <= 1e-12
+
+
+@pytest.mark.parametrize("grid", [(8, 8), (8, 16), (9, 13), (16, 16)])
+def test_chambers_points_hold_the_cosine_extremes(grid):
+    n1, n2 = grid
+    for q in range(1, 41):
+        points = quantize._chambers_points(q, grid)
+        assert np.all(np.diff(points) > 0) and points.size <= 4
+        i, k = np.divmod(points, n2)
+        for index, n, r in ((i, n1, np.arange(n1)),
+                            (k, n2, q * np.arange(n2))):
+            cos = np.cos(2 * math.pi * r / n)
+            # the lowest index of the greatest and of the least cosine
+            assert set(index.tolist()) == {
+                int(np.flatnonzero(cos >= cos.max() - 1e-12)[0]),
+                int(np.flatnonzero(cos <= cos.min() + 1e-12)[0])}
 
 
 def _random_series(rng, modes, real=True):
@@ -736,6 +814,39 @@ def _reflection_cases():
 _REFLECTION_CASES = list(_reflection_cases())
 _REFLECTION_IDS = [f"{name}-iota{fam.iota}"
                    for name, fam, _, _ in _REFLECTION_CASES]
+
+
+def _chambers_cases():
+    """(family, whether it passes the Chambers rule)."""
+    fx = RationalFlux(2, 7)
+    L = make_lattice([1, 0], [0, 1])
+    imag_f01 = FourierSeries2D({(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 0.4j,
+                                (0, -1): -0.4j}, is_real=True)
+    rounded = FourierSeries2D({(1, 0): 1 + 1e-17j, (-1, 0): 1 - 1e-17j,
+                               (0, 1): 1.0, (0, -1): 1.0}, is_real=True)
+    for iota in (1, -1):
+        for convention in ("harper", "hofstadter"):
+            yield quantize_series(HARPER, fx, iota, convention), True
+            yield quantize_series(_CHAMBERS_SETS[2], fx, iota, convention), True
+            for F in _MIRROR_ODD + [imag_f01, rounded]:
+                yield quantize_series(F, fx, iota, convention), False
+        yield two_band_model(_a1_potential(L), L, 1, fx, iota).family, False
+
+
+@pytest.mark.parametrize("fam, chambers", list(_chambers_cases()))
+def test_only_chambers_families_leave_the_grid(fam, chambers):
+    # a (1, 1) mode, a complex weight (even by rounding) or a second block
+    # keeps the whole grid, bit for bit as spectrum has it
+    assert quantize._chambers(fam) is chambers
+    rep = quantize._grid_spectrum(fam, (8, 16), edges_only=True)
+    direct = spectrum(fam, grid=(8, 16))
+    assert ("chambers_points" in rep.metadata) is chambers
+    if chambers:
+        assert len(rep.samples) == 4
+        assert np.allclose(rep.bands, direct.bands, rtol=0, atol=1e-12)
+    else:
+        assert rep.bands == direct.bands
+        assert np.array_equal(rep.samples, direct.samples)
 
 
 @pytest.mark.parametrize("name, fam, inversion, flip", _REFLECTION_CASES,

@@ -8,13 +8,14 @@ import pytest
 from magbloch import symbols
 from magbloch.fock import FockTruncation, I_generator, ladder, xi_matrix
 from magbloch.lattice import (FourierSeries2D, PeriodicVectorPotential,
-                              directional_derivative_Dz,
-                              directional_derivative_Dzbar, make_lattice)
+                              make_lattice)
 from magbloch.symbols import (_rho, assemble_truncated, default_points,
                               eval_mode_map, exact_symbol, mode_add,
                               mode_hermiticity_defect, mode_max_norm,
                               mode_scale, remainder_map, remainder_norm)
-from reference import displacement_exp, eval_symbol, quadrature
+from reference import (directional_derivative_Dz,
+                       directional_derivative_Dzbar, displacement_exp,
+                       eval_symbol, quadrature)
 
 T = FockTruncation(n_max=20, guard=6)
 SKEWED = make_lattice([1.0, 0.0], [0.35, 1.2])
