@@ -31,7 +31,8 @@ emitted with 17 significant digits and '\n' line endings; identical configs
 produce byte-identical files under the same BLAS configuration (library and
 thread count).  Across thread counts every command keeps its bytes, but
 for a reflection-odd symbol (:func:`oracle.build_full_matrix`) the complex
-shift-invert cluster of ``oracle-compare`` can move in its last bits.
+Arnoldi iteration behind the cluster of ``oracle-compare`` can move it in
+its last bits; the banded LU solves it calls keep theirs.
 
 An ``--out`` path that cannot be written (a missing directory, a
 directory, no permission) is a config error: one ``config error: cannot

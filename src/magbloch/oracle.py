@@ -33,7 +33,14 @@ the Fock parity ``F a F = -a`` maps ``E_{n,m}`` to ``E_{-n,-m}`` and
 clock and the shift.  So Pi maps the term of ``(n, m)`` onto the term of
 ``(-n, -m)``, and :func:`level_cluster`, which applies the rule itself,
 solves a level's cluster in the two parity sectors of
-:func:`_parity_sectors`, one after the other.
+:func:`_level_sectors`, one after the other.
+
+The oracle matrix stays in the d x d block form of its slow quantizer (a
+BSR matrix), and every check and sector is formed from those blocks: the
+Hermiticity and parity defects block against block, and each sector
+straight into LAPACK band storage, its slow points (or parity pairs)
+ordered by reverse Cuthill-McKee of the block graph, so that one banded LU
+factor serves every shift-invert solve of the sector.
 
 Effective models are re-quantized on the *same* slow grid by the same
 quantizer (:func:`quantize_on_grid`), so oracle/model eigenvalue comparisons
@@ -60,8 +67,8 @@ from .errors import (CommensurabilityError, GapClosedError, NumericError,
 from .fock import FockTruncation
 from .lattice import (FourierSeries2D, Lattice2D, PeriodicVectorPotential,
                       TWO_PI, _coefficients_reflect)
-from .quantize import (RationalFlux, _phase, _require_hermitian, _weyl_terms,
-                       sorted_list_distance)
+from .quantize import (RationalFlux, _check_hermitian, _phase,
+                       _require_hermitian, _weyl_terms, sorted_list_distance)
 
 __all__ = [
     "OracleBasis",
@@ -150,7 +157,8 @@ class OracleBasis:
 
 def _slow_quantize(modes, basis: OracleBasis, flux: RationalFlux):
     """sum over ``modes`` of (slow Weyl factor of (n, m)) x (block), as a
-    ``scipy.sparse`` CSR matrix with the slow index outermost.
+    ``scipy.sparse`` BSR matrix of d x d blocks with the slow index
+    outermost.
 
     The slow factors are the strong-field monomials of :func:`_weyl_terms`
     for the slow clock u_j = e^{i 2 pi x_j} and the translation
@@ -160,7 +168,7 @@ def _slow_quantize(modes, basis: OracleBasis, flux: RationalFlux):
     diagonals: each term is added, in order, into the ``(N, d, d)``
     diagonal of its shift mod N, where ``diagonal[j]`` is the block at
     (block row (j + shift) mod N, block column j).  Only those diagonals
-    are stored.
+    are stored, one block per slow point and shift.
     """
     import scipy.sparse
 
@@ -184,7 +192,24 @@ def _slow_quantize(modes, basis: OracleBasis, flux: RationalFlux):
     blocks = np.stack([diagonals[s] for s in shifts])[np.arange(len(shifts)), cols]
     return scipy.sparse.bsr_matrix(
         (blocks.reshape(-1, d, d), cols.ravel(), np.arange(N + 1) * len(shifts)),
-        shape=(N * d, N * d)).tocsr()
+        shape=(N * d, N * d))
+
+
+def _block_rows(H) -> np.ndarray:
+    """The block row of each stored block of the BSR matrix H."""
+    return np.repeat(np.arange(len(H.indptr) - 1), np.diff(H.indptr))
+
+
+def _blocks_at(H, rows, cols) -> np.ndarray:
+    """The blocks of the BSR matrix H at block places ``(rows[k],
+    cols[k])``, stacked; a zero block where H stores none."""
+    N = len(H.indptr) - 1
+    keys = _block_rows(H) * N + H.indices
+    order = np.argsort(keys)
+    want = rows * N + cols
+    k = order[np.minimum(np.searchsorted(keys, want, sorter=order),
+                         keys.size - 1)]
+    return np.where((keys[k] == want)[:, None, None], H.data[k], 0)
 
 
 def _reflection_even(V: FourierSeries2D, A: PeriodicVectorPotential | None,
@@ -204,8 +229,12 @@ def build_full_matrix(V: FourierSeries2D, A: PeriodicVectorPotential | None,
                       L: Lattice2D, basis: OracleBasis,
                       flux: RationalFlux):
     """Hermitian matrix of the full strong-field Hamiltonian on slow grid x
-    Fock basis, at delta = sqrt(theta), as a ``scipy.sparse`` CSR matrix:
-    the slow quantization of :func:`symbols.exact_symbol`.
+    Fock basis, at delta = sqrt(theta), as the ``scipy.sparse`` BSR matrix
+    of d x d blocks of :func:`_slow_quantize`: the slow quantization of
+    :func:`symbols.exact_symbol`.  Its Hermiticity is checked block by
+    block: ``max|B(J, J') - B(J', J)^dag|`` over the stored blocks, a
+    missing block reading as zero, must be at most ``1e-10 max(1,
+    max|H|)``, else :class:`NumericError` is raised.
 
     The matrix is real symmetric, and returned as such, when the symbol is
     even under complex conjugation combined with the reflection (n, m) ->
@@ -219,9 +248,13 @@ def build_full_matrix(V: FourierSeries2D, A: PeriodicVectorPotential | None,
     :class:`NumericError`.
     """
     basis.check_resolves(V, A)
-    H = _require_hermitian(_slow_quantize(
+    H = _slow_quantize(
         symbols.exact_symbol(V, A, L, basis.fock, delta_from_flux(flux)),
-        basis, flux), 1e-10, "oracle matrix")
+        basis, flux)
+    _check_hermitian(
+        np.max(np.abs(H.data - _blocks_at(H, H.indices, _block_rows(H))
+                      .conj().swapaxes(1, 2))),
+        lambda: np.max(np.abs(H.data)), 1e-10, "oracle matrix")
     if not _reflection_even(V, A, L):
         return H
     # read the stored entries, each held once: scipy's H.imag is a view that
@@ -279,82 +312,36 @@ def _inversion_even(V: FourierSeries2D,
                for F, sign in series)
 
 
-def _parity_sectors(N: int, d: int, level: int):
-    """The parity Pi and the two inversion-parity sectors of the cluster of
-    Landau level ``level`` on N slow points x d Fock states
-    (:func:`level_cluster`): ``(Pi, ((Q, count), (Q, count)))``, Pi the
-    signed permutation and each Q the CSR isometry onto a sector, with the
-    sector's share of the cluster.
-
-    With the slow index outermost (``i = j d + n``), Pi maps ``e_i`` to
-    ``sign_i e_{Pi i}``, ``Pi i = (-j mod N) d + n`` and ``sign_i =
-    (-1)^n``.  Each pair ``i < Pi i`` gives ``(e_i + sign_i e_{Pi
-    i})/sqrt 2`` to the even sector and ``(e_i - sign_i e_{Pi i})/sqrt 2``
-    to the odd one, and each fixed point ``e_i`` (``2 j = 0 mod N``) goes
-    to the sector of its sign; columns follow ascending i.  The level's
-    states ``e_j (x) |level>`` fill the sectors as the V = 0 cluster does,
-    which parity keeps while the gaps stay open: with f fixed slow points
-    (1 for odd N, 2 for even N), the even sector holds ``(N + f)/2`` of the
-    N levels and the odd one ``(N - f)/2`` for an even level, and the
-    counts swap for an odd one.
-    """
-    import scipy.sparse
-
-    i = np.arange(N * d)
-    j, n = np.divmod(i, d)
-    mirror = (-j % N) * d + n
-    sign = np.where(n % 2, -1.0, 1.0)
-    pair = i < mirror
-    parity = scipy.sparse.csr_matrix((sign, (mirror, i)), shape=(N * d,) * 2)
-    f = 1 if N % 2 else 2
-    counts = ((N + f) // 2, (N - f) // 2)
-    if level % 2:
-        counts = counts[::-1]
-    blocks = []
-    for t, count in zip((1.0, -1.0), counts):
-        cols = np.flatnonzero(pair | ((i == mirror) & (sign == t)))
-        paired = np.flatnonzero(pair[cols])
-        w = np.where(pair[cols], math.sqrt(0.5), 1.0)
-        Q = scipy.sparse.csr_matrix(
-            (np.concatenate([w, t * sign[cols[paired]] * w[paired]]),
-             (np.concatenate([cols, mirror[cols[paired]]]),
-              np.concatenate([np.arange(cols.size), paired]))),
-            shape=(N * d, cols.size))
-        blocks.append((Q, count))
-    return parity, tuple(blocks)
-
-
 def level_cluster(H, V: FourierSeries2D, A: PeriodicVectorPotential | None,
                   basis: OracleBasis, level: int) -> np.ndarray:
     """The cluster of Landau level ``level``: the ``basis.slow_dim``
-    eigenvalues near ``level + 1/2`` of the sparse Hermitian oracle matrix
-    H of (V, A) on ``basis``, by shift-invert Lanczos (ARPACK), one sector
-    at a time.
-
-    A symbol that passes :func:`_inversion_even` is solved in the two
-    sectors of :func:`_parity_sectors`.  The parity is checked where it is
-    used: ``max|H - Pi H Pi|`` over the stored entries must be at most
-    ``1e-10 max(1, max|H|)``, else :class:`NumericError` is raised.  Each
-    sector solves ``Q^T H Q`` for its own share of the cluster, as below,
-    and the merged cluster is returned sorted, through :func:`band_cluster`
-    once more.  Any other symbol is one sector, the whole space.
+    eigenvalues near ``level + 1/2`` of the oracle matrix H of (V, A) on
+    ``basis`` (the BSR matrix of :func:`build_full_matrix`), by
+    shift-invert Lanczos (ARPACK) on banded LU factors, one sector of
+    :func:`_level_sectors` at a time; the merged cluster is returned
+    sorted, through :func:`band_cluster` once more.  A symbol that passes
+    :func:`_inversion_even` is solved in its two parity sectors, any other
+    symbol in one sector, the whole space.
 
     ``eigsh`` dispatches on the dtype: a real symmetric H (a
     reflection-even symbol, :func:`build_full_matrix`) runs real symmetric
-    Lanczos on a real LU factor, a complex H complex Arnoldi (``eigs``);
-    Q is real, so each sector keeps the dtype, and the dense fallback
-    follows it too.  At most D - 2 eigenvalues of a sector of size D are
-    asked for: ``eigs`` needs k < D - 1, which meets real ``eigsh``'s
-    k < D as well.
+    Lanczos on a real band LU, a complex H complex Arnoldi (``eigs``); the
+    sector coefficients are real, so each sector keeps the dtype, and the
+    dense fallback follows it too.  At most D - 2 eigenvalues of a sector
+    of size D are asked for: ``eigs`` needs k < D - 1, which meets real
+    ``eigsh``'s k < D as well.
 
     In each sector the ``count + _CLUSTER_MARGIN`` eigenvalues nearest the
     shift are computed from a fixed start vector of the sector's size, so
-    the result is reproducible bit for bit.  They hold every eigenvalue
+    the result is reproducible bit for bit; the shifted sector ``Hs -
+    sigma`` is factored once by LAPACK ``?gbtrf`` (:func:`_band_factor`, an
+    exact zero pivot raising :class:`NumericError`), and each shift-invert
+    product is one ``?gbtrs`` solve.  They hold every eigenvalue
     within ``HALF_GAP`` of the level only if the farthest of them lies
     beyond it; otherwise neighbouring levels have merged and
     :class:`GapClosedError` is raised, as it is for a cluster that
     :func:`band_cluster` rejects.  A sector too small to leave an
-    eigenvalue beyond its cluster is solved dense by
+    eigenvalue beyond its cluster is densified and solved by
     :func:`oracle_eigenvalues`.  A Krylov space grown from one vector can
     hold fewer copies of an exactly degenerate level than the level has,
     so a cluster short of ``count`` is taken from the dense solve of the
@@ -363,36 +350,148 @@ def level_cluster(H, V: FourierSeries2D, A: PeriodicVectorPotential | None,
     :class:`NumericError`.
     """
     lam_star = level + 0.5
-    N = basis.slow_dim
-    if not _inversion_even(V, A):
-        return _sector_cluster(H, lam_star, N)
-    P, blocks = _parity_sectors(N, basis.fock.dim, level)
-    defect = abs(H - P @ H @ P).max()
-    if defect > 1e-10 * max(1.0, abs(H).max()):
-        raise NumericError(f"oracle matrix breaks the inversion parity "
-                           f"by {defect}")
-    parts = [_sector_cluster((Q.T @ H @ Q).tocsr(), lam_star, count)
-             for Q, count in blocks]
+    parts = [_sector_cluster(Hs, lam_star, count)
+             for Hs, count in _level_sectors(H, basis, level,
+                                            _inversion_even(V, A))]
     return band_cluster(np.concatenate(parts), lam_star)
 
 
-def _sector_cluster(H, lam_star: float, count: int) -> np.ndarray:
-    """The ``count`` eigenvalues of one sector's H within ``HALF_GAP`` of
-    ``lam_star`` (:func:`level_cluster`)."""
+def _level_sectors(H, basis: OracleBasis, level: int, split: bool) -> list:
+    """The sectors in which :func:`level_cluster` solves the cluster of
+    Landau level ``level`` of the BSR oracle matrix H on ``basis``, N slow
+    points x d Fock states: ``(Hs, count)`` pairs, Hs the sector's matrix
+    in band form (:func:`_banded_sector`) and count its share of the
+    cluster.
+
+    Unsplit, the one sector is the whole space, each slow point a group of
+    its own, and holds all N levels.  Split, the parity ``Pi = (slow j ->
+    -j mod N) (x) S``, ``S = diag((-1)^n)``, is checked first, block by
+    block: ``max|B(J, J') - S B(-J, -J') S|`` over the stored blocks must
+    be at most ``1e-10 max(1, max|H|)``, else :class:`NumericError` is
+    raised.  Sector ``t = +-1`` then holds, for each slow pair ``j != -j``,
+    ``(e_j (x) |n> + t (-1)^n e_{-j} (x) |n>)/sqrt 2`` for every n, and for
+    each fixed point ``2 j = 0 mod N`` the states ``e_j (x) |n>`` with
+    ``(-1)^n = t``.  The level's states ``e_j (x) |level>`` fill the
+    sectors as the V = 0 cluster does, which parity keeps while the gaps
+    stay open: with f fixed slow points (1 for odd N, 2 for even N), the
+    even sector holds ``(N + f)/2`` of the N levels and the odd one ``(N -
+    f)/2`` for an even level, and the counts swap for an odd one.
+    """
+    N, d = basis.slow_dim, basis.fock.dim
+    if not split:
+        return [(_banded_sector(H, np.arange(N), np.ones((N, d)),
+                                np.ones((N, d), dtype=bool)), N)]
+    rows, cols = _block_rows(H), H.indices
+    sign = np.where(np.arange(d) % 2, -1.0, 1.0)
+    defect = np.max(np.abs(H.data - np.outer(sign, sign)
+                           * _blocks_at(H, -rows % N, -cols % N)))
+    if defect > 1e-10 * max(1.0, np.max(np.abs(H.data))):
+        raise NumericError(f"oracle matrix breaks the inversion parity "
+                           f"by {defect}")
+    j = np.arange(N)
+    fixed = (j == -j % N)[:, None]
+    upper = (j > -j % N)[:, None]   # the second point of its pair
+    f = 1 if N % 2 else 2
+    counts = ((N + f) // 2, (N - f) // 2)
+    if level % 2:
+        counts = counts[::-1]
+    return [(_banded_sector(
+        H, np.minimum(j, -j % N),
+        np.where(fixed, 1.0, math.sqrt(0.5)) * np.where(upper, t * sign, 1.0),
+        ~fixed | (sign == t)), count)
+        for t, count in zip((1.0, -1.0), counts)]
+
+
+def _banded_sector(H, group: np.ndarray, coef: np.ndarray, keep: np.ndarray):
+    """One sector of the BSR matrix H on N slow points x d Fock states, as
+    a ``scipy.sparse`` DIA matrix whose ``data`` is LAPACK general band
+    storage (:func:`_level_sectors`).
+
+    Slow point J belongs to the group ``group[J]`` (the groups numbered
+    from 0) and adds ``coef[J, n]`` of ``e_J (x) |n>`` to the group's state
+    n, which the sector holds where ``keep[J, n]`` (the same for every
+    point of a group).  The entry at states (g, n), (g', n') is the sum of
+    ``coef[J, n] B(J, J')[n, n'] coef[J', n']`` over the stored blocks
+    with J in g and J' in g', so each block of the sector comes from its 1
+    to 4 blocks of H.  The groups are ordered by reverse Cuthill-McKee of
+    the group graph, each group's kept states following ascending n, so
+    the half bandwidth b, taken from the offsets of the groups of every
+    stored block and never from numeric zeros, stays a few groups wide.
+    Row k of ``data`` holds the diagonal at offset ``b - k``, that is
+    ``data[b + i - j, j] = Hs[i, j]``.
+    """
+    import scipy.sparse
+    import scipy.sparse.csgraph
+
+    rows, cols = _block_rows(H), H.indices
+    G = group.max() + 1
+    graph = scipy.sparse.csr_matrix(
+        (np.ones(rows.size), (group[rows], group[cols])), shape=(G, G))
+    order = scipy.sparse.csgraph.reverse_cuthill_mckee(graph,
+                                                       symmetric_mode=False)
+    size = np.zeros(G, dtype=int)
+    size[group] = keep.sum(axis=1)
+    start = np.zeros(G, dtype=int)
+    start[order] = np.cumsum(size[order]) - size[order]
+    first = start[group]
+    last = first + size[group] - 1
+    b = int(max(np.max(last[rows] - first[cols]),
+                np.max(last[cols] - first[rows])))
+    D = int(size.sum())
+    pos = np.where(keep, first[:, None] + np.cumsum(keep, axis=1) - 1, -1)
+    i, k = pos[rows][:, :, None], pos[cols][:, None, :]
+    inside = (i >= 0) & (k >= 0)
+    flat = ((b + i - k) * D + k)[inside]
+    vals = (coef[rows][:, :, None] * H.data * coef[cols][:, None, :])[inside]
+    band = np.bincount(flat, vals.real, (2 * b + 1) * D)
+    if np.iscomplexobj(vals):
+        band = band + 1j * np.bincount(flat, vals.imag, (2 * b + 1) * D)
+    return scipy.sparse.dia_matrix(
+        (band.reshape(2 * b + 1, D), np.arange(b, -b - 1, -1)), shape=(D, D))
+
+
+def _band_factor(Hs, sigma: float):
+    """``(Hs - sigma)^-1`` of a sector Hs of :func:`_banded_sector`, as a
+    ``scipy.sparse.linalg.LinearOperator``: ``Hs - sigma`` is factored once
+    by LAPACK ``?gbtrf``, and each product is one ``?gbtrs`` solve.  An
+    exact zero pivot (``info > 0``) raises :class:`NumericError`."""
     import scipy.sparse.linalg
 
-    D = H.shape[0]
-    # eigs, which eigsh calls for complex H, needs k < D - 1; k <= count
+    b = int(Hs.offsets[0])
+    D = Hs.shape[0]
+    gbtrf, gbtrs = scipy.linalg.lapack.get_lapack_funcs(("gbtrf", "gbtrs"),
+                                                        (Hs.data,))
+    # ?gbtrf needs b more rows above the band for the fill-in of pivoting
+    ab = np.zeros((3 * b + 1, D), dtype=Hs.dtype)
+    ab[b:] = Hs.data
+    ab[2 * b] -= sigma
+    lu, piv, info = gbtrf(ab, b, b, overwrite_ab=True)
+    if info > 0:
+        raise NumericError(f"shift-invert factor at {sigma} is singular: "
+                           f"zero pivot {info}")
+    return scipy.sparse.linalg.LinearOperator(
+        (D, D), matvec=lambda x: gbtrs(lu, b, b, x, piv)[0], dtype=Hs.dtype)
+
+
+def _sector_cluster(Hs, lam_star: float, count: int) -> np.ndarray:
+    """The ``count`` eigenvalues of one sector Hs of :func:`_level_sectors`
+    within ``HALF_GAP`` of ``lam_star`` (:func:`level_cluster`)."""
+    import scipy.sparse.linalg
+
+    D = Hs.shape[0]
+    # eigs, which eigsh calls for complex Hs, needs k < D - 1; k <= count
     # leaves no eigenvalue to reach past the cluster
     k = min(count + _CLUSTER_MARGIN, D - 2)
     if k <= count:
-        return _dense_cluster(H, lam_star, count)
+        return _dense_cluster(Hs, lam_star, count)
     sigma = lam_star + _SHIFT_OFFSET
-    v0 = np.random.default_rng(0).standard_normal(D).astype(H.dtype)
+    solve = _band_factor(Hs, sigma)
+    v0 = np.random.default_rng(0).standard_normal(D).astype(Hs.dtype)
     try:
-        eigs = scipy.sparse.linalg.eigsh(H, k=k, sigma=sigma, v0=v0,
+        eigs = scipy.sparse.linalg.eigsh(Hs, k=k, sigma=sigma, v0=v0,
+                                         OPinv=solve,
                                          return_eigenvectors=False)
-    except RuntimeError as exc:  # ArpackError, or SuperLU's singular factor
+    except RuntimeError as exc:  # ArpackError
         raise NumericError(f"shift-invert solve at {sigma} failed: {exc}") from exc
     # the k nearest the shift fill [sigma - r, sigma + r], r the largest
     # distance; that holds the HALF_GAP window only if r > HALF_GAP + offset
@@ -402,7 +501,7 @@ def _sector_cluster(H, lam_star: float, count: int) -> np.ndarray:
             f"{HALF_GAP} of it: neighbouring levels have merged")
     cluster = band_cluster(eigs, lam_star)
     if cluster.size != count:
-        return _dense_cluster(H, lam_star, count)
+        return _dense_cluster(Hs, lam_star, count)
     return cluster
 
 

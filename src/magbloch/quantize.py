@@ -135,19 +135,10 @@ class MagneticBlochFamily:
 
 def _require_hermitian(H, rtol: float, what: str):
     """H itself, after checking max|H - H^dag| <= rtol * max(1, max|H|) for
-    H or each matrix of a stack; for a ``scipy.sparse`` H, H - H^dag is
-    formed sparse."""
-    if isinstance(H, np.ndarray):
-        def size():
-            return np.max(np.abs(H), axis=(-2, -1))
-
-        resid = np.max(np.abs(H - H.conj().swapaxes(-1, -2)), axis=(-2, -1))
-    else:
-        def size():
-            return abs(H).max()
-
-        resid = abs(H - H.conj().T).max()
-    _check_hermitian(resid, size, rtol, what)
+    the array H or each matrix of a stack."""
+    resid = np.max(np.abs(H - H.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    _check_hermitian(resid, lambda: np.max(np.abs(H), axis=(-2, -1)), rtol,
+                     what)
     return H
 
 

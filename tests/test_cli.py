@@ -511,6 +511,38 @@ def test_flag_defaults_apply_when_not_given(tmp_path):
 _A1_COS = {"A1": [[0, 1, 0.5, 0.0], [0, -1, 0.5, 0.0]]}
 
 
+@pytest.mark.parametrize("extra", [{}, _A1_COS],
+                         ids=["parity-sectors", "whole-space"])
+def test_oracle_compare_never_calls_superlu(tmp_path, monkeypatch, extra):
+    # every sector is factored banded: SuperLU, which eigsh would call
+    # through its own splu for a shift without OPinv, is never reached
+    import scipy.sparse.linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("SuperLU was called")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", refuse)
+    monkeypatch.setattr(sys.modules[scipy.sparse.linalg.eigsh.__module__],
+                        "splu", refuse)
+    path = _write_cfg(tmp_path, {**extra, "n_max": 12})
+    out = tmp_path / "oc.json"
+    assert main(["oracle-compare", "--config", path, "--delta", "1/16,1/31",
+                 "--out", str(out)]) == 0
+    assert [len(e["oracle_band"]) for e in json.loads(out.read_text())] \
+        == [16, 31]
+
+
+def test_oracle_compare_exits_3_on_a_zero_pivot(tmp_path, monkeypatch,
+                                                capsys):
+    # with no shift offset the V = 0 sector minus its level is exactly
+    # singular, and the numeric failure reaches the exit code
+    monkeypatch.setattr(oracle, "_SHIFT_OFFSET", 0.0)
+    path = _write_cfg(tmp_path, {"V": [], "n_max": 6, "guard": 0})
+    assert main(["oracle-compare", "--config", path, "--delta", "1/16",
+                 "--out", str(tmp_path / "oc.json")]) == 3
+    assert "singular" in capsys.readouterr().err
+
+
 def _dump_json_recursive(obj, indent: int = 0) -> str:
     """The report writer as it was: one recursive call per value."""
     pad = "  " * indent
@@ -689,16 +721,19 @@ def test_reports_keep_the_old_bytes_when_rows_repeat(tmp_path, monkeypatch,
     (["oracle-compare", "--delta", "1/16,1/31,1/48"], _A1_COS),
     (["oracle-compare", "--delta", "1/16,1/31,1/48"], {}),
     (["oracle-compare", "--delta", "1/4,1/5,1/8"], _SMALL_SECTORS),
+    (["oracle-compare", "--delta", "3/8,7/16"], {}),
 ], ids=["sapt", "butterfly", "effective", "two-band", "oracle-compare",
-        "oracle-compare-parity-split", "oracle-compare-small-sectors"])
+        "oracle-compare-parity-split", "oracle-compare-small-sectors",
+        "oracle-compare-wide-shift"])
 def test_outputs_identical_under_one_and_two_blas_threads(tmp_path, argv,
                                                           extra):
     # byte-identical outputs hold within one BLAS configuration; these
     # commands keep them across one and two OpenBLAS threads as well (the
     # oracle's symbol is reflection-even, so its cluster is solved real;
     # with A1 = cos 2 pi x it misses the inversion rule and is solved in the
-    # whole space, with Harper V alone in its two parity sectors, and with
-    # two Fock states some sectors are solved dense)
+    # whole space, with Harper V alone in its two parity sectors, also at
+    # the wide slow shifts of 3/8 and 7/16, and with two Fock states some
+    # sectors are solved dense)
     path = _write_cfg(tmp_path, {**extra, "grid": [16, 16], "order": 6})
     outputs = []
     for threads in ("1", "2"):

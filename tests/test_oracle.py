@@ -29,6 +29,14 @@ def _fock(n_max=30, guard=6):
     return FockTruncation(n_max=n_max, guard=guard)
 
 
+def _whole_space(H, basis):
+    """The one unsplit sector of H, the whole space, which holds every one
+    of the level's ``basis.slow_dim`` states."""
+    [(Hs, count)] = oracle._level_sectors(H, basis, 0, False)
+    assert count == basis.slow_dim
+    return Hs
+
+
 def test_ccr_fast_slow_choice():
     for iota in (1, -1):
         for delta in (Fraction(1, 4), Fraction(2, 7)):
@@ -94,7 +102,8 @@ def test_level_cluster_completes_degenerate_levels(square, monkeypatch):
         basis = OracleBasis(n_cells=1, n_grid=q, fock=_fock(n_max))
         H = build_full_matrix(EMPTY, None, square, basis, RationalFlux(1, q))
         for n in (0, 1, 3):
-            cluster = oracle._sector_cluster(H, n + 0.5, basis.slow_dim)
+            cluster = oracle._sector_cluster(_whole_space(H, basis), n + 0.5,
+                                             basis.slow_dim)
             assert cluster.size == basis.slow_dim
             assert np.max(np.abs(cluster - (n + 0.5))) < 1e-10
     assert H.shape in dense   # the 1/64 matrix took the dense fallback
@@ -469,15 +478,16 @@ def test_level_cluster_matches_dense(q, amps, a, n_max, band, phase):
         want = band_cluster(oracle_eigenvalues(H.toarray()), lam)
     except GapClosedError:
         want = None
+    Hs = _whole_space(H, basis)
     if want is None or want.size != basis.slow_dim:
         with pytest.raises(GapClosedError):
-            oracle._sector_cluster(H, lam, basis.slow_dim)
+            oracle._sector_cluster(Hs, lam, basis.slow_dim)
         return
-    got = oracle._sector_cluster(H, lam, basis.slow_dim)
+    got = oracle._sector_cluster(Hs, lam, basis.slow_dim)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) < 1e-12
     # the fixed start vector makes a repeated solve bit-identical
-    assert oracle._sector_cluster(H, lam, basis.slow_dim).tobytes() \
+    assert oracle._sector_cluster(Hs, lam, basis.slow_dim).tobytes() \
         == got.tobytes()
 
 
@@ -532,8 +542,14 @@ def test_parity_commutes_exactly_for_inversion_even_symbols(name, monkeypatch):
     defect = np.max(np.abs(P @ H @ P - H))
     if even:
         assert defect < 1e-12
-        parity, _ = oracle._parity_sectors(basis.slow_dim, basis.fock.dim, 0)
-        assert np.array_equal(parity.toarray(), P)
+        # each sector is H on the t-eigenspace of the dense Pi
+        w, U = np.linalg.eigh(P)
+        for (sector, _), t in zip(oracle._level_sectors(Hs, basis, 0, True),
+                                  (1.0, -1.0)):
+            Q = U[:, np.abs(w - t) < 0.5]
+            assert sector.shape[0] == Q.shape[1]
+            assert np.max(np.abs(oracle_eigenvalues(sector)
+                                 - oracle_eigenvalues(Q.T @ H @ Q))) < 1e-12
     else:   # the commutator is far above rounding
         assert defect > 1e-2
     # level_cluster splits exactly the inversion-even symbols into two
@@ -544,7 +560,7 @@ def test_parity_commutes_exactly_for_inversion_even_symbols(name, monkeypatch):
                         lambda *a: calls.append(a) or solve(*a))
     got = level_cluster(Hs, V, A, basis, 0)
     assert len(calls) == (2 if even else 1)
-    whole = solve(Hs, 0.5, basis.slow_dim)
+    whole = solve(_whole_space(Hs, basis), 0.5, basis.slow_dim)
     assert got.shape == whole.shape
     assert np.max(np.abs(got - whole)) < 1e-12
 
@@ -560,22 +576,22 @@ def test_sector_counts_match_dense_counts(square, harper, q, n_cells):
     H = build_full_matrix(V, None, square, basis, fx)
     N = basis.slow_dim
     f = 2 - N % 2
+    whole = oracle_eigenvalues(H)
     for level in range(4):
-        _, blocks = oracle._parity_sectors(N, basis.fock.dim, level)
+        sectors = oracle._level_sectors(H, basis, level, True)
         want = [(N + f) // 2, (N - f) // 2]
         if level % 2:
             want.reverse()
-        assert [count for _, count in blocks] == want
-        dims = 0
-        for Q, count in blocks:
-            Hs = (Q.T @ H @ Q).toarray()
-            assert np.max(np.abs((Q.T @ Q).toarray()
-                                 - np.eye(Q.shape[1]))) < 1e-15
-            dims += Q.shape[1]
+        assert [count for _, count in sectors] == want
+        spectra = []
+        for Hs, count in sectors:
             eigs = oracle_eigenvalues(Hs)
+            spectra.append(eigs)
             assert np.sum(np.abs(eigs - (level + 0.5)) <= oracle.HALF_GAP) \
                 == count
-        assert dims == H.shape[0]
+        # together the sectors are H in another orthonormal basis
+        assert np.max(np.abs(np.sort(np.concatenate(spectra)) - whole)) \
+            < 1e-12
 
 
 @pytest.mark.parametrize("V, q, n_cells, n_max", [
@@ -597,13 +613,61 @@ def test_split_cluster_matches_whole_space(square, harper, monkeypatch, V, q,
     monkeypatch.setattr(oracle, "oracle_eigenvalues",
                         lambda H: dense.append(H.shape[0]) or real(H))
     for level in (0, 1, 3):
-        whole = oracle._sector_cluster(H, level + 0.5, basis.slow_dim)
+        whole = oracle._sector_cluster(_whole_space(H, basis), level + 0.5,
+                                       basis.slow_dim)
         split = level_cluster(H, V, None, basis, level)
         assert split.shape == whole.shape == (basis.slow_dim,)
         assert np.all(np.diff(split) >= 0)
         assert np.max(np.abs(split - whole)) < 1e-12
     if q == 64:   # the degenerate sectors take the dense fallback
         assert any(D < H.shape[0] for D in dense)
+
+
+@pytest.mark.parametrize("p, q, n_cells", [(7, 16, 1), (13, 27, 1),
+                                           (31, 64, 1), (7, 16, 2)])
+@pytest.mark.parametrize("with_a", [False, True],
+                         ids=["parity-sectors", "whole-space"])
+def test_wide_shift_sectors_stay_banded(square, harper, monkeypatch, p, q,
+                                        n_cells, with_a):
+    # the slow shift p n_grid / q lies far from +-1, so in plain pair order
+    # neighbouring groups sit 7, 13 and 31 groups apart; reverse
+    # Cuthill-McKee orders them along the shift's cycle, a path of pairs in
+    # a parity sector and a cycle of points in the whole space (A1 =
+    # cos(2 pi x)/2 misses the inversion rule)
+    V = harper.scaled(0.2)
+    A = PeriodicVectorPotential(
+        FourierSeries2D({(0, 1): 0.25, (0, -1): 0.25}, is_real=True), EMPTY,
+        square) if with_a else None
+    fx = RationalFlux(p, q)
+    basis = OracleBasis.resolving(V, A, fx, _fock(6, 0), n_cells)
+    H = build_full_matrix(V, A, square, basis, fx)
+    widths = []
+    factor = oracle._band_factor
+    monkeypatch.setattr(oracle, "_band_factor", lambda Hs, sigma: (
+        widths.append(int(Hs.offsets[0])) or factor(Hs, sigma)))
+    for level in (0, 1):
+        want = band_cluster(oracle_eigenvalues(H), level + 0.5)
+        assert want.size == basis.slow_dim
+        got = level_cluster(H, V, A, basis, level)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-12
+    d = basis.fock.dim
+    assert len(widths) == (2 if with_a else 4)
+    assert max(widths) <= (3 * d - 1 if with_a else 2 * d - 1)
+
+
+def test_band_factor_rejects_a_zero_pivot(square):
+    # at V = 0 each level n + 1/2 is an exact diagonal entry of H, so the
+    # factor of H - 1/2 meets an exact zero pivot; off the level it does not
+    basis = OracleBasis(n_cells=1, n_grid=8, fock=_fock(6, 0))
+    H = build_full_matrix(EMPTY, None, square, basis, RationalFlux(1, 8))
+    Hs = _whole_space(H, basis)
+    with pytest.raises(NumericError, match="singular"):
+        oracle._band_factor(Hs, 0.5)
+    sigma = 0.5 + oracle._SHIFT_OFFSET
+    x = np.arange(1.0, Hs.shape[0] + 1)
+    y = oracle._band_factor(Hs, sigma).matvec(x)
+    assert np.max(np.abs(Hs @ y - sigma * y - x)) < 1e-9 * np.max(x)
 
 
 def test_level_cluster_rejects_a_matrix_that_breaks_the_parity(
