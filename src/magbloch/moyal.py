@@ -14,6 +14,13 @@ carries one grade of the adiabatic parameter, the expansion bookkeeping used
 to derive the recursions: the grade-n piece of a product of grades r and l
 is the (n - r - l)-th correction.
 
+``star_grade`` is the one star-product path (``moyal_term`` is its single
+grade pair).  Each grade pair makes all its mode products in one stacked
+GEMM, on the pairs' nonzero blocks cut to their union box, rounded out to
+the GEMM tile grid.  The union box is tile-aligned, so each kept entry still
+sees the full product's kernel, and the sums keep the order of the dense
+double loop: the result has its bits.
+
 The recursions take a truncated symbol H with constant principal part and a
 set of contiguous fast-space levels, and produce order by order:
 
@@ -38,7 +45,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -76,27 +82,13 @@ class MoyalSeries:
 # The edges of a trimmed product's row and column ranges are rounded out to
 # this grid, which the GEMM tiles of OpenBLAS's kernels share, so each kept
 # entry is accumulated by the same kernel, in the same order, as in the full
-# product.  The tests hold the trimmed products equal to the full ones, entry
-# for entry.  From a width of about 150, where GEMM blocks the full product
-# differently, an entry may differ from it by a rounding.
+# product.  The products of one grade pair share one box, the union of their
+# nonzero blocks rounded out to the grid: it is tile-aligned too, so each
+# pair's kept entries still see the full product's kernel, and its other
+# entries are exact zeros.  The tests hold the trimmed products equal to the
+# full ones, entry for entry.  From a width of about 150, where GEMM blocks
+# the full product differently, an entry may differ from it by a rounding.
 _TILE = 8
-
-
-class _Box(NamedTuple):
-    """Bounding box ``[r0, r1) x [c0, c1)`` of a matrix's nonzero entries,
-    with its row and column ranges rounded out to the tile grid."""
-
-    r0: int
-    r1: int
-    c0: int
-    c1: int
-    rows: slice
-    cols: slice
-
-
-# Extents of a zero matrix: no column range of it overlaps a row range, and
-# no row range a column range.
-_EMPTY = _Box(0, 0, 0, 0, slice(0, 0), slice(0, 0))
 
 
 def _tile_slice(lo: int, hi: int, size: int) -> slice:
@@ -109,34 +101,51 @@ def _tile_slice(lo: int, hi: int, size: int) -> slice:
     return slice(lo, hi)
 
 
-def _box(M: np.ndarray) -> _Box:
-    """The nonzero block of M, :data:`_EMPTY` for a zero matrix."""
-    rows = np.flatnonzero(M.any(axis=1))
-    if not rows.size:
-        return _EMPTY
-    cols = np.flatnonzero(M.any(axis=0))
-    r0, r1 = int(rows[0]), int(rows[-1]) + 1
-    c0, c1 = int(cols[0]), int(cols[-1]) + 1
-    return _Box(r0, r1, c0, c1, _tile_slice(r0, r1, M.shape[0]),
-                _tile_slice(c0, c1, M.shape[1]))
+def _spans(nz: np.ndarray) -> tuple:
+    """First and one-past-last True index along the last axis of nz, both
+    0 where there is none."""
+    lo = nz.argmax(axis=-1)
+    hi = nz.shape[-1] - nz[..., ::-1].argmax(axis=-1)
+    none = ~nz[np.arange(len(nz)), lo]
+    lo[none] = 0
+    hi[none] = 0
+    return lo, hi
+
+
+# A mode (n, m) as the integer n 2^32 + m: the code of the mode a pair lands
+# on is the sum of the pair's codes.
+_SHIFT = 32
+
+
+def _modes(codes: np.ndarray) -> list:
+    """The modes (n, m) of codes."""
+    n = (codes + (1 << (_SHIFT - 1))) >> _SHIFT
+    return list(zip(n.tolist(), (codes - (n << _SHIFT)).tolist()))
 
 
 class _Stored(dict):
     """Mode map that also holds, aligned with its insertion order, each
-    mode's matrix (``mats``) and nonzero block (``boxes``), and as integer
-    arrays the mode indices ``n``, ``m`` and the block extents ``r0, r1,
-    c0, c1``.  The builders wrap each mode map once, when they store it, so
-    no star product scans a matrix."""
+    mode's matrix (``mats``), and as integer arrays the mode indices ``n``,
+    ``m``, the mode codes ``code`` and each matrix's nonzero block ``[r0,
+    r1) x [c0, c1)`` (``ext``, one row of four per mode, all 0 for a zero
+    matrix).  The builders wrap each mode map once, when they store it, and
+    its matrices are scanned then, in one pass, so no star product scans a
+    matrix."""
 
-    __slots__ = ("mats", "boxes", "n", "m", "r0", "r1", "c0", "c1", "dtype")
+    __slots__ = ("mats", "n", "m", "code", "ext", "dtype")
 
-    def __init__(self, mm: ModeMap, boxes: list | None = None):
+    def __init__(self, mm: ModeMap, ext: np.ndarray | None = None):
         super().__init__(mm)
         self.mats = list(mm.values())
-        self.boxes = [_box(M) for M in self.mats] if boxes is None else boxes
         self.n, self.m = np.array(list(mm), dtype=np.int64).reshape(-1, 2).T
-        ext = np.array([box[:4] for box in self.boxes], dtype=np.int64)
-        self.r0, self.r1, self.c0, self.c1 = ext.reshape(-1, 4).T
+        self.code = (self.n << _SHIFT) + self.m
+        if ext is None:
+            ext = np.zeros((len(mm), 4), np.int64)
+            if mm:
+                nz = np.array(self.mats) != 0
+                ext[:, 0], ext[:, 1] = _spans(nz.any(axis=2))
+                ext[:, 2], ext[:, 3] = _spans(nz.any(axis=1))
+        self.ext = ext
         self.dtype = (np.result_type(*{M.dtype for M in self.mats})
                       if self.mats else None)
 
@@ -150,116 +159,173 @@ def _stored_grades(grades: dict) -> dict:
 
 
 def _dagger(mm: _Stored) -> _Stored:
-    """mode_dagger, with the boxes transposed instead of rescanned."""
-    return _Stored(mode_dagger(mm),
-                   [_Box(b.c0, b.c1, b.r0, b.r1, b.cols, b.rows)
-                    for b in mm.boxes])
+    """mode_dagger, with the blocks transposed instead of rescanned."""
+    return _Stored(mode_dagger(mm), mm.ext[:, [2, 3, 0, 1]])
 
 
-def _add_term(out: dict, A: ModeMap, B: ModeMap, k: int) -> None:
-    """Add ``[A # B]_k`` into ``out``, mode by mode.
+def star_grade(A_grades: dict, B_grades: dict, n: int) -> ModeMap:
+    """Grade-n piece of the star product of two graded symbols: the sum
+    over the grade pairs (r, l), in their order, of the k-th star-product
+    correction ``[A_r # B_l]_k``, k = n - r - l.
 
-    ``out`` maps a mode to its accumulated matrix, or to the ``(shape,
-    dtype)`` of a mode that has had no product yet; :func:`_finish` makes
-    those zero matrices.  Every mode that a pair with a nonzero bracket
-    (any pair when k = 0) lands on is entered, in the order of the double
-    loop over A's modes and then B's.  One broadcast comparison finds the
-    pairs that multiply something: a nonzero bracket when k > 0, and an
-    overlap of A's nonzero columns with B's nonzero rows.  Each such pair
-    multiplies only the nonzero blocks, ``MA[rows_A, inner] @ MB[inner,
-    cols_B]``, in the loop's order.  A mode's first products are summed on
-    its own zeroed matrix; later, a single product is added to it in place,
-    and several are summed on a zeroed matrix of their own first.  These
-    are the bits of the dense double loop, which sums each term on zeros:
-    adding a ``+0.0`` is exact, and no accumulated entry is ``-0.0``.
+    For single modes (module docstring) the correction of ``A_(n1,m1)``
+    and ``B_(n2,m2)`` is ``(2 i pi^2 b)^k / k! A_(n1,m1) B_(n2,m2)``, b the
+    bracket ``m1 n2 - n1 m2``, on mode ``(n1+n2, m1+m2)``.  The result holds
+    every mode that a mode pair lands on, in the order of first landing: all
+    pairs when k = 0, the pairs with a nonzero bracket when k > 0.  A pair
+    multiplies only when A's nonzero columns overlap B's nonzero rows
+    (:func:`_add_products`).  A mode that receives no product is a zero
+    matrix.  The dtype is complex when any k > 0.  The result's arrays are
+    new, never an input's.
     """
-    if not A or not B:
-        return
-    A, B = _stored(A), _stored(B)
-    br = np.multiply.outer(A.m, B.n) - np.multiply.outer(A.n, B.m)
-    hit = np.maximum.outer(A.c0, B.r0) < np.minimum.outer(A.c1, B.r1)
-    keys_a, keys_b = list(A), list(B)
-    modes = [(n1 + n2, m1 + m2) for n1, m1 in keys_a for n2, m2 in keys_b]
-    if k > 0:
-        landed = br != 0
-        hit &= landed
-        modes = itertools.compress(modes, landed.ravel().tolist())
-    blank = ((A.mats[0].shape[0], B.mats[0].shape[1]),
-             np.result_type(A.dtype, B.dtype, 1j if k else 1.0))
-    for nm in modes:
-        if nm not in out:
-            out[nm] = blank
-    pairs: dict[tuple, list] = {}
-    coefs: dict[int, complex] = {}
-    for i, j in zip(*(ix.tolist() for ix in np.nonzero(hit))):
-        (n1, m1), (n2, m2) = keys_a[i], keys_b[j]
-        pairs.setdefault((n1 + n2, m1 + m2), []).append(
-            (i, j, m1 * n2 - n1 * m2))
-    for nm, terms in pairs.items():
-        acc = out[nm]
-        if isinstance(acc, tuple):
-            acc = part = out[nm] = np.zeros(*acc)
-        elif len(terms) == 1:
-            part = acc
-        else:
-            # this pair of maps' products, summed apart before they join
-            # the earlier ones
-            part = np.zeros(acc.shape, blank[1])
-        for i, j, b in terms:
-            MA, MB, box_a, box_b = A.mats[i], B.mats[j], A.boxes[i], B.boxes[j]
-            lo, hi = max(box_a.c0, box_b.r0), min(box_a.c1, box_b.r1)
-            if hi - lo == 1 and MA.shape[1] > 1:
-                # an inner extent of one takes another kernel too
-                lo, hi = (lo, hi + 1) if hi < MA.shape[1] else (lo - 1, hi)
-            term = MA[box_a.rows, lo:hi] @ MB[lo:hi, box_b.cols]
-            if k > 0:
-                coef = coefs.get(b)
-                if coef is None:
-                    coef = coefs[b] = ((2j * math.pi ** 2 * b) ** k
-                                       / math.factorial(k))
-                np.multiply(coef, term, out=term)
-            view = part[box_a.rows, box_b.cols]
-            view += term    # ``part[...] += term`` would also copy back
-        if part is not acc:
-            acc += part
+    if not B_grades:
+        return {}
+    As = [_stored(Ar) for Ar in A_grades.values()]
+    Bs = [_stored(Bl) for Bl in B_grades.values()]
+    grades_b = list(B_grades)
+    # B's modes, all grades in a row: grade, place among the grades, and
+    # the modes' indices, codes and blocks
+    size_b = [len(B) for B in Bs]
+    grade_b = np.repeat(grades_b, size_b)
+    place_b = np.repeat(np.arange(len(Bs)), size_b)
+    n_b, m_b, code_b, ext_b = (np.concatenate([getattr(B, x) for B in Bs])
+                               for x in ("n", "m", "code", "ext"))
+    codes, dtypes, hits = [], [], []
+    offset = landed = 0
+    for p, (r, A) in enumerate(zip(A_grades, As)):
+        cols = np.flatnonzero(grade_b <= n - r)
+        if A and cols.size:
+            br = (np.multiply.outer(A.m, n_b[cols])
+                  - np.multiply.outer(A.n, m_b[cols]))
+            pair = np.flatnonzero((br != 0) | (grade_b[cols] == n - r))
+            # the landing pairs in the order of the loop over B's grades,
+            # and in each over A's modes and then B's
+            i, c = np.divmod(pair, cols.size)
+            o = np.argsort(place_b[cols[c]], kind="stable")
+            pair, i, j = pair[o], i[o], cols[c[o]]
+            codes.append(A.code[i] + code_b[j])
+            for q in np.unique(place_b[j]).tolist():
+                dtypes.append(np.result_type(
+                    A.dtype, Bs[q].dtype, 1j if n - r - grades_b[q] else 1.0))
+                shape = (A.mats[0].shape[0], A.mats[0].shape[1],
+                         Bs[q].mats[0].shape[1])
+            h = np.flatnonzero(np.maximum(A.ext[i, 2], ext_b[j, 0])
+                               < np.minimum(A.ext[i, 3], ext_b[j, 1]))
+            i, j = i[h], j[h]
+            hits.append((landed + h, p * len(Bs) + place_b[j], i + offset, j,
+                         br.ravel()[pair[h]], n - r - grade_b[j]))
+            landed += pair.size
+        offset += len(A)
+    if not landed:
+        return {}
+    codes = np.concatenate(codes)
+    # the landed modes in the order of first landing, and each one's slot
+    _, first, inverse = np.unique(codes, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    slot = np.empty_like(order)
+    slot[order] = np.arange(order.size)
+    out = np.zeros((order.size, shape[0], shape[2]), np.result_type(*dtypes))
+    at, gp, ia, jb, br, k = (np.concatenate(x) for x in zip(*hits))
+    if at.size:
+        _add_products(out, gp, slot[inverse[at]], ia, jb, br, k,
+                      [M for A in As for M in A.mats],
+                      np.concatenate([A.ext for A in As]),
+                      [M for B in Bs for M in B.mats], ext_b, shape)
+    return dict(zip(_modes(codes[first[order]]), out))
 
 
-def _finish(out: dict) -> ModeMap:
-    """The accumulated mode map, a zero matrix for each mode that received
-    no product."""
-    return {nm: np.zeros(*M) if isinstance(M, tuple) else M
-            for nm, M in out.items()}
+def _add_products(out, g, s, ia, jb, br, k, mats_a, ext_a, mats_b, ext_b,
+                  shape) -> None:
+    """Add to ``out`` the products of the multiplying mode pairs, in the
+    order of the double loop: of grade pair ``g`` (ascending, any labels),
+    with slot ``s``, modes ``mats_a[ia]`` and ``mats_b[jb]``, bracket
+    ``br`` and grade ``k``.
+
+    Each grade pair makes all its products in one stacked GEMM, on its
+    modes' blocks cut to one box (:func:`_union_box`).  The bits are those
+    of the dense double loop, which sums a grade pair's products on a mode
+    in pair order, and then adds that sum to the earlier grade pairs' sum.
+    So a grade pair's products are laid out rank by rank: the first product
+    of each slot it reaches, then the second of each slot that has one, and
+    so on, with the slots of more products first, so that each rank's slots
+    are a prefix of the first rank's.  They are summed one rank at a time
+    on the first rank, and each sum is added to its slot.
+    """
+    g = np.unique(g, return_inverse=True)[1]
+    # runs of one slot's products within a grade pair, in pair order
+    o = np.lexsort((s, g))
+    gs, ss = g[o], s[o]
+    head = np.ones(o.size, bool)
+    head[1:] = (gs[1:] != gs[:-1]) | (ss[1:] != ss[:-1])
+    heads = np.flatnonzero(head)
+    run = np.cumsum(head) - 1
+    rank = np.arange(o.size) - heads[run]
+    count = np.diff(np.append(heads, o.size))[run]
+    q = np.lexsort((ss, -count, rank, gs))
+    o, rank = o[q], rank[q]
+    s, ia, jb, br, k = s[o], ia[o], jb[o], br[o], k[o]
+    pairs, ranks = int(g[-1]) + 1, int(rank.max()) + 1
+    runs = np.bincount(g * ranks + rank, minlength=pairs * ranks)
+    runs = runs.reshape(pairs, ranks).tolist()
+    bounds = np.searchsorted(g, np.arange(pairs + 1)).tolist()
+    # the coefficient (2 i pi^2 b)^k / k! of each distinct (b, k)
+    base = int(k.max()) + 1
+    key, at = np.unique(br * base + k, return_inverse=True)
+    coefs = np.array([(2j * math.pi ** 2 * b) ** kb / math.factorial(kb)
+                      for b, kb in zip(*(x.tolist()
+                                         for x in np.divmod(key, base)))])[at]
+    a_ext = _unions(ext_a[ia], bounds[:-1])
+    b_ext = _unions(ext_b[jb], bounds[:-1])
+    ia, jb = ia.tolist(), jb.tolist()
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        rows, inner, cols = _union_box(a_ext[i], b_ext[i], shape)
+        terms = (np.array([mats_a[j][rows, inner] for j in ia[lo:hi]])
+                 @ np.array([mats_b[j][inner, cols] for j in jb[lo:hi]]))
+        if k[lo] > 0:
+            c = coefs[lo:hi]
+            terms = terms.astype(np.result_type(terms, c), copy=False)
+            if terms[0].size > 1:
+                np.multiply(c[:, None, None], terms, out=terms)
+            else:
+                # one entry a product: the loop a single product takes
+                for ci, t in zip(c, terms):
+                    np.multiply(ci, t, out=t)
+        part, at = terms[:runs[i][0]], runs[i][0]
+        for width in itertools.takewhile(bool, runs[i][1:]):
+            part[:width] += terms[at:at + width]
+            at += width
+        out[s[lo:lo + part.shape[0]], rows, cols] += part
+
+
+def _unions(ext: np.ndarray, starts: list) -> list:
+    """Per segment of the blocks ``ext`` that begins at ``starts``, their
+    union ``[r0, r1, c0, c1]``: the least r0 and c0, the greatest r1 and
+    c1."""
+    lo, hi = np.minimum.reduceat(ext, starts), np.maximum.reduceat(ext, starts)
+    return np.stack([lo[:, 0], hi[:, 1], lo[:, 2], hi[:, 3]], 1).tolist()
+
+
+def _union_box(ea: list, eb: list, shape: tuple) -> tuple:
+    """The (rows, inner, cols) box of a grade pair's products, from the
+    unions ``[r0, r1, c0, c1]`` of the nonzero blocks of its modes of A
+    (``ea``) and of B (``eb``): A's rows and B's columns rounded out to the
+    tile grid, and A's columns that meet B's rows.  Outside a pair's own
+    block the box holds exact zeros."""
+    rows = _tile_slice(ea[0], ea[1], shape[0])
+    cols = _tile_slice(eb[2], eb[3], shape[2])
+    lo, hi = max(ea[2], eb[0]), min(ea[3], eb[1])
+    if hi - lo == 1 and shape[1] > 1:
+        # an inner extent of one takes another kernel too
+        lo, hi = (lo, hi + 1) if hi < shape[1] else (lo - 1, hi)
+    return rows, slice(lo, hi), cols
 
 
 def moyal_term(A: ModeMap, B: ModeMap, k: int) -> ModeMap:
     """k-th star-product correction of two mode maps (k = 0 is the
-    mode-convolution product).
-
-    The result holds every mode that a mode pair lands on: all pairs when
-    k = 0, the pairs with a nonzero bracket when k > 0.  Each pair whose
-    nonzero blocks overlap adds ``MA[rows_A, inner] @ MB[inner, cols_B]``,
-    with ``inner`` the overlap of A's nonzero columns and B's nonzero rows,
-    into a dense matrix of its mode; a mode that receives no product is a
-    zero matrix.  The bits are those of the dense double loop.
-    """
-    out: dict = {}
-    _add_term(out, A, B, k)
-    return _finish(out)
-
-
-def star_grade(A_grades: dict, B_grades: dict, n: int) -> ModeMap:
-    """Grade-n piece of the star product of two graded symbols: the sum of
-    ``moyal_term(A_r, B_l, n - r - l)`` over the grade pairs, in their
-    order, with the modes and bits of that sum.  Each term is added in
-    place, and a mode that receives no product becomes one zero matrix.
-    The result's arrays are new, never an input's."""
-    out: dict = {}
-    for r, Ar in A_grades.items():
-        for l, Bl in B_grades.items():
-            rem = n - r - l
-            if rem >= 0:
-                _add_term(out, Ar, Bl, rem)
-    return _finish(out)
+    mode-convolution product): :func:`star_grade` of the single grade
+    pair."""
+    return star_grade({0: A}, {0: B}, k)
 
 
 def _check_bands(band_set) -> tuple:

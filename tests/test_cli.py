@@ -715,6 +715,7 @@ def test_reports_keep_the_old_bytes_when_rows_repeat(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("argv, extra", [
     (["sapt", "--band", "0,1"], _A1_COS),
+    (["sapt", "--band", "0,1"], {**_A1_COS, "order": 8}),
     (["butterfly", "--qmax", "12"], _A1_COS),
     (["effective", "--delta", "1/50,1/127", "--format", "json"], _A1_COS),
     (["two-band", "--delta", "1/50,1/127", "--format", "json"], _A1_COS),
@@ -722,9 +723,9 @@ def test_reports_keep_the_old_bytes_when_rows_repeat(tmp_path, monkeypatch,
     (["oracle-compare", "--delta", "1/16,1/31,1/48"], {}),
     (["oracle-compare", "--delta", "1/4,1/5,1/8"], _SMALL_SECTORS),
     (["oracle-compare", "--delta", "3/8,7/16"], {}),
-], ids=["sapt", "butterfly", "effective", "two-band", "oracle-compare",
-        "oracle-compare-parity-split", "oracle-compare-small-sectors",
-        "oracle-compare-wide-shift"])
+], ids=["sapt", "sapt-order-8", "butterfly", "effective", "two-band",
+        "oracle-compare", "oracle-compare-parity-split",
+        "oracle-compare-small-sectors", "oracle-compare-wide-shift"])
 def test_outputs_identical_under_one_and_two_blas_threads(tmp_path, argv,
                                                           extra):
     # byte-identical outputs hold within one BLAS configuration; these
@@ -733,8 +734,8 @@ def test_outputs_identical_under_one_and_two_blas_threads(tmp_path, argv,
     # with A1 = cos 2 pi x it misses the inversion rule and is solved in the
     # whole space, with Harper V alone in its two parity sectors, also at
     # the wide slow shifts of 3/8 and 7/16, and with two Fock states some
-    # sectors are solved dense)
-    path = _write_cfg(tmp_path, {**extra, "grid": [16, 16], "order": 6})
+    # sectors are solved dense; sapt also at the benchmark's order 8)
+    path = _write_cfg(tmp_path, {"grid": [16, 16], "order": 6, **extra})
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)

@@ -285,13 +285,6 @@ def _block_modes(draw, dim):
     return out
 
 
-def _add_reference(out, A, B, k):
-    """moyal._add_term on the dense double loop: adds [A # B]_k into out,
-    as the dense star_grade sums its terms."""
-    for key, M in _moyal_reference(A, B, k).items():
-        out[key] = out[key] + M if key in out else M
-
-
 def _star_reference(A_grades, B_grades, n):
     """star_grade on the dense double loop."""
     out = {}
@@ -393,6 +386,68 @@ def test_star_grade_sums_each_grade_pair_apart():
     _assert_modes_equal(star_grade(A, B, 1), _star_reference(A, B, 1))
 
 
+def _as_complex(mm):
+    return {key: M.astype(complex) for key, M in mm.items()}
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_star_products_of_real_maps(k):
+    # real float64 matrices: a product with k > 0 takes a complex bracket
+    # coefficient, so the result is complex; a grade pair with k = 0 keeps
+    # its products real, and with one of k > 0 they join a complex result
+    rng = np.random.default_rng(3 + k)
+    X, Z = rng.normal(size=(2, 4, 4))
+    got = moyal_term({(1, 0): X}, {(0, 1): Z}, k)
+    assert got[(1, 1)].dtype == (complex if k else float)
+    _assert_modes_equal(_as_complex(got), _as_complex(
+        _moyal_reference({(1, 0): X}, {(0, 1): Z}, k)))
+    keys = [(1, 0), (0, 1), (1, 1), (-1, 2)]
+    A = {nm: rng.normal(size=(4, 4)) for nm in keys}
+    B = {nm: rng.normal(size=(4, 4)) for nm in keys[::-1]}
+    _assert_modes_equal(_as_complex(moyal_term(A, B, k)),
+                        _as_complex(_moyal_reference(A, B, k)))
+    got = star_grade({0: A, 1: B}, {0: B, 1: A}, k + 1)
+    assert {M.dtype for M in got.values()} == {np.dtype(complex)}
+    _assert_modes_equal(got, _as_complex(
+        _star_reference({0: A, 1: B}, {0: B, 1: A}, k + 1)))
+
+
+def _assert_same_bits(got, want):
+    """The same modes, and matrices of the same bits; adding 0.0 maps a
+    -0.0, which a zero block of the dense products may hold, to 0.0."""
+    assert list(got) == list(want)
+    for key in want:
+        assert (got[key] + 0.0).tobytes() == (want[key] + 0.0).tobytes(), key
+
+
+def test_many_products_on_one_mode_keep_the_dense_bits():
+    # the pairs (j, j) of A's modes (j, 1 - j) and B's (3 - j, j) all land
+    # on mode (3, 1), ten products of one grade pair, with nonzero brackets
+    # 3 - 4j; the blocks have several shapes and offsets
+    rng = np.random.default_rng(23)
+    dim = 20
+
+    def block(r0, r1, c0, c1):
+        M = np.zeros((dim, dim), dtype=complex)
+        M[r0:r1, c0:c1] = (rng.normal(size=(r1 - r0, c1 - c0))
+                           + 1j * rng.normal(size=(r1 - r0, c1 - c0)))
+        return M
+
+    A0 = {(j, 1 - j): block(j, j + 9, 2 * j % 7, 2 * j % 7 + 10)
+          for j in range(10)}
+    B0 = {(3 - j, j): block(j % 4, j % 4 + 12, j, j + 8) for j in range(10)}
+    assert [m1 * n2 - n1 * m2 for (n1, m1), (n2, m2) in zip(A0, B0)
+            if (n1 + n2, m1 + m2) == (3, 1)] == [3 - 4 * j for j in range(10)]
+    _assert_same_bits(moyal_term(A0, B0, 1), _moyal_reference(A0, B0, 1))
+    # then from several grade pairs, ten products each: (0, 0), (0, 2),
+    # (1, 0) and (1, 2) at n = 3; B's grade 1 lands elsewhere
+    A = {0: _Stored(A0), 1: {nm: 0.5 * M for nm, M in A0.items()}}
+    B = {0: B0, 1: _dagger(_Stored(B0)),
+         2: {nm: M.conj() for nm, M in B0.items()}}
+    for n in (1, 2, 3):
+        _assert_same_bits(star_grade(A, B, n), _star_reference(A, B, n))
+
+
 def _intertwiner_reference(pi, order):
     """build_intertwiner as it was: dense products, and every grade of
     w # pi and every adjoint recomputed at every step."""
@@ -429,7 +484,9 @@ def _intertwining_reference(pi, u, order):
 @pytest.mark.parametrize("bands", [(0, 1), (3, 4)])
 def test_recursion_matches_dense_reference(square, harper, one_mode_potential,
                                            bands, monkeypatch):
-    order = 3
+    # order 5 lands up to five products of one grade pair on one mode,
+    # order 3 two
+    order = 5
     H = assemble_truncated(harper, one_mode_potential, square, T)
     pi = build_projection(H, bands, order)
     u = build_intertwiner(pi, order)
@@ -437,10 +494,9 @@ def test_recursion_matches_dense_reference(square, harper, one_mode_potential,
     _assert_graded_equal(u.grades, _intertwiner_reference(pi, order))
     assert u.residuals["intertwining"] == _intertwining_reference(pi, u, order)
 
-    # star_grade adds each term through _add_term, not moyal_term; the
-    # residuals the builders carry come from the reference products too
-    monkeypatch.setattr(moyal, "moyal_term", _moyal_reference)
-    monkeypatch.setattr(moyal, "_add_term", _add_reference)
+    # the builders' every star product on the dense double loop; the
+    # residuals they carry come from the reference products too
+    monkeypatch.setattr(moyal, "star_grade", _star_reference)
     pi_ref = build_projection(H, bands, order)
     u_ref = build_intertwiner(pi, order)
     _assert_graded_equal(pi.grades, pi_ref.grades)
