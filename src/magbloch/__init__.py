@@ -16,7 +16,7 @@ from .fock import FockTruncation, I_generator, ladder, xi_matrix
 from .symbols import (OperatorSymbol, assemble_truncated, exact_symbol,
                       remainder_map, remainder_norm)
 from .moyal import (MoyalSeries, build_intertwiner, build_projection,
-                    effective_symbol, moyal_term)
+                    effective_symbol)
 from .quantize import (MagneticBlochFamily, RationalFlux, SpectrumReport,
                        almost_mathieu_spectrum, butterfly, clock_shift,
                        hausdorff_distance, quantize_series, spectrum)

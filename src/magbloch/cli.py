@@ -53,7 +53,7 @@ import numpy as np
 
 from . import effective, moyal, oracle, quantize, symbols
 from .errors import (ConfigError, GaugeError, GeometryError, MagblochError,
-                     ResourceCapError)
+                     ResourceCapError, TruncationError)
 from .fock import FockTruncation
 from .lattice import FourierSeries2D, PeriodicVectorPotential, make_lattice
 from .quantize import RationalFlux
@@ -183,12 +183,14 @@ def _check_rows(rows, name: str) -> None:
 
 
 def _band_list(value) -> list:
-    """A level index, or a list of contiguous ones, as a list."""
+    """A level index, or a list of contiguous ones, as a list, by the
+    library's band-set rule (:func:`moyal._check_bands`)."""
     bands = [value] if type(value) is int else value
-    if not (isinstance(bands, list) and bands and all(map(_is_int(0), bands))
-            and sorted(bands) == list(range(min(bands), min(bands) + len(bands)))):
+    try:
+        moyal._check_bands(bands)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"band must be a level index >= 0 or a list of "
-                          f"contiguous ones, got {value!r}")
+                          f"contiguous ones, got {value!r}") from exc
     return bands
 
 
@@ -249,10 +251,11 @@ def _one_level(cfg: dict, command: str) -> int:
 def _truncation(cfg: dict, n_max: int) -> FockTruncation:
     """The Fock truncation of a command, with ``n_max`` as its default."""
     n_max, guard = cfg.get("n_max", n_max), cfg.get("guard", 6)
-    if guard > n_max:
+    try:
+        return FockTruncation(n_max=n_max, guard=guard)
+    except TruncationError as exc:
         raise ConfigError(f"guard must be <= n_max, got guard {guard} and "
-                          f"n_max {n_max}")
-    return FockTruncation(n_max=n_max, guard=guard)
+                          f"n_max {n_max}") from exc
 
 
 # The flags each command reads besides --config and --out.  A flag given to

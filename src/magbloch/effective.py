@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
 from .lattice import (FourierSeries2D, Lattice2D, PeriodicVectorPotential,
                       laplacian_DzDzbar)
 from .quantize import (MagneticBlochFamily, RationalFlux, SpectrumReport,
-                       _grid_spectrum, _twisted_square, quantize_blocks,
-                       quantize_series)
+                       _check_defect, _grid_spectrum, _twisted_square,
+                       quantize_blocks, quantize_series)
 
 __all__ = [
     "EffectiveModel",
@@ -124,9 +123,9 @@ def spectrum_via_GGdag(A: PeriodicVectorPotential, L: Lattice2D, n_star: int,
     delta = delta_from_flux(flux)
 
     def energies(lam):
-        if lam.min() < -1e-10:
-            raise NumericError(
-                f"G G^dag not positive semidefinite: min eigenvalue {lam.min()}")
+        # an absolute bound (scale 0) on -min lam, printed as min lam
+        _check_defect(-lam.min(), lambda: 0.0, 1e-10,
+                      "G G^dag not positive semidefinite: min eigenvalue -")
         lam = np.clip(lam, 0.0, None)
         root = np.sqrt(0.25 + (delta ** 2) * (n_star + 1.0) * lam)
         return np.sort(np.concatenate([(n_star + 1.0) - root,

@@ -14,12 +14,11 @@ carries one grade of the adiabatic parameter, the expansion bookkeeping used
 to derive the recursions: the grade-n piece of a product of grades r and l
 is the (n - r - l)-th correction.
 
-``star_grade`` is the one star-product path (``moyal_term`` is its single
-grade pair).  Each grade pair makes all its mode products in one stacked
-GEMM, on the pairs' nonzero blocks cut to their union box, rounded out to
-the GEMM tile grid.  The union box is tile-aligned, so each kept entry still
-sees the full product's kernel, and the sums keep the order of the dense
-double loop: the result has its bits.
+``star_grade`` is the one star-product path.  Each grade pair makes all its
+mode products in one stacked GEMM, on the pairs' nonzero blocks cut to their
+union box, rounded out to the GEMM tile grid.  The union box is
+tile-aligned, so each kept entry still sees the full product's kernel, and
+the sums keep the order of the dense double loop: the result has its bits.
 
 The recursions take a truncated symbol H with constant principal part and a
 set of contiguous fast-space levels, and produce order by order:
@@ -55,7 +54,6 @@ from .symbols import (ModeMap, OperatorSymbol, mode_add, mode_dagger,
 
 __all__ = [
     "MoyalSeries",
-    "moyal_term",
     "star_grade",
     "build_projection",
     "build_intertwiner",
@@ -74,9 +72,6 @@ class MoyalSeries:
     truncation: FockTruncation
     band_set: tuple = ()
     residuals: dict = field(default_factory=dict, compare=False)
-
-    def grade(self, j: int) -> ModeMap:
-        return self.grades.get(j, {})
 
 
 # The edges of a trimmed product's row and column ranges are rounded out to
@@ -142,7 +137,8 @@ class _Stored(dict):
         if ext is None:
             ext = np.zeros((len(mm), 4), np.int64)
             if mm:
-                nz = np.array(self.mats) != 0
+                # a stack of bools, not a copy of the matrices
+                nz = np.array([M != 0 for M in self.mats])
                 ext[:, 0], ext[:, 1] = _spans(nz.any(axis=2))
                 ext[:, 2], ext[:, 3] = _spans(nz.any(axis=1))
         self.ext = ext
@@ -319,13 +315,6 @@ def _union_box(ea: list, eb: list, shape: tuple) -> tuple:
         # an inner extent of one takes another kernel too
         lo, hi = (lo, hi + 1) if hi < shape[1] else (lo - 1, hi)
     return rows, slice(lo, hi), cols
-
-
-def moyal_term(A: ModeMap, B: ModeMap, k: int) -> ModeMap:
-    """k-th star-product correction of two mode maps (k = 0 is the
-    mode-convolution product): :func:`star_grade` of the single grade
-    pair."""
-    return star_grade({0: A}, {0: B}, k)
 
 
 def _check_bands(band_set) -> tuple:

@@ -67,8 +67,8 @@ from .errors import (CommensurabilityError, GapClosedError, NumericError,
 from .fock import FockTruncation
 from .lattice import (FourierSeries2D, Lattice2D, PeriodicVectorPotential,
                       TWO_PI, _coefficients_reflect)
-from .quantize import (RationalFlux, _check_hermitian, _phase,
-                       _require_hermitian, _weyl_terms, sorted_list_distance)
+from .quantize import (RationalFlux, _check_defect, _phase, _weyl_terms,
+                       sorted_list_distance)
 
 __all__ = [
     "OracleBasis",
@@ -212,6 +212,18 @@ def _blocks_at(H, rows, cols) -> np.ndarray:
     return np.where((keys[k] == want)[:, None, None], H.data[k], 0)
 
 
+def _require_block_hermitian(H, what: str):
+    """The BSR matrix H of :func:`_slow_quantize`, after checking block by
+    block that ``max|B(J, J') - B(J', J)^dag|`` (a missing block reading as
+    zero) is at most ``1e-10 max(1, max|H|)``."""
+    _check_defect(
+        np.max(np.abs(H.data - _blocks_at(H, H.indices, _block_rows(H))
+                      .conj().swapaxes(1, 2))),
+        lambda: np.max(np.abs(H.data)), 1e-10,
+        f"{what} lost Hermiticity: residual ")
+    return H
+
+
 def _reflection_even(V: FourierSeries2D, A: PeriodicVectorPotential | None,
                      L: Lattice2D) -> bool:
     """Whether the oracle matrix is real: ``L.z_a`` real, ``L.z_b``
@@ -231,10 +243,8 @@ def build_full_matrix(V: FourierSeries2D, A: PeriodicVectorPotential | None,
     """Hermitian matrix of the full strong-field Hamiltonian on slow grid x
     Fock basis, at delta = sqrt(theta), as the ``scipy.sparse`` BSR matrix
     of d x d blocks of :func:`_slow_quantize`: the slow quantization of
-    :func:`symbols.exact_symbol`.  Its Hermiticity is checked block by
-    block: ``max|B(J, J') - B(J', J)^dag|`` over the stored blocks, a
-    missing block reading as zero, must be at most ``1e-10 max(1,
-    max|H|)``, else :class:`NumericError` is raised.
+    :func:`symbols.exact_symbol`, its Hermiticity checked block by block
+    (:func:`_require_block_hermitian`).
 
     The matrix is real symmetric, and returned as such, when the symbol is
     even under complex conjugation combined with the reflection (n, m) ->
@@ -248,21 +258,15 @@ def build_full_matrix(V: FourierSeries2D, A: PeriodicVectorPotential | None,
     :class:`NumericError`.
     """
     basis.check_resolves(V, A)
-    H = _slow_quantize(
+    H = _require_block_hermitian(_slow_quantize(
         symbols.exact_symbol(V, A, L, basis.fock, delta_from_flux(flux)),
-        basis, flux)
-    _check_hermitian(
-        np.max(np.abs(H.data - _blocks_at(H, H.indices, _block_rows(H))
-                      .conj().swapaxes(1, 2))),
-        lambda: np.max(np.abs(H.data)), 1e-10, "oracle matrix")
+        basis, flux), "oracle matrix")
     if not _reflection_even(V, A, L):
         return H
     # read the stored entries, each held once: scipy's H.imag is a view that
     # abs() would sort in place, scrambling the imaginary parts of H
-    imag = np.max(np.abs(H.data.imag))
-    if imag > 1e-10 * max(1.0, np.max(np.abs(H.data))):
-        raise NumericError(f"reflection-even oracle matrix has imaginary "
-                           f"part {imag}")
+    _check_defect(np.max(np.abs(H.data.imag)), lambda: np.max(np.abs(H.data)),
+                  1e-10, "reflection-even oracle matrix has imaginary part ")
     return H.real.copy()   # H.real's data is a strided view of H's
 
 
@@ -272,7 +276,8 @@ def quantize_on_grid(blocks, basis: OracleBasis, flux: RationalFlux) -> np.ndarr
     ``blocks`` is either a single real series or an m x m nested list of
     series (``None`` for a zero block); block (i, k) of the dense result is
     the slow quantization of series (i, k).  Using the same grid operators
-    as the oracle means both spectra sample identical Bloch phases.
+    as the oracle means both spectra sample identical Bloch phases, and
+    the model's Hermiticity is checked as the oracle's is.
     """
     if isinstance(blocks, FourierSeries2D):
         blocks = [[blocks]]
@@ -287,9 +292,9 @@ def quantize_on_grid(blocks, basis: OracleBasis, flux: RationalFlux) -> np.ndarr
                 if c != 0:
                     modes.setdefault(nm, np.zeros((m, m), dtype=complex))[i, k] = c
     # slow-outermost order to block (i, k) at rows i*N:(i+1)*N
-    H = _slow_quantize(modes, basis, flux).toarray()
-    H = H.reshape(N, m, N, m).transpose(1, 0, 3, 2).reshape(m * N, m * N)
-    return _require_hermitian(H, 1e-10, "quantized model")
+    H = _require_block_hermitian(_slow_quantize(modes, basis, flux),
+                                 "quantized model").toarray()
+    return H.reshape(N, m, N, m).transpose(1, 0, 3, 2).reshape(m * N, m * N)
 
 
 def oracle_eigenvalues(H) -> np.ndarray:
@@ -383,11 +388,10 @@ def _level_sectors(H, basis: OracleBasis, level: int, split: bool) -> list:
                                 np.ones((N, d), dtype=bool)), N)]
     rows, cols = _block_rows(H), H.indices
     sign = np.where(np.arange(d) % 2, -1.0, 1.0)
-    defect = np.max(np.abs(H.data - np.outer(sign, sign)
-                           * _blocks_at(H, -rows % N, -cols % N)))
-    if defect > 1e-10 * max(1.0, np.max(np.abs(H.data))):
-        raise NumericError(f"oracle matrix breaks the inversion parity "
-                           f"by {defect}")
+    _check_defect(np.max(np.abs(H.data - np.outer(sign, sign)
+                            * _blocks_at(H, -rows % N, -cols % N))),
+                  lambda: np.max(np.abs(H.data)), 1e-10,
+                  "oracle matrix breaks the inversion parity by ")
     j = np.arange(N)
     fixed = (j == -j % N)[:, None]
     upper = (j > -j % N)[:, None]   # the second point of its pair

@@ -137,16 +137,19 @@ def _require_hermitian(H, rtol: float, what: str):
     """H itself, after checking max|H - H^dag| <= rtol * max(1, max|H|) for
     the array H or each matrix of a stack."""
     resid = np.max(np.abs(H - H.conj().swapaxes(-1, -2)), axis=(-2, -1))
-    _check_hermitian(resid, lambda: np.max(np.abs(H), axis=(-2, -1)), rtol,
-                     what)
+    _check_defect(resid, lambda: np.max(np.abs(H), axis=(-2, -1)), rtol,
+                  f"{what} lost Hermiticity: residual ")
     return H
 
 
-def _check_hermitian(resid, size, rtol: float, what: str) -> None:
-    """Raise NumericError where a residual exceeds rtol * max(1, size())."""
-    # max|H| matters only once a residual exceeds rtol itself
-    if np.any(resid > rtol) and np.any(resid > rtol * np.maximum(1.0, size())):
-        raise NumericError(f"{what} lost Hermiticity: residual {np.max(resid)}")
+def _check_defect(defect, scale, rtol: float, message: str) -> None:
+    """The one rule of every numeric invariant: raise NumericError, with
+    ``message`` and the largest defect, where a defect exceeds ``rtol *
+    max(1, scale())``; a scale of 0 leaves the absolute bound ``rtol``."""
+    # the scale matters only once a defect exceeds rtol itself
+    if (np.any(defect > rtol)
+            and np.any(defect > rtol * np.maximum(1.0, scale()))):
+        raise NumericError(f"{message}{np.max(defect)}")
 
 
 def _phase(convention: str, iota: int, theta: float, n: int, m: int) -> complex:
@@ -384,8 +387,8 @@ def _band_eigvalsh(q: int, dim: int, b: int, blocks, beta1,
         return np.maximum(np.max(np.abs(band), axis=(-2, -1)),
                           np.max(np.abs(mirror), axis=(-2, -1)))
 
-    _check_hermitian(np.max(np.abs(band - mirror.conj()), axis=(-2, -1)),
-                     size, 1e-12, "quantized family")
+    _check_defect(np.max(np.abs(band - mirror.conj()), axis=(-2, -1)),
+                  size, 1e-12, "quantized family lost Hermiticity: residual ")
     out = np.empty((len(beta1), dim))
     for s in range(len(beta1)):
         out[s], _, info = _ZHBEVD(band[s], compute_v=0, lower=1)

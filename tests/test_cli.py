@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magbloch import FockTruncation, cli, oracle, quantize
+from magbloch import FockTruncation, cli, moyal, oracle, quantize
 from magbloch.cli import _check_flags, _dump_json, _parser, main
 from magbloch.lattice import FourierSeries2D, make_lattice
 
@@ -451,6 +451,58 @@ def test_bad_config_values_are_config_errors(tmp_path, capsys, argv, extra):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
 
+
+
+@pytest.mark.parametrize("band, accepted", [
+    (0, True), ([1, 0], True), ([0, 0], False), ([0, 2], False),
+    ([], False), ([-1], False), ([True], False), ([0.0], False),
+    ("0", False), (None, False),
+])
+def test_band_config_takes_the_library_band_set_rule(tmp_path, capsys, band,
+                                                     accepted):
+    # load_config accepts a band exactly when moyal's band-set rule accepts
+    # it, a lone level index read as a list of one, and keeps its order
+    bands = [band] if type(band) is int else band
+    try:
+        moyal._check_bands(bands)
+    except (TypeError, ValueError):
+        assert not accepted
+    else:
+        assert accepted
+    path = _write_cfg(tmp_path, {"band": band})
+    if accepted:
+        assert cli.load_config(path)["band"] == bands
+        return
+    assert main(["sapt", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"config error: band must be a level index >= 0 or a "
+                   f"list of contiguous ones, got {band!r}\n")
+
+
+@pytest.mark.parametrize("argv, extra, n_max", [
+    (["sapt"], {"order": 1}, None),   # the default n_max makes room
+    (["sapt"], {"order": 0}, 40),
+    (["sapt"], {"order": 0}, 39),
+    (["oracle-compare", "--delta", "1/4"], {}, None),   # default n_max 30
+    (["oracle-compare", "--delta", "1/4"], {}, 40),
+    (["oracle-compare", "--delta", "1/4"], {}, 39),
+])
+def test_guard_40_takes_the_truncation_rule(tmp_path, capsys, argv, extra,
+                                            n_max):
+    # FockTruncation's guard <= n_max decides, as a config error
+    if n_max is not None:
+        extra = {**extra, "n_max": n_max}
+    path = _write_cfg(tmp_path, {"guard": 40, **extra})
+    code = main([argv[0], "--config", path, *argv[1:], "--out",
+                 str(tmp_path / "out.json")])
+    want = 30 if n_max is None and argv[0] == "oracle-compare" else n_max
+    if want is not None and want < 40:
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: guard must be <= n_max, got guard 40 and "
+            f"n_max {want}\n")
+    else:
+        assert code == 0
 
 
 # One value per flag, and the flags each command reads (README, "Command

@@ -11,8 +11,7 @@ from magbloch.fock import FockTruncation, band_projector_matrix, xi_matrix
 from magbloch.lattice import (FourierSeries2D, PeriodicVectorPotential,
                               laplacian_DzDzbar)
 from magbloch.moyal import (_block_masks, _dagger, _Stored, build_intertwiner,
-                            build_projection, effective_symbol, moyal_term,
-                            star_grade)
+                            build_projection, effective_symbol, star_grade)
 from magbloch.symbols import (assemble_truncated, mode_add, mode_dagger,
                               mode_hermiticity_defect, mode_max_norm,
                               mode_scale)
@@ -31,7 +30,7 @@ def test_moyal_zeroth_is_convolution():
     I2 = np.eye(2, dtype=complex)
     A = {(1, 0): 2.0 * I2, (0, 1): 1.0 * I2}
     B = {(1, 1): 3.0 * I2}
-    out = moyal_term(A, B, 0)
+    out = star_grade({0: A}, {0: B}, 0)
     assert set(out) == {(2, 1), (1, 2)}
     assert np.allclose(out[(2, 1)], 6.0 * I2)
 
@@ -40,7 +39,7 @@ def test_moyal_constant_symbols_have_no_corrections():
     X = xi_matrix(T)
     A = {(0, 0): X}
     for k in (1, 2, 3):
-        assert moyal_term(A, A, k) == {}
+        assert star_grade({0: A}, {0: A}, k) == {}
 
 
 def test_moyal_first_order_single_modes():
@@ -50,14 +49,14 @@ def test_moyal_first_order_single_modes():
     I2 = np.eye(2, dtype=complex)
     A = {(1, 0): I2}
     B = {(0, 1): I2}
-    out = moyal_term(A, B, 1)
+    out = star_grade({0: A}, {0: B}, 1)
     dxA_dpB = 0.0
     dpA_dxB = (1j * 2 * math.pi) * (1j * 2 * math.pi)
     want = (dxA_dpB - dpA_dxB) / 2j
     assert np.allclose(out[(1, 1)], want * I2)
     assert want == pytest.approx(-2j * math.pi ** 2)
     # antisymmetry of the bracket
-    out_ba = moyal_term(B, A, 1)
+    out_ba = star_grade({0: B}, {0: A}, 1)
     assert np.allclose(out_ba[(1, 1)], -want * I2)
 
 
@@ -65,7 +64,7 @@ def test_single_band_low_orders_vanish(square, harper):
     H, pi, u = _sapt(square, harper, None, [0], 4)
     for series, name in ((pi, "pi"), (u, "u")):
         for j in (1, 2):
-            assert mode_max_norm(series.grade(j), T) < 1e-14, (name, j)
+            assert mode_max_norm(series.grades.get(j, {}), T) < 1e-14, (name, j)
 
 
 def test_projection_properties_single_band(square, harper):
@@ -82,10 +81,10 @@ def test_projection_properties_two_band(square, harper, one_mode_potential):
 
 def test_two_band_first_order_nonzero(square, harper, one_mode_potential):
     H, pi, u = _sapt(square, harper, one_mode_potential, [0, 1], 2)
-    assert mode_max_norm(pi.grade(1), T) > 1e-3
+    assert mode_max_norm(pi.grades.get(1, {}), T) > 1e-3
     # compression of u_1 onto the band space vanishes
     P = band_projector_matrix(T, pi.band_set)
-    for M in u.grade(1).values():
+    for M in u.grades.get(1, {}).values():
         assert np.max(np.abs(P @ M @ P)) < 1e-14
 
 
@@ -195,7 +194,8 @@ def test_block_masks_match_projector_products(shape, seed):
 
 
 def _moyal_reference(A, B, k):
-    """moyal_term written out as the double loop over mode pairs."""
+    """star_grade of one grade pair written out as the double loop over
+    mode pairs."""
     out = {}
     for (n1, m1), MA in A.items():
         for (n2, m2), MB in B.items():
@@ -239,7 +239,7 @@ def test_moyal_term_matches_double_loop(keys_a, keys_b, k, seed):
     A = _modes(seed, keys_a)
     B = _modes(seed + 1, keys_b)
     snap = _snapshot({0: A, 1: B})
-    got = moyal_term(A, B, k)
+    got = star_grade({0: A}, {0: B}, k)
     want = _moyal_reference(A, B, k)
     assert set(got) == set(want)
     for key in want:
@@ -318,11 +318,13 @@ def test_trimmed_moyal_term_matches_dense_loop(pair, k):
     A, B = pair
     want = _moyal_reference(A, B, k)
     # plain maps, maps carrying their boxes, and adjoints with transposed boxes
-    _assert_modes_equal(moyal_term(A, B, k), want)
-    _assert_modes_equal(moyal_term(_Stored(A), _Stored(B), k), want)
+    _assert_modes_equal(star_grade({0: A}, {0: B}, k), want)
+    _assert_modes_equal(star_grade({0: _Stored(A)}, {0: _Stored(B)}, k),
+                        want)
     Ad, Bd = mode_dagger(A), mode_dagger(B)
-    _assert_modes_equal(moyal_term(_dagger(_Stored(B)), _dagger(_Stored(A)), k),
-                        _moyal_reference(Bd, Ad, k))
+    _assert_modes_equal(
+        star_grade({0: _dagger(_Stored(B))}, {0: _dagger(_Stored(A))}, k),
+        _moyal_reference(Bd, Ad, k))
 
 
 @given(st.integers(1, 30).flatmap(
@@ -346,7 +348,7 @@ def test_trimmed_products_without_overlap_keep_their_modes():
     A = {(1, 0): MA, (0, 0): np.zeros((dim, dim), dtype=complex)}
     B = {(0, 1): MB, (1, 1): MB}
     for k in (0, 1):
-        got = moyal_term(_Stored(A), _Stored(B), k)
+        got = star_grade({0: _Stored(A)}, {0: _Stored(B)}, k)
         _assert_modes_equal(got, _moyal_reference(A, B, k))
         assert all(not M.any() for M in got.values())
 
@@ -377,7 +379,7 @@ def test_star_grade_keeps_modes_that_receive_no_product():
 def test_star_grade_sums_each_grade_pair_apart():
     # mode (1, 1) gets one product from the grade pair (0, 1) and then two
     # from (1, 0); those two are summed on their own before they join the
-    # first, as the dense loop sums each moyal_term result
+    # first, as the dense loop sums each grade pair's products
     rng = np.random.default_rng(11)
     M = [rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
          for _ in range(6)]
@@ -397,14 +399,14 @@ def test_star_products_of_real_maps(k):
     # its products real, and with one of k > 0 they join a complex result
     rng = np.random.default_rng(3 + k)
     X, Z = rng.normal(size=(2, 4, 4))
-    got = moyal_term({(1, 0): X}, {(0, 1): Z}, k)
+    got = star_grade({0: {(1, 0): X}}, {0: {(0, 1): Z}}, k)
     assert got[(1, 1)].dtype == (complex if k else float)
     _assert_modes_equal(_as_complex(got), _as_complex(
         _moyal_reference({(1, 0): X}, {(0, 1): Z}, k)))
     keys = [(1, 0), (0, 1), (1, 1), (-1, 2)]
     A = {nm: rng.normal(size=(4, 4)) for nm in keys}
     B = {nm: rng.normal(size=(4, 4)) for nm in keys[::-1]}
-    _assert_modes_equal(_as_complex(moyal_term(A, B, k)),
+    _assert_modes_equal(_as_complex(star_grade({0: A}, {0: B}, k)),
                         _as_complex(_moyal_reference(A, B, k)))
     got = star_grade({0: A, 1: B}, {0: B, 1: A}, k + 1)
     assert {M.dtype for M in got.values()} == {np.dtype(complex)}
@@ -438,7 +440,8 @@ def test_many_products_on_one_mode_keep_the_dense_bits():
     B0 = {(3 - j, j): block(j % 4, j % 4 + 12, j, j + 8) for j in range(10)}
     assert [m1 * n2 - n1 * m2 for (n1, m1), (n2, m2) in zip(A0, B0)
             if (n1 + n2, m1 + m2) == (3, 1)] == [3 - 4 * j for j in range(10)]
-    _assert_same_bits(moyal_term(A0, B0, 1), _moyal_reference(A0, B0, 1))
+    _assert_same_bits(star_grade({0: A0}, {0: B0}, 1),
+                      _moyal_reference(A0, B0, 1))
     # then from several grade pairs, ten products each: (0, 0), (0, 2),
     # (1, 0) and (1, 2) at n = 3; B's grade 1 lands elsewhere
     A = {0: _Stored(A0), 1: {nm: 0.5 * M for nm, M in A0.items()}}
@@ -517,9 +520,10 @@ def _residuals_from_star_products(H, pi, u, order):
            "intertwining": _intertwining_reference(pi, u, order)}
     for j in range(order + 1):
         d = mode_add(star_grade(pi.grades, pi.grades, j),
-                     mode_scale(pi.grade(j), -1.0))
+                     mode_scale(pi.grades.get(j, {}), -1.0))
         out["idempotency"].append(mode_max_norm(d, T))
-        out["hermiticity"].append(mode_hermiticity_defect(pi.grade(j), T))
+        out["hermiticity"].append(
+            mode_hermiticity_defect(pi.grades.get(j, {}), T))
         c = mode_add(star_grade(H.grades, pi.grades, j),
                      mode_scale(star_grade(pi.grades, H.grades, j), -1.0))
         out["commutator"].append(mode_max_norm(c, T))

@@ -678,3 +678,67 @@ def test_level_cluster_rejects_a_matrix_that_breaks_the_parity(
     H = build_full_matrix(harper, one_mode_potential, square, basis, fx)
     with pytest.raises(NumericError, match="inversion parity"):
         level_cluster(H, harper, None, basis, 0)
+
+
+
+def _harper_with_defect(monkeypatch, harper, factor, add):
+    """The oracle basis and flux of Harper at 1/8 (n_max 8), with
+    ``oracle._slow_quantize`` applying ``add(data, diagonal, defect)`` to
+    the blocks of its BSR result: ``diagonal`` marks the blocks on the
+    block diagonal, and ``defect`` is ``factor`` times ``1e-10 max(1,
+    max|H|)``, the bound of every oracle invariant."""
+    real = oracle._slow_quantize
+
+    def patched(modes, basis, flux):
+        H = real(modes, basis, flux)
+        add(H.data, oracle._block_rows(H) == H.indices,
+            factor * 1e-10 * max(1.0, np.max(np.abs(H.data))))
+        return H
+
+    monkeypatch.setattr(oracle, "_slow_quantize", patched)
+    fx = RationalFlux(1, 8)
+    return OracleBasis.resolving(harper, None, fx, _fock(8, 0)), fx
+
+
+@pytest.mark.parametrize("factor", [0.9, 1.1])
+def test_oracle_matrix_checks_its_hermiticity(monkeypatch, square, harper,
+                                              factor):
+    def add(data, diagonal, defect):   # one entry of an off-diagonal block
+        data[np.flatnonzero(~diagonal)[0], 0, 1] += defect
+
+    basis, fx = _harper_with_defect(monkeypatch, harper, factor, add)
+    if factor < 1:
+        build_full_matrix(harper, None, square, basis, fx)
+        return
+    with pytest.raises(NumericError, match="oracle matrix lost Hermiticity"):
+        build_full_matrix(harper, None, square, basis, fx)
+
+
+@pytest.mark.parametrize("factor", [0.9, 1.1])
+def test_reflection_even_oracle_matrix_checks_its_imaginary_part(
+        monkeypatch, square, harper, factor):
+    def add(data, diagonal, defect):   # Hermitian, imaginary, on the diagonal
+        k = np.flatnonzero(diagonal)[0]
+        data[k, 0, 1] += 1j * defect
+        data[k, 1, 0] -= 1j * defect
+
+    basis, fx = _harper_with_defect(monkeypatch, harper, factor, add)
+    if factor < 1:
+        H = build_full_matrix(harper, None, square, basis, fx)
+        assert H.dtype == np.float64
+        return
+    with pytest.raises(NumericError, match="imaginary part"):
+        build_full_matrix(harper, None, square, basis, fx)
+
+
+@pytest.mark.parametrize("factor", [0.9, 1.1])
+def test_quantized_model_checks_its_hermiticity(monkeypatch, harper, factor):
+    def add(data, diagonal, defect):   # an off-diagonal 1 x 1 block
+        data[np.flatnonzero(~diagonal)[0], 0, 0] += defect
+
+    basis, fx = _harper_with_defect(monkeypatch, harper, factor, add)
+    if factor < 1:
+        quantize_on_grid(harper, basis, fx)
+        return
+    with pytest.raises(NumericError, match="quantized model lost Hermiticity"):
+        quantize_on_grid(harper, basis, fx)
