@@ -156,10 +156,9 @@ _SETTINGS = {
                 'an object {"a": [real, real], "b": [real, real]}'),
     "qmax": (_is_int(1), "an integer >= 1"),
     "iota": (lambda x: type(x) is int and x in (1, -1), "1 or -1"),
-    "tol_band": (lambda x: _is_real(x) and x >= 0, "a finite number >= 0"),
-    "grid": (lambda x: (isinstance(x, list) and len(x) == 2
-                        and all(map(_is_int(8), x))),
-             "a list of two integers >= 8"),
+    "tol_band": (lambda x: x is not None and quantize._is_tol_band(x),
+                 "a finite number >= 0"),
+    "grid": (quantize._is_grid, "a list of two integers >= 8"),
     "model": (lambda x: x in ("order0", "order2", "full"),
               "one of 'order0', 'order2', 'full'"),
     "order": (_is_int(0), "an integer >= 0"),
@@ -524,7 +523,7 @@ def cmd_oracle_compare(cfg: dict, args) -> str:
             "theta": f"{fx.p}/{fx.q}",
             "model": model_kind,
             "oracle_band": cluster,
-            "model_band": np.sort(mspec),
+            "model_band": mspec,
             "hausdorff": dist,
             "slope_so_far": None if fit is None else fit[0],
         })

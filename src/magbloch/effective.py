@@ -17,8 +17,8 @@ import numpy as np
 from .lattice import (FourierSeries2D, Lattice2D, PeriodicVectorPotential,
                       laplacian_DzDzbar)
 from .quantize import (MagneticBlochFamily, RationalFlux, SpectrumReport,
-                       _check_defect, _grid_spectrum, _twisted_square,
-                       quantize_blocks, quantize_series)
+                       _check_defect, _twisted_square, quantize_blocks,
+                       quantize_series, spectrum)
 
 __all__ = [
     "EffectiveModel",
@@ -113,7 +113,7 @@ def spectrum_via_GGdag(A: PeriodicVectorPotential, L: Lattice2D, n_star: int,
     ordinary Bloch family, solved banded like every other, with no dense
     product, and at one point of each orbit of the grid under beta ->
     -beta and beta2 -> -beta2, as far as its weights pass the exact
-    inversion and flip rules (:func:`quantize._grid_spectrum`); G G^dag of
+    inversion and flip rules (:func:`quantize.spectrum`); G G^dag of
     a g on the modes (0, +-1) passes both.  The twisted square sums the
     pairs of k and -k in different orders, so a G G^dag of several modes
     can miss a rule by rounding, and a missed rule is not used.
@@ -132,5 +132,4 @@ def spectrum_via_GGdag(A: PeriodicVectorPotential, L: Lattice2D, n_star: int,
                                        (n_star + 1.0) + root], axis=-1))
 
     fam = quantize_series(_twisted_square(A.g, flux, iota), flux, iota=iota)
-    return _grid_spectrum(fam, grid, energies=energies, route="GGdag",
-                          n_star=n_star, delta=delta)
+    return spectrum(fam, grid, energies=energies)

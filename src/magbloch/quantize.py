@@ -21,6 +21,7 @@ import cmath
 import copy
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -441,7 +442,7 @@ def _block_weights(fam: MagneticBlochFamily):
 
 def _reflected_points(grid) -> np.ndarray:
     """Flat index of the point (-i mod n1, -k mod n2) for each point (i, k)
-    of the n1 x n2 grid of :func:`_grid_spectrum`: the point at -beta,
+    of the n1 x n2 grid of :func:`spectrum`: the point at -beta,
     since every clock/shift family is 2 pi/q-periodic in beta1 (and 2
     pi-periodic in beta2)."""
     n1, n2 = grid
@@ -451,7 +452,7 @@ def _reflected_points(grid) -> np.ndarray:
 
 def _orbit_sources(grid, inversion: bool, flip: bool) -> np.ndarray:
     """Flat index of the representative of each point's orbit on the
-    n1 x n2 grid of :func:`_grid_spectrum`, under the inversion
+    n1 x n2 grid of :func:`spectrum`, under the inversion
     :func:`_reflected_points` when ``inversion``, the flip (i, k) ->
     (i, -k mod n2) (beta2 -> -beta2) when ``flip``, and their product when
     both: the lowest flat index of the orbit, so point 0 stays its own."""
@@ -485,7 +486,7 @@ def _chambers(fam: MagneticBlochFamily) -> bool:
 
 def _chambers_points(q: int, grid) -> np.ndarray:
     """Flat indices, ascending, of the points of the n1 x n2 grid of
-    :func:`_grid_spectrum` where cos(q beta1) and cos(q beta2) each take
+    :func:`spectrum` where cos(q beta1) and cos(q beta2) each take
     their greatest and their least value over the grid: at most four.
 
     At point (i, k), q beta1 = 2 pi i / n1 and q beta2 = 2 pi r / n2 with
@@ -501,29 +502,47 @@ def _chambers_points(q: int, grid) -> np.ndarray:
 
 def _grid_phases(q: int, grid, points):
     """(beta1, beta2), the phase arrays at the flat indices ``points`` of
-    the n1 x n2 grid of :func:`_grid_spectrum`."""
+    the n1 x n2 grid of :func:`spectrum`."""
     n1, n2 = grid
     i, k = np.divmod(points, n2)
     return 2.0 * math.pi / q * i / n1, 2.0 * math.pi * k / n2
 
 
-# Largest n1 * n2 * dim of a grid of :func:`_grid_spectrum`: 32 MB of
-# eigenvalue samples, some 60 times the largest benchmark grid (two-band at
-# 2q = 254 on 16 x 16).
+# Largest n1 * n2 * dim of a grid of :func:`spectrum`: 32 MB of eigenvalue
+# samples, some 60 times the largest benchmark grid (two-band at 2q = 254 on
+# 16 x 16).
 SAMPLES_BUDGET = 4_000_000
 
 
-def _grid_spectrum(fam: MagneticBlochFamily, grid,
-                   tol_band: float | None = None, energies=None,
-                   edges_only: bool = False, **metadata) -> SpectrumReport:
+def _is_grid(grid) -> bool:
+    """Whether ``grid`` is a pair of integers >= 8 (a bool is not one)."""
+    return isinstance(grid, (tuple, list)) and len(grid) == 2 and all(
+        isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 8
+        for n in grid)
+
+
+def _is_tol_band(tol) -> bool:
+    """Whether ``tol`` is None or a finite number >= 0 (a bool is not one)."""
+    return tol is None or (
+        isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+        and math.isfinite(tol) and tol >= 0)
+
+
+def spectrum(fam: MagneticBlochFamily, grid=(16, 16),
+             tol_band: float | None = None, *, energies=None,
+             edges_only: bool = False) -> SpectrumReport:
     """Report of the sorted eigenvalues of ``fam``, mapped through
     ``energies`` when given, on the n1 x n2 grid over [0, 2 pi / q) x
-    [0, 2 pi), beta1-major.  Every family is solved banded: the half
-    bandwidth b comes from :func:`_bandwidth`, and each stack of at most
-    ``_STACK_BYTES`` (or of one point) goes to :func:`_band_eigvalsh`.
-    A grid of less than 8 x 8 raises ``ValueError``, and one of more than
-    ``SAMPLES_BUDGET`` samples n1 n2 dim :class:`ResourceCapError`, both
-    before anything is allocated.
+    [0, 2 pi), beta1-major, and of their band intervals: branches closer
+    than ``tol_band`` (default 1e-6 of the spectral width) merge into one.
+    The metadata names the grid, that tolerance, the family's ``iota`` and
+    ``convention``, the eigensolver (``lapack-banded``) and the half
+    bandwidth b (:func:`_bandwidth`); each stack of at most
+    ``_STACK_BYTES`` (or of one point) goes to :func:`_band_eigvalsh`.  A
+    grid that fails :func:`_is_grid` or a ``tol_band`` that fails
+    :func:`_is_tol_band` raises ``ValueError``, and a grid of more than
+    ``SAMPLES_BUDGET`` samples n1 n2 dim :class:`ResourceCapError`, before
+    anything is allocated.
 
     With ``edges_only``, a family that passes the exact Chambers rule
     (:func:`_chambers`) is solved only at its at most four points
@@ -544,15 +563,19 @@ def _grid_spectrum(fam: MagneticBlochFamily, grid,
     81; with inversion alone (n1 n2 + f) / 2, f the points that are their
     own partner (4 on an even grid).  A family that passes neither, even
     one that misses a rule by rounding, is solved at every point."""
+    if not _is_grid(grid):
+        raise ValueError(f"grid must be two integers >= 8, got {grid!r}")
+    if not _is_tol_band(tol_band):
+        raise ValueError(f"tol_band must be None or a finite number >= 0, "
+                         f"got {tol_band!r}")
     n1, n2 = grid
-    if n1 < 8 or n2 < 8:
-        raise ValueError("grid must be at least (8, 8)")
     q, dim = fam.flux.q, fam.dim
     if n1 * n2 * dim > SAMPLES_BUDGET:
         raise ResourceCapError(
             f"grid {n1} x {n2} at dimension {dim} needs {n1 * n2 * dim} "
             f"eigenvalue samples, over the budget {SAMPLES_BUDGET}")
     b = _bandwidth(q, dim, fam._shifts())
+    metadata = {"iota": fam.iota, "convention": fam.convention}
     if edges_only and _chambers(fam):
         solved = _chambers_points(q, grid)
         rows = np.arange(solved.size)
@@ -577,26 +600,6 @@ def _grid_spectrum(fam: MagneticBlochFamily, grid,
                                     "bandwidth": b})
 
 
-def spectrum(fam: MagneticBlochFamily, grid=(16, 16),
-             tol_band: float | None = None) -> SpectrumReport:
-    """Diagonalize over the Bloch grid and merge into band intervals.
-
-    Band intervals come from tracking sorted eigenvalue branches over the
-    grid; branches closer than ``tol_band`` (default 1e-6 of the spectral
-    width) merge into one interval.  The metadata names the eigensolver
-    (``lapack-banded``) and the half bandwidth of the band layout.  The
-    spectrum repeats at -beta when the family is inversion-even
-    (:func:`_inversion_even`) and at (beta1, -beta2) when it is flip-even
-    (:func:`_flip_even`), two exact rules of
-    :func:`lattice._coefficients_reflect`; only the lowest point of each
-    orbit of the rules passed is solved, the other rows copies, and a
-    family that passes neither is solved at every point
-    (:func:`_grid_spectrum`).  ``samples`` holds every point of the grid.
-    """
-    return _grid_spectrum(fam, grid, tol_band, iota=fam.iota,
-                          convention=fam.convention)
-
-
 def _mirror_even(F: FourierSeries2D, iota: int) -> bool:
     """Whether f_{n,m} == (-1)^(n m iota) conj(f_{n,m}) for every mode, by
     the exact rule :func:`lattice._coefficients_reflect` with the identity
@@ -610,7 +613,7 @@ def _mirror_even(F: FourierSeries2D, iota: int) -> bool:
 def _mirrored(twin: SpectrumReport, flux: RationalFlux, grid) -> SpectrumReport:
     """The report at ``flux`` = (q-p)/q from the report of its twin p/q.
     Its spectrum at beta is the twin's at -beta, the point
-    :func:`_reflected_points` of the grid of :func:`_grid_spectrum`; a
+    :func:`_reflected_points` of the grid of :func:`spectrum`; a
     twin sampled at its Chambers points lends its rows to their
     reflections, which the report names as its own ``chambers_points``."""
     reflected = _reflected_points(grid)
@@ -635,8 +638,8 @@ def butterfly(F: FourierSeries2D, q_max: int, iota: int = -1, grid=(8, 16),
     Chambers rule (:func:`_chambers`: F on the modes (0, 0), (+-1, 0) and
     (0, +-1) with real weights, Harper among them) is solved at its at most
     four Chambers points, and its ``samples`` are their rows
-    (:func:`_grid_spectrum`); every other flux keeps the whole grid, as in
-    :func:`spectrum`.
+    (:func:`spectrum` with ``edges_only``); every other flux keeps the
+    whole grid.
 
     When F is mirror-even (:func:`_mirror_even`), each (q-p)/q with
     p < q/2 is the reflected report of its twin p/q (:func:`_mirrored`),
@@ -652,9 +655,8 @@ def butterfly(F: FourierSeries2D, q_max: int, iota: int = -1, grid=(8, 16),
             solved[fx.p, fx.q] = _mirrored(twin, fx, grid)
         else:
             fam = quantize_series(F, fx, iota=iota)
-            solved[fx.p, fx.q] = _grid_spectrum(
-                fam, grid, tol_band, edges_only=True, iota=fam.iota,
-                convention=fam.convention)
+            solved[fx.p, fx.q] = spectrum(fam, grid, tol_band,
+                                          edges_only=True)
     return list(solved.values())
 
 

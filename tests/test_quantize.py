@@ -1,5 +1,6 @@
 import copy
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -271,18 +272,89 @@ def test_butterfly_spectrum_calls(monkeypatch, F, calls, solves):
     # q = 8, where every beta2 column has q beta2 = 0 mod 2 pi); the
     # real f_{1,1}: all 46 on the grid, 34 orbits of the inversion on 8 x 8
     counts = _count_solved_points(monkeypatch)
-    grid_spectrum, seen = quantize._grid_spectrum, []
+    real, seen = quantize.spectrum, []
 
     def counted(fam, *args, **kwargs):
         before = sum(counts)
-        rep = grid_spectrum(fam, *args, **kwargs)
+        rep = real(fam, *args, **kwargs)
         seen.append(sum(counts) - before)
         return rep
 
-    monkeypatch.setattr(quantize, "_grid_spectrum", counted)
+    monkeypatch.setattr(quantize, "spectrum", counted)
     assert len(butterfly(F, 12, grid=(8, 8))) == 46
     assert len(seen) == calls
     assert max(seen) == solves
+
+
+def _count_spectrum_calls(monkeypatch):
+    """A list that gets the flux of every call of ``quantize.spectrum``,
+    patched in each magbloch module that holds it, as the benchmark's
+    tracer patches it."""
+    real, fluxes = quantize.spectrum, []
+
+    def counted(fam, *args, **kwargs):
+        fluxes.append((fam.flux.p, fam.flux.q))
+        return real(fam, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "magbloch" and vars(mod).get("spectrum") is real:
+            monkeypatch.setattr(mod, "spectrum", counted)
+    return fluxes
+
+
+def test_every_grid_solve_goes_through_spectrum(monkeypatch):
+    fluxes = _count_spectrum_calls(monkeypatch)
+    L = make_lattice([1, 0], [0, 1])
+    via = spectrum_via_GGdag(_a1_potential(L), L, 0, RationalFlux(2, 5),
+                             grid=(8, 8), iota=-1)
+    assert fluxes == [(2, 5)]
+    assert (via.metadata["iota"], via.metadata["convention"]) == (-1, "harper")
+    fluxes.clear()
+    # Harper is mirror-even: only the 24 fluxes p/q with p <= q/2 are solved
+    direct = [(r.flux.p, r.flux.q) for r in butterfly(HARPER, 12, grid=(8, 8))
+              if "mirror_of" not in r.metadata]
+    assert fluxes == direct and len(direct) == 24
+
+
+_BAD_GRIDS = [(16.0, 16), (8, np.float64(8)), ("16", 16), (True, 16),
+              (4, 16), (8, 8, 8), 16, None]
+_BAD_TOL_BANDS = [-1.0, -1e-300, math.nan, math.inf, -math.inf, True, "0.1"]
+
+
+@pytest.mark.parametrize("grid", _BAD_GRIDS, ids=repr)
+def test_bad_grid_is_a_value_error_before_any_solve(monkeypatch, grid):
+    counts = _count_solved_points(monkeypatch)
+    L = make_lattice([1, 0], [0, 1])
+    fam = quantize_series(HARPER, RationalFlux(1, 4))
+    for solve in (lambda: spectrum(fam, grid=grid),
+                  lambda: butterfly(HARPER, 3, grid=grid),
+                  lambda: spectrum_via_GGdag(_a1_potential(L), L, 0,
+                                             RationalFlux(1, 4), grid=grid)):
+        with pytest.raises(ValueError, match="grid must be two integers"):
+            solve()
+    assert counts == []
+
+
+@pytest.mark.parametrize("tol_band", _BAD_TOL_BANDS, ids=repr)
+def test_bad_tol_band_is_a_value_error_before_any_solve(monkeypatch,
+                                                        tol_band):
+    # Harper at 1/4 has two central bands that touch at 0: a negative
+    # tolerance would merge them into one
+    counts = _count_solved_points(monkeypatch)
+    fam = quantize_series(HARPER, RationalFlux(1, 4))
+    for solve in (lambda: spectrum(fam, tol_band=tol_band),
+                  lambda: butterfly(HARPER, 4, tol_band=tol_band)):
+        with pytest.raises(ValueError, match="tol_band must be"):
+            solve()
+    assert counts == []
+
+
+@pytest.mark.parametrize("tol_band", [0, 1e-9, np.float64(1e-9)])
+def test_good_tol_band_keeps_the_touching_bands_apart(tol_band):
+    rep = spectrum(quantize_series(HARPER, RationalFlux(1, 4)),
+                   tol_band=tol_band)
+    assert len(rep.bands) == 4
+    assert rep.metadata["tol_band"] == tol_band
 
 
 def test_mirrored_report_owns_its_data():
@@ -838,7 +910,7 @@ def test_only_chambers_families_leave_the_grid(fam, chambers):
     # a (1, 1) mode, a complex weight (even by rounding) or a second block
     # keeps the whole grid, bit for bit as spectrum has it
     assert quantize._chambers(fam) is chambers
-    rep = quantize._grid_spectrum(fam, (8, 16), edges_only=True)
+    rep = quantize.spectrum(fam, (8, 16), edges_only=True)
     direct = spectrum(fam, grid=(8, 16))
     assert ("chambers_points" in rep.metadata) is chambers
     if chambers:
