@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -53,7 +52,7 @@ import numpy as np
 
 from . import effective, moyal, oracle, quantize, symbols
 from .errors import (ConfigError, GaugeError, GeometryError, MagblochError,
-                     ResourceCapError, TruncationError)
+                     ResourceCapError, TruncationError, _is_integer, _is_real)
 from .fock import FockTruncation
 from .lattice import FourierSeries2D, PeriodicVectorPotential, make_lattice
 from .quantize import RationalFlux
@@ -136,15 +135,6 @@ def _dump_json(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
-def _is_real(x) -> bool:
-    return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and math.isfinite(x))
-
-
-def _is_int(lo: int):
-    return lambda x: type(x) is int and x >= lo
-
-
 def _is_vector(x) -> bool:
     return isinstance(x, list) and len(x) == 2 and all(map(_is_real, x))
 
@@ -154,17 +144,17 @@ _SETTINGS = {
     "lattice": (lambda x: (isinstance(x, dict) and set(x) == {"a", "b"}
                            and all(map(_is_vector, x.values()))),
                 'an object {"a": [real, real], "b": [real, real]}'),
-    "qmax": (_is_int(1), "an integer >= 1"),
-    "iota": (lambda x: type(x) is int and x in (1, -1), "1 or -1"),
+    "qmax": (lambda x: _is_integer(x, 1), "an integer >= 1"),
+    "iota": (lambda x: _is_integer(x) and x in (1, -1), "1 or -1"),
     "tol_band": (lambda x: x is not None and quantize._is_tol_band(x),
                  "a finite number >= 0"),
     "grid": (quantize._is_grid, "a list of two integers >= 8"),
     "model": (lambda x: x in ("order0", "order2", "full"),
               "one of 'order0', 'order2', 'full'"),
-    "order": (_is_int(0), "an integer >= 0"),
-    "n_max": (_is_int(1), "an integer >= 1"),
-    "guard": (_is_int(0), "an integer >= 0"),
-    "n_cells": (_is_int(1), "an integer >= 1"),
+    "order": (lambda x: _is_integer(x, 0), "an integer >= 0"),
+    "n_max": (lambda x: _is_integer(x, 1), "an integer >= 1"),
+    "guard": (lambda x: _is_integer(x, 0), "an integer >= 0"),
+    "n_cells": (lambda x: _is_integer(x, 1), "an integer >= 1"),
 }
 _KNOWN_KEYS = {"V", "A1", "A2", "band", "delta", *_SETTINGS}
 
@@ -175,7 +165,7 @@ def _check_rows(rows, name: str) -> None:
         raise ConfigError(f"{name} must be a list of [n, m, re, im] rows")
     for row in rows:
         if not (isinstance(row, list) and len(row) == 4
-                and type(row[0]) is int and type(row[1]) is int
+                and _is_integer(row[0]) and _is_integer(row[1])
                 and _is_real(row[2]) and _is_real(row[3])):
             raise ConfigError(
                 f"{name} rows must be [int n, int m, real re, real im], got {row!r}")
@@ -184,7 +174,7 @@ def _check_rows(rows, name: str) -> None:
 def _band_list(value) -> list:
     """A level index, or a list of contiguous ones, as a list, by the
     library's band-set rule (:func:`moyal._check_bands`)."""
-    bands = [value] if type(value) is int else value
+    bands = [value] if _is_integer(value) else value
     try:
         moyal._check_bands(bands)
     except (TypeError, ValueError) as exc:

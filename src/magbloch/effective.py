@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _is_integer
 from .lattice import (FourierSeries2D, Lattice2D, PeriodicVectorPotential,
                       laplacian_DzDzbar)
 from .quantize import (MagneticBlochFamily, RationalFlux, SpectrumReport,
@@ -64,7 +65,7 @@ def single_band_model(V: FourierSeries2D, L: Lattice2D, lam_star: float,
     ``order`` (0, 2 or 4) keeps the grades up to it: 0 is the bare level,
     2 drops the d^4 term (useful for order fits).
     """
-    if order not in (0, 2, 4):
+    if not (_is_integer(order) and order in (0, 2, 4)):
         raise ValueError(f"order must be 0, 2 or 4, not {order}")
     delta = delta_from_flux(flux)
     h = closed_form_grades(V, L, lam_star)

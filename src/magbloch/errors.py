@@ -1,8 +1,12 @@
 """Exception hierarchy shared across the library.
 
 Every raised error names the invariant that failed so callers (and the CLI)
-can act on it without string matching.
+can act on it without string matching; every input check reads the value
+rules :func:`_is_integer` and :func:`_is_real`.
 """
+
+import math
+import numbers
 
 __all__ = [
     "MagblochError",
@@ -51,3 +55,17 @@ class ConfigError(MagblochError):
 
 class NumericError(MagblochError):
     """A numerical invariant failed (non-convergence, lost Hermiticity)."""
+
+
+def _is_integer(x, lo=None) -> bool:
+    """Whether ``x`` is an integer, and at least ``lo`` when given; a numpy
+    integer is one, a bool is not."""
+    return (isinstance(x, numbers.Integral) and not isinstance(x, bool)
+            and (lo is None or x >= lo))
+
+
+def _is_real(x) -> bool:
+    """Whether ``x`` is a finite real number; a numpy scalar is one, a bool
+    is not."""
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and math.isfinite(x))

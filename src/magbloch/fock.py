@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import TruncationError
+from .errors import TruncationError, _is_integer
 from .lattice import Lattice2D
 
 __all__ = [
@@ -49,10 +49,10 @@ class FockTruncation:
     guard: int = 6
 
     def __post_init__(self):
-        if self.n_max < 1:
-            raise TruncationError("n_max must be at least 1")
-        if not 0 <= self.guard <= self.n_max:
-            raise TruncationError("guard must lie in [0, n_max]")
+        if not _is_integer(self.n_max, 1):
+            raise TruncationError("n_max must be an integer >= 1")
+        if not (_is_integer(self.guard, 0) and self.guard <= self.n_max):
+            raise TruncationError("guard must be an integer in [0, n_max]")
 
     @property
     def dim(self) -> int:

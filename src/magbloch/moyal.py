@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TruncationError
+from .errors import TruncationError, _is_integer
 from .fock import FockTruncation, band_projector_matrix
 from .symbols import (ModeMap, OperatorSymbol, mode_add, mode_dagger,
                       mode_hermiticity_defect, mode_max_norm, mode_scale)
@@ -321,9 +321,7 @@ def _check_bands(band_set) -> tuple:
     """The levels of band_set, sorted: non-negative integers (a bool or a
     float is no level index), each once, and contiguous."""
     band_set = list(band_set)
-    if not band_set or not all(isinstance(k, (int, np.integer))
-                               and not isinstance(k, bool) and k >= 0
-                               for k in band_set):
+    if not band_set or not all(_is_integer(k, 0) for k in band_set):
         raise ValueError(f"band_set must be non-empty, non-negative "
                          f"integers, got {band_set!r}")
     bands = tuple(sorted(int(k) for k in band_set))

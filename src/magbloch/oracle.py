@@ -63,7 +63,7 @@ import scipy.linalg
 from . import symbols
 from .effective import delta_from_flux
 from .errors import (CommensurabilityError, GapClosedError, NumericError,
-                     ResourceCapError)
+                     ResourceCapError, _is_integer)
 from .fock import FockTruncation
 from .lattice import (FourierSeries2D, Lattice2D, PeriodicVectorPotential,
                       TWO_PI, _coefficients_reflect)
@@ -123,8 +123,8 @@ class OracleBasis:
     fock: FockTruncation
 
     def __post_init__(self):
-        if self.n_cells < 1 or self.n_grid < 4:
-            raise ValueError("need n_cells >= 1 and n_grid >= 4")
+        if not (_is_integer(self.n_cells, 1) and _is_integer(self.n_grid, 4)):
+            raise ValueError("need integers n_cells >= 1 and n_grid >= 4")
         if self.slow_dim * self.fock.dim > DIM_BUDGET:
             raise ResourceCapError(
                 f"oracle dimension {self.slow_dim * self.fock.dim} exceeds "

@@ -21,14 +21,13 @@ import cmath
 import copy
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
 
-from .errors import NumericError, ResourceCapError
+from .errors import NumericError, ResourceCapError, _is_integer, _is_real
 from .lattice import FourierSeries2D, _coefficients_reflect
 
 __all__ = [
@@ -55,8 +54,8 @@ class RationalFlux:
     q: int
 
     def __post_init__(self):
-        if self.q < 1:
-            raise ValueError("flux denominator must be >= 1")
+        if not (_is_integer(self.p) and _is_integer(self.q, 1)):
+            raise ValueError("flux needs an integer p and an integer q >= 1")
         if math.gcd(self.p, self.q) != 1:
             raise ValueError(f"flux {self.p}/{self.q} is not reduced")
 
@@ -72,6 +71,8 @@ class RationalFlux:
 
 def reduced_fractions(q_max: int):
     """All reduced p/q with q <= q_max, ordered by (q, p); includes 0/1."""
+    if not _is_integer(q_max, 1):
+        raise ValueError(f"q_max must be an integer >= 1, got {q_max!r}")
     out = []
     for q in range(1, q_max + 1):
         for p in range(q):
@@ -206,11 +207,12 @@ def _weyl_terms(modes, convention: str, u, v, step: int = 1):
     :func:`_bloch_clock`, the oracle its slow clock and translation.
     """
     for n, m, w in modes:
+        shift = _weyl_shift(convention, n, m) * step
         if convention == "harper":
-            yield n * step, w * (_power(v, n) * _power(u, m))
+            yield shift, w * (_power(v, n) * _power(u, m))
         else:
-            yield m * step, w * (np.roll(_power(u, n), -m * step, axis=0)
-                                 * _power(v, m))
+            yield shift, w * (np.roll(_power(u, n), -shift, axis=0)
+                              * _power(v, m))
 
 
 def _weyl_sum(modes, flux: RationalFlux, iota: int, convention: str,
@@ -287,9 +289,6 @@ class SpectrumReport:
     bands: list           # [(E_min, E_max)] sorted, non-overlapping
     samples: np.ndarray   # (n_points, dim) sorted eigenvalues per point
     metadata: dict
-
-    def all_eigenvalues(self) -> np.ndarray:
-        return np.sort(self.samples.ravel())
 
 
 def _merge_branches(samples: np.ndarray, tol: float | None = None):
@@ -516,16 +515,13 @@ SAMPLES_BUDGET = 4_000_000
 
 def _is_grid(grid) -> bool:
     """Whether ``grid`` is a pair of integers >= 8 (a bool is not one)."""
-    return isinstance(grid, (tuple, list)) and len(grid) == 2 and all(
-        isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 8
-        for n in grid)
+    return (isinstance(grid, (tuple, list)) and len(grid) == 2
+            and all(_is_integer(n, 8) for n in grid))
 
 
 def _is_tol_band(tol) -> bool:
     """Whether ``tol`` is None or a finite number >= 0 (a bool is not one)."""
-    return tol is None or (
-        isinstance(tol, numbers.Real) and not isinstance(tol, bool)
-        and math.isfinite(tol) and tol >= 0)
+    return tol is None or (_is_real(tol) and tol >= 0)
 
 
 def spectrum(fam: MagneticBlochFamily, grid=(16, 16),
@@ -645,11 +641,10 @@ def butterfly(F: FourierSeries2D, q_max: int, iota: int = -1, grid=(8, 16),
     p < q/2 is the reflected report of its twin p/q (:func:`_mirrored`),
     whose metadata it carries with ``"mirror_of": [p, q]``; every other
     flux is solved directly."""
-    if q_max < 1:
-        raise ValueError("q_max must be >= 1")
+    fluxes = reduced_fractions(q_max)
     mirror = _mirror_even(F, iota)
     solved = {}   # (p, q) -> report; (q, p) order solves each twin first
-    for fx in reduced_fractions(q_max):
+    for fx in fluxes:
         twin = solved.get((fx.q - fx.p, fx.q)) if mirror else None
         if twin is not None:
             solved[fx.p, fx.q] = _mirrored(twin, fx, grid)

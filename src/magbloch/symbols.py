@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fock
+from .errors import _is_integer, _is_real
 from .fock import FockTruncation
 from .lattice import (FourierSeries2D, Lattice2D, PeriodicVectorPotential,
                       TWO_PI)
@@ -172,7 +172,7 @@ def assemble_truncated(V: FourierSeries2D, A: PeriodicVectorPotential | None,
 
 
 def _check_delta(delta: float) -> None:
-    if not math.isfinite(delta) or delta < 0:
+    if not (_is_real(delta) and delta >= 0):
         raise ValueError(f"delta must be finite and non-negative, got {delta!r}")
 
 
@@ -358,8 +358,7 @@ def _check_point(point) -> None:
         p, x = point
     except (TypeError, ValueError):
         p = x = None
-    if not all(isinstance(t, numbers.Real) and not isinstance(t, bool)
-               and math.isfinite(t) for t in (p, x)):
+    if not (_is_real(p) and _is_real(x)):
         raise ValueError(f"point must be two finite real numbers, got {point!r}")
 
 
@@ -397,8 +396,7 @@ def remainder_norm(V, A, L, T: FockTruncation, delta: float, point,
     cols = np.arange(T.corner_dim)
     if projector_band is not None:
         bands = [projector_band] if np.ndim(projector_band) == 0 else list(projector_band)
-        if not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool)
-                   and 0 <= k < T.corner_dim for k in bands):
+        if not all(_is_integer(k, 0) and k < T.corner_dim for k in bands):
             raise ValueError(f"projector_band {projector_band} is not a set of "
                              f"integers in the guard corner [0, {T.corner_dim})")
         cols = np.unique(np.array(bands, dtype=int))
@@ -411,7 +409,6 @@ def remainder_norm(V, A, L, T: FockTruncation, delta: float, point,
 
 def default_points(k: int = 4):
     """k x k evaluation grid on [0,1)^2, for an integer k >= 1."""
-    if (isinstance(k, bool) or not isinstance(k, (int, np.integer))
-            or k < 1):
+    if not _is_integer(k, 1):
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
     return [(i / k, j / k) for i in range(k) for j in range(k)]
