@@ -31,8 +31,7 @@ for fx in default_delta_sweep():
     Hf = build_full_matrix(V, None, L, basis, fx)
     clusters.append(level_cluster(Hf, V, None, basis, 0))
     for kind, order in ORDERS.items():
-        series = single_band_model(V, L, LAM, fx, iota=1,
-                                   order=order).blocks[0][0]
+        series = single_band_model(V, L, LAM, fx, order=order)
         models[kind].append(
             oracle_eigenvalues(quantize_on_grid(series, basis, fx)))
     print(f"theta = 1/{fx.q}  (delta = {d:.4f}): cluster of "

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from magbloch import RationalFlux, spectrum
+from magbloch import RationalFlux, quantize_series, spectrum
 from magbloch.effective import spectrum_via_GGdag, two_band_model
 from magbloch.lattice import (FourierSeries2D, PeriodicVectorPotential,
                               make_lattice)
@@ -20,8 +20,8 @@ A = PeriodicVectorPotential(f1, f2, L)
 
 N_STAR = 0
 flux = RationalFlux(1, 5)
-model = two_band_model(A, L, N_STAR, flux, iota=1)
-direct = spectrum(model.family, grid=(16, 16))
+symbol = two_band_model(A, L, N_STAR, flux)
+direct = spectrum(quantize_series(symbol, flux, iota=1), grid=(16, 16))
 reduced = spectrum_via_GGdag(A, L, N_STAR, flux, grid=(16, 16), iota=1)
 
 disc = np.max(np.abs(np.sort(direct.samples, axis=1)

@@ -20,8 +20,7 @@ from .moyal import (MoyalSeries, build_intertwiner, build_projection,
 from .quantize import (MagneticBlochFamily, RationalFlux, SpectrumReport,
                        almost_mathieu_spectrum, butterfly, clock_shift,
                        hausdorff_distance, quantize_series, spectrum)
-from .effective import (EffectiveModel, single_band_model, spectrum_via_GGdag,
-                        two_band_model)
+from .effective import single_band_model, spectrum_via_GGdag, two_band_model
 from .oracle import (LinearCanonicalMap, OracleBasis, band_cluster,
                      build_full_matrix, ccr_table, landau_variable_map,
                      level_cluster, order_fit, fast_slow_variable_map,

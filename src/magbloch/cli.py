@@ -145,7 +145,7 @@ _SETTINGS = {
                            and all(map(_is_vector, x.values()))),
                 'an object {"a": [real, real], "b": [real, real]}'),
     "qmax": (lambda x: _is_integer(x, 1), "an integer >= 1"),
-    "iota": (lambda x: _is_integer(x) and x in (1, -1), "1 or -1"),
+    "iota": (quantize._is_iota, "1 or -1"),
     "tol_band": (lambda x: x is not None and quantize._is_tol_band(x),
                  "a finite number >= 0"),
     "grid": (quantize._is_grid, "a list of two integers >= 8"),
@@ -370,10 +370,11 @@ def cmd_butterfly(cfg: dict, args) -> str:
     return _reports_text(reports, args)
 
 
-def _rescale_report(rep, delta: float, units: str):
-    """Record ``delta`` in a report in cyclotron units, and convert it to
-    the bare lattice energy unit (divide by the squared adiabatic
-    parameter) when ``units`` asks for it."""
+def _rescale_report(rep, units: str):
+    """Record the delta of a report's flux in the report, in cyclotron
+    units, and convert it to the bare lattice energy unit (divide by the
+    squared adiabatic parameter) when ``units`` asks for it."""
+    delta = effective.delta_from_flux(rep.flux)
     rep.metadata["delta"] = delta
     if units == "cyclotron":
         return rep
@@ -396,10 +397,11 @@ def cmd_effective(cfg: dict, args) -> str:
     tol_band = cfg.get("tol_band")
     reports = []
     for fx in cfg.get("delta", [RationalFlux(1, 16)]):
-        model = effective.single_band_model(V, L, band + 0.5, fx, iota=iota)
-        rep = quantize.spectrum(model.family, grid=grid, tol_band=tol_band)
+        symbol = effective.single_band_model(V, L, band + 0.5, fx)
+        rep = quantize.spectrum(quantize.quantize_series(symbol, fx, iota),
+                                grid=grid, tol_band=tol_band)
         rep.metadata["band"] = band
-        reports.append(_rescale_report(rep, model.delta, args.units))
+        reports.append(_rescale_report(rep, args.units))
     return _reports_text(reports, args)
 
 
@@ -413,15 +415,16 @@ def cmd_two_band(cfg: dict, args) -> str:
     tol_band = cfg.get("tol_band")
     reports = []
     for fx in cfg.get("delta", [RationalFlux(1, 16)]):
-        model = effective.two_band_model(A, L, n_star, fx, iota=iota)
-        rep = quantize.spectrum(model.family, grid=grid, tol_band=tol_band)
+        symbol = effective.two_band_model(A, L, n_star, fx)
+        rep = quantize.spectrum(quantize.quantize_series(symbol, fx, iota),
+                                grid=grid, tol_band=tol_band)
         via = effective.spectrum_via_GGdag(A, L, n_star, fx, grid=grid,
                                            iota=iota)
         # both sample rows come out ascending from the eigensolvers
         disc = float(np.max(np.abs(rep.samples - via.samples)))
         rep.metadata["n_star"] = n_star
         rep.metadata["ggdag_max_discrepancy"] = disc
-        reports.append(_rescale_report(rep, model.delta, args.units))
+        reports.append(_rescale_report(rep, args.units))
     return _reports_text(reports, args)
 
 
@@ -500,9 +503,9 @@ def cmd_oracle_compare(cfg: dict, args) -> str:
         basis = oracle.OracleBasis.resolving(V, A, fx, T, n_cells)
         Hfull = oracle.build_full_matrix(V, A, L, basis, fx)
         cluster = oracle.level_cluster(Hfull, V, A, basis, band)
-        series = effective.single_band_model(
-            V, L, lam, fx, iota=1, order=_MODEL_ORDER[model_kind]).blocks[0][0]
-        Hmod = oracle.quantize_on_grid(series, basis, fx)
+        symbol = effective.single_band_model(
+            V, L, lam, fx, order=_MODEL_ORDER[model_kind])
+        Hmod = oracle.quantize_on_grid(symbol, basis, fx)
         mspec = oracle.oracle_eigenvalues(Hmod)
         dist = quantize.sorted_list_distance(mspec, cluster)
         deltas.append(delta)

@@ -1,28 +1,26 @@
-"""Closed-form effective Hamiltonians as finite matrices.
+"""Closed-form effective symbols, and their spectra as finite matrices.
 
 The adiabatic parameter is tied to rational flux through theta = delta^2,
-so every quantized model is an exactly finite q x q (or 2q x 2q) Bloch
-family.  Energies are expressed in cyclotron units (the rescaled strong
-field scale); a conversion factor back to the bare lattice energy unit is
-1/delta^2.
+so every model symbol, quantized by :func:`quantize.quantize_series` (in
+either convention, at either ``iota``), is an exactly finite q x q (or
+2q x 2q) Bloch family.  Energies are expressed in cyclotron units (the
+rescaled strong field scale); a conversion factor back to the bare lattice
+energy unit is 1/delta^2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import _is_integer
 from .lattice import (FourierSeries2D, Lattice2D, PeriodicVectorPotential,
                       laplacian_DzDzbar)
-from .quantize import (MagneticBlochFamily, RationalFlux, SpectrumReport,
-                       _check_defect, _twisted_square, quantize_blocks,
-                       quantize_series, spectrum)
+from .quantize import (RationalFlux, SpectrumReport, _check_defect,
+                       _twisted_square, quantize_series, spectrum)
 
 __all__ = [
-    "EffectiveModel",
     "closed_form_grades",
     "single_band_model",
     "two_band_model",
@@ -37,13 +35,6 @@ def delta_from_flux(flux: RationalFlux) -> float:
     return math.sqrt(flux.theta)
 
 
-@dataclass(frozen=True)
-class EffectiveModel:
-    delta: float
-    blocks: list                       # m x m nested list of FourierSeries2D
-    family: MagneticBlochFamily
-
-
 def closed_form_grades(V: FourierSeries2D, L: Lattice2D,
                        lam_star: float) -> dict:
     """The closed-form symbol of one level lam* by grade:
@@ -56,11 +47,9 @@ def closed_form_grades(V: FourierSeries2D, L: Lattice2D,
 
 
 def single_band_model(V: FourierSeries2D, L: Lattice2D, lam_star: float,
-                      flux: RationalFlux, iota: int = 1,
-                      order: int = 4) -> EffectiveModel:
-    """Single-level model lam* + d^2 V + d^4 (lam*/2) |D_z|^2 V (the
-    :func:`closed_form_grades`), quantized as a strong-field power series
-    at theta = d^2.
+                      flux: RationalFlux, order: int = 4) -> FourierSeries2D:
+    """The real symbol lam* + d^2 V + d^4 (lam*/2) |D_z|^2 V of one level
+    (the :func:`closed_form_grades`) at theta = d^2.
 
     ``order`` (0, 2 or 4) keeps the grades up to it: 0 is the bare level,
     2 drops the d^4 term (useful for order fits).
@@ -72,31 +61,28 @@ def single_band_model(V: FourierSeries2D, L: Lattice2D, lam_star: float,
     symbol = h[0]
     for j in range(2, order + 1, 2):
         symbol = symbol.plus(h[j].scaled(delta ** j))
-    return EffectiveModel(delta=delta, blocks=[[symbol]],
-                          family=quantize_series(symbol, flux, iota=iota))
+    return symbol
 
 
 def two_band_model(A: PeriodicVectorPotential, L: Lattice2D, n_star: int,
-                   flux: RationalFlux, iota: int = 1) -> EffectiveModel:
-    """Two contiguous levels {n*, n*+1} coupled at first order by the
-    complexified vector potential g.
+                   flux: RationalFlux) -> list:
+    """The 2 x 2 block symbol of two contiguous levels {n*, n*+1} coupled
+    at first order by the complexified vector potential g.
 
     Block layout is ascending in the level index, so the level splitting is
     diag(n*+1/2, n*+3/2) and the coupling sits in the (0,1) block as
     d sqrt(n*+1) g (conjugate-reflected series in the (1,0) block).
     """
+    if not _is_integer(n_star, 0):
+        raise ValueError(f"n_star must be an integer >= 0, not {n_star!r}")
     if A.is_zero():
         raise ValueError("two_band_model needs a non-zero vector potential; "
                          "with A = 0 the levels decouple")
-    delta = delta_from_flux(flux)
-    c = delta * math.sqrt(n_star + 1.0)
+    c = delta_from_flux(flux) * math.sqrt(n_star + 1.0)
     b00 = FourierSeries2D({(0, 0): n_star + 0.5}, is_real=True)
     b11 = FourierSeries2D({(0, 0): n_star + 1.5}, is_real=True)
     b01 = A.g.scaled(c)
-    b10 = b01.conj_reflect()
-    blocks = [[b00, b01], [b10, b11]]
-    fam = quantize_blocks(blocks, flux, iota=iota)
-    return EffectiveModel(delta=delta, blocks=blocks, family=fam)
+    return [[b00, b01], [b01.conj_reflect(), b11]]
 
 
 def spectrum_via_GGdag(A: PeriodicVectorPotential, L: Lattice2D, n_star: int,
@@ -119,6 +105,8 @@ def spectrum_via_GGdag(A: PeriodicVectorPotential, L: Lattice2D, n_star: int,
     pairs of k and -k in different orders, so a G G^dag of several modes
     can miss a rule by rounding, and a missed rule is not used.
     """
+    if not _is_integer(n_star, 0):
+        raise ValueError(f"n_star must be an integer >= 0, not {n_star!r}")
     if A.is_zero():
         raise ValueError("spectrum_via_GGdag needs a non-zero vector potential")
     delta = delta_from_flux(flux)

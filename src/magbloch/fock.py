@@ -63,7 +63,10 @@ class FockTruncation:
         return self.dim - self.guard
 
     def require(self, order: int, max_band: int) -> None:
-        """Check n_max >= 2*order + max_band + guard for dependent objects."""
+        """Check n_max >= 2*order + max_band + guard, of integers >= 0."""
+        if not (_is_integer(order, 0) and _is_integer(max_band, 0)):
+            raise TruncationError(f"order {order!r} and max_band {max_band!r} "
+                                  "must be integers >= 0")
         need = 2 * order + max_band + self.guard
         if self.n_max < need:
             raise TruncationError(

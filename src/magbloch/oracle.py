@@ -67,8 +67,8 @@ from .errors import (CommensurabilityError, GapClosedError, NumericError,
 from .fock import FockTruncation
 from .lattice import (FourierSeries2D, Lattice2D, PeriodicVectorPotential,
                       TWO_PI, _coefficients_reflect)
-from .quantize import (RationalFlux, _check_defect, _phase, _weyl_terms,
-                       sorted_list_distance)
+from .quantize import (RationalFlux, _as_blocks, _check_defect, _phase,
+                       _weyl_terms, sorted_list_distance)
 
 __all__ = [
     "OracleBasis",
@@ -273,14 +273,14 @@ def build_full_matrix(V: FourierSeries2D, A: PeriodicVectorPotential | None,
 def quantize_on_grid(blocks, basis: OracleBasis, flux: RationalFlux) -> np.ndarray:
     """Quantize an effective symbol on the oracle's slow grid.
 
-    ``blocks`` is either a single real series or an m x m nested list of
-    series (``None`` for a zero block); block (i, k) of the dense result is
-    the slow quantization of series (i, k).  Using the same grid operators
-    as the oracle means both spectra sample identical Bloch phases, and
-    the model's Hermiticity is checked as the oracle's is.
+    ``blocks`` is a symbol as :func:`quantize.quantize_series` takes it, a
+    real series or an m x m nested list of series (``None`` for a zero
+    block); block (i, k) of the dense result is the slow quantization of
+    series (i, k).  Using the same grid operators as the oracle means both
+    spectra sample identical Bloch phases, and the model's Hermiticity is
+    checked as the oracle's is.
     """
-    if isinstance(blocks, FourierSeries2D):
-        blocks = [[blocks]]
+    blocks = _as_blocks(blocks)
     m = len(blocks)
     N = basis.slow_dim
     # the m x m coefficient matrix of each mode; (0, 0) keeps an empty

@@ -35,7 +35,6 @@ __all__ = [
     "reduced_fractions",
     "clock_shift",
     "quantize_series",
-    "quantize_blocks",
     "MagneticBlochFamily",
     "SpectrumReport",
     "spectrum",
@@ -157,9 +156,7 @@ def _check_defect(defect, scale, rtol: float, message: str) -> None:
 def _phase(convention: str, iota: int, theta: float, n: int, m: int) -> complex:
     if convention == "harper":
         return np.exp(-1j * math.pi * n * m * iota * theta)
-    if convention == "hofstadter":
-        return np.exp(+1j * math.pi * n * m * iota * theta)
-    raise ValueError(f"unknown convention {convention!r}")
+    return np.exp(+1j * math.pi * n * m * iota * theta)
 
 
 def _power(z, k: int):
@@ -251,34 +248,41 @@ def _twisted_square(F: FourierSeries2D, flux: RationalFlux,
     return FourierSeries2D(S, is_real=True)
 
 
-def quantize_series(F: FourierSeries2D, flux: RationalFlux, iota: int = -1,
+def _is_iota(iota) -> bool:
+    """Whether ``iota`` is the integer 1 or -1 (a bool is not one)."""
+    return _is_integer(iota) and iota in (1, -1)
+
+
+def _as_blocks(symbol) -> list:
+    """The m x m nested list of series (``None`` for a zero block) of a
+    symbol, a real series being the 1 x 1 list."""
+    if not isinstance(symbol, FourierSeries2D):
+        return symbol
+    if not symbol.is_real:
+        raise ValueError("a single-series symbol must be real-valued")
+    return [[symbol]]
+
+
+def quantize_series(F, flux: RationalFlux, iota: int = -1,
                     convention: str = "harper") -> MagneticBlochFamily:
     """Symmetrized power series in the clock/shift pair.
 
     strong-field ("harper"):    sum f_{n,m} e^{-i pi n m iota theta} V^n U^m
     weak-field ("hofstadter"):  sum f_{n,m} e^{+i pi n m iota theta} U^n V^m
+
+    of a real series, or blockwise of an m x m symbol (:func:`_as_blocks`)
+    into an (m q) x (m q) family; a bad iota or convention is a ValueError.
     """
-    if not F.is_real:
-        raise ValueError("quantize_series requires a real-valued series")
-    return MagneticBlochFamily(
-        flux=flux, iota=iota, convention=convention, dim=flux.q,
-        block_modes=((0, 0, _weyl_modes(F, flux, iota, convention)),))
-
-
-def quantize_blocks(blocks, flux: RationalFlux,
-                    iota: int = -1) -> MagneticBlochFamily:
-    """Blockwise strong-field quantization of an m x m array of Fourier series.
-
-    The block symbol must be Hermitian (block (i,j) the conjugate-reflected
-    series of block (j,i)); the assembled (m q) x (m q) family is then
-    Hermitian at every point.
-    """
-    m = len(blocks)
-    block_modes = tuple((i, k, _weyl_modes(blocks[i][k], flux, iota, "harper"))
-                        for i in range(m) for k in range(m)
-                        if blocks[i][k] is not None)
-    return MagneticBlochFamily(flux=flux, iota=iota, convention="harper",
-                               dim=m * flux.q, block_modes=block_modes)
+    if not _is_iota(iota):
+        raise ValueError(f"iota must be 1 or -1, not {iota!r}")
+    if convention not in ("harper", "hofstadter"):
+        raise ValueError(f"unknown convention {convention!r}")
+    blocks = _as_blocks(F)
+    modes = tuple((i, k, _weyl_modes(B, flux, iota, convention))
+                  for i, row in enumerate(blocks)
+                  for k, B in enumerate(row) if B is not None)
+    return MagneticBlochFamily(flux=flux, iota=iota, convention=convention,
+                               dim=len(blocks) * flux.q, block_modes=modes)
 
 
 @dataclass(frozen=True)
@@ -422,8 +426,8 @@ def _flip_even(fam: MagneticBlochFamily) -> bool:
     conj V(beta2) = V(-beta2), so it maps the monomial of (n, m) at
     (beta1, beta2) to that of the reflected mode at (beta1, -beta2), its
     weight conjugated.  So then conj H(beta1, beta2) = H(beta1, -beta2)
-    (block by block, as the blocks of :func:`quantize_blocks` sit at real
-    places), and the spectra at the two points agree up to rounding.
+    (block by block, as the blocks of a block symbol sit at real places),
+    and the spectra at the two points agree up to rounding.
     Harper passes, and so does any real series with f_{n,-m} ==
     conj f_{n,m} (harper) or f_{-n,m} == conj f_{n,m} (hofstadter)."""
     mode = ((lambda n, m: (n, -m)) if fam.convention == "harper"
@@ -658,8 +662,8 @@ def butterfly(F: FourierSeries2D, q_max: int, iota: int = -1, grid=(8, 16),
 def almost_mathieu_spectrum(flux: RationalFlux, beta: float, N: int) -> np.ndarray:
     """Eigenvalues of the N-site periodic difference operator
     ``u_{n-1} + u_{n+1} + 2 cos(2 pi theta n + beta) u_n``."""
-    if N < 3 * flux.q:
-        raise ValueError("N must be at least 3q")
+    if not _is_integer(N, 3 * flux.q):
+        raise ValueError("N must be an integer of at least 3q")
     n = np.arange(N)
     H = np.zeros((N, N))
     H[n, n] = 2.0 * np.cos(2.0 * math.pi * flux.theta * n + beta)

@@ -95,8 +95,7 @@ def test_criterion_3_error_orders():
                 series = FourierSeries2D({(0, 0): lam}, is_real=True).plus(
                     HARPER.scaled(delta ** 2))
             else:
-                series = effective.single_band_model(
-                    HARPER, SQUARE, lam, fx, iota=1).blocks[0][0]
+                series = effective.single_band_model(HARPER, SQUARE, lam, fx)
             Hm = oracle.quantize_on_grid(series, basis, fx)
             sweeps[kind].append(oracle.oracle_eigenvalues(Hm))
     slopes = {}
@@ -140,8 +139,9 @@ def test_criterion_5_two_band_reduction():
     worst = 0.0
     for q in (2, 3, 5):
         fx = RationalFlux(1, q)
-        model = effective.two_band_model(A, SQUARE, n_star, fx, iota=1)
-        rep = quantize.spectrum(model.family, grid=(8, 8))
+        symbol = effective.two_band_model(A, SQUARE, n_star, fx)
+        rep = quantize.spectrum(quantize.quantize_series(symbol, fx, iota=1),
+                                grid=(8, 8))
         via = effective.spectrum_via_GGdag(A, SQUARE, n_star, fx, grid=(8, 8))
         worst = max(worst, float(np.max(np.abs(
             np.sort(rep.samples, axis=1) - np.sort(via.samples, axis=1)))))
@@ -157,8 +157,8 @@ def test_criterion_5_two_band_reduction():
         Hf = oracle.build_full_matrix(V0, A, SQUARE, basis, fx)
         eigs = oracle.oracle_eigenvalues(Hf)
         clusters.append(eigs[np.abs(eigs - (n_star + 1.0)) <= 0.95])
-        model = effective.two_band_model(A, SQUARE, n_star, fx, iota=1)
-        Hm = oracle.quantize_on_grid(model.blocks, basis, fx)
+        Hm = oracle.quantize_on_grid(
+            effective.two_band_model(A, SQUARE, n_star, fx), basis, fx)
         model_specs.append(oracle.oracle_eigenvalues(Hm))
     fit = oracle.order_fit(model_specs, clusters, deltas)
     elapsed = time.time() - t0

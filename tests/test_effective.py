@@ -9,15 +9,15 @@ from magbloch.fock import FockTruncation
 from magbloch.lattice import (FourierSeries2D, PeriodicVectorPotential,
                               laplacian_DzDzbar)
 from magbloch.moyal import build_intertwiner, build_projection, effective_symbol
-from magbloch.quantize import RationalFlux, spectrum
+from magbloch.quantize import RationalFlux, quantize_series, spectrum
 from magbloch.symbols import assemble_truncated
 
 
 def test_zero_flux_constant_spectrum(square, harper):
-    model = single_band_model(
-        FourierSeries2D({}, is_real=True), square, 0.5,
-        RationalFlux(0, 1))
-    rep = spectrum(model.family, grid=(8, 8))
+    fx = RationalFlux(0, 1)
+    symbol = single_band_model(FourierSeries2D({}, is_real=True), square, 0.5,
+                               fx)
+    rep = spectrum(quantize_series(symbol, fx, iota=1), grid=(8, 8))
     assert rep.bands == [(pytest.approx(0.5), pytest.approx(0.5))]
 
 
@@ -28,8 +28,7 @@ def test_single_band_harper_coefficients(square, harper):
     fx = RationalFlux(1, 4)
     d = delta_from_flux(fx)
     lam = 0.5
-    model = single_band_model(harper, square, lam, fx)
-    series = model.blocks[0][0]
+    series = single_band_model(harper, square, lam, fx)
     for nm, c in harper.coeffs.items():
         want = (d ** 2 - 2 * math.pi ** 2 * lam * d ** 4) * c
         assert series[nm] == pytest.approx(want)
@@ -45,8 +44,8 @@ def test_fourth_order_term_scales_band_edges(square, harper):
     on = single_band_model(harper, square, lam, fx, order=4)
     off = single_band_model(harper, square, lam, fx, order=2)
     factor = 1.0 - 2 * math.pi ** 2 * lam * d ** 2
-    rep_on = spectrum(on.family, grid=(12, 12))
-    rep_off = spectrum(off.family, grid=(12, 12))
+    rep_on = spectrum(quantize_series(on, fx, iota=1), grid=(12, 12))
+    rep_off = spectrum(quantize_series(off, fx, iota=1), grid=(12, 12))
     dev_on = np.sort(rep_on.samples - lam, axis=1)
     dev_off = np.sort(factor * (rep_off.samples - lam), axis=1)
     assert np.max(np.abs(dev_on - dev_off)) < 1e-12
@@ -55,7 +54,7 @@ def test_fourth_order_term_scales_band_edges(square, harper):
 def test_single_band_order_keeps_grades_up_to_it(square, harper):
     # order 0 is the bare level; only the even orders 0, 2, 4 exist
     fx = RationalFlux(1, 3)
-    bare = single_band_model(harper, square, 0.5, fx, order=0).blocks[0][0]
+    bare = single_band_model(harper, square, 0.5, fx, order=0)
     assert bare.coeffs == {(0, 0): 0.5}
     for order in (-2, 1, 3, 6):
         with pytest.raises(ValueError, match="order must be 0, 2 or 4"):
@@ -63,8 +62,9 @@ def test_single_band_order_keeps_grades_up_to_it(square, harper):
 
 
 def test_two_band_zero_flux_levels(square, one_mode_potential):
-    model = two_band_model(one_mode_potential, square, 0, RationalFlux(0, 1))
-    rep = spectrum(model.family, grid=(8, 8))
+    fx = RationalFlux(0, 1)
+    symbol = two_band_model(one_mode_potential, square, 0, fx)
+    rep = spectrum(quantize_series(symbol, fx, iota=1), grid=(8, 8))
     vals = np.unique(np.round(rep.samples, 12))
     assert np.allclose(vals, [0.5, 1.5])
 
@@ -85,18 +85,19 @@ def test_two_band_constant_coupling_closed_form(square):
     n_star = 1
     fx = RationalFlux(1, 3)
     d = delta_from_flux(fx)
-    model = two_band_model(A, square, n_star, fx)
+    fam = quantize_series(two_band_model(A, square, n_star, fx), fx, iota=1)
     root = math.sqrt(0.25 + d * d * (n_star + 1) * abs(gamma) ** 2)
     want = np.sort([n_star + 1 - root] * 3 + [n_star + 1 + root] * 3)
     for b1 in (0.0, 0.4):
         for b2 in (0.0, 2.2):
-            got = np.linalg.eigvalsh(model.family.matrix_at(b1, b2))
+            got = np.linalg.eigvalsh(fam.matrix_at(b1, b2))
             assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_two_band_hermitian(square, one_mode_potential):
-    model = two_band_model(one_mode_potential, square, 0, RationalFlux(2, 5))
-    H = model.family.matrix_at(0.3, 0.9)
+    fx = RationalFlux(2, 5)
+    symbol = two_band_model(one_mode_potential, square, 0, fx)
+    H = quantize_series(symbol, fx, iota=1).matrix_at(0.3, 0.9)
     assert H.shape == (10, 10)
     assert np.max(np.abs(H - H.conj().T)) < 1e-12
 
@@ -107,11 +108,12 @@ def test_block_square_identity(square, one_mode_potential):
     n_star = 0
     fx = RationalFlux(1, 5)
     d = delta_from_flux(fx)
-    model = two_band_model(one_mode_potential, square, n_star, fx)
+    fam = quantize_series(two_band_model(one_mode_potential, square, n_star,
+                                         fx), fx, iota=1)
     modes = _weyl_modes(one_mode_potential.g, fx, 1, "harper")
     q = fx.q
     for b1, b2 in [(0.0, 0.0), (0.3, 1.1), (1.0, 4.4)]:
-        H = model.family.matrix_at(b1, b2)
+        H = fam.matrix_at(b1, b2)
         B = H - (n_star + 1.0) * np.eye(2 * q)
         G = d * math.sqrt(n_star + 1.0) * _weyl_sum(modes, fx, 1, "harper", b1, b2)
         block = np.zeros_like(H)
@@ -125,8 +127,8 @@ def test_ggdag_route_matches_direct(square, one_mode_potential):
     n_star = 0
     for q in (2, 3, 5):
         fx = RationalFlux(1, q)
-        model = two_band_model(one_mode_potential, square, n_star, fx)
-        rep_direct = spectrum(model.family, grid=(8, 8))
+        symbol = two_band_model(one_mode_potential, square, n_star, fx)
+        rep_direct = spectrum(quantize_series(symbol, fx, iota=1), grid=(8, 8))
         rep_via = spectrum_via_GGdag(one_mode_potential, square, n_star, fx,
                                      grid=(8, 8))
         assert np.max(np.abs(np.sort(rep_direct.samples, axis=1)
@@ -151,13 +153,12 @@ def test_effective_matches_recursion_single_band(square, harper):
     fx = RationalFlux(1, 9)
     d = delta_from_flux(fx)
     lam = 0.5
-    model = single_band_model(harper, square, lam, fx)
+    series = single_band_model(harper, square, lam, fx)
     T = FockTruncation(n_max=24, guard=6)
     H = assemble_truncated(harper, None, square, T)
     pi = build_projection(H, [0], 4)
     u = build_intertwiner(pi, 4)
     hs = effective_symbol(H, u, 4)
-    series = model.blocks[0][0]
     modes = set(series.coeffs)
     for h in hs:
         modes |= set(h)
@@ -171,7 +172,7 @@ def test_effective_matches_recursion_two_band(square, one_mode_potential):
     fx = RationalFlux(1, 7)
     d = delta_from_flux(fx)
     n_star = 0
-    model = two_band_model(one_mode_potential, square, n_star, fx)
+    blocks = two_band_model(one_mode_potential, square, n_star, fx)
     T = FockTruncation(n_max=24, guard=6)
     H = assemble_truncated(FourierSeries2D({}, is_real=True),
                            one_mode_potential, square, T)
@@ -181,6 +182,6 @@ def test_effective_matches_recursion_two_band(square, one_mode_potential):
     modes = set(hs[0]) | set(hs[1])
     for nm in modes:
         want = hs[0].get(nm, np.zeros((2, 2))) + d * hs[1].get(nm, np.zeros((2, 2)))
-        got = np.array([[model.blocks[i][k][nm] for k in range(2)]
+        got = np.array([[blocks[i][k][nm] for k in range(2)]
                         for i in range(2)])
         assert np.max(np.abs(got - want)) < 1e-10

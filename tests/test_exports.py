@@ -7,12 +7,15 @@ import pkgutil
 import pytest
 
 import magbloch
-from magbloch.effective import single_band_model
+from magbloch.effective import (single_band_model, spectrum_via_GGdag,
+                                two_band_model)
 from magbloch.errors import TruncationError
 from magbloch.fock import FockTruncation
-from magbloch.lattice import harper_potential, make_lattice
+from magbloch.lattice import (FourierSeries2D, PeriodicVectorPotential,
+                              harper_potential, make_lattice)
 from magbloch.oracle import OracleBasis
-from magbloch.quantize import RationalFlux, butterfly, reduced_fractions
+from magbloch.quantize import (RationalFlux, almost_mathieu_spectrum,
+                               butterfly, quantize_series, reduced_fractions)
 from magbloch.symbols import exact_symbol, remainder_norm
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(magbloch.__path__)
@@ -69,6 +72,10 @@ _HARPER = harper_potential()
 _SQUARE = make_lattice([1.0, 0.0], [0.0, 1.0])
 _T = FockTruncation(n_max=10, guard=2)
 _POINT = (0.1, 0.2)
+_A = PeriodicVectorPotential(
+    FourierSeries2D({(0, 1): 0.5, (0, -1): 0.5}, is_real=True),
+    FourierSeries2D({}, is_real=True), _SQUARE)
+_THIRD = RationalFlux(1, 3)
 
 # Each public entry that sizes a matrix or reads a delta, with a value that
 # is no integer (or no finite real), and the error it documents.
@@ -94,8 +101,37 @@ BAD_VALUES = {
     "butterfly-q_max-float": (lambda: butterfly(_HARPER, 2.5), ValueError),
     "fractions-q_max-float": (lambda: reduced_fractions(2.5), ValueError),
     "single-band-order-float": (
-        lambda: single_band_model(_HARPER, _SQUARE, 0.5, RationalFlux(1, 3),
-                                  order=2.0), ValueError),
+        lambda: single_band_model(_HARPER, _SQUARE, 0.5, _THIRD, order=2.0),
+        ValueError),
+    "quantize-iota-2": (
+        lambda: quantize_series(_HARPER, _THIRD, iota=2), ValueError),
+    "quantize-iota-bool": (
+        lambda: quantize_series(_HARPER, _THIRD, iota=True), ValueError),
+    # an empty series, so that no mode's phase is ever formed
+    "quantize-convention-unknown": (
+        lambda: quantize_series(FourierSeries2D({}, is_real=True), _THIRD,
+                                convention="weak"), ValueError),
+    "two-band-n_star-float": (
+        lambda: two_band_model(_A, _SQUARE, 0.5, _THIRD), ValueError),
+    "two-band-n_star-bool": (
+        lambda: two_band_model(_A, _SQUARE, True, _THIRD), ValueError),
+    "two-band-n_star-negative": (
+        lambda: two_band_model(_A, _SQUARE, -1, _THIRD), ValueError),
+    "ggdag-n_star-float": (
+        lambda: spectrum_via_GGdag(_A, _SQUARE, 0.5, _THIRD, grid=(8, 8)),
+        ValueError),
+    "ggdag-n_star-bool": (
+        lambda: spectrum_via_GGdag(_A, _SQUARE, True, _THIRD, grid=(8, 8)),
+        ValueError),
+    "ggdag-n_star-negative": (
+        lambda: spectrum_via_GGdag(_A, _SQUARE, -1, _THIRD, grid=(8, 8)),
+        ValueError),
+    "almost-mathieu-N-float": (
+        lambda: almost_mathieu_spectrum(_THIRD, 0.0, 10.5), ValueError),
+    "fock-require-order-float": (
+        lambda: _T.require(order=1.5, max_band=0), TruncationError),
+    "fock-require-max_band-float": (
+        lambda: _T.require(order=1, max_band=0.5), TruncationError),
 }
 
 

@@ -215,8 +215,8 @@ def test_cluster_width_tracks_model(square, harper):
     H = build_full_matrix(harper, None, square, basis, fx)
     cl = band_cluster(oracle_eigenvalues(H), 0.5)
     width = cl.max() - cl.min()
-    model = single_band_model(harper, square, 0.5, fx, iota=1)
-    Hm = quantize_on_grid(model.blocks[0][0], basis, fx)
+    Hm = quantize_on_grid(single_band_model(harper, square, 0.5, fx), basis,
+                          fx)
     ms = oracle_eigenvalues(Hm)
     model_width = ms.max() - ms.min()
     assert abs(width - model_width) / model_width < 0.2

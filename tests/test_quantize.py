@@ -18,7 +18,7 @@ from magbloch.quantize import (MagneticBlochFamily, RationalFlux,
                                _weyl_modes, _weyl_sum,
                                almost_mathieu_spectrum, butterfly,
                                clock_shift, hausdorff_distance,
-                               quantize_blocks, quantize_series,
+                               quantize_series,
                                reduced_fractions, spectrum)
 
 HARPER = harper_potential()
@@ -479,15 +479,17 @@ def test_weyl_kernel_matches_dense_powers(coeffs, fx, iota, convention, b1, b2):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+@pytest.mark.parametrize("convention", ["harper", "hofstadter"])
 @given(_coeffs, _coeffs, _coeffs, _fluxes, st.sampled_from([1, -1]),
        _phases, _phases)
 @settings(max_examples=75, deadline=None)
-def test_block_family_matches_dense_powers(c00, c01, c11, fx, iota, b1, b2):
+def test_block_family_matches_dense_powers(convention, c00, c01, c11, fx,
+                                           iota, b1, b2):
     b01 = FourierSeries2D(c01)
     blocks = [[FourierSeries2D(c00, is_real=True), b01],
               [b01.conj_reflect(), FourierSeries2D(c11, is_real=True)]]
-    got = quantize_blocks(blocks, fx, iota).matrix_at(b1, b2)
-    want = np.block([[_dense_weyl_sum(F, fx, iota, "harper", b1, b2)
+    got = quantize_series(blocks, fx, iota, convention).matrix_at(b1, b2)
+    want = np.block([[_dense_weyl_sum(F, fx, iota, convention, b1, b2)
                       for F in row] for row in blocks])
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -516,7 +518,7 @@ def test_stack_matches_single_points(c00, c01, c11, fx, iota, convention,
               [b01.conj_reflect(), FourierSeries2D(c11, is_real=True)]]
     b1, b2 = np.array(points).T
     for fam in (quantize_series(blocks[0][0], fx, iota, convention),
-                quantize_blocks(blocks, fx, iota)):
+                quantize_series(blocks, fx, iota)):
         stack = fam.matrix_at(b1, b2)
         assert stack.shape == (len(points), fam.dim, fam.dim)
         for H, (a, b) in zip(stack, points):
@@ -646,7 +648,7 @@ def _families():
                 yield quantize_series(_random_series(rng, modes), fx, -1,
                                       convention)
         for m in (2, 3):
-            yield quantize_blocks(_random_blocks(rng, m, _NEAR), fx, 1)
+            yield quantize_series(_random_blocks(rng, m, _NEAR), fx, 1)
     # a wide band: the hofstadter shifts +-3 of a q = 40 family
     yield quantize_series(_random_series(rng, [(1, 3), (2, 1)]),
                           RationalFlux(3, 40), 1, "hofstadter")
@@ -733,7 +735,7 @@ def _inversion_cases():
     g = FourierSeries2D({(1, 0): c, (-1, 0): c, (0, 1): 0.2j, (0, -1): 0.2j})
     blocks = [[_even_series(rng, _NEAR), g],
               [g.conj_reflect(), _even_series(rng, _NEAR)]]
-    yield quantize_blocks(blocks, RationalFlux(2, 7)), True
+    yield quantize_series(blocks, RationalFlux(2, 7)), True
     yield quantize_series(_MIRROR_ODD[1], RationalFlux(2, 7)), False
     f11 = 0.5 * np.exp(0.3j)
     F = FourierSeries2D({(1, 0): 1.0, (-1, 0): 1.0, (0, 1): 1.0, (0, -1): 1.0,
@@ -808,8 +810,8 @@ def test_ggdag_solves_one_point_per_inversion_pair(monkeypatch, grid):
     # G G^dag of g on (0, +-1) passes both reflections: 25, 45, 30 solves
     assert sum(counts) == _expected_solves(grid, True, True)
     g1, g2 = _grid_phases(fx.q, grid)
-    dense = np.linalg.eigvalsh(two_band_model(A, L, 1, fx).family.matrix_at(
-        g1, g2))
+    fam = quantize_series(two_band_model(A, L, 1, fx), fx, iota=1)
+    dense = np.linalg.eigvalsh(fam.matrix_at(g1, g2))
     assert np.max(np.abs(via.samples - dense)) < 1e-12
 
 
@@ -827,7 +829,7 @@ def test_band_path_rejects_a_non_hermitian_block_table():
     fx = RationalFlux(1, 50)
     c = FourierSeries2D({(0, 0): 1.0}, is_real=True)
     g = FourierSeries2D({(0, 1): 0.5j, (0, -1): 0.25})
-    fam = quantize_blocks([[c, g], [g, c]], fx)   # (1, 0) should reflect g
+    fam = quantize_series([[c, g], [g, c]], fx)   # (1, 0) should reflect g
     with pytest.raises(NumericError, match="lost Hermiticity"):
         spectrum(fam, grid=(8, 8))
 
@@ -873,7 +875,13 @@ def _reflection_cases():
         yield ("hofstadter-complex-f10",
                quantize_series(complex_f10, fx, iota, "hofstadter"),
                False, True)
-        yield "two-band", two_band_model(A, L, 1, fx, iota).family, True, True
+        yield ("two-band", quantize_series(two_band_model(A, L, 1, fx), fx,
+                                           iota), True, True)
+        # g is real on (0, +-1): every weight of the hofstadter family is
+        # real, even under (n, m) -> (-n, -m), and at n = 0, where the flip
+        # (-n, m) is the mode itself
+        yield ("hofstadter-two-band", quantize_series(
+            two_band_model(A, L, 1, fx), fx, iota, "hofstadter"), True, True)
         yield ("ggdag", quantize_series(_twisted_square(A.g, fx, iota), fx,
                                         iota), True, True)
         yield ("harper-complex-f10", quantize_series(complex_f10, fx, iota),
@@ -904,7 +912,8 @@ def _chambers_cases():
             yield quantize_series(_CHAMBERS_SETS[2], fx, iota, convention), True
             for F in _MIRROR_ODD + [imag_f01, rounded]:
                 yield quantize_series(F, fx, iota, convention), False
-        yield two_band_model(_a1_potential(L), L, 1, fx, iota).family, False
+        yield quantize_series(two_band_model(_a1_potential(L), L, 1, fx), fx,
+                              iota), False
 
 
 @pytest.mark.parametrize("fam, chambers", list(_chambers_cases()))
@@ -973,7 +982,7 @@ def test_ggdag_with_shifting_G_matches_dense_two_band(q):
     via = spectrum_via_GGdag(A, L, 1, fx, grid=(8, 8))
     # G G^dag shifts by 0 and +-2: band width 4, solved banded at every q
     assert via.metadata["eigensolver"] == "lapack-banded"
-    fam = two_band_model(A, L, 1, fx).family
+    fam = quantize_series(two_band_model(A, L, 1, fx), fx, iota=1)
     b1 = np.repeat(2.0 * math.pi / q * np.arange(8) / 8, 8)
     b2 = np.tile(2.0 * math.pi * np.arange(8) / 8, 8)
     dense = np.linalg.eigvalsh(fam.matrix_at(b1, b2))
@@ -1017,7 +1026,7 @@ def test_ggdag_of_several_modes_matches_dense_two_band(L, p, q):
     A = _skewed_potential(L)
     fx = RationalFlux(p, q)
     via = spectrum_via_GGdag(A, L, 1, fx, grid=(8, 8))
-    fam = two_band_model(A, L, 1, fx).family
+    fam = quantize_series(two_band_model(A, L, 1, fx), fx, iota=1)
     b1 = np.repeat(2.0 * math.pi / q * np.arange(8) / 8, 8)
     b2 = np.tile(2.0 * math.pi * np.arange(8) / 8, 8)
     dense = np.linalg.eigvalsh(fam.matrix_at(b1, b2))
