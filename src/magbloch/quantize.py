@@ -18,8 +18,8 @@ against misreading the phase bookkeeping.
 from __future__ import annotations
 
 import cmath
-import copy
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -91,8 +91,11 @@ def clock_shift(flux: RationalFlux, iota: int, beta1: float, beta2: float):
 
     U = diag(exp(-i(beta1 + 2 pi iota theta j))),  V e_j = e^{-i beta2} e_{j+1 mod q};
     then U V = exp(-i 2 pi iota theta) V U exactly.  The diagonal of U and
-    the phase of V are the (u, v) of :func:`_bloch_clock`.
+    the phase of V are the (u, v) of :func:`_bloch_clock`.  An iota that
+    fails :func:`_is_iota` is a ValueError.
     """
+    if not _is_iota(iota):
+        raise ValueError(f"iota must be 1 or -1, not {iota!r}")
     u, v = _bloch_clock(flux, iota, beta1, beta2)
     j = np.arange(flux.q)
     V = np.zeros((flux.q, flux.q), dtype=complex)
@@ -255,12 +258,28 @@ def _is_iota(iota) -> bool:
 
 def _as_blocks(symbol) -> list:
     """The m x m nested list of series (``None`` for a zero block) of a
-    symbol, a real series being the 1 x 1 list."""
-    if not isinstance(symbol, FourierSeries2D):
-        return symbol
-    if not symbol.is_real:
-        raise ValueError("a single-series symbol must be real-valued")
-    return [[symbol]]
+    symbol, a real series being the 1 x 1 list.  An empty, ragged or
+    non-square list, or an entry that is neither a series nor ``None``, is
+    a ValueError naming the shape."""
+    if isinstance(symbol, FourierSeries2D):
+        if not symbol.is_real:
+            raise ValueError("a single-series symbol must be real-valued")
+        return [[symbol]]
+    if not isinstance(symbol, (list, tuple)):
+        raise ValueError(f"a symbol must be a real FourierSeries2D or an "
+                         f"m x m list of series, not {type(symbol).__name__}")
+    lengths = [len(row) if isinstance(row, (list, tuple)) else None
+               for row in symbol]
+    if not symbol or any(n != len(symbol) for n in lengths):
+        raise ValueError(f"a block symbol must be a non-empty m x m list, "
+                         f"got {len(symbol)} rows of lengths {lengths}")
+    for i, row in enumerate(symbol):
+        for k, B in enumerate(row):
+            if not (B is None or isinstance(B, FourierSeries2D)):
+                raise ValueError(
+                    f"block ({i}, {k}) of the {len(symbol)} x {len(symbol)} "
+                    f"symbol is a {type(B).__name__}, not a series or None")
+    return symbol
 
 
 def quantize_series(F, flux: RationalFlux, iota: int = -1,
@@ -537,12 +556,11 @@ def spectrum(fam: MagneticBlochFamily, grid=(16, 16),
     than ``tol_band`` (default 1e-6 of the spectral width) merge into one.
     The metadata names the grid, that tolerance, the family's ``iota`` and
     ``convention``, the eigensolver (``lapack-banded``) and the half
-    bandwidth b (:func:`_bandwidth`); each stack of at most
-    ``_STACK_BYTES`` (or of one point) goes to :func:`_band_eigvalsh`.  A
-    grid that fails :func:`_is_grid` or a ``tol_band`` that fails
-    :func:`_is_tol_band` raises ``ValueError``, and a grid of more than
-    ``SAMPLES_BUDGET`` samples n1 n2 dim :class:`ResourceCapError`, before
-    anything is allocated.
+    bandwidth b (:func:`_bandwidth`).  This is the one-family form of
+    :func:`_spectra`, which solves it.  A grid that fails :func:`_is_grid`
+    or a ``tol_band`` that fails :func:`_is_tol_band` raises
+    ``ValueError``, and a grid of more than ``SAMPLES_BUDGET`` samples
+    n1 n2 dim :class:`ResourceCapError`, before anything is allocated.
 
     With ``edges_only``, a family that passes the exact Chambers rule
     (:func:`_chambers`) is solved only at its at most four points
@@ -563,41 +581,115 @@ def spectrum(fam: MagneticBlochFamily, grid=(16, 16),
     81; with inversion alone (n1 n2 + f) / 2, f the points that are their
     own partner (4 on an even grid).  A family that passes neither, even
     one that misses a rule by rounding, is solved at every point."""
+    return _spectra([fam], grid, tol_band, energies=energies,
+                    edges_only=edges_only)[0]
+
+
+def _joined_terms(tables):
+    """The (i, k, terms) table of :meth:`MagneticBlochFamily._terms_at`
+    for the points of several tables of one (i, k, shift) layout, each
+    term's weights joined along the point axis in table order."""
+    for blocks in zip(*tables):
+        i, k, _ = blocks[0]
+        yield i, k, ((pairs[0][0], np.concatenate([w for _, w in pairs],
+                                                  axis=-1))
+                     for pairs in zip(*(terms for _, _, terms in blocks)))
+
+
+def _spectra(fams, grid, tol_band: float | None = None, *, energies=None,
+             edges_only: bool = False) -> list:
+    """The :func:`spectrum` report of each family of ``fams``, in order:
+    the one Bloch-grid solver.  The families share q, dim, iota,
+    convention and the (i, k, shift) table of
+    :meth:`MagneticBlochFamily._shifts`, and any other list (an empty one
+    too) is a ValueError, after the grid and ``tol_band`` checks and
+    before any solve.
+
+    The half bandwidth, the Chambers points and the orbit sources of each
+    pair of rules are found once per call; each family keeps its own rule
+    decisions, rows, merge and metadata.  The solved points of all
+    families, in family order, are cut into stacks of at most
+    ``_STACK_BYTES`` (or of one point) for :func:`_band_eigvalsh`, and a
+    stack may span families: each family's weights come from its own
+    ``_terms_at`` on its own points and are joined along the point axis
+    (:func:`_joined_terms`).  So every point is assembled from the same
+    terms in the same order, and solved by the same call, as when its
+    family is solved alone."""
     if not _is_grid(grid):
         raise ValueError(f"grid must be two integers >= 8, got {grid!r}")
     if not _is_tol_band(tol_band):
         raise ValueError(f"tol_band must be None or a finite number >= 0, "
                          f"got {tol_band!r}")
+    if not fams:
+        raise ValueError("_spectra needs at least one family")
+    layout = [(f.flux.q, f.dim, f.iota, f.convention, f._shifts())
+              for f in fams]
+    if any(key != layout[0] for key in layout):
+        raise ValueError("_spectra needs families that share q, dim, iota, "
+                         "convention and (i, k, shift) table")
+    q, dim, _, _, shifts = layout[0]
     n1, n2 = grid
-    q, dim = fam.flux.q, fam.dim
     if n1 * n2 * dim > SAMPLES_BUDGET:
         raise ResourceCapError(
             f"grid {n1} x {n2} at dimension {dim} needs {n1 * n2 * dim} "
             f"eigenvalue samples, over the budget {SAMPLES_BUDGET}")
-    b = _bandwidth(q, dim, fam._shifts())
-    metadata = {"iota": fam.iota, "convention": fam.convention}
-    if edges_only and _chambers(fam):
-        solved = _chambers_points(q, grid)
-        rows = np.arange(solved.size)
-        metadata["chambers_points"] = np.column_stack(
-            _grid_phases(q, grid, solved)).tolist()
-    else:
-        source = _orbit_sources(grid, _inversion_even(fam), _flip_even(fam))
-        solved = np.flatnonzero(source == np.arange(n1 * n2))
-        rows = np.searchsorted(solved, source)
-    b1, b2 = _grid_phases(q, grid, solved)
+    b = _bandwidth(q, dim, shifts)
+    # rule key (None for the Chambers points, else (inversion, flip)) ->
+    # (solved flat indices, row of each report row, beta1, beta2)
+    plans, keys = {}, []
+    for fam in fams:
+        key = (None if edges_only and _chambers(fam)
+               else (_inversion_even(fam), _flip_even(fam)))
+        if key not in plans:
+            if key is None:
+                solved = _chambers_points(q, grid)
+                rows = np.arange(solved.size)
+            else:
+                source = _orbit_sources(grid, *key)
+                solved = np.flatnonzero(source == np.arange(n1 * n2))
+                rows = np.searchsorted(solved, source)
+            plans[key] = (solved, rows, *_grid_phases(q, grid, solved))
+        keys.append(key)
+    picks = [plans[key] for key in keys]
+    # family f holds the points starts[f]:starts[f + 1] of the whole list
+    starts = np.cumsum([0] + [pick[0].size for pick in picks]).tolist()
     step = max(1, _STACK_BYTES // (32 * (b + 1) * dim))
-    lams = []
-    for s in range(0, b1.size, step):
-        s1, s2 = b1[s:s + step], b2[s:s + step]
-        lam = _band_eigvalsh(q, dim, b, fam._terms_at(s1, s2), s1, s2)
-        lams.append(lam if energies is None else energies(lam))
-    samples = np.concatenate(lams)[rows]
-    bands, tol_band = _merge_branches(samples, tol_band)
-    return SpectrumReport(flux=fam.flux, bands=bands, samples=samples,
-                          metadata={"grid": [n1, n2], "tol_band": tol_band,
-                                    **metadata, "eigensolver": "lapack-banded",
-                                    "bandwidth": b})
+    lams = [[] for _ in fams]
+    for s in range(0, starts[-1], step):
+        e = min(s + step, starts[-1])
+        # (f, lo, hi): family f's own points lo:hi lie in the stack
+        parts = [(f, max(s, a) - a, min(e, z) - a)
+                 for f, (a, z) in enumerate(zip(starts, starts[1:]))
+                 if a < e and z > s]
+        phases = [(picks[f][2][lo:hi], picks[f][3][lo:hi])
+                  for f, lo, hi in parts]
+        tables = [fams[f]._terms_at(s1, s2)
+                  for (f, _, _), (s1, s2) in zip(parts, phases)]
+        if len(parts) == 1:
+            (s1, s2), = phases
+            blocks = tables[0]
+        else:
+            s1, s2 = (np.concatenate(a) for a in zip(*phases))
+            blocks = _joined_terms(tables)
+        lam = _band_eigvalsh(q, dim, b, blocks, s1, s2)
+        if energies is not None:
+            lam = energies(lam)
+        at = 0
+        for f, lo, hi in parts:
+            lams[f].append(lam[at:at + hi - lo])
+            at += hi - lo
+    reports = []
+    for fam, key, (_, rows, b1, b2), lam in zip(fams, keys, picks, lams):
+        samples = np.concatenate(lam)[rows]
+        bands, tol = _merge_branches(samples, tol_band)
+        metadata = {"grid": [n1, n2], "tol_band": tol, "iota": fam.iota,
+                    "convention": fam.convention}
+        if key is None:
+            metadata["chambers_points"] = np.column_stack((b1, b2)).tolist()
+        metadata.update(eigensolver="lapack-banded", bandwidth=b)
+        reports.append(SpectrumReport(flux=fam.flux, bands=bands,
+                                      samples=samples, metadata=metadata))
+    return reports
 
 
 def _mirror_even(F: FourierSeries2D, iota: int) -> bool:
@@ -615,9 +707,10 @@ def _mirrored(twin: SpectrumReport, flux: RationalFlux, grid) -> SpectrumReport:
     Its spectrum at beta is the twin's at -beta, the point
     :func:`_reflected_points` of the grid of :func:`spectrum`; a
     twin sampled at its Chambers points lends its rows to their
-    reflections, which the report names as its own ``chambers_points``."""
+    reflections, which the report names as its own ``chambers_points``.
+    The report shares no list or array with its twin."""
     reflected = _reflected_points(grid)
-    metadata = {**copy.deepcopy(twin.metadata),
+    metadata = {**twin.metadata, "grid": list(twin.metadata["grid"]),
                 "mirror_of": [twin.flux.p, twin.flux.q]}
     if "chambers_points" in metadata:
         # the twin's points are _chambers_points at the same q and grid
@@ -644,19 +737,21 @@ def butterfly(F: FourierSeries2D, q_max: int, iota: int = -1, grid=(8, 16),
     When F is mirror-even (:func:`_mirror_even`), each (q-p)/q with
     p < q/2 is the reflected report of its twin p/q (:func:`_mirrored`),
     whose metadata it carries with ``"mirror_of": [p, q]``; every other
-    flux is solved directly."""
-    fluxes = reduced_fractions(q_max)
+    flux is solved directly, those of one q in one :func:`_spectra`
+    call."""
     mirror = _mirror_even(F, iota)
-    solved = {}   # (p, q) -> report; (q, p) order solves each twin first
-    for fx in fluxes:
-        twin = solved.get((fx.q - fx.p, fx.q)) if mirror else None
-        if twin is not None:
-            solved[fx.p, fx.q] = _mirrored(twin, fx, grid)
-        else:
-            fam = quantize_series(F, fx, iota=iota)
-            solved[fx.p, fx.q] = spectrum(fam, grid, tol_band,
-                                          edges_only=True)
-    return list(solved.values())
+    reports = []
+    for q, group in itertools.groupby(reduced_fractions(q_max),
+                                      lambda fx: fx.q):
+        group = list(group)
+        direct = [fx for fx in group if not (mirror and 2 * fx.p > q)]
+        solved = dict(zip((fx.p for fx in direct), _spectra(
+            [quantize_series(F, fx, iota=iota) for fx in direct], grid,
+            tol_band, edges_only=True)))
+        reports += [solved[fx.p] if fx.p in solved
+                    else _mirrored(solved[q - fx.p], fx, grid)
+                    for fx in group]
+    return reports
 
 
 def almost_mathieu_spectrum(flux: RationalFlux, beta: float, N: int) -> np.ndarray:

@@ -15,7 +15,8 @@ from magbloch.lattice import (FourierSeries2D, PeriodicVectorPotential,
                               harper_potential, make_lattice)
 from magbloch.oracle import OracleBasis
 from magbloch.quantize import (RationalFlux, almost_mathieu_spectrum,
-                               butterfly, quantize_series, reduced_fractions)
+                               butterfly, clock_shift, quantize_series,
+                               reduced_fractions)
 from magbloch.symbols import exact_symbol, remainder_norm
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(magbloch.__path__)
@@ -107,6 +108,10 @@ BAD_VALUES = {
         lambda: quantize_series(_HARPER, _THIRD, iota=2), ValueError),
     "quantize-iota-bool": (
         lambda: quantize_series(_HARPER, _THIRD, iota=True), ValueError),
+    "clock-shift-iota-2": (
+        lambda: clock_shift(_THIRD, 2, 0.0, 0.0), ValueError),
+    "clock-shift-iota-bool": (
+        lambda: clock_shift(_THIRD, True, 0.0, 0.0), ValueError),
     # an empty series, so that no mode's phase is ever formed
     "quantize-convention-unknown": (
         lambda: quantize_series(FourierSeries2D({}, is_real=True), _THIRD,

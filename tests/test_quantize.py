@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from magbloch import quantize
 from magbloch.effective import spectrum_via_GGdag, two_band_model
 from magbloch.errors import NumericError
+from magbloch.fock import FockTruncation
 from magbloch.lattice import (FourierSeries2D, PeriodicVectorPotential,
                               harper_potential, make_lattice)
+from magbloch.oracle import OracleBasis, quantize_on_grid
 from magbloch.quantize import (MagneticBlochFamily, RationalFlux,
                                _band_eigvalsh, _band_stack, _bandwidth,
                                _fold, _require_hermitian, _twisted_square,
@@ -80,6 +82,30 @@ def test_quantize_requires_real():
     F = FourierSeries2D({(1, 0): 1.0})
     with pytest.raises(ValueError):
         quantize_series(F, RationalFlux(1, 2))
+
+
+_MALFORMED = {
+    "empty": ([], r"non-empty m x m list, got 0 rows of lengths \[\]"),
+    "one-by-two": ([[HARPER, HARPER]], r"got 1 rows of lengths \[2\]"),
+    "ragged": ([[HARPER], [HARPER, HARPER]],
+               r"got 2 rows of lengths \[1, 2\]"),
+    "rows-not-lists": ([HARPER, HARPER],
+                       r"got 2 rows of lengths \[None, None\]"),
+    "float-entry": ([[HARPER, 1.0], [None, HARPER]],
+                    r"block \(0, 1\) of the 2 x 2 symbol is a float"),
+    "not-a-list": ({(0, 0): 1.0}, "not dict"),
+}
+
+
+@pytest.mark.parametrize("symbol, message", _MALFORMED.values(),
+                         ids=_MALFORMED)
+def test_malformed_block_symbol_is_a_value_error(symbol, message):
+    fx = RationalFlux(1, 4)
+    basis = OracleBasis(n_cells=1, n_grid=4, fock=FockTruncation(4, 2))
+    with pytest.raises(ValueError, match=message):
+        quantize_series(symbol, fx)
+    with pytest.raises(ValueError, match=message):
+        quantize_on_grid(symbol, basis, fx)
 
 
 def test_zero_flux_samples_the_range():
@@ -272,50 +298,138 @@ def test_real_f11_breaks_the_mirror():
 def test_butterfly_spectrum_calls(monkeypatch, F, calls, solves):
     # Harper: 24 direct fluxes, each solved at <= 4 Chambers points (2 at
     # q = 8, where every beta2 column has q beta2 = 0 mod 2 pi); the
-    # real f_{1,1}: all 46 on the grid, 34 orbits of the inversion on 8 x 8
-    counts = _count_solved_points(monkeypatch)
-    real, seen = quantize.spectrum, []
-
-    def counted(fam, *args, **kwargs):
-        before = sum(counts)
-        rep = real(fam, *args, **kwargs)
-        seen.append(sum(counts) - before)
-        return rep
-
-    monkeypatch.setattr(quantize, "spectrum", counted)
+    # real f_{1,1}: all 46 on the grid, 34 orbits of the inversion on 8 x 8;
+    # the direct fluxes of each q in one _spectra call, so 12 calls
+    seen = _count_spectra_calls(monkeypatch)
     assert len(butterfly(F, 12, grid=(8, 8))) == 46
-    assert len(seen) == calls
-    assert max(seen) == solves
+    assert [{q for (_, q), _ in call} for call in seen] == [
+        {q} for q in range(1, 13)]
+    points = [n for call in seen for _, n in call]
+    assert len(points) == calls
+    assert max(points) == solves
 
 
-def _count_spectrum_calls(monkeypatch):
-    """A list that gets the flux of every call of ``quantize.spectrum``,
-    patched in each magbloch module that holds it, as the benchmark's
-    tracer patches it."""
-    real, fluxes = quantize.spectrum, []
+def _count_spectra_calls(monkeypatch):
+    """A list that gets, for every call of ``quantize._spectra``, the
+    (flux (p, q), solved points) of each of its families, the points
+    counted from the families' ``_terms_at`` calls."""
+    real, real_terms = quantize._spectra, MagneticBlochFamily._terms_at
+    calls, points = [], {}
 
-    def counted(fam, *args, **kwargs):
-        fluxes.append((fam.flux.p, fam.flux.q))
-        return real(fam, *args, **kwargs)
+    def terms_at(fam, beta1, beta2):
+        points[id(fam)] = points.get(id(fam), 0) + len(beta1)
+        return real_terms(fam, beta1, beta2)
 
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "magbloch" and vars(mod).get("spectrum") is real:
-            monkeypatch.setattr(mod, "spectrum", counted)
-    return fluxes
+    def counted(fams, *args, **kwargs):
+        points.clear()
+        reports = real(fams, *args, **kwargs)
+        calls.append([((f.flux.p, f.flux.q), points.get(id(f), 0))
+                      for f in fams])
+        return reports
+
+    monkeypatch.setattr(MagneticBlochFamily, "_terms_at", terms_at)
+    monkeypatch.setattr(quantize, "_spectra", counted)
+    return calls
 
 
 def test_every_grid_solve_goes_through_spectrum(monkeypatch):
-    fluxes = _count_spectrum_calls(monkeypatch)
+    # every grid solve goes through _spectra, spectrum's one-family form
+    # included
+    seen = _count_spectra_calls(monkeypatch)
     L = make_lattice([1, 0], [0, 1])
     via = spectrum_via_GGdag(_a1_potential(L), L, 0, RationalFlux(2, 5),
                              grid=(8, 8), iota=-1)
-    assert fluxes == [(2, 5)]
+    assert seen == [[((2, 5), _expected_solves((8, 8), True, True))]]
     assert (via.metadata["iota"], via.metadata["convention"]) == (-1, "harper")
-    fluxes.clear()
+    seen.clear()
     # Harper is mirror-even: only the 24 fluxes p/q with p <= q/2 are solved
     direct = [(r.flux.p, r.flux.q) for r in butterfly(HARPER, 12, grid=(8, 8))
               if "mirror_of" not in r.metadata]
-    assert fluxes == direct and len(direct) == 24
+    assert [fx for call in seen for fx, _ in call] == direct
+    assert len(direct) == 24 and len(seen) == 12
+
+
+_STACKED = [HARPER, _random_mirror_even(3), *_MIRROR_ODD]
+_STACKED_IDS = ["harper", "mirror-even", "real-f11", "complex-f10"]
+
+
+def _assert_stacked_butterfly_keeps_the_bits(F, iota, grid, reports):
+    """Each report equals the one-flux ``spectrum`` with ``edges_only`` of
+    its flux, bit for bit; a mirrored one that of its twin, its rows and
+    Chambers points taken at the reflected points."""
+    reflected = quantize._reflected_points(grid)
+    for rep in reports:
+        twin = rep.metadata.pop("mirror_of", None)
+        fx = rep.flux if twin is None else RationalFlux(*twin)
+        direct = spectrum(quantize_series(F, fx, iota=iota), grid,
+                          edges_only=True)
+        samples = direct.samples
+        if twin is not None and "chambers_points" in rep.metadata:
+            assert (_sampled_points(rep).tolist()
+                    == reflected[_sampled_points(direct)].tolist())
+            rep.metadata["chambers_points"] = direct.metadata[
+                "chambers_points"]
+        elif twin is not None:
+            samples = samples[reflected]
+        assert rep.samples.tobytes() == samples.tobytes()
+        assert rep.bands == direct.bands
+        assert rep.metadata == direct.metadata
+
+
+@pytest.mark.parametrize("grid", [(8, 16), (9, 13)])
+@pytest.mark.parametrize("iota", [1, -1])
+@pytest.mark.parametrize("F", _STACKED, ids=_STACKED_IDS)
+def test_stacked_butterfly_matches_one_flux_solves(F, iota, grid):
+    _assert_stacked_butterfly_keeps_the_bits(
+        F, iota, grid, butterfly(F, 9, iota=iota, grid=grid))
+
+
+def test_stacked_butterfly_does_not_depend_on_the_stack_size(monkeypatch):
+    # 5 points per stack at q = 7 (b = 2) and 2 at q = 12: Harper's <= 4
+    # Chambers points per flux share stacks with the next flux's at q = 7
+    # and split at q = 12, and the real f_{1,1}'s 66 orbit points of
+    # every flux on 8 x 16 split over many stacks, some shared
+    symbols = (HARPER, _MIRROR_ODD[0])
+    whole = [butterfly(F, 12, grid=(8, 16)) for F in symbols]
+    monkeypatch.setattr(quantize, "_STACK_BYTES", 32 * 3 * 7 * 5)
+    joined, real_join = [], quantize._joined_terms
+    pieces, real_terms = {}, MagneticBlochFamily._terms_at
+
+    def join(tables):
+        joined.append(len(tables))
+        return real_join(tables)
+
+    def terms_at(fam, beta1, beta2):
+        key = (fam.flux.p, fam.flux.q)
+        pieces[key] = pieces.get(key, 0) + 1
+        return real_terms(fam, beta1, beta2)
+
+    monkeypatch.setattr(quantize, "_joined_terms", join)
+    monkeypatch.setattr(MagneticBlochFamily, "_terms_at", terms_at)
+    for F, one in zip(symbols, whole):
+        joined.clear()
+        pieces.clear()
+        many = butterfly(F, 12, grid=(8, 16))
+        assert max(joined) >= 2 and max(pieces.values()) >= 2
+        for a, b in zip(one, many):
+            assert a.samples.tobytes() == b.samples.tobytes()
+            assert a.bands == b.bands and a.metadata == b.metadata
+
+
+@pytest.mark.parametrize("other", [
+    quantize_series(HARPER, RationalFlux(1, 4)),
+    quantize_series(HARPER, RationalFlux(1, 3), iota=1),
+    quantize_series(HARPER, RationalFlux(1, 3), convention="hofstadter"),
+    quantize_series(_MIRROR_ODD[0], RationalFlux(1, 3)),
+    quantize_series([[HARPER, None], [None, HARPER]], RationalFlux(1, 3)),
+], ids=["q", "iota", "convention", "shifts", "dim"])
+def test_spectra_rejects_families_of_another_layout(monkeypatch, other):
+    counts = _count_solved_points(monkeypatch)
+    fam = quantize_series(HARPER, RationalFlux(1, 3))
+    for fams in ([fam, other], [other, fam], []):
+        with pytest.raises(ValueError, match="_spectra needs"):
+            quantize._spectra(fams, (8, 8))
+    assert counts == []
 
 
 _BAD_GRIDS = [(16.0, 16), (8, np.float64(8)), ("16", 16), (True, 16),
