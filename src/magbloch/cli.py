@@ -398,8 +398,11 @@ def cmd_effective(cfg: dict, args) -> str:
     reports = []
     for fx in cfg.get("delta", [RationalFlux(1, 16)]):
         symbol = effective.single_band_model(V, L, band + 0.5, fx)
+        # CSV rows hold only band edges, so a Chambers family needs its
+        # Chambers points alone; JSON keeps the samples of the whole grid
         rep = quantize.spectrum(quantize.quantize_series(symbol, fx, iota),
-                                grid=grid, tol_band=tol_band)
+                                grid=grid, tol_band=tol_band,
+                                edges_only=args.format == "csv")
         rep.metadata["band"] = band
         reports.append(_rescale_report(rep, args.units))
     return _reports_text(reports, args)

@@ -455,6 +455,18 @@ def _flip_even(fam: MagneticBlochFamily) -> bool:
                for w in _block_weights(fam))
 
 
+def _beta2_free(fam: MagneticBlochFamily) -> bool:
+    """Whether no monomial of ``fam`` carries the shift phase v: a
+    monomial's power of v is its shift (:func:`_weyl_shift`), so every
+    mode has n == 0 ("harper", V^0 U^m) or m == 0 ("hofstadter", U^n V^0).
+
+    The block table holds only non-zero weights, and ``_power(v, 0)`` is
+    exactly 1, so then the family is the same matrix, bit for bit, at
+    every beta2, and its spectrum at (beta1, beta2) is the one at
+    (beta1, 0)."""
+    return all(shift == 0 for _, _, shift in fam._shifts())
+
+
 def _block_weights(fam: MagneticBlochFamily):
     """The ``{(n, m): weight}`` map of each block, its weights phased and
     non-zero (:func:`_weyl_modes`)."""
@@ -472,19 +484,23 @@ def _reflected_points(grid) -> np.ndarray:
     return (-i % n1) * n2 + (-k % n2)
 
 
-def _orbit_sources(grid, inversion: bool, flip: bool) -> np.ndarray:
+def _orbit_sources(grid, inversion: bool, flip: bool,
+                   beta2_free: bool) -> np.ndarray:
     """Flat index of the representative of each point's orbit on the
     n1 x n2 grid of :func:`spectrum`, under the inversion
     :func:`_reflected_points` when ``inversion``, the flip (i, k) ->
     (i, -k mod n2) (beta2 -> -beta2) when ``flip``, and their product when
-    both: the lowest flat index of the orbit, so point 0 stays its own."""
+    both: the lowest flat index of the orbit, so point 0 stays its own.
+    With ``beta2_free`` every point (i, k) takes the representative of
+    (i, 0), which lies in column 0, as both rules map that column to
+    itself."""
     n1, n2 = grid
     points = np.arange(n1 * n2)
     source = np.minimum(points, _reflected_points(grid)) if inversion else points
+    i, k = np.divmod(points, n2)
     if flip:
-        i, k = np.divmod(points, n2)
         source = np.minimum(source, source[i * n2 + (-k % n2)])
-    return source
+    return source[i * n2] if beta2_free else source
 
 
 # The modes of a scalar family that obeys Chambers' relation.
@@ -568,18 +584,21 @@ def spectrum(fam: MagneticBlochFamily, grid=(16, 16),
     value over the grid; ``samples`` then holds their rows, in ascending
     flat order, and ``metadata["chambers_points"]`` their [beta1, beta2].
 
-    Otherwise ``samples`` holds every point of the grid, and two exact
+    Otherwise ``samples`` holds every point of the grid, and three exact
     rules, each decided once from the block table, say where the spectrum
     repeats: for an inversion-even family (:func:`_inversion_even`) the
     spectrum at beta is the one at -beta, the point
     :func:`_reflected_points`; for a flip-even one (:func:`_flip_even`)
     the spectrum at (beta1, beta2) is the one at (beta1, -beta2), the point
-    (i, -k mod n2).  Only the representative of each orbit of the rules the
-    family passes (:func:`_orbit_sources`, its lowest flat index) is
-    solved, in ascending flat order (point 0 first), and every other row
-    is a copy.  With both rules an 8 x 16 grid takes 45 solves, 16 x 16
-    81; with inversion alone (n1 n2 + f) / 2, f the points that are their
-    own partner (4 on an even grid).  A family that passes neither, even
+    (i, -k mod n2); for a beta2-free one (:func:`_beta2_free`) it is the
+    one at (beta1, 0), the point (i, 0).  Only the representative of each
+    orbit of the rules the family passes (:func:`_orbit_sources`, its
+    lowest flat index) is solved, in ascending flat order (point 0 first),
+    and every other row is a copy.  With inversion and flip an 8 x 16 grid
+    takes 45 solves, 16 x 16 81; with inversion alone (n1 n2 + f) / 2, f
+    the points that are their own partner (4 on an even grid); a
+    beta2-free family with inversion takes column 0's n1 // 2 + 1 (5 of
+    128 on 8 x 16, 9 of 256 on 16 x 16).  A family that passes none, even
     one that misses a rule by rounding, is solved at every point."""
     return _spectra([fam], grid, tol_band, energies=energies,
                     edges_only=edges_only)[0]
@@ -606,7 +625,7 @@ def _spectra(fams, grid, tol_band: float | None = None, *, energies=None,
     before any solve.
 
     The half bandwidth, the Chambers points and the orbit sources of each
-    pair of rules are found once per call; each family keeps its own rule
+    set of rules are found once per call; each family keeps its own rule
     decisions, rows, merge and metadata.  The solved points of all
     families, in family order, are cut into stacks of at most
     ``_STACK_BYTES`` (or of one point) for :func:`_band_eigvalsh`, and a
@@ -634,12 +653,13 @@ def _spectra(fams, grid, tol_band: float | None = None, *, energies=None,
             f"grid {n1} x {n2} at dimension {dim} needs {n1 * n2 * dim} "
             f"eigenvalue samples, over the budget {SAMPLES_BUDGET}")
     b = _bandwidth(q, dim, shifts)
-    # rule key (None for the Chambers points, else (inversion, flip)) ->
-    # (solved flat indices, row of each report row, beta1, beta2)
+    # rule key (None for the Chambers points, else (inversion, flip,
+    # beta2_free)) -> (solved flat indices, row of each report row, beta1,
+    # beta2)
     plans, keys = {}, []
     for fam in fams:
         key = (None if edges_only and _chambers(fam)
-               else (_inversion_even(fam), _flip_even(fam)))
+               else (_inversion_even(fam), _flip_even(fam), _beta2_free(fam)))
         if key not in plans:
             if key is None:
                 solved = _chambers_points(q, grid)
@@ -702,20 +722,19 @@ def _mirror_even(F: FourierSeries2D, iota: int) -> bool:
         lambda n, m, c: (-1) ** (n * m * iota % 2) * c.conjugate())
 
 
-def _mirrored(twin: SpectrumReport, flux: RationalFlux, grid) -> SpectrumReport:
+def _mirrored(twin: SpectrumReport, flux: RationalFlux, reflected,
+              chambers) -> SpectrumReport:
     """The report at ``flux`` = (q-p)/q from the report of its twin p/q.
-    Its spectrum at beta is the twin's at -beta, the point
-    :func:`_reflected_points` of the grid of :func:`spectrum`; a
-    twin sampled at its Chambers points lends its rows to their
-    reflections, which the report names as its own ``chambers_points``.
-    The report shares no list or array with its twin."""
-    reflected = _reflected_points(grid)
+    Its spectrum at beta is the twin's at -beta, the point ``reflected``
+    (:func:`_reflected_points` of the grid of :func:`spectrum`); a twin
+    sampled at its Chambers points lends its rows to their reflections,
+    whose [beta1, beta2] ``chambers`` holds and the report names as its
+    own ``chambers_points``.  The report shares no list or array with its
+    twin, nor with ``chambers``."""
     metadata = {**twin.metadata, "grid": list(twin.metadata["grid"]),
                 "mirror_of": [twin.flux.p, twin.flux.q]}
     if "chambers_points" in metadata:
-        # the twin's points are _chambers_points at the same q and grid
-        metadata["chambers_points"] = np.column_stack(_grid_phases(
-            flux.q, grid, reflected[_chambers_points(flux.q, grid)])).tolist()
+        metadata["chambers_points"] = [list(point) for point in chambers]
         reflected = np.arange(len(twin.samples))
     return SpectrumReport(flux=flux, bands=list(twin.bands),
                           samples=twin.samples[reflected], metadata=metadata)
@@ -740,7 +759,7 @@ def butterfly(F: FourierSeries2D, q_max: int, iota: int = -1, grid=(8, 16),
     flux is solved directly, those of one q in one :func:`_spectra`
     call."""
     mirror = _mirror_even(F, iota)
-    reports = []
+    reflected, reports = None, []
     for q, group in itertools.groupby(reduced_fractions(q_max),
                                       lambda fx: fx.q):
         group = list(group)
@@ -748,8 +767,16 @@ def butterfly(F: FourierSeries2D, q_max: int, iota: int = -1, grid=(8, 16),
         solved = dict(zip((fx.p for fx in direct), _spectra(
             [quantize_series(F, fx, iota=iota) for fx in direct], grid,
             tol_band, edges_only=True)))
+        chambers = None
+        if len(direct) < len(group):
+            # once per call, after _spectra has checked the grid and its size
+            if reflected is None:
+                reflected = _reflected_points(grid)
+            # a twin's Chambers points are _chambers_points at q and grid
+            chambers = np.column_stack(_grid_phases(
+                q, grid, reflected[_chambers_points(q, grid)])).tolist()
         reports += [solved[fx.p] if fx.p in solved
-                    else _mirrored(solved[q - fx.p], fx, grid)
+                    else _mirrored(solved[q - fx.p], fx, reflected, chambers)
                     for fx in group]
     return reports
 

@@ -765,19 +765,111 @@ def test_reports_keep_the_old_bytes_when_rows_repeat(tmp_path, monkeypatch,
     _assert_same_bytes(got, want)
 
 
+def _count_flux_points(monkeypatch):
+    """A dict that gets, per flux (p, q), the Bloch points solved, counted
+    from the families' ``_terms_at`` rows."""
+    real, points = quantize.MagneticBlochFamily._terms_at, {}
+
+    def terms_at(fam, beta1, beta2):
+        key = (fam.flux.p, fam.flux.q)
+        points[key] = points.get(key, 0) + len(beta1)
+        return real(fam, beta1, beta2)
+
+    monkeypatch.setattr(quantize.MagneticBlochFamily, "_terms_at", terms_at)
+    return points
+
+
+def _bands_by_flux(text: str, fmt: str) -> dict:
+    """{(p, q): [[E_min, E_max], ...]} of a CSV or JSON spectrum report."""
+    if fmt == "json":
+        return {(r["p"], r["q"]): r["bands"] for r in json.loads(text)}
+    out = {}
+    for line in text.splitlines()[1:]:
+        p, q, _, _, lo, hi = line.split(",")
+        out.setdefault((int(p), int(q)), []).append([float(lo), float(hi)])
+    return out
+
+
+_FLUXES = {(1, 50), (2, 7), (1, 127)}
+
+
+def test_effective_csv_edges_come_from_the_chambers_points(tmp_path,
+                                                           monkeypatch):
+    # CSV rows hold no samples: Harper passes the Chambers rule, so each
+    # flux is solved at <= 4 points, where JSON keeps the 81 orbits of the
+    # 16 x 16 grid; the edges agree to rounding
+    points = _count_flux_points(monkeypatch)
+    path = _write_cfg(tmp_path, {"grid": [16, 16]})
+    bands = {}
+    for fmt in ("csv", "json"):
+        points.clear()
+        out = tmp_path / f"out.{fmt}"
+        assert main(["effective", "--config", path, "--delta",
+                     "1/50,2/7,1/127", "--format", fmt, "--out",
+                     str(out)]) == 0
+        assert set(points) == _FLUXES
+        assert (max(points.values()) <= 4 if fmt == "csv"
+                else set(points.values()) == {81})
+        bands[fmt] = _bands_by_flux(out.read_text(), fmt)
+    assert set(bands["csv"]) == _FLUXES
+    for flux, want in bands["json"].items():
+        got = bands["csv"][flux]
+        assert len(got) == len(want)
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
+
+
+def test_effective_csv_of_a_non_chambers_family_keeps_the_grid(tmp_path,
+                                                              monkeypatch):
+    # a (1, 1) mode breaks the Chambers relation: the CSV keeps the grid
+    # edges, byte for byte as without edges_only
+    points = _count_flux_points(monkeypatch)
+    path = _write_cfg(tmp_path, {"grid": [16, 16], "V": HARPER_CFG["V"] + [
+        [1, 1, 0.3, 0.0], [-1, -1, 0.3, 0.0]]})
+    argv = ["effective", "--config", path, "--delta", "1/50,2/7",
+            "--format", "csv", "--out"]
+    edges = tmp_path / "edges.csv"
+    assert main(argv + [str(edges)]) == 0
+    assert min(points.values()) > 4
+    real = quantize.spectrum
+    monkeypatch.setattr(quantize, "spectrum", lambda fam, *args,
+                        edges_only=False, **kwargs: real(fam, *args,
+                                                         **kwargs))
+    grid = tmp_path / "grid.csv"
+    assert main(argv + [str(grid)]) == 0
+    _assert_same_bytes(edges.read_bytes(), grid.read_bytes())
+
+
+@pytest.mark.parametrize("grid", [[8, 8], [9, 13], [16, 16]])
+@pytest.mark.parametrize("iota", [1, -1])
+def test_two_band_json_keeps_its_bytes_without_the_beta2_free_rule(
+        tmp_path, monkeypatch, iota, grid):
+    # with A1 on (0, +-1) the two-band family and G G^dag are beta2-free:
+    # solving column 0 alone writes the file that the whole grid writes
+    path = _write_cfg(tmp_path, {**_A1_COS, "grid": grid, "iota": iota})
+    texts = []
+    for rule in (quantize._beta2_free, lambda fam: False):
+        monkeypatch.setattr(quantize, "_beta2_free", rule)
+        out = tmp_path / "out.json"
+        assert main(["two-band", "--config", path, "--delta", "2/7,1/12",
+                     "--format", "json", "--out", str(out)]) == 0
+        texts.append(out.read_bytes())
+    _assert_same_bytes(*texts)
+
+
 @pytest.mark.parametrize("argv, extra", [
     (["sapt", "--band", "0,1"], _A1_COS),
     (["sapt", "--band", "0,1"], {**_A1_COS, "order": 8}),
     (["butterfly", "--qmax", "12"], _A1_COS),
     (["butterfly", "--qmax", "30"], {"grid": [8, 16]}),
     (["effective", "--delta", "1/50,1/127", "--format", "json"], _A1_COS),
+    (["effective", "--delta", "1/50,1/127", "--format", "csv"], _A1_COS),
     (["two-band", "--delta", "1/50,1/127", "--format", "json"], _A1_COS),
     (["oracle-compare", "--delta", "1/16,1/31,1/48"], _A1_COS),
     (["oracle-compare", "--delta", "1/16,1/31,1/48"], {}),
     (["oracle-compare", "--delta", "1/4,1/5,1/8"], _SMALL_SECTORS),
     (["oracle-compare", "--delta", "3/8,7/16"], {}),
 ], ids=["sapt", "sapt-order-8", "butterfly", "butterfly-qmax-30",
-        "effective", "two-band",
+        "effective", "effective-csv", "two-band",
         "oracle-compare", "oracle-compare-parity-split",
         "oracle-compare-small-sectors", "oracle-compare-wide-shift"])
 def test_outputs_identical_under_one_and_two_blas_threads(tmp_path, argv,
@@ -790,7 +882,8 @@ def test_outputs_identical_under_one_and_two_blas_threads(tmp_path, argv,
     # the wide slow shifts of 3/8 and 7/16, and with two Fock states some
     # sectors are solved dense; sapt also at the benchmark's order 8, and
     # butterfly at the benchmark's q <= 30 on 8 x 16, where one stack of
-    # Chambers points spans up to 14 fluxes)
+    # Chambers points spans up to 14 fluxes, and effective in CSV, solved at
+    # its Chambers points)
     path = _write_cfg(tmp_path, {"grid": [16, 16], "order": 6, **extra})
     outputs = []
     for threads in ("1", "2"):

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import sys
 
@@ -339,7 +340,7 @@ def test_every_grid_solve_goes_through_spectrum(monkeypatch):
     L = make_lattice([1, 0], [0, 1])
     via = spectrum_via_GGdag(_a1_potential(L), L, 0, RationalFlux(2, 5),
                              grid=(8, 8), iota=-1)
-    assert seen == [[((2, 5), _expected_solves((8, 8), True, True))]]
+    assert seen == [[((2, 5), _expected_solves((8, 8), True, True, True))]]
     assert (via.metadata["iota"], via.metadata["convention"]) == (-1, "harper")
     seen.clear()
     # Harper is mirror-even: only the 24 fluxes p/q with p <= q/2 are solved
@@ -489,6 +490,13 @@ def test_mirrored_report_owns_its_data():
     mirrored.samples[:] = 0.0
     assert twin.bands == bands and twin.metadata == metadata
     assert np.array_equal(twin.samples, samples)
+    # the mirrored fluxes 3/5 and 4/5 share no Chambers point list either
+    first, second = butterfly(HARPER, 5, grid=(9, 13))[-2:]
+    assert first.metadata["mirror_of"] == [2, 5]
+    assert second.metadata["mirror_of"] == [1, 5]
+    points = copy.deepcopy(first.metadata["chambers_points"])
+    second.metadata["chambers_points"][0][0] = 9.0
+    assert first.metadata["chambers_points"] == points
 
 
 def test_band_measure_decreases():
@@ -870,12 +878,13 @@ def _count_solved_points(monkeypatch):
     return counts
 
 
-def _expected_solves(grid, inversion, flip=False):
+def _expected_solves(grid, inversion, flip=False, beta2_free=False):
     """The number of orbits of the grid under the reflections a family
     passes, by Burnside's count: the mean number of points each group
     element fixes.  i == -i mod n1 at f1 indices (0 and, on an even axis,
-    n1 / 2), k == -k mod n2 at f2."""
-    n1, n2 = grid
+    n1 / 2), k == -k mod n2 at f2.  A beta2-free family solves column
+    k = 0 alone: the orbits of the n1 x 1 grid."""
+    n1, n2 = grid[0], 1 if beta2_free else grid[1]
     f1, f2 = 2 - n1 % 2, 2 - n2 % 2
     fixed = [n1 * n2]
     if inversion:
@@ -921,8 +930,9 @@ def test_ggdag_solves_one_point_per_inversion_pair(monkeypatch, grid):
     fx = RationalFlux(2, 7)
     counts = _count_solved_points(monkeypatch)
     via = spectrum_via_GGdag(A, L, 1, fx, grid=grid)
-    # G G^dag of g on (0, +-1) passes both reflections: 25, 45, 30 solves
-    assert sum(counts) == _expected_solves(grid, True, True)
+    # G G^dag of g on (0, +-1) passes both reflections and is beta2-free:
+    # 5 solves of column 0 on each grid
+    assert sum(counts) == _expected_solves(grid, True, True, True) == 5
     g1, g2 = _grid_phases(fx.q, grid)
     fam = quantize_series(two_band_model(A, L, 1, fx), fx, iota=1)
     dense = np.linalg.eigvalsh(fam.matrix_at(g1, g2))
@@ -1008,6 +1018,8 @@ def _reflection_cases():
 
 
 _REFLECTION_CASES = list(_reflection_cases())
+# the harper families of g on (0, +-1), whose modes all have n == 0
+_BETA2_FREE = {"two-band", "ggdag"}
 _REFLECTION_IDS = [f"{name}-iota{fam.iota}"
                    for name, fam, _, _ in _REFLECTION_CASES]
 
@@ -1068,7 +1080,9 @@ def test_spectrum_solves_one_point_per_reflection_orbit(
         monkeypatch, name, fam, inversion, flip, grid):
     counts = _count_solved_points(monkeypatch)
     rep = spectrum(fam, grid=grid)
-    assert sum(counts) == _expected_solves(grid, inversion, flip)
+    beta2_free = name in _BETA2_FREE
+    assert quantize._beta2_free(fam) is beta2_free
+    assert sum(counts) == _expected_solves(grid, inversion, flip, beta2_free)
     g1, g2 = _grid_phases(fam.flux.q, grid)
     dense = np.linalg.eigvalsh(fam.matrix_at(g1, g2))
     assert np.max(np.abs(rep.samples - dense)) < 1e-12
@@ -1077,15 +1091,94 @@ def test_spectrum_solves_one_point_per_reflection_orbit(
 def test_orbit_counts_match_burnside():
     for grid in _GRIDS + [(16, 16)]:
         points = np.arange(grid[0] * grid[1])
-        for inversion in (False, True):
-            for flip in (False, True):
-                source = quantize._orbit_sources(grid, inversion, flip)
-                assert source[0] == 0
-                assert np.all(source <= points)
-                assert (np.count_nonzero(source == points)
-                        == _expected_solves(grid, inversion, flip))
+        for inversion, flip, beta2_free in itertools.product((False, True),
+                                                             repeat=3):
+            source = quantize._orbit_sources(grid, inversion, flip,
+                                             beta2_free)
+            assert source[0] == 0
+            assert np.all(source <= points)
+            # a beta2-free family's representatives lie in column 0
+            assert np.all(source % grid[1] == 0) or not beta2_free
+            assert (np.count_nonzero(source == points)
+                    == _expected_solves(grid, inversion, flip, beta2_free))
     assert [_expected_solves(g, True, True) for g in _GRIDS + [(16, 16)]] \
         == [25, 45, 30, 81]
+    assert [_expected_solves(g, True, True, True)
+            for g in [(8, 16), (16, 16)]] == [5, 9]
+
+
+@pytest.mark.parametrize("grid", [(8, 8), (9, 13), (16, 16)])
+@pytest.mark.parametrize("iota", [1, -1])
+def test_beta2_free_rule_keeps_the_bits(monkeypatch, iota, grid):
+    # the two-band family and G G^dag of g on (0, +-1) solve column 0 alone
+    # and copy its rows; solved at every orbit of the grid instead, they
+    # give the same bits
+    L = make_lattice([1, 0], [0, 1])
+    A = _a1_potential(L)
+    fx = RationalFlux(2, 7)
+
+    def reports():
+        return (spectrum(quantize_series(two_band_model(A, L, 1, fx), fx,
+                                         iota), grid=grid),
+                spectrum_via_GGdag(A, L, 1, fx, grid=grid, iota=iota))
+
+    counts = _count_solved_points(monkeypatch)
+    fast = reports()
+    assert sum(counts) == 2 * _expected_solves(grid, True, True, True)
+    monkeypatch.setattr(quantize, "_beta2_free", lambda fam: False)
+    for got, want in zip(fast, reports()):
+        assert got.samples.tobytes() == want.samples.tobytes()
+        assert got.bands == want.bands
+        assert got.metadata == want.metadata
+
+
+def _beta2_cases():
+    """(name, family, beta2-free): a mode with n != 0 ("harper") or
+    m != 0 ("hofstadter") carries the shift phase v."""
+    L = make_lattice([1, 0], [0, 1])
+    fx = RationalFlux(2, 7)
+    A1, A2 = _a1_potential(L), _a2_potential(L)
+    # the benchmark's potential: nearest-neighbour modes of two amplitudes
+    V = FourierSeries2D({(1, 0): 0.9, (-1, 0): 0.9, (0, 1): 1.1,
+                         (0, -1): 1.1}, is_real=True)
+    f10 = FourierSeries2D({(0, 0): 0.3, (1, 0): 0.8, (-1, 0): 0.8},
+                          is_real=True)
+    for iota in (1, -1):
+        for convention, free_A, odd_A in (("harper", A1, A2),
+                                          ("hofstadter", A2, A1)):
+            yield (f"{convention}-V", quantize_series(V, fx, iota,
+                                                      convention), False)
+            for A, free in ((free_A, True), (odd_A, False)):
+                yield (f"{convention}-two-band-{'A1' if A is A1 else 'A2'}",
+                       quantize_series(two_band_model(A, L, 1, fx), fx, iota,
+                                       convention), free)
+        yield "harper-ggdag-A1", quantize_series(
+            _twisted_square(A1.g, fx, iota), fx, iota), True
+        yield "harper-ggdag-A2", quantize_series(
+            _twisted_square(A2.g, fx, iota), fx, iota), False
+        yield "harper-f10", quantize_series(f10, fx, iota), False
+        yield "hofstadter-f10", quantize_series(f10, fx, iota,
+                                                "hofstadter"), True
+
+
+_BETA2_CASES = list(_beta2_cases())
+
+
+@pytest.mark.parametrize("name, fam, free", _BETA2_CASES, ids=[
+    f"{name}-iota{fam.iota}" for name, fam, _ in _BETA2_CASES])
+def test_beta2_free_reads_the_modes(monkeypatch, name, fam, free):
+    # the rule holds exactly when the matrix is the same, bit for bit, at
+    # every beta2; a beta2-free family keeps its bits without the rule too
+    assert quantize._beta2_free(fam) is free
+    rng = np.random.default_rng(11)
+    b1, b2 = rng.uniform(0.0, 2.0 * math.pi, (2, 6))
+    assert np.array_equal(fam.matrix_at(b1, b2),
+                          fam.matrix_at(b1, np.zeros(6))) is free
+    if free:
+        rep = spectrum(fam, grid=(9, 13))
+        monkeypatch.setattr(quantize, "_beta2_free", lambda fam: False)
+        assert (spectrum(fam, grid=(9, 13)).samples.tobytes()
+                == rep.samples.tobytes())
 
 
 @pytest.mark.parametrize("q", [3, 5, 40])
